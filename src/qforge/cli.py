@@ -87,6 +87,20 @@ def _load_sets(obj):
     return [CertSet.from_json_obj(s) for s in obj["sets"]]
 
 
+# what a JSON value of the wrong shape raises while it is parsed
+_MALFORMED = (LookupError, TypeError, ValueError, AttributeError)
+
+
+def _load(path, parse, what):
+    """parse(JSON read from path); a file that is not valid JSON or does
+    not have the shape of `what` raises one QForgeError."""
+    try:
+        return parse(read_json(path))
+    except _MALFORMED as e:
+        raise QForgeError("malformed %s %s: %s: %s"
+                          % (what, path, type(e).__name__, e)) from e
+
+
 def cmd_build_adf(args, config):
     gen = FamilyGenerator(kind=args.kind, count=args.count,
                           depth=args.depth, seed=config.seed)
@@ -95,7 +109,7 @@ def cmd_build_adf(args, config):
 
 
 def cmd_check_separation(args, config):
-    sets = _load_sets(read_json(args.family))
+    sets = _load(args.family, _load_sets, "family file")
     inside = [sets[i] for i in args.inside]
     outside = [sets[i] for i in args.outside]
     sep = separation_find(inside, outside)
@@ -144,11 +158,10 @@ def cmd_build_coherent(args, config):
 
 
 def cmd_mad_census(args, config):
-    fam_obj = read_json(args.family)
-    sets = _load_sets(fam_obj)
+    sets = _load(args.family, _load_sets, "family file")
     gen = FamilyGenerator("explicit", sets=tuple(sets))
     fam = make_family(gen)
-    x = (CertSet.from_json_obj(read_json(args.x)) if args.x
+    x = (_load(args.x, CertSet.from_json_obj, "set file") if args.x
          else CertSet.ap(0, 1))
     census = mad_census(fam, x)
     return _emit({
@@ -208,9 +221,6 @@ def cmd_compute(args, config):
 
 
 def _paired_from_file(path, rho):
-    obj = read_json(path)
-    if "indices" in obj:
-        return PairedFamilies.from_json_obj(obj)
     def side(data):
         if isinstance(data, dict) and "kind" in data:
             gen = FamilyGenerator(kind=data["kind"],
@@ -218,7 +228,12 @@ def _paired_from_file(path, rho):
                                   depth=data.get("depth", 4))
             return list(make_family(gen).sets)
         return [CertSet.from_json_obj(s) for s in data]
-    return paired_from_certsets(side(obj["f"]), side(obj["g"]), rho)
+
+    def parse(obj):
+        if "indices" in obj:
+            return PairedFamilies.from_json_obj(obj)
+        return paired_from_certsets(side(obj["f"]), side(obj["g"]), rho)
+    return _load(path, parse, "family file")
 
 
 def cmd_forge_matrix(args, config):
@@ -239,9 +254,9 @@ def cmd_forge_matrix(args, config):
 
 
 def cmd_verify_run(args, config):
-    obj = read_json(args.run)
-    run = GenericRun.from_json_obj(obj)
-    families = PairedFamilies.from_json_obj(obj["families"])
+    run, families = _load(args.run, lambda obj: (
+        GenericRun.from_json_obj(obj),
+        PairedFamilies.from_json_obj(obj["families"])), "run file")
     report = verify_run(run, families)
     report["failures"] = list(report["failures"])
     return _emit(report, args.out)

@@ -291,7 +291,7 @@ def amalgamate(p: Condition, q: Condition, big_n: int,
             # interpolation: the block must send each f-window exactly to
             # the matching g-window; t does so by construction, asserted
             for v, w in zip(fw, gw):
-                if t.apply(v).coords != w.coords:
+                if t.apply(v) != w:
                     raise NormBudgetError("interpolation check failed")
             ext = extend_isomorphism(t, config=ExtensionConfig(
                 rho=config.rho, c1=config.c1, c2=config.c2,
@@ -378,6 +378,8 @@ class GenericRun:
 
     @staticmethod
     def from_json_obj(obj) -> "GenericRun":
+        if not obj["chain"]:
+            raise ParameterError("a run's chain holds at least one condition")
         return GenericRun(
             tuple(Condition.from_json_obj(c) for c in obj["chain"]),
             tuple((k, v, i) for k, v, i in obj["hit_log"]),

@@ -341,27 +341,60 @@ def _projection_parts(y: Subspace, s: LinMap | None = None):
     if not p.matmul(p).equals(p):
         raise NormBudgetError("projection failed idempotence check")
     for v in y.basis:
-        if p.apply(v).coords != v.restrict(y.lo, y.hi).coords:
+        if p.apply(v) != v.restrict(y.lo, y.hi):
             raise NormBudgetError("projection does not fix the subspace")
     return p, psi_rows
 
 
+def _kernel(rows, lo: int, hi: int) -> Subspace:
+    """Nullspace of dense rows over the columns [lo, hi), as a Subspace.
+
+    The basis is the one `linalg.nullspace` returns; each vector is built
+    from the pivots, so it has at most rank + 1 nonzero entries."""
+    red, pivots = rref(rows)
+    pivot_cols = set(pivots)
+    basis = []
+    for f in range(hi - lo):
+        if f not in pivot_cols:
+            entries = {lo + p: -red[r][f] for r, p in enumerate(pivots)}
+            entries[lo + f] = ONE
+            basis.append(WindowVector.sparse(lo, hi, entries))
+    return Subspace(lo, hi, tuple(basis))
+
+
 def kernel_subspace(p: RMatrix, lo: int, hi: int) -> Subspace:
     """Kernel of an idempotent matrix p on [lo, hi), as a Subspace."""
-    rows = [[p.get(i, j) for j in range(lo, hi)] for i in range(lo, hi)]
-    basis = [WindowVector(lo, hi, tuple(vec)) for vec in nullspace(rows, hi - lo)]
-    return Subspace(lo, hi, tuple(basis))
+    return _kernel([[p.get(i, j) for j in range(lo, hi)] for i in range(lo, hi)],
+                   lo, hi)
 
 
 def kernel_of_functionals(rows, lo: int, hi: int) -> Subspace:
     """Joint kernel of a few functionals on [lo, hi), as a Subspace."""
-    dense = [[r.value(i) for i in range(lo, hi)] for r in rows]
-    basis = [WindowVector(lo, hi, tuple(vec)) for vec in nullspace(dense, hi - lo)]
-    return Subspace(lo, hi, tuple(basis))
+    dense = []
+    for r in rows:
+        d = [ZERO] * (hi - lo)
+        for i, c in r.items():
+            if lo <= i < hi:
+                d[i - lo] = c
+        dense.append(d)
+    return _kernel(dense, lo, hi)
+
+
+def _lex_key(v: WindowVector):
+    """Sort key that orders vectors on one window as their dense
+    coordinate tuples compare, computed from the nonzeros alone.
+
+    At the first index where two vectors differ, at least one of them is
+    nonzero.  A nonzero c at index i ranks below any later entry when
+    c < 0, above it when c > 0, and against an entry at the same index by
+    value: (0, i, c) for c < 0 and (2, -i, c) for c > 0 encode exactly
+    that.  The closing (1,) stands for the zeros after the last nonzero.
+    """
+    return tuple((0, i, c) if c < 0 else (2, -i, c) for i, c in v.items()) + ((1,),)
 
 
 def _canonical_basis_order(basis):
-    return sorted(basis, key=lambda v: (min(v.support(), default=v.hi), v.coords))
+    return sorted(basis, key=lambda v: (min(v.support(), default=v.hi), _lex_key(v)))
 
 
 def _verified(q: LinMap, budget, cap):
@@ -399,17 +432,8 @@ def complement_iso(z1: Subspace, z2: Subspace, budget, cap=DEFAULT_DIM_CAP):
     b2 = _canonical_basis_order(z2.basis)
     dom = Subspace(z1.lo, z1.hi, tuple(b1))
 
-    def disjoint(basis):
-        seen = set()
-        for v in basis:
-            s = v.support()
-            if s & seen:
-                return False
-            seen |= s
-        return True
-
     # stage 1: disjoint supports both sides -> isometric sup-ratio matching
-    if disjoint(b1) and disjoint(b2):
+    if _disjoint_supports(b1) and _disjoint_supports(b2):
         images = tuple(w.scale(v.sup_norm() / w.sup_norm())
                        for v, w in zip(b1, b2))
         q = _verified(LinMap(dom, images), budget, cap)
@@ -580,7 +604,7 @@ def extend_isomorphism(t: LinMap, s1: LinMap | None = None,
     if not w.matmul(w_inv).equals(eye) or not w_inv.matmul(w).equals(eye):
         raise NormBudgetError("extension inverse verification failed")
     for v, img in zip(y1.basis, t.images):
-        if w.apply(v).coords != img.restrict(y1.lo, y1.hi).coords:
+        if w.apply(v) != img.restrict(y1.lo, y1.hi):
             raise NormBudgetError("extension does not agree with t on the basis")
     norm_w = op_norm_inf(w)
     norm_w_inv = op_norm_inf(w_inv)

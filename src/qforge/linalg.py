@@ -25,65 +25,150 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
+def _check_window(lo: int, hi: int):
+    if hi < lo:
+        raise ParameterError("window [%d, %d) is inverted" % (lo, hi))
+
+
+_setattr = object.__setattr__
+
+
+def _vector(lo: int, hi: int, nz: dict) -> "WindowVector":
+    """A WindowVector on a checked window from trusted nonzeros: nonzero
+    Fractions at indices inside [lo, hi), in increasing index order."""
+    v = object.__new__(WindowVector)
+    v._init(lo, hi, nz, None)
+    return v
+
+
 class WindowVector:
-    """Rational coordinates on a half-open window [lo, hi)."""
+    """Rational coordinates on a half-open window [lo, hi).
 
-    lo: int
-    hi: int
-    coords: tuple
+    Only the nonzero coordinates are stored, as a map index -> Fraction in
+    increasing index order; the dense ``coords`` tuple is built on first
+    use.  Instances are never mutated, so the sup norm and the support
+    are computed at most once.  Two vectors are equal when they have the
+    same window and the same coordinates.
+    """
 
-    def __post_init__(self):
-        if self.hi < self.lo:
-            raise ParameterError("window [%d, %d) is inverted" % (self.lo, self.hi))
-        if len(self.coords) != self.hi - self.lo:
+    __slots__ = ("lo", "hi", "_nz", "_coords", "_sup", "_support")
+
+    def __init__(self, lo: int, hi: int, coords):
+        _check_window(lo, hi)
+        coords = tuple(frac(c) for c in coords)
+        if len(coords) != hi - lo:
             raise ParameterError("coordinate count does not match window length")
-        object.__setattr__(self, "coords", tuple(frac(c) for c in self.coords))
+        self._init(lo, hi, {lo + k: c for k, c in enumerate(coords) if c}, coords)
+
+    def _init(self, lo, hi, nz, coords):
+        _setattr(self, "lo", lo)
+        _setattr(self, "hi", hi)
+        _setattr(self, "_nz", nz)
+        _setattr(self, "_coords", coords)
+        _setattr(self, "_sup", None)
+        _setattr(self, "_support", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WindowVector is immutable")
+
+    def __reduce__(self):
+        return WindowVector, (self.lo, self.hi, self.coords)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi, self._nz) == (other.lo, other.hi, other._nz)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi, frozenset(self._nz.items())))
+
+    def __repr__(self):
+        return "WindowVector(lo=%r, hi=%r, coords=%r)" % (self.lo, self.hi, self.coords)
 
     @staticmethod
     def zero(lo: int, hi: int) -> "WindowVector":
-        return WindowVector(lo, hi, (ZERO,) * (hi - lo))
+        _check_window(lo, hi)
+        return _vector(lo, hi, {})
 
     @staticmethod
     def unit(lo: int, hi: int, index: int) -> "WindowVector":
-        coords = [ZERO] * (hi - lo)
-        coords[index - lo] = ONE
-        return WindowVector(lo, hi, tuple(coords))
+        _check_window(lo, hi)
+        if not lo <= index < hi:
+            raise ParameterError("index %d outside window [%d, %d)" % (index, lo, hi))
+        return _vector(lo, hi, {index: ONE})
+
+    @staticmethod
+    def sparse(lo: int, hi: int, entries: dict) -> "WindowVector":
+        """The vector on [lo, hi) with the given {index: value} entries
+        and zeros elsewhere."""
+        _check_window(lo, hi)
+        nz = {}
+        for i in sorted(entries):
+            if not lo <= i < hi:
+                raise ParameterError("index %d outside window [%d, %d)" % (i, lo, hi))
+            c = frac(entries[i])
+            if c:
+                nz[i] = c
+        return _vector(lo, hi, nz)
+
+    @property
+    def coords(self) -> tuple:
+        if self._coords is None:
+            dense = [ZERO] * (self.hi - self.lo)
+            for i, c in self._nz.items():
+                dense[i - self.lo] = c
+            _setattr(self, "_coords", tuple(dense))
+        return self._coords
+
+    def items(self):
+        """(index, value) pairs of the nonzero coordinates, in index order."""
+        return self._nz.items()
 
     def value(self, i: int) -> Fraction:
-        if self.lo <= i < self.hi:
-            return self.coords[i - self.lo]
-        return ZERO
+        return self._nz.get(i, ZERO)
 
     def sup_norm(self) -> Fraction:
-        return max((abs(c) for c in self.coords), default=ZERO)
+        if self._sup is None:
+            _setattr(self, "_sup", max(map(abs, self._nz.values()), default=ZERO))
+        return self._sup
 
     def l1_norm(self) -> Fraction:
-        return sum((abs(c) for c in self.coords), ZERO)
+        return sum(map(abs, self._nz.values()), ZERO)
 
     def support(self) -> frozenset:
-        return frozenset(i for i in range(self.lo, self.hi) if self.value(i) != 0)
+        if self._support is None:
+            _setattr(self, "_support", frozenset(self._nz))
+        return self._support
 
     def restrict(self, lo: int, hi: int) -> "WindowVector":
-        return WindowVector(lo, hi, tuple(self.value(i) for i in range(lo, hi)))
+        if (lo, hi) == (self.lo, self.hi):
+            return self
+        _check_window(lo, hi)
+        return _vector(lo, hi, {i: c for i, c in self._nz.items() if lo <= i < hi})
 
     def scale(self, s) -> "WindowVector":
         s = frac(s)
-        return WindowVector(self.lo, self.hi, tuple(s * c for c in self.coords))
+        return _vector(self.lo, self.hi,
+                       {i: s * c for i, c in self._nz.items()} if s else {})
 
     def add(self, other: "WindowVector") -> "WindowVector":
-        lo, hi = min(self.lo, other.lo), max(self.hi, other.hi)
-        return WindowVector(lo, hi, tuple(self.value(i) + other.value(i) for i in range(lo, hi)))
+        nz = dict(self._nz)
+        for i, c in other._nz.items():
+            c += nz.pop(i, ZERO)
+            if c:
+                nz[i] = c
+        return _vector(min(self.lo, other.lo), max(self.hi, other.hi),
+                       dict(sorted(nz.items())))
 
     def sub(self, other: "WindowVector") -> "WindowVector":
         return self.add(other.scale(-1))
 
     def dot(self, other: "WindowVector") -> Fraction:
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return sum((self.value(i) * other.value(i) for i in range(lo, hi)), ZERO)
+        a, b = sorted((self._nz, other._nz), key=len)
+        return sum((c * b[i] for i, c in a.items() if i in b), ZERO)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not self._nz
 
 
 @dataclass(frozen=True)
@@ -158,10 +243,8 @@ class RMatrix:
         for j, c in enumerate(cols):
             if (c.lo, c.hi) != (lo, hi):
                 raise ParameterError("column windows differ")
-            for i in range(lo, hi):
-                v = c.value(i)
-                if v != 0:
-                    rows.setdefault(i, {})[col_lo + j] = v
+            for i, v in c.items():
+                rows.setdefault(i, {})[col_lo + j] = v
         return RMatrix(lo, hi, col_lo, col_lo + len(cols), rows)
 
     @staticmethod
@@ -173,9 +256,8 @@ class RMatrix:
         for i, r in enumerate(rws):
             if (r.lo, r.hi) != (lo, hi):
                 raise ParameterError("row windows differ")
-            d = {j: r.value(j) for j in range(lo, hi) if r.value(j) != 0}
-            if d:
-                rows[row_lo + i] = d
+            if not r.is_zero():
+                rows[row_lo + i] = dict(r.items())
         return RMatrix(row_lo, row_lo + len(rws), lo, hi, rows)
 
     # -- queries ------------------------------------------------------
@@ -190,13 +272,9 @@ class RMatrix:
     def get(self, i: int, j: int) -> Fraction:
         return self.rows.get(i, {}).get(j, ZERO)
 
-    def row_vector(self, i: int) -> WindowVector:
-        return WindowVector(self.col_lo, self.col_hi,
-                            tuple(self.get(i, j) for j in range(self.col_lo, self.col_hi)))
-
     def col_vector(self, j: int) -> WindowVector:
-        return WindowVector(self.row_lo, self.row_hi,
-                            tuple(self.get(i, j) for i in range(self.row_lo, self.row_hi)))
+        return _vector(self.row_lo, self.row_hi,
+                       {i: self.rows[i][j] for i in sorted(self.rows) if j in self.rows[i]})
 
     def to_dense(self):
         return [[self.get(i, j) for j in range(self.col_lo, self.col_hi)]
@@ -207,11 +285,13 @@ class RMatrix:
 
     # -- algebra ------------------------------------------------------
     def apply(self, v: WindowVector) -> WindowVector:
-        coords = []
-        for i in range(self.row_lo, self.row_hi):
-            row = self.rows.get(i, {})
-            coords.append(sum((a * v.value(j) for j, a in row.items()), ZERO))
-        return WindowVector(self.row_lo, self.row_hi, tuple(coords))
+        x = v._nz
+        nz = {}
+        for i in sorted(self.rows):
+            s = sum((a * x[j] for j, a in self.rows[i].items() if j in x), ZERO)
+            if s:
+                nz[i] = s
+        return _vector(self.row_lo, self.row_hi, nz)
 
     def matmul(self, other: "RMatrix") -> "RMatrix":
         if (self.col_lo, self.col_hi) != (other.row_lo, other.row_hi):
@@ -288,14 +368,14 @@ def invert(m: RMatrix) -> RMatrix:
             inv[col], inv[piv] = inv[piv], inv[col]
         p = a[col][col]
         if p != 1:
-            a[col] = [x / p for x in a[col]]
-            inv[col] = [x / p for x in inv[col]]
+            a[col] = [x / p if x else x for x in a[col]]
+            inv[col] = [x / p if x else x for x in inv[col]]
         for r in range(n):
             if r == col or a[r][col] == 0:
                 continue
             f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+            a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
+            inv[r] = [x - f * y if y else x for x, y in zip(inv[r], inv[col])]
     return RMatrix.from_dense(inv, row_lo=m.row_lo, col_lo=m.col_lo)
 
 
@@ -330,11 +410,12 @@ def rref(rows: list) -> tuple:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         p = rows[r][c]
-        rows[r] = [x / p for x in rows[r]]
+        if p != 1:
+            rows[r] = [x / p if x else x for x in rows[r]]
         for k in range(len(rows)):
             if k != r and rows[k][c] != 0:
                 f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+                rows[k] = [x - f * y if y else x for x, y in zip(rows[k], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -15,11 +15,13 @@ from .linalg import ONE, ZERO, RMatrix, WindowVector, rank
 
 def _pivot(tab, basis, r, c):
     piv = tab[r][c]
-    tab[r] = [x / piv for x in tab[r]]
+    if piv != 1:
+        tab[r] = [x / piv if x else x for x in tab[r]]
+    pivot_row = tab[r]
     for i in range(len(tab)):
         if i != r and tab[i][c] != 0:
             f = tab[i][c]
-            tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
+            tab[i] = [x - f * y if y else x for x, y in zip(tab[i], pivot_row)]
     basis[r] = c
 
 
@@ -34,7 +36,7 @@ def _run_simplex(tab, basis, cost, allowed):
     for r, bvar in enumerate(basis):
         if z[bvar] != 0:
             f = z[bvar]
-            z = [x - f * y for x, y in zip(z, tab[r])]
+            z = [x - f * y if y else x for x, y in zip(z, tab[r])]
     while True:
         enter = None
         for j in range(ncols):
@@ -57,7 +59,7 @@ def _run_simplex(tab, basis, cost, allowed):
         _pivot(tab, basis, leave, enter)
         f = z[enter]
         if f != 0:
-            z = [x - f * y for x, y in zip(z, tab[leave])]
+            z = [x - f * y if y else x for x, y in zip(z, tab[leave])]
 
 
 def simplex_min(cost, a_rows, b):
@@ -115,7 +117,9 @@ def lp_min_l1(a: RMatrix, b: WindowVector):
     rows = []
     rhs = []
     for i in range(a.row_lo, a.row_hi):
-        arow = [a.get(i, j) for j in range(a.col_lo, a.col_hi)]
+        arow = [ZERO] * n
+        for j, v in a.rows.get(i, {}).items():
+            arow[j - a.col_lo] = v
         rows.append(arow + [-x for x in arow])
         rhs.append(b.value(i))
     if m == 0 or n == 0:

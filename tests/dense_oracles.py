@@ -1,0 +1,177 @@
+"""Dense reference versions of the exact kernels, kept as test oracles.
+
+These are the elimination and simplex routines as they were before the
+library's kernels learned to skip zero entries: every row update runs
+over every column and every pivot row is divided, even by 1.  The tests
+require the library's kernels to return the same values, the same pivot
+columns and the same simplex pivot sequence.
+"""
+
+from qforge.errors import InfeasibleError, ParameterError, SingularMatrixError, UnboundedError
+from qforge.linalg import ONE, ZERO, RMatrix
+
+
+def rref(rows):
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][c]
+        rows[r] = [x / p for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c] != 0:
+                f = rows[k][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def invert(m):
+    if not m.is_square():
+        raise ParameterError("invert requires a square window matrix")
+    n = m.n_rows
+    if n == 0:
+        return RMatrix(m.row_lo, m.row_hi, m.col_lo, m.col_hi, {})
+    a = m.to_dense()
+    inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular at column %d" % col)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            inv[col], inv[piv] = inv[piv], inv[col]
+        p = a[col][col]
+        if p != 1:
+            a[col] = [x / p for x in a[col]]
+            inv[col] = [x / p for x in inv[col]]
+        for r in range(n):
+            if r == col or a[r][col] == 0:
+                continue
+            f = a[r][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+            inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return RMatrix.from_dense(inv, row_lo=m.row_lo, col_lo=m.col_lo)
+
+
+def nullspace(rows, ncols):
+    red, pivots = rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [ZERO] * ncols
+        vec[f] = ONE
+        for r, p in enumerate(pivots):
+            vec[p] = -red[r][f]
+        basis.append(vec)
+    return basis
+
+
+def solve_exact(rows, rhs):
+    if not rows:
+        return [] if all(v == 0 for v in rhs) else None
+    ncols = len(rows[0])
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    red, pivots = rref(aug)
+    for r in red:
+        if all(x == 0 for x in r[:ncols]) and r[ncols] != 0:
+            return None
+    sol = [ZERO] * ncols
+    for r, p in enumerate(pivots):
+        if p == ncols:
+            return None
+        sol[p] = red[r][ncols]
+    return sol
+
+
+def _pivot(tab, basis, r, c):
+    piv = tab[r][c]
+    tab[r] = [x / piv for x in tab[r]]
+    for i in range(len(tab)):
+        if i != r and tab[i][c] != 0:
+            f = tab[i][c]
+            tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
+    basis[r] = c
+
+
+def _run_simplex(tab, basis, cost, allowed):
+    m = len(tab)
+    if m == 0:
+        return ZERO
+    ncols = len(tab[0]) - 1
+    z = list(cost) + [ZERO]
+    for r, bvar in enumerate(basis):
+        if z[bvar] != 0:
+            f = z[bvar]
+            z = [x - f * y for x, y in zip(z, tab[r])]
+    while True:
+        enter = None
+        for j in range(ncols):
+            if allowed[j] and z[j] < 0:
+                enter = j
+                break
+        if enter is None:
+            return sum((cost[basis[r]] * tab[r][-1] for r in range(m)), ZERO)
+        leave = None
+        best = None
+        for r in range(m):
+            a = tab[r][enter]
+            if a > 0:
+                ratio = tab[r][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best = ratio
+                    leave = r
+        if leave is None:
+            raise UnboundedError("objective unbounded below")
+        _pivot(tab, basis, leave, enter)
+        f = z[enter]
+        if f != 0:
+            z = [x - f * y for x, y in zip(z, tab[leave])]
+
+
+def simplex_min(cost, a_rows, b):
+    m = len(a_rows)
+    n = len(cost)
+    tab = []
+    for row, rhs in zip(a_rows, b):
+        row = list(row)
+        if rhs < 0:
+            row = [-x for x in row]
+            rhs = -rhs
+        tab.append(row + [ZERO] * m + [rhs])
+    for r in range(m):
+        tab[r][n + r] = ONE
+    basis = [n + r for r in range(m)]
+    allowed = [True] * (n + m)
+    cost1 = [ZERO] * n + [ONE] * m
+    val1 = _run_simplex(tab, basis, cost1, allowed)
+    if val1 != 0:
+        raise InfeasibleError("equality system is inconsistent")
+    drop = []
+    for r in range(m):
+        if basis[r] >= n:
+            piv = next((j for j in range(n) if tab[r][j] != 0), None)
+            if piv is None:
+                drop.append(r)
+            else:
+                _pivot(tab, basis, r, piv)
+    for r in sorted(drop, reverse=True):
+        del tab[r]
+        del basis[r]
+    tab = [row[:n] + [row[-1]] for row in tab]
+    allowed = [True] * n
+    val = _run_simplex(tab, basis, list(cost), allowed)
+    x = [ZERO] * n
+    for r, bvar in enumerate(basis):
+        x[bvar] = tab[r][-1]
+    return x, val

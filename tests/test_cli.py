@@ -159,3 +159,62 @@ class TestForgeAndVerify:
         code2, rep = run_cli(capsys, "verify-run", str(run_path))
         assert code2 == 1
         assert rep["failures"]
+
+
+class TestMalformedInput:
+    """A run or family file of the wrong shape exits 2 with one line on
+    stderr, never a traceback."""
+
+    @pytest.fixture
+    def run_obj(self, capsys, tmp_path):
+        fam = tmp_path / "pf.json"
+        write_json(fam, {"f": {"kind": "progression", "count": 1},
+                         "g": {"kind": "progression", "count": 1}})
+        run_path = tmp_path / "run.json"
+        code, _ = run_cli(capsys, "forge-matrix", "--families", str(fam),
+                          "--horizon", "8", "--out", str(run_path))
+        assert code == 0
+        return json.loads(run_path.read_text())
+
+    def verify(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(["verify-run", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    def test_empty_object_run_file(self, capsys, tmp_path):
+        err = self.verify(capsys, tmp_path, "{}")
+        assert err.startswith("error: malformed run file")
+
+    def test_truncated_chain(self, capsys, tmp_path, run_obj):
+        last = run_obj["chain"][-1]
+        run_obj["chain"][-1] = {"n": last["n"], "a": last["a"]}
+        err = self.verify(capsys, tmp_path, json.dumps(run_obj))
+        assert err.startswith("error: malformed run file")
+        run_obj["chain"] = []
+        err = self.verify(capsys, tmp_path, json.dumps(run_obj))
+        assert "chain" in err
+
+    def test_truncated_file(self, capsys, tmp_path, run_obj):
+        text = json.dumps(run_obj)
+        err = self.verify(capsys, tmp_path, text[:len(text) // 2])
+        assert err.startswith("error: malformed run file")
+
+    def test_malformed_family_files(self, capsys, tmp_path):
+        path = tmp_path / "fam.json"
+        for text in ('{"f": [], "g": {"kind": "branch"}', '[1, 2]',
+                     '{"f": [{"threshold": 0}], "g": []}'):
+            path.write_text(text)
+            code = main(["forge-matrix", "--families", str(path)])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("error: malformed family file")
+        path.write_text('{"sets": [{"modulus": 2}]}')
+        code = main(["mad-census", "--family", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: malformed family file")
