@@ -106,9 +106,6 @@ class CertSet:
             raise ParameterError("set is infinite")
         return sorted(self.below)
 
-    def size_if_finite(self):
-        return None if self.is_infinite() else len(self.below)
-
     def nth(self, j: int) -> int:
         """j-th element in increasing order (0-based)."""
         if j < 0:
@@ -131,13 +128,6 @@ class CertSet:
         if n not in self:
             return None
         return len(self.elements_below(n + 1)) - 1
-
-    def iter_elements(self):
-        n = 0
-        while True:
-            if n in self:
-                yield n
-            n += 1
 
     # -- Boolean algebra -----------------------------------------------
     def _combine(self, other: "CertSet", op) -> "CertSet":

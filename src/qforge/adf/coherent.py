@@ -138,10 +138,6 @@ class LimitCore:
         self._ensure(n)
         return self._ovr[n]
 
-    def range_at(self, n: int) -> CertSet:
-        self._ensure(n)
-        return self._ran[n]
-
     def value(self, beta: OrdinalIdx) -> int:
         xi, _ = beta.fiber_and_offset()
         n = self._entry_step(xi)

@@ -126,11 +126,6 @@ def verify_luzin_bound(sets, certs, horizon):
                     "luzin invariant fails at stage %d, n=%d" % (alpha, n))
 
 
-def almost_disjoint_check(a: CertSet, b: CertSet):
-    """Exact finite intersection, or NotAlmostDisjointError with witness."""
-    return a.almost_disjoint(b)
-
-
 @dataclass(frozen=True)
 class Separation:
     separator: CertSet

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .adf.certset import CertSet
-from .adf.coherent import CoherentFamily, chain_set, separator_from_embedding
+from .adf.coherent import CoherentFamily, chain_set
 from .adf.families import (
     FamilyGenerator,
     OrdinalProgressionFamily,
@@ -31,7 +32,6 @@ from .forcing import (
     verify_run,
 )
 from .geometry import (
-    ExtensionConfig,
     LinMap,
     Subspace,
     extend_isomorphism,
@@ -174,41 +174,44 @@ def cmd_mad_census(args, config):
     }, args.out)
 
 
+def _subspace_from_json(obj):
+    return Subspace(obj["lo"], obj["hi"],
+                    tuple(window_vector_from_json(v) for v in obj["basis"]))
+
+
 def _linmap_from_json(obj):
-    lo, hi = obj["lo"], obj["hi"]
-    basis = tuple(window_vector_from_json(v) for v in obj["basis"])
-    y = Subspace(lo, hi, basis)
-    if "images" in obj:
-        images = tuple(window_vector_from_json(v) for v in obj["images"])
-        return LinMap(y, images)
-    return y
+    return LinMap(_subspace_from_json(obj),
+                  tuple(window_vector_from_json(v) for v in obj["images"]))
+
+
+def _compute_input(op, obj):
+    """The operand of `compute op`: a matrix, a map, or (subspace, phi)."""
+    if op == "op-norm" and "matrix" in obj:
+        return rmatrix_from_json(obj["matrix"])
+    if op == "hahn-banach":
+        return _subspace_from_json(obj), [frac(c) for c in obj["phi"]]
+    return _linmap_from_json(obj)
 
 
 def cmd_compute(args, config):
-    data = read_json(args.input)
+    data = _load(args.input, lambda obj: _compute_input(args.op, obj),
+                 "compute input")
     failures = []
     if args.op == "op-norm":
-        if "matrix" in data:
-            result = {"norm": str(op_norm_inf(rmatrix_from_json(data["matrix"])))}
+        if isinstance(data, RMatrix):
+            result = {"norm": str(op_norm_inf(data))}
         else:
-            t = _linmap_from_json(data)
-            n, wit = op_norm(t, cap=config.dim_cap)
+            n, wit = op_norm(data, cap=config.dim_cap)
             result = {"norm": str(n), "witness": window_vector_to_json(wit)}
     elif args.op == "lower-bound":
-        t = _linmap_from_json(data)
-        b, wit = lower_bound(t, cap=config.dim_cap)
+        b, wit = lower_bound(data, cap=config.dim_cap)
         result = {"bound": str(b), "witness": window_vector_to_json(wit)}
     elif args.op == "hahn-banach":
-        y = _linmap_from_json({k: v for k, v in data.items() if k != "phi"})
-        phi = [frac(c) for c in data["phi"]]
+        y, phi = data
         u, value = hahn_banach_extend(y, phi, cap=config.dim_cap)
         result = {"extension": window_vector_to_json(u), "norm": str(value)}
     elif args.op == "extend-iso":
-        t = _linmap_from_json(data)
-        ext = extend_isomorphism(t, config=ExtensionConfig(
-            rho=config.rho, c1=config.c1, c2=config.c2,
-            delta=config.delta, dim_cap=max(config.dim_cap,
-                                            t.domain.hi - t.domain.lo)))
+        ext = extend_isomorphism(data, config=config)
         result = {"w": rmatrix_to_json(ext.w),
                   "w_inv": rmatrix_to_json(ext.w_inv),
                   "norm_w": str(ext.norm_w),
@@ -237,12 +240,9 @@ def _paired_from_file(path, rho):
 
 
 def cmd_forge_matrix(args, config):
-    config = config.__class__.from_json_obj({
-        **config.to_json_obj(),
-        "rho": str(frac(args.rho)) if args.rho else str(config.rho),
-        "c2": str(frac(args.c2)) if args.c2 else str(config.c2),
-        "horizon": args.horizon or config.horizon,
-    })
+    config = replace(config, rho=args.rho or config.rho,
+                     c2=args.c2 or config.c2,
+                     horizon=args.horizon or config.horizon)
     families = _paired_from_file(args.families, config.rho)
     run = run_generic(families, config=config)
     report = verify_run(run, families, config)

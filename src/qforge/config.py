@@ -1,4 +1,5 @@
-"""Run configuration shared by the forcing pipeline and the CLI."""
+"""Run configuration shared by the forcing pipeline, the geometry pipeline
+and the CLI."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ class RunConfig:
     delta: Fraction = Fraction(1, 100)
     horizon: int = 512
     ordinal_cap: int = 2          # coherent builds run to omega * ordinal_cap
-    dim_cap: int = 12             # geometry computations outside the forge
+    dim_cap: int = 12             # compute op-norm, lower-bound, hahn-banach
     vertex_cap: int = 6
     seed: int = 0
     schedule: tuple = ()          # () means the default interleaving

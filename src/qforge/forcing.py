@@ -10,13 +10,12 @@ verified block-diagonal matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import RunConfig
 from .errors import (
     ComplementNotFoundError,
-    DimensionCapError,
     NormBudgetError,
     NotInjectiveError,
     NotInvertibleError,
@@ -25,9 +24,9 @@ from .errors import (
     SearchExhaustedError,
     SingularMatrixError,
 )
-from .geometry import ExtensionConfig, LinMap, Subspace, extend_isomorphism
+from .geometry import LinMap, Subspace, extend_isomorphism
 from .jsonio import rmatrix_from_json, rmatrix_to_json
-from .linalg import ONE, BlockLayout, RMatrix, frac, invert, op_norm_inf
+from .linalg import BlockLayout, RMatrix, frac, invert, op_norm_inf
 from .tails import (
     TailVector,
     check_pi_injective,
@@ -37,8 +36,7 @@ from .tails import (
 )
 
 _CANDIDATE_ERRORS = (NormBudgetError, ComplementNotFoundError, ParameterError,
-                     NotInvertibleError, SingularMatrixError,
-                     DimensionCapError, NotInjectiveError)
+                     NotInvertibleError, SingularMatrixError, NotInjectiveError)
 
 
 @dataclass(frozen=True)
@@ -214,6 +212,9 @@ def cond_leq(p: Condition, q: Condition, families: PairedFamilies):
     if not set(q.a) <= set(p.a):
         out.append("(iii) committed indices were dropped")
     for xi in q.a:
+        if xi not in families._by_index:
+            out.append("(iv) index %s outside the families" % (xi,))
+            continue
         f, g = families.f(xi), families.g(xi)
         for i in range(q.n, p.n):
             got = sum((v * f.value(j) for j, v in p.m.rows.get(i, {}).items()
@@ -286,16 +287,10 @@ def amalgamate(p: Condition, q: Condition, big_n: int,
                         measured=rinv)
             fw = [f.restrict(n, n_r) for f in fs]
             gw = [g.restrict(n, n_r) for g in gs]
-            y1 = Subspace(n, n_r, tuple(fw))
-            t = LinMap(y1, tuple(gw))
-            # interpolation: the block must send each f-window exactly to
-            # the matching g-window; t does so by construction, asserted
-            for v, w in zip(fw, gw):
-                if t.apply(v) != w:
-                    raise NormBudgetError("interpolation check failed")
-            ext = extend_isomorphism(t, config=ExtensionConfig(
-                rho=config.rho, c1=config.c1, c2=config.c2,
-                delta=config.delta, dim_cap=max(n_r - n, 12)))
+            # the block must send each f-window exactly to the matching
+            # g-window: extend_isomorphism checks it on the block it builds
+            t = LinMap(Subspace(n, n_r, tuple(fw)), tuple(gw))
+            ext = extend_isomorphism(t, config=config)
         except _CANDIDATE_ERRORS as e:
             attempts.append((n_r, "%s: %s" % (type(e).__name__, e)))
             continue

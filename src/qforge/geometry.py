@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
+from .config import RunConfig
 from .errors import (
     ComplementNotFoundError,
     DimensionCapError,
@@ -142,10 +143,18 @@ class Subspace:
 
 @dataclass(frozen=True)
 class LinMap:
-    """Linear map given by the images of the domain's basis vectors."""
+    """Linear map given by the images of the domain's basis vectors.
+
+    Instances are never mutated, so `norm` and `lower` run `op_norm` and
+    `lower_bound` (uncapped) at most once per map.
+    """
 
     domain: Subspace
     images: tuple
+    _norm: Fraction | None = field(default=None, init=False, repr=False,
+                                   compare=False)
+    _lower: Fraction | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         images = tuple(self.images)
@@ -191,26 +200,17 @@ class LinMap:
         """The map sending image basis back; requires independent images."""
         return LinMap(self.image_subspace(), tuple(self.domain.basis))
 
+    def norm(self) -> Fraction:
+        """|T|, the value of op_norm."""
+        if self._norm is None:
+            object.__setattr__(self, "_norm", op_norm(self, cap=None)[0])
+        return self._norm
 
-@dataclass(frozen=True)
-class ExtensionConfig:
-    rho: Fraction = Fraction(4)
-    c1: Fraction = Fraction(1)
-    c2: Fraction = Fraction(64)
-    delta: Fraction = Fraction(1, 100)
-    dim_cap: int = DEFAULT_DIM_CAP
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", frac(self.rho))
-        object.__setattr__(self, "c1", frac(self.c1))
-        object.__setattr__(self, "c2", frac(self.c2))
-        object.__setattr__(self, "delta", frac(self.delta))
-        if self.rho <= 1:
-            raise ParameterError("rho must exceed 1")
-        if self.c2 < self.rho:
-            raise ParameterError("c2 must be at least rho")
-        if self.c1 <= 0 or self.delta <= 0:
-            raise ParameterError("c1 and delta must be positive")
+    def lower(self) -> Fraction:
+        """The largest r with r|x| <= |Tx|, the value of lower_bound."""
+        if self._lower is None:
+            object.__setattr__(self, "_lower", lower_bound(self, cap=None)[0])
+        return self._lower
 
 
 def _check_cap(dim, cap):
@@ -261,15 +261,6 @@ def lower_bound(t: LinMap, cap=DEFAULT_DIM_CAP):
         return ZERO, t.domain.combine(ker[0])
     val, coeffs, _ = polyhedral_max(t.domain.coordinate_rows(), image_rows)
     return ONE / val, t.domain.combine(coeffs)
-
-
-def distortion(t: LinMap, cap=DEFAULT_DIM_CAP) -> Fraction:
-    """|T| * |T^-1|; infinite (raises) only through lower_bound = 0."""
-    up, _ = op_norm(t, cap)
-    low, _ = lower_bound(t, cap)
-    if low == 0:
-        raise SingularMatrixError("map has a kernel; distortion is infinite")
-    return up / low
 
 
 def hahn_banach_extend(y: Subspace, phi_values, cap=None):
@@ -397,15 +388,14 @@ def _canonical_basis_order(basis):
     return sorted(basis, key=lambda v: (min(v.support(), default=v.hi), _lex_key(v)))
 
 
-def _verified(q: LinMap, budget, cap):
-    up, _ = op_norm(q, cap)
-    low, _ = lower_bound(q, cap)
-    if low > 0 and up / low <= budget * budget:
+def _verified(q: LinMap, budget):
+    low = q.lower()
+    if low > 0 and q.norm() / low <= budget * budget:
         return q
     return None
 
 
-def complement_iso(z1: Subspace, z2: Subspace, budget, cap=DEFAULT_DIM_CAP):
+def complement_iso(z1: Subspace, z2: Subspace, budget):
     """A verified isomorphism q: z1 -> z2 with |q| |q^-1| <= budget^2.
 
     Deterministic staged search: (0) equal spans -> identity; (1)
@@ -419,12 +409,11 @@ def complement_iso(z1: Subspace, z2: Subspace, budget, cap=DEFAULT_DIM_CAP):
         raise ParameterError("complement dimensions differ")
     if z1.dim == 0:
         return LinMap(z1, ())
-    _check_cap(z1.dim, cap)
 
     # stage 0: identical spans (containment solves a dense system per
     # vector, so only attempt it at small dimension)
     if z1.dim <= 12 and all(z2.contains(v) for v in z1.basis):
-        q = _verified(LinMap.identity(z1), budget, cap)
+        q = _verified(LinMap.identity(z1), budget)
         if q is not None:
             return q
 
@@ -436,7 +425,7 @@ def complement_iso(z1: Subspace, z2: Subspace, budget, cap=DEFAULT_DIM_CAP):
     if _disjoint_supports(b1) and _disjoint_supports(b2):
         images = tuple(w.scale(v.sup_norm() / w.sup_norm())
                        for v, w in zip(b1, b2))
-        q = _verified(LinMap(dom, images), budget, cap)
+        q = _verified(LinMap(dom, images), budget)
         if q is not None:
             return q
 
@@ -460,7 +449,7 @@ def complement_iso(z1: Subspace, z2: Subspace, budget, cap=DEFAULT_DIM_CAP):
         w = b2[pick]
         sign = ONE if pattern(w) == pv or pv == tuple(0 for _ in pv) else -ONE
         images.append(w.scale(sign * v.sup_norm() / w.sup_norm()))
-    q = _verified(LinMap(dom, tuple(images)), budget, cap)
+    q = _verified(LinMap(dom, tuple(images)), budget)
     if q is not None:
         return q
 
@@ -473,7 +462,7 @@ def complement_iso(z1: Subspace, z2: Subspace, budget, cap=DEFAULT_DIM_CAP):
                     b2[perm[k]].scale(signs[k] * b1[k].sup_norm()
                                       / b2[perm[k]].sup_norm())
                     for k in range(len(b1)))
-                q = _verified(LinMap(dom, images), budget, cap)
+                q = _verified(LinMap(dom, images), budget)
                 if q is not None:
                     return q
     raise ComplementNotFoundError(
@@ -500,22 +489,20 @@ def rational_sqrt_upper(x: Fraction, delta: Fraction) -> Fraction:
         k *= 2
 
 
-def balanced_rescale(q: LinMap, delta=Fraction(1, 100), cap=DEFAULT_DIM_CAP):
+def balanced_rescale(q: LinMap, delta=Fraction(1, 100)):
     """Scale q so both |sq| and |(sq)^-1| are near sqrt(|q| |q^-1|).
 
     s is a rational upper approximation of sqrt(|q^-1| / |q|); the
     postcondition max(|sq|, |(sq)^-1|)^2 <= (1+delta)^2 |q| |q^-1| is
     verified exactly before returning.
     """
-    a, _ = op_norm(q, cap)
-    low, _ = lower_bound(q, cap)
+    a, low = q.norm(), q.lower()
     if a == 0 or low == 0:
         raise ParameterError("balanced_rescale requires an invertible map")
     b = ONE / low
     s = rational_sqrt_upper(b / a, delta)
     r = q.scale(s)
-    ra, _ = op_norm(r, cap)
-    rlow, _ = lower_bound(r, cap)
+    ra, rlow = r.norm(), r.lower()
     bound = (1 + frac(delta)) ** 2 * a * b
     if ra * ra > bound or (ONE / rlow) ** 2 > bound:
         raise NormBudgetError("rescale verification failed", measured=(ra, ONE / rlow))
@@ -542,12 +529,12 @@ class ExtensionResult:
 
 def extend_isomorphism(t: LinMap, s1: LinMap | None = None,
                        s2: LinMap | None = None,
-                       config: ExtensionConfig | None = None) -> ExtensionResult:
+                       config: RunConfig | None = None) -> ExtensionResult:
     """Extend the isomorphism t: y1 -> y2 to a verified automorphism of
     the ambient space: w = t on y1, |w|, |w^-1| <= c2, all entries
     rational, inverse returned alongside and checked by multiplication.
     """
-    config = config or ExtensionConfig()
+    config = config or RunConfig()
     y1 = t.domain
     h = y1.dim
     n = y1.hi - y1.lo
@@ -557,16 +544,15 @@ def extend_isomorphism(t: LinMap, s1: LinMap | None = None,
     y2 = Subspace(y1.lo, y1.hi, t.images)  # raises if images are dependent
     if h * h > config.c1 * config.c1 * n:
         raise ParameterError("subspace dimension exceeds c1 * sqrt(n)")
-    cap = config.dim_cap
     report = {}
 
     for name, m in (("T", t), ("S1", s1), ("S2", s2)):
         if m is None:
             continue
-        d = distortion(m, cap)
-        report["distortion_%s" % name] = d
-        up, _ = op_norm(m, cap)
-        low, _ = lower_bound(m, cap)
+        up, low = m.norm(), m.lower()
+        if low == 0:
+            raise SingularMatrixError("map has a kernel; distortion is infinite")
+        report["distortion_%s" % name] = up / low
         if up >= config.rho or ONE / low >= config.rho:
             raise NormBudgetError(
                 "%s norms must stay below rho" % name, measured=(up, ONE / low))
@@ -583,9 +569,9 @@ def extend_isomorphism(t: LinMap, s1: LinMap | None = None,
     if z1.dim == 0:
         r = LinMap(z1, ())
     else:
-        q = complement_iso(z1, z2, config.rho, cap)
-        report["distortion_Q"] = distortion(q, cap)
-        r = balanced_rescale(q, config.delta, cap)
+        q = complement_iso(z1, z2, config.rho)
+        report["distortion_Q"] = q.norm() / q.lower()
+        r = balanced_rescale(q, config.delta)
 
     # w = t . P_{y1} + r . P_{z1}; P_{z1} = I - P_{y1}
     ext1 = y1.coefficient_extractor()

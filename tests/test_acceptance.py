@@ -32,7 +32,6 @@ from qforge.forcing import (
 )
 from qforge.adf.families import FamilyGenerator, make_family
 from qforge.geometry import (
-    ExtensionConfig,
     LinMap,
     Subspace,
     dual_norm,
@@ -127,7 +126,7 @@ def _extension_instance(rng):
 def build_extension_suite(seed):
     """Criterion-3 pipeline; returns (failure list, canonical JSON)."""
     rng = random.Random(seed)
-    cfg = ExtensionConfig(rho=Fraction(4), c2=Fraction(64))
+    cfg = RunConfig(rho=Fraction(4), c2=Fraction(64))
     failures, records = [], []
     for k in range(50):
         t = _extension_instance(rng)

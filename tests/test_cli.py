@@ -160,6 +160,22 @@ class TestForgeAndVerify:
         assert code2 == 1
         assert rep["failures"]
 
+    def test_unknown_committed_index_is_a_failure(self, capsys, tmp_path):
+        fam = tmp_path / "pf.json"
+        write_json(fam, {"f": {"kind": "progression", "count": 1},
+                         "g": {"kind": "progression", "count": 1}})
+        run_path = tmp_path / "run.json"
+        code, _ = run_cli(capsys, "forge-matrix", "--families", str(fam),
+                          "--horizon", "8", "--out", str(run_path))
+        assert code == 0
+        obj = json.loads(run_path.read_text())
+        obj["chain"][1]["a"] = [0, 7]
+        write_json(run_path, obj)
+        code2, rep = run_cli(capsys, "verify-run", str(run_path))
+        assert code2 == 1
+        assert any("(iv) index 7 outside the families" in f
+                   for f in rep["failures"])
+
 
 class TestMalformedInput:
     """A run or family file of the wrong shape exits 2 with one line on
@@ -204,6 +220,18 @@ class TestMalformedInput:
         text = json.dumps(run_obj)
         err = self.verify(capsys, tmp_path, text[:len(text) // 2])
         assert err.startswith("error: malformed run file")
+
+    @pytest.mark.parametrize("op", ["op-norm", "lower-bound", "hahn-banach",
+                                    "extend-iso"])
+    def test_empty_object_compute_input(self, capsys, tmp_path, op):
+        path = tmp_path / "in.json"
+        path.write_text("{}")
+        code = main(["compute", op, "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed compute input")
+        assert captured.err.count("\n") == 1
 
     def test_malformed_family_files(self, capsys, tmp_path):
         path = tmp_path / "fam.json"

@@ -7,7 +7,6 @@ from qforge.adf.families import (
     Family,
     FamilyGenerator,
     OrdinalProgressionFamily,
-    almost_disjoint_check,
     mad_census,
     make_family,
     separation_find,
@@ -66,11 +65,11 @@ class TestAlmostDisjointCheck:
     def test_valuation_classes(self):
         a = CertSet.ap(2, 4)
         b = CertSet.ap(4, 8)
-        assert almost_disjoint_check(a, b) == []
+        assert a.almost_disjoint(b) == []
 
     def test_witness(self):
         with pytest.raises(NotAlmostDisjointError) as e:
-            almost_disjoint_check(CertSet.ap(0, 2), CertSet.ap(0, 4))
+            CertSet.ap(0, 2).almost_disjoint(CertSet.ap(0, 4))
         assert e.value.witness is not None
 
 

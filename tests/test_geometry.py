@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qforge.config import RunConfig
 from qforge.errors import (
     NormBudgetError,
     ParameterError,
     SingularMatrixError,
 )
 from qforge.geometry import (
-    ExtensionConfig,
     LinMap,
     Subspace,
     balanced_rescale,
@@ -208,7 +208,7 @@ class TestBalancedRescale:
 
 class TestExtendIsomorphism:
     def config(self, **kw):
-        return ExtensionConfig(**kw)
+        return RunConfig(**kw)
 
     def test_full_space_map_is_itself(self):
         y = Subspace(0, 2, (wv(1, 0), wv(0, 1)))
