@@ -41,7 +41,7 @@ from .geometry import (
 )
 from .jsonio import (
     canonical_dumps,
-    read_json,
+    load_json,
     rmatrix_from_json,
     rmatrix_to_json,
     window_vector_from_json,
@@ -87,20 +87,6 @@ def _load_sets(obj):
     return [CertSet.from_json_obj(s) for s in obj["sets"]]
 
 
-# what a JSON value of the wrong shape raises while it is parsed
-_MALFORMED = (LookupError, TypeError, ValueError, AttributeError)
-
-
-def _load(path, parse, what):
-    """parse(JSON read from path); a file that is not valid JSON or does
-    not have the shape of `what` raises one QForgeError."""
-    try:
-        return parse(read_json(path))
-    except _MALFORMED as e:
-        raise QForgeError("malformed %s %s: %s: %s"
-                          % (what, path, type(e).__name__, e)) from e
-
-
 def cmd_build_adf(args, config):
     gen = FamilyGenerator(kind=args.kind, count=args.count,
                           depth=args.depth, seed=config.seed)
@@ -109,7 +95,7 @@ def cmd_build_adf(args, config):
 
 
 def cmd_check_separation(args, config):
-    sets = _load(args.family, _load_sets, "family file")
+    sets = load_json(args.family, _load_sets, "family file")
     inside = [sets[i] for i in args.inside]
     outside = [sets[i] for i in args.outside]
     sep = separation_find(inside, outside)
@@ -158,10 +144,10 @@ def cmd_build_coherent(args, config):
 
 
 def cmd_mad_census(args, config):
-    sets = _load(args.family, _load_sets, "family file")
+    sets = load_json(args.family, _load_sets, "family file")
     gen = FamilyGenerator("explicit", sets=tuple(sets))
     fam = make_family(gen)
-    x = (_load(args.x, CertSet.from_json_obj, "set file") if args.x
+    x = (load_json(args.x, CertSet.from_json_obj, "set file") if args.x
          else CertSet.ap(0, 1))
     census = mad_census(fam, x)
     return _emit({
@@ -194,8 +180,8 @@ def _compute_input(op, obj):
 
 
 def cmd_compute(args, config):
-    data = _load(args.input, lambda obj: _compute_input(args.op, obj),
-                 "compute input")
+    data = load_json(args.input, lambda obj: _compute_input(args.op, obj),
+                     "compute input")
     failures = []
     if args.op == "op-norm":
         if isinstance(data, RMatrix):
@@ -236,7 +222,7 @@ def _paired_from_file(path, rho):
         if "indices" in obj:
             return PairedFamilies.from_json_obj(obj)
         return paired_from_certsets(side(obj["f"]), side(obj["g"]), rho)
-    return _load(path, parse, "family file")
+    return load_json(path, parse, "family file")
 
 
 def cmd_forge_matrix(args, config):
@@ -254,7 +240,7 @@ def cmd_forge_matrix(args, config):
 
 
 def cmd_verify_run(args, config):
-    run, families = _load(args.run, lambda obj: (
+    run, families = load_json(args.run, lambda obj: (
         GenericRun.from_json_obj(obj),
         PairedFamilies.from_json_obj(obj["families"])), "run file")
     report = verify_run(run, families)

@@ -3,12 +3,12 @@ and the CLI."""
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
+from .jsonio import load_json
 from .linalg import frac
 
 ENV_CONFIG = "QF_CONFIG"
@@ -70,5 +70,4 @@ def load_config(path=None) -> RunConfig:
     path = path or os.environ.get(ENV_CONFIG)
     if not path:
         return RunConfig()
-    with open(path) as fh:
-        return RunConfig.from_json_obj(json.load(fh))
+    return load_json(path, RunConfig.from_json_obj, "config file")

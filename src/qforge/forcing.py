@@ -355,10 +355,6 @@ class GenericRun:
     def layout(self) -> BlockLayout:
         return BlockLayout(self.final.cuts)
 
-    @property
-    def matrix(self) -> RMatrix:
-        return self.final.m
-
     def to_json_obj(self):
         return {
             "chain": [c.to_json_obj() for c in self.chain],

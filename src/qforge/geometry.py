@@ -26,8 +26,10 @@ from .linalg import (
     ZERO,
     RMatrix,
     WindowVector,
+    coordinate_rows,
     frac,
     invert,
+    kernel_basis,
     nullspace,
     op_norm_inf,
     rank,
@@ -35,8 +37,6 @@ from .linalg import (
     solve_exact,
 )
 from .simplex import lp_min_l1, polyhedral_max
-
-DEFAULT_DIM_CAP = 12
 
 
 def _private_pivots(basis):
@@ -104,18 +104,11 @@ class Subspace:
 
     def coefficients(self, v: WindowVector):
         """Coefficients of v in the basis, or None if v is outside the span."""
-        rows = [[b.value(i) for b in self.basis] for i in range(self.lo, self.hi)]
         rhs = [v.value(i) for i in range(self.lo, self.hi)]
-        return solve_exact(rows, rhs)
+        return solve_exact(coordinate_rows(self.basis, self.lo, self.hi), rhs)
 
     def contains(self, v: WindowVector) -> bool:
         return self.coefficients(v) is not None
-
-    def coordinate_rows(self):
-        """Row i -> tuple of basis values at i; the coefficient-space
-        constraint rows of the unit ball {x in span : |x|_inf <= 1}."""
-        return [tuple(b.value(i) for b in self.basis)
-                for i in range(self.lo, self.hi)]
 
     def coefficient_extractor(self) -> RMatrix:
         """A dim x n matrix E with E v = coefficients for every v in the span."""
@@ -184,32 +177,19 @@ class LinMap:
             raise ParameterError("vector is outside the map's domain span")
         return self.apply_coeffs(coeffs)
 
-    def image_rows(self):
-        if not self.images:
-            return []
-        lo, hi = self.images[0].lo, self.images[0].hi
-        return [tuple(w.value(i) for w in self.images) for i in range(lo, hi)]
-
-    def image_subspace(self) -> Subspace:
-        return Subspace(self.images[0].lo, self.images[0].hi, self.images)
-
     def scale(self, s) -> "LinMap":
         return LinMap(self.domain, tuple(w.scale(s) for w in self.images))
-
-    def inverse(self) -> "LinMap":
-        """The map sending image basis back; requires independent images."""
-        return LinMap(self.image_subspace(), tuple(self.domain.basis))
 
     def norm(self) -> Fraction:
         """|T|, the value of op_norm."""
         if self._norm is None:
-            object.__setattr__(self, "_norm", op_norm(self, cap=None)[0])
+            object.__setattr__(self, "_norm", op_norm(self)[0])
         return self._norm
 
     def lower(self) -> Fraction:
         """The largest r with r|x| <= |Tx|, the value of lower_bound."""
         if self._lower is None:
-            object.__setattr__(self, "_lower", lower_bound(self, cap=None)[0])
+            object.__setattr__(self, "_lower", lower_bound(self)[0])
         return self._lower
 
 
@@ -231,18 +211,20 @@ def _ratio_extreme(t: LinMap, want_max: bool):
     return best, witness
 
 
-def op_norm(t: LinMap, cap=DEFAULT_DIM_CAP):
+def op_norm(t: LinMap, cap=None):
     """(norm, witness vector in the domain attaining it)."""
     if t.domain.dim == 0:
         return ZERO, WindowVector.zero(t.domain.lo, t.domain.hi)
     if _disjoint_supports(t.domain.basis) and _disjoint_supports(t.images):
         return _ratio_extreme(t, want_max=True)
     _check_cap(t.domain.dim, cap)
-    val, coeffs, _ = polyhedral_max(t.image_rows(), t.domain.coordinate_rows())
+    y, w = t.domain, t.images[0]
+    val, coeffs, _ = polyhedral_max(coordinate_rows(t.images, w.lo, w.hi),
+                                    coordinate_rows(y.basis, y.lo, y.hi))
     return val, t.domain.combine(coeffs)
 
 
-def lower_bound(t: LinMap, cap=DEFAULT_DIM_CAP):
+def lower_bound(t: LinMap, cap=None):
     """(largest r with r|x| <= |Tx| on the domain, witness x attaining it).
 
     Equals 1 / max{|x|_inf : |Tx|_inf <= 1}; that max is a polyhedral
@@ -255,11 +237,12 @@ def lower_bound(t: LinMap, cap=DEFAULT_DIM_CAP):
     if _disjoint_supports(t.domain.basis) and _disjoint_supports(t.images):
         return _ratio_extreme(t, want_max=False)
     _check_cap(d, cap)
-    image_rows = t.image_rows()
-    if rank([list(r) for r in image_rows]) < d:
-        ker = nullspace([list(r) for r in image_rows], d)
+    y, w = t.domain, t.images[0]
+    image_rows = coordinate_rows(t.images, w.lo, w.hi)
+    if rank(image_rows) < d:
+        ker = nullspace(image_rows, d)
         return ZERO, t.domain.combine(ker[0])
-    val, coeffs, _ = polyhedral_max(t.domain.coordinate_rows(), image_rows)
+    val, coeffs, _ = polyhedral_max(coordinate_rows(y.basis, y.lo, y.hi), image_rows)
     return ONE / val, t.domain.combine(coeffs)
 
 
@@ -289,46 +272,35 @@ def dual_norm(y: Subspace, phi_values, vertex_cap=6) -> Fraction:
     phi_values = [frac(p) for p in phi_values]
     if y.dim == 0 or all(p == 0 for p in phi_values):
         return ZERO
-    verts = vertex_enumerate(y.coordinate_rows(), dim=y.dim, cap=vertex_cap)
+    verts = vertex_enumerate(coordinate_rows(y.basis, y.lo, y.hi), dim=y.dim,
+                             cap=vertex_cap)
     return max(abs(sum(c * p for c, p in zip(v, phi_values))) for v in verts)
 
 
-def build_projection(y: Subspace, s: LinMap | None = None) -> RMatrix:
+def build_projection(y: Subspace) -> RMatrix:
     """Projection of the ambient l_infty^n onto y, as an n x n matrix.
 
-    Built from norm-preserving extensions of the coordinates of the
-    witness map s (default: v_k -> e_k); verified idempotent and
-    identity on y before returning.
+    Built from norm-preserving extensions of the coefficient functionals
+    v_k -> e_k; verified idempotent and identity on y before returning.
     """
-    return _projection_parts(y, s)[0]
+    return _projection_parts(y)[0]
 
 
-def _projection_parts(y: Subspace, s: LinMap | None = None):
-    """(projection matrix, functional rows): the projection is
-    B . S^-1 . Psi, and its kernel equals the joint kernel of the h rows
-    of Psi, which is far cheaper to compute than a dense nullspace of
-    the full n x n matrix."""
+def _projection_parts(y: Subspace):
+    """(projection matrix, functional rows): the projection is B . Psi,
+    and its kernel equals the joint kernel of the h rows of Psi, which is
+    far cheaper to compute than a dense nullspace of the full n x n
+    matrix."""
     h = y.dim
-    if s is None:
-        s = LinMap(y, tuple(WindowVector.unit(0, h, k) for k in range(h)))
-    if s.domain is not y and s.domain.basis != y.basis:
-        raise ParameterError("witness map must be defined on y's basis")
-    if not s.images:
+    if h == 0:
         return RMatrix(y.lo, y.hi, y.lo, y.hi, {}), []
-    w_lo, w_hi = s.images[0].lo, s.images[0].hi
-    if w_hi - w_lo != h:
-        raise ParameterError("witness map must land in an h-dimensional window")
-    smat = RMatrix.from_dense([[w.value(i) for w in s.images]
-                               for i in range(w_lo, w_hi)])
-    sinv = invert(smat)  # raises SingularMatrixError when s is not a witness
-    # row j of psi is the l1-minimal extension of the j-th coordinate of s
+    # row j of psi is the l1-minimal extension of the j-th coefficient
     psi_rows = []
-    for j in range(w_lo, w_hi):
-        u, _ = hahn_banach_extend(y, [w.value(j) for w in s.images])
+    for j in range(h):
+        u, _ = hahn_banach_extend(y, [ONE if k == j else ZERO for k in range(h)])
         psi_rows.append(u)
     psi = RMatrix.from_rows_vectors(psi_rows)
-    bmat = y.basis_matrix()
-    p = bmat.matmul(sinv).matmul(psi)
+    p = y.basis_matrix().matmul(psi)
     if not p.matmul(p).equals(p):
         raise NormBudgetError("projection failed idempotence check")
     for v in y.basis:
@@ -337,26 +309,10 @@ def _projection_parts(y: Subspace, s: LinMap | None = None):
     return p, psi_rows
 
 
-def _kernel(rows, lo: int, hi: int) -> Subspace:
-    """Nullspace of dense rows over the columns [lo, hi), as a Subspace.
-
-    The basis is the one `linalg.nullspace` returns; each vector is built
-    from the pivots, so it has at most rank + 1 nonzero entries."""
-    red, pivots = rref(rows)
-    pivot_cols = set(pivots)
-    basis = []
-    for f in range(hi - lo):
-        if f not in pivot_cols:
-            entries = {lo + p: -red[r][f] for r, p in enumerate(pivots)}
-            entries[lo + f] = ONE
-            basis.append(WindowVector.sparse(lo, hi, entries))
-    return Subspace(lo, hi, tuple(basis))
-
-
 def kernel_subspace(p: RMatrix, lo: int, hi: int) -> Subspace:
     """Kernel of an idempotent matrix p on [lo, hi), as a Subspace."""
-    return _kernel([[p.get(i, j) for j in range(lo, hi)] for i in range(lo, hi)],
-                   lo, hi)
+    rows = [[p.get(i, j) for j in range(lo, hi)] for i in range(lo, hi)]
+    return Subspace(lo, hi, tuple(kernel_basis(rows, lo, hi)))
 
 
 def kernel_of_functionals(rows, lo: int, hi: int) -> Subspace:
@@ -368,7 +324,7 @@ def kernel_of_functionals(rows, lo: int, hi: int) -> Subspace:
             if lo <= i < hi:
                 d[i - lo] = c
         dense.append(d)
-    return _kernel(dense, lo, hi)
+    return Subspace(lo, hi, tuple(kernel_basis(dense, lo, hi)))
 
 
 def _lex_key(v: WindowVector):
@@ -527,8 +483,7 @@ class ExtensionResult:
     report: dict = field(default_factory=dict)
 
 
-def extend_isomorphism(t: LinMap, s1: LinMap | None = None,
-                       s2: LinMap | None = None,
+def extend_isomorphism(t: LinMap,
                        config: RunConfig | None = None) -> ExtensionResult:
     """Extend the isomorphism t: y1 -> y2 to a verified automorphism of
     the ambient space: w = t on y1, |w|, |w^-1| <= c2, all entries
@@ -546,19 +501,15 @@ def extend_isomorphism(t: LinMap, s1: LinMap | None = None,
         raise ParameterError("subspace dimension exceeds c1 * sqrt(n)")
     report = {}
 
-    for name, m in (("T", t), ("S1", s1), ("S2", s2)):
-        if m is None:
-            continue
-        up, low = m.norm(), m.lower()
-        if low == 0:
-            raise SingularMatrixError("map has a kernel; distortion is infinite")
-        report["distortion_%s" % name] = up / low
-        if up >= config.rho or ONE / low >= config.rho:
-            raise NormBudgetError(
-                "%s norms must stay below rho" % name, measured=(up, ONE / low))
+    up, low = t.norm(), t.lower()
+    if low == 0:
+        raise SingularMatrixError("map has a kernel; distortion is infinite")
+    report["distortion_T"] = up / low
+    if up >= config.rho or ONE / low >= config.rho:
+        raise NormBudgetError("T norms must stay below rho", measured=(up, ONE / low))
 
-    p1, psi1 = _projection_parts(y1, s1)
-    p2, psi2 = _projection_parts(y2, s2)
+    p1, psi1 = _projection_parts(y1)
+    p2, psi2 = _projection_parts(y2)
     report["norm_P1"] = op_norm_inf(p1)
     report["norm_P2"] = op_norm_inf(p2)
     eye = RMatrix.identity(y1.lo, y1.hi)

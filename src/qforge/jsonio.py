@@ -4,8 +4,8 @@ runs with the same inputs produce byte-identical files."""
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
+from .errors import ParameterError, QForgeError
 from .linalg import RMatrix, WindowVector, frac
 
 
@@ -21,6 +21,20 @@ def write_json(path, obj):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+# what a JSON value of the wrong shape raises while it is parsed
+_MALFORMED = (LookupError, TypeError, ValueError, AttributeError, ParameterError)
+
+
+def load_json(path, parse, what):
+    """parse(JSON read from path); a file that is not valid JSON or does
+    not have the shape of `what` raises one QForgeError."""
+    try:
+        return parse(read_json(path))
+    except _MALFORMED as e:
+        raise QForgeError("malformed %s %s: %s: %s"
+                          % (what, path, type(e).__name__, e)) from e
 
 
 def rmatrix_to_json(m: RMatrix):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ParameterError, SingularMatrixError
 
@@ -17,12 +17,16 @@ ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
-    """Coerce ints / strings like ``"3/4"`` to Fraction, exactly."""
+    """Coerce ints / strings like ``"3/4"`` to Fraction, exactly; a float
+    or anything that is not a rational raises ParameterError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise ParameterError("floats are not allowed; pass ints, Fractions or 'p/q' strings")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (ValueError, TypeError, ZeroDivisionError) as e:
+        raise ParameterError("not a rational number: %r" % (x,)) from e
 
 
 def _check_window(lo: int, hi: int):
@@ -351,32 +355,20 @@ def op_norm_inf(m: RMatrix) -> Fraction:
 
 
 def invert(m: RMatrix) -> RMatrix:
-    """Exact inverse by rational Gaussian elimination; raises SingularMatrixError."""
+    """Exact inverse: the right half of rref([m | I]); raises SingularMatrixError."""
     if not m.is_square():
         raise ParameterError("invert requires a square window matrix")
     n = m.n_rows
     if n == 0:
         return RMatrix(m.row_lo, m.row_hi, m.col_lo, m.col_hi, {})
-    a = m.to_dense()
-    inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular at column %d" % col)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        p = a[col][col]
-        if p != 1:
-            a[col] = [x / p if x else x for x in a[col]]
-            inv[col] = [x / p if x else x for x in inv[col]]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            f = a[r][col]
-            a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
-            inv[r] = [x - f * y if y else x for x, y in zip(inv[r], inv[col])]
-    return RMatrix.from_dense(inv, row_lo=m.row_lo, col_lo=m.col_lo)
+    eye = RMatrix.identity(0, n).to_dense()
+    red, pivots = rref([a + e for a, e in zip(m.to_dense(), eye)])
+    # pivots rise strictly, so the first c with pivots[c] != c is the
+    # first column of m without a pivot
+    missing = next((c for c, p in enumerate(pivots) if c != p), None)
+    if missing is not None:
+        raise SingularMatrixError("matrix is singular at column %d" % missing)
+    return RMatrix.from_dense([r[n:] for r in red], row_lo=m.row_lo, col_lo=m.col_lo)
 
 
 def block_compose(blocks: Sequence[RMatrix], layout: BlockLayout) -> RMatrix:
@@ -396,6 +388,28 @@ def block_compose(blocks: Sequence[RMatrix], layout: BlockLayout) -> RMatrix:
 
 # -- dense helpers on lists of Fraction lists -------------------------
 
+def coordinate_rows(vectors, lo: int, hi: int) -> list:
+    """Row i -> tuple of the vectors' values at i, for i in [lo, hi).
+
+    For a basis these are the coefficient-space rows of the unit ball
+    {x in span : |x|_inf <= 1} on the window."""
+    return [tuple(v.value(i) for v in vectors) for i in range(lo, hi)]
+
+
+def pivot(rows: list, r: int, c: int):
+    """One Gauss-Jordan step in place: scale row r so that entry c is 1,
+    then clear column c from every other row.  Zero entries of the pivot
+    row are skipped, and a unit pivot divides nothing."""
+    p = rows[r][c]
+    if p != 1:
+        rows[r] = [x / p if x else x for x in rows[r]]
+    pivot_row = rows[r]
+    for k in range(len(rows)):
+        if k != r and rows[k][c] != 0:
+            f = rows[k][c]
+            rows[k] = [x - f * y if y else x for x, y in zip(rows[k], pivot_row)]
+
+
 def rref(rows: list) -> tuple:
     """Reduced row echelon form. Returns (rref_rows, pivot_columns)."""
     rows = [list(r) for r in rows]
@@ -409,13 +423,7 @@ def rref(rows: list) -> tuple:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        if p != 1:
-            rows[r] = [x / p if x else x for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [x - f * y if y else x for x, y in zip(rows[k], rows[r])]
+        pivot(rows, r, c)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -427,18 +435,26 @@ def rank(rows: list) -> int:
     return len(rref(rows)[1])
 
 
+def kernel_basis(rows: list, lo: int, hi: int) -> list:
+    """Basis of the nullspace of dense rows over the columns [lo, hi).
+
+    One vector per free column f of the rref: 1 at f, minus column f of
+    the reduced rows at the pivots, zero elsewhere, so each has at most
+    rank + 1 nonzero entries."""
+    red, pivots = rref(rows)
+    pivot_cols = set(pivots)
+    basis = []
+    for f in range(hi - lo):
+        if f not in pivot_cols:
+            entries = {lo + p: -red[r][f] for r, p in enumerate(pivots)}
+            entries[lo + f] = ONE
+            basis.append(WindowVector.sparse(lo, hi, entries))
+    return basis
+
+
 def nullspace(rows: list, ncols: int) -> list:
     """Basis (list of Fraction lists) of the nullspace of the row system."""
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [ZERO] * ncols
-        vec[f] = ONE
-        for r, p in enumerate(pivots):
-            vec[p] = -red[r][f]
-        basis.append(vec)
-    return basis
+    return [list(v.coords) for v in kernel_basis(rows, 0, ncols)]
 
 
 def solve_exact(rows: list, rhs: list):

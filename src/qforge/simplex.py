@@ -10,40 +10,38 @@ optimality certificate.
 from __future__ import annotations
 
 from .errors import InfeasibleError, UnboundedError
-from .linalg import ONE, ZERO, RMatrix, WindowVector, rank
+from .linalg import ONE, ZERO, RMatrix, WindowVector, pivot, rank
 
 
 def _pivot(tab, basis, r, c):
-    piv = tab[r][c]
-    if piv != 1:
-        tab[r] = [x / piv if x else x for x in tab[r]]
-    pivot_row = tab[r]
-    for i in range(len(tab)):
-        if i != r and tab[i][c] != 0:
-            f = tab[i][c]
-            tab[i] = [x - f * y if y else x for x, y in zip(tab[i], pivot_row)]
+    pivot(tab, r, c)
     basis[r] = c
 
 
 def _run_simplex(tab, basis, cost, allowed):
-    """Minimize cost over the tableau in place. Returns the objective value."""
+    """Minimize cost over the tableau in place. Returns the objective value.
+
+    While it runs, the reduced-cost row rides below the constraint rows,
+    so each pivot step updates it too."""
     m = len(tab)
     if m == 0:
         return ZERO
     ncols = len(tab[0]) - 1
-    # reduced cost row
-    z = list(cost) + [ZERO]
+    tab.append(list(cost) + [ZERO])
+    # price out the basis: basic columns are unit columns, so each step
+    # changes only the reduced-cost row
     for r, bvar in enumerate(basis):
-        if z[bvar] != 0:
-            f = z[bvar]
-            z = [x - f * y if y else x for x, y in zip(z, tab[r])]
+        if tab[m][bvar] != 0:
+            pivot(tab, r, bvar)
     while True:
+        z = tab[m]
         enter = None
         for j in range(ncols):
             if allowed[j] and z[j] < 0:
                 enter = j
                 break  # Bland: smallest index
         if enter is None:
+            del tab[m]
             return sum((cost[basis[r]] * tab[r][-1] for r in range(m)), ZERO)
         leave = None
         best = None
@@ -57,9 +55,6 @@ def _run_simplex(tab, basis, cost, allowed):
         if leave is None:
             raise UnboundedError("objective unbounded below")
         _pivot(tab, basis, leave, enter)
-        f = z[enter]
-        if f != 0:
-            z = [x - f * y if y else x for x, y in zip(z, tab[leave])]
 
 
 def simplex_min(cost, a_rows, b):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import NotInjectiveError, NotInvertibleError, ParameterError
-from .linalg import ONE, ZERO, WindowVector, frac, rank
+from .linalg import ONE, ZERO, RMatrix, WindowVector, coordinate_rows, frac, nullspace, rank
 from .simplex import polyhedral_max
 
 
@@ -168,19 +168,14 @@ def _aligned(fs):
 def qnorm_rows(fs):
     """Coefficient-space rows whose sup of |row . c| is quotient_norm(sum c_k f_k)."""
     m, p = _aligned(fs)
-    return [tuple(f.value(m + j) for f in fs) for j in range(p)]
-
-
-def coordinate_rows(fs, lo, hi):
-    return [tuple(f.value(i) for f in fs) for i in range(lo, hi)]
+    return coordinate_rows(fs, m, m + p)
 
 
 def check_pi_injective(fs):
     """Raise NotInjectiveError when a nonzero combination vanishes at infinity."""
     rows = qnorm_rows(fs)
-    if rank([list(r) for r in rows]) < len(fs):
-        from .linalg import nullspace
-        witness = nullspace([list(r) for r in rows], len(fs))[0]
+    if rank(rows) < len(fs):
+        witness = nullspace(rows, len(fs))[0]
         raise NotInjectiveError(
             "combination with coefficients %s lies in the vanishing ideal"
             % (tuple(witness),))
@@ -250,13 +245,10 @@ def r_operator(fs, n: int, n_prime: int):
     """The composition (restrict to [n, n')) after (section from n), as a
     matrix from coefficient space to the window [n, n').
     """
-    from .linalg import RMatrix
-
     if n_prime <= n:
         raise ParameterError("n' must exceed n")
     check_pi_injective(fs)
-    entries = [[f.value(i) for f in fs] for i in range(n, n_prime)]
-    return RMatrix.from_dense(entries, row_lo=n, col_lo=0)
+    return RMatrix.from_dense(coordinate_rows(fs, n, n_prime), row_lo=n, col_lo=0)
 
 
 def r_operator_norm(fs, n: int, n_prime: int) -> Fraction:

@@ -1,0 +1,52 @@
+"""A non-rational CLI parameter or a malformed config file exits 2 with
+one line on stderr and nothing on stdout."""
+
+import pytest
+
+from qforge.cli import main
+from qforge.config import ENV_CONFIG
+from qforge.errors import ParameterError
+from qforge.jsonio import write_json
+from qforge.linalg import frac
+
+BAD_CONFIGS = ['{"rho": "x"}', "not json", '{"horizon": "x"}']
+
+
+def assert_one_line_exit_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["abc", "1/0", "", "1/2/3"])
+def test_frac_rejects_a_non_rational_string(text):
+    with pytest.raises(ParameterError):
+        frac(text)
+
+
+def test_non_rational_rho(capsys, tmp_path):
+    path = tmp_path / "pf.json"
+    write_json(path, {"f": {"kind": "branch", "count": 2},
+                      "g": {"kind": "progression", "count": 2}})
+    assert_one_line_exit_2(capsys, ["forge-matrix", "--families", str(path),
+                                    "--rho", "abc"])
+
+
+@pytest.mark.parametrize("text", BAD_CONFIGS)
+def test_bad_config_option(capsys, tmp_path, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert_one_line_exit_2(capsys, ["--config", str(path), "build-adf",
+                                    "--kind", "branch", "--count", "2"])
+
+
+@pytest.mark.parametrize("text", BAD_CONFIGS)
+def test_bad_config_environment(capsys, tmp_path, monkeypatch, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    monkeypatch.setenv(ENV_CONFIG, str(path))
+    assert_one_line_exit_2(capsys, ["build-adf", "--kind", "branch",
+                                    "--count", "2"])
