@@ -9,6 +9,8 @@ from .certset import CertSet
 from .ordinals import OrdinalIdx
 
 MAX_COUNT = 512
+LUZIN_CHECK_HORIZON = 64   # stages up to which the Luzin bound is checked
+MAX_VALUATION = 16         # largest dyadic valuation of an ordinal family
 
 
 @dataclass(frozen=True)
@@ -16,8 +18,6 @@ class FamilyGenerator:
     kind: str  # progression | branch | luzin | explicit
     count: int = 0
     depth: int = 4
-    horizon: int = 1024
-    seed: int = 0
     sets: tuple = ()
 
     def __post_init__(self):
@@ -106,9 +106,8 @@ def make_family(gen: FamilyGenerator) -> Family:
     certs = _pairwise_certificates(sets)
     bound = ()
     if gen.kind == "luzin":
-        horizon = min(gen.horizon, 64)
-        verify_luzin_bound(sets, certs, horizon)
-        bound = (horizon, "L(n) = n")
+        verify_luzin_bound(sets, certs, LUZIN_CHECK_HORIZON)
+        bound = (LUZIN_CHECK_HORIZON, "L(n) = n")
     return Family(gen.kind, tuple(sets), certs, bound)
 
 
@@ -200,12 +199,11 @@ class OrdinalProgressionFamily:
     recursion are exact: fibers A_xi minus W_xi equal A_xi on the nose.
     """
 
-    def __init__(self, cells: int, blocks: int = 4, valuation_cap: int = 16):
+    def __init__(self, cells: int, blocks: int = 4):
         if cells < 1 or blocks < 1 or blocks > cells:
             raise ParameterError("need 1 <= blocks <= cells")
         self.cells = cells
         self.blocks = blocks
-        self.valuation_cap = valuation_cap
 
     def _split(self, xi: OrdinalIdx, boundary=False):
         limit = self.blocks + (1 if boundary else 0)
@@ -216,7 +214,7 @@ class OrdinalProgressionFamily:
 
     def member(self, xi: OrdinalIdx) -> CertSet:
         q, r = self._split(xi)
-        if r > self.valuation_cap:
+        if r > MAX_VALUATION:
             raise ParameterError("valuation index beyond cap")
         k = self.cells
         return CertSet.ap(q + k * 2 ** r, k * 2 ** (r + 1))
@@ -261,6 +259,6 @@ class OrdinalProgressionFamily:
         while m % 2 == 0:
             m //= 2
             r += 1
-        if r > self.valuation_cap:
+        if r > MAX_VALUATION:
             return None
         return OrdinalIdx(0, q, r)

@@ -10,7 +10,7 @@ distinct affine maps agree at most once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import HypothesisViolationError, NotInjectiveError, ParameterError
 from .certset import CertSet

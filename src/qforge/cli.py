@@ -23,7 +23,7 @@ from .adf.families import (
 )
 from .adf.ordinals import OrdinalIdx
 from .config import load_config
-from .errors import QForgeError
+from .errors import ParameterError, QForgeError
 from .forcing import (
     GenericRun,
     PairedFamilies,
@@ -74,7 +74,7 @@ def _family_json(fam, gen):
     return {
         "kind": fam.kind,
         "count": len(fam.sets),
-        "params": {"depth": gen.depth, "seed": gen.seed},
+        "params": {"depth": gen.depth},
         "sets": [s.to_json_obj() for s in fam.sets],
         "intersections": {"%d,%d" % k: list(v)
                           for k, v in sorted(fam.intersections.items())},
@@ -88,14 +88,17 @@ def _load_sets(obj):
 
 
 def cmd_build_adf(args, config):
-    gen = FamilyGenerator(kind=args.kind, count=args.count,
-                          depth=args.depth, seed=config.seed)
+    gen = FamilyGenerator(kind=args.kind, count=args.count, depth=args.depth)
     fam = make_family(gen)
     return _emit(_family_json(fam, gen), args.out)
 
 
 def cmd_check_separation(args, config):
     sets = load_json(args.family, _load_sets, "family file")
+    for i in args.inside + args.outside:
+        if not 0 <= i < len(sets):
+            raise ParameterError("set index %d outside the family of %d sets"
+                                 % (i, len(sets)))
     inside = [sets[i] for i in args.inside]
     outside = [sets[i] for i in args.outside]
     sep = separation_find(inside, outside)
@@ -110,11 +113,13 @@ def cmd_check_separation(args, config):
 def _parse_ordinal(text):
     # "w*q+r", "w*q", or a plain natural number
     text = text.replace(" ", "")
-    if text.startswith("w*"):
-        rest = text[2:]
-        q, _, r = rest.partition("+")
+    q, _, r = (text[2:].partition("+") if text.startswith("w*")
+               else ("0", "", text))
+    try:
         return OrdinalIdx(0, int(q), int(r or 0))
-    return OrdinalIdx.nat(int(text))
+    except ValueError:
+        raise ParameterError("ordinal cap %r is not w*q+r, w*q or a natural "
+                             "number" % text) from None
 
 
 def cmd_build_coherent(args, config):
@@ -122,7 +127,6 @@ def cmd_build_coherent(args, config):
     cap = (_parse_ordinal(args.cap) if args.cap
            else OrdinalIdx(0, min(config.ordinal_cap, args.blocks), 0))
     system = CoherentFamily(fam, cap)
-    failures = []
     stages = [OrdinalIdx(0, q, r) for q in range(cap.c1 + 1)
               for r in range(args.sample_offsets)
               if OrdinalIdx(0, q, r) <= cap] + [cap]
@@ -139,14 +143,13 @@ def cmd_build_coherent(args, config):
         "stages": [str(a) for a in stages],
         "coherence_exceptions": coherence,
         "chain_sets": chain,
-        "failures": failures,
+        "failures": [],
     }, args.out)
 
 
 def cmd_mad_census(args, config):
     sets = load_json(args.family, _load_sets, "family file")
-    gen = FamilyGenerator("explicit", sets=tuple(sets))
-    fam = make_family(gen)
+    fam = make_family(FamilyGenerator("explicit", sets=tuple(sets)))
     x = (load_json(args.x, CertSet.from_json_obj, "set file") if args.x
          else CertSet.ap(0, 1))
     census = mad_census(fam, x)
@@ -182,7 +185,6 @@ def _compute_input(op, obj):
 def cmd_compute(args, config):
     data = load_json(args.input, lambda obj: _compute_input(args.op, obj),
                      "compute input")
-    failures = []
     if args.op == "op-norm":
         if isinstance(data, RMatrix):
             result = {"norm": str(op_norm_inf(data))}
@@ -205,11 +207,11 @@ def cmd_compute(args, config):
                   "report": _plain(ext.report)}
     else:
         raise QForgeError("unknown compute op %r" % args.op)
-    result["failures"] = failures
+    result["failures"] = []
     return _emit(result, args.out)
 
 
-def _paired_from_file(path, rho):
+def _paired_from_file(path):
     def side(data):
         if isinstance(data, dict) and "kind" in data:
             gen = FamilyGenerator(kind=data["kind"],
@@ -221,7 +223,7 @@ def _paired_from_file(path, rho):
     def parse(obj):
         if "indices" in obj:
             return PairedFamilies.from_json_obj(obj)
-        return paired_from_certsets(side(obj["f"]), side(obj["g"]), rho)
+        return paired_from_certsets(side(obj["f"]), side(obj["g"]))
     return load_json(path, parse, "family file")
 
 
@@ -229,7 +231,7 @@ def cmd_forge_matrix(args, config):
     config = replace(config, rho=args.rho or config.rho,
                      c2=args.c2 or config.c2,
                      horizon=args.horizon or config.horizon)
-    families = _paired_from_file(args.families, config.rho)
+    families = _paired_from_file(args.families)
     run = run_generic(families, config=config)
     report = verify_run(run, families, config)
     obj = run.to_json_obj()
@@ -244,7 +246,6 @@ def cmd_verify_run(args, config):
         GenericRun.from_json_obj(obj),
         PairedFamilies.from_json_obj(obj["families"])), "run file")
     report = verify_run(run, families)
-    report["failures"] = list(report["failures"])
     return _emit(report, args.out)
 
 

@@ -4,7 +4,7 @@ and the CLI."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -12,6 +12,7 @@ from .jsonio import load_json
 from .linalg import frac
 
 ENV_CONFIG = "QF_CONFIG"
+_RATIONAL = ("rho", "c1", "c2", "delta")
 
 
 @dataclass(frozen=True)
@@ -23,13 +24,13 @@ class RunConfig:
     horizon: int = 512
     ordinal_cap: int = 2          # coherent builds run to omega * ordinal_cap
     dim_cap: int = 12             # compute op-norm, lower-bound, hahn-banach
-    vertex_cap: int = 6
-    seed: int = 0
     schedule: tuple = ()          # () means the default interleaving
 
     def __post_init__(self):
-        for name in ("rho", "c1", "c2", "delta"):
+        for name in _RATIONAL:
             object.__setattr__(self, name, frac(getattr(self, name)))
+        for name in ("horizon", "ordinal_cap", "dim_cap"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.rho <= 1 or self.c2 < self.rho or self.c1 <= 0 or self.delta <= 0:
             raise ParameterError("need rho > 1, c2 >= rho, c1 > 0, delta > 0")
         if self.horizon < 1 or self.ordinal_cap < 1:
@@ -43,26 +44,17 @@ class RunConfig:
         return 8 * self.horizon
 
     def to_json_obj(self):
-        return {
-            "rho": str(self.rho), "c1": str(self.c1), "c2": str(self.c2),
-            "delta": str(self.delta), "horizon": self.horizon,
-            "ordinal_cap": self.ordinal_cap, "dim_cap": self.dim_cap,
-            "vertex_cap": self.vertex_cap, "seed": self.seed,
-            "schedule": [[k, v] for k, v in self.schedule],
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj.update({name: str(obj[name]) for name in _RATIONAL})
+        obj["schedule"] = [list(s) for s in self.schedule]
+        return obj
 
     @staticmethod
     def from_json_obj(obj) -> "RunConfig":
-        return RunConfig(
-            rho=frac(obj.get("rho", "4")), c1=frac(obj.get("c1", "1")),
-            c2=frac(obj.get("c2", "64")), delta=frac(obj.get("delta", "1/100")),
-            horizon=int(obj.get("horizon", 512)),
-            ordinal_cap=int(obj.get("ordinal_cap", 2)),
-            dim_cap=int(obj.get("dim_cap", 12)),
-            vertex_cap=int(obj.get("vertex_cap", 6)),
-            seed=int(obj.get("seed", 0)),
-            schedule=tuple((k, v) for k, v in obj.get("schedule", [])),
-        )
+        """Keys that name no field are ignored; a missing field keeps its
+        default."""
+        names = {f.name for f in fields(RunConfig)}
+        return RunConfig(**{k: v for k, v in obj.items() if k in names})
 
 
 def load_config(path=None) -> RunConfig:

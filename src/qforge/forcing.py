@@ -26,7 +26,7 @@ from .errors import (
 )
 from .geometry import LinMap, Subspace, extend_isomorphism
 from .jsonio import rmatrix_from_json, rmatrix_to_json
-from .linalg import BlockLayout, RMatrix, frac, invert, op_norm_inf
+from .linalg import BlockLayout, RMatrix, block_compose, invert, op_norm_inf
 from .tails import (
     TailVector,
     check_pi_injective,
@@ -46,11 +46,9 @@ class PairedFamilies:
     indices: tuple
     fs: tuple
     gs: tuple
-    rho: Fraction = Fraction(4)
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        object.__setattr__(self, "rho", frac(self.rho))
         if not (len(self.indices) == len(self.fs) == len(self.gs)):
             raise ParameterError("one f and one g per index required")
         if len(set(self.indices)) != len(self.indices):
@@ -75,26 +73,24 @@ class PairedFamilies:
     def to_json_obj(self):
         return {"indices": list(self.indices),
                 "f": [v.to_json_obj() for v in self.fs],
-                "g": [v.to_json_obj() for v in self.gs],
-                "rho": str(self.rho)}
+                "g": [v.to_json_obj() for v in self.gs]}
 
     @staticmethod
     def from_json_obj(obj) -> "PairedFamilies":
         return PairedFamilies(
             tuple(obj["indices"]),
             tuple(TailVector.from_json_obj(v) for v in obj["f"]),
-            tuple(TailVector.from_json_obj(v) for v in obj["g"]),
-            frac(obj.get("rho", "4")))
+            tuple(TailVector.from_json_obj(v) for v in obj["g"]))
 
 
-def paired_from_certsets(f_sets, g_sets, rho=Fraction(4)) -> PairedFamilies:
+def paired_from_certsets(f_sets, g_sets) -> PairedFamilies:
     """Indicator tails of two equally sized certified-set families."""
     if len(f_sets) != len(g_sets):
         raise ParameterError("families must have equal size")
     return PairedFamilies(
         tuple(range(len(f_sets))),
         tuple(s.indicator_tail() for s in f_sets),
-        tuple(s.indicator_tail() for s in g_sets), rho)
+        tuple(s.indicator_tail() for s in g_sets))
 
 
 @dataclass(frozen=True)
@@ -120,41 +116,38 @@ class Condition:
                 "m": rmatrix_to_json(self.m),
                 "inv": rmatrix_to_json(self.inv) if self.inv else None}
 
-    @staticmethod
-    def from_json_obj(obj) -> "Condition":
-        return Condition(obj["n"], rmatrix_from_json(obj["m"]),
-                         tuple(obj["a"]), tuple(obj["cuts"]),
-                         rmatrix_from_json(obj["inv"]) if obj["inv"] else None)
-
 
 def _block(m: RMatrix, lo: int, hi: int) -> RMatrix:
-    rows = {}
-    for i, row in m.rows.items():
-        if lo <= i < hi:
-            sub = {j: v for j, v in row.items() if lo <= j < hi and v != 0}
-            if sub:
-                rows[i] = sub
-    return RMatrix(lo, hi, lo, hi, rows)
+    return RMatrix(lo, hi, lo, hi, {
+        i: {j: v for j, v in row.items() if lo <= j < hi}
+        for i, row in m.rows.items() if lo <= i < hi})
 
 
 def _inverse_of(p: Condition) -> RMatrix:
     """p.inv when carried, else blockwise inversion along p.cuts."""
     if p.inv is not None:
         return p.inv
-    rows = {}
-    for lo, hi in BlockLayout(p.cuts).blocks():
-        binv = invert(_block(p.m, lo, hi))
-        for i, row in binv.rows.items():
-            rows[i] = dict(row)
-    return RMatrix(0, p.n, 0, p.n, rows)
+    layout = BlockLayout(p.cuts)
+    return block_compose([invert(_block(p.m, lo, hi))
+                          for lo, hi in layout.blocks()], layout)
+
+
+def _interpolation_failure(m: RMatrix, f, g, lo: int, hi: int):
+    """The first (i, value) with lo <= i < hi where row i of m over the
+    columns >= lo, applied to f, is not g(i); None when there is none."""
+    for i in range(lo, hi):
+        got = sum((v * f.value(j) for j, v in m.rows.get(i, {}).items()
+                   if j >= lo), Fraction(0))
+        if got != g.value(i):
+            return i, got
+    return None
 
 
 def validate_condition(p: Condition, families: PairedFamilies,
-                       config: RunConfig | None = None):
+                       config: RunConfig):
     """List of violations (empty means the condition is valid)."""
-    config = config or RunConfig()
     out = []
-    if (p.m.row_lo, p.m.row_hi, p.m.col_lo, p.m.col_hi) != (0, p.n, 0, p.n):
+    if p.m.window != (0, p.n, 0, p.n):
         out.append("(a) matrix window is not [0, %d)^2" % p.n)
         return out
     for xi in p.a:
@@ -215,34 +208,27 @@ def cond_leq(p: Condition, q: Condition, families: PairedFamilies):
         if xi not in families._by_index:
             out.append("(iv) index %s outside the families" % (xi,))
             continue
-        f, g = families.f(xi), families.g(xi)
-        for i in range(q.n, p.n):
-            got = sum((v * f.value(j) for j, v in p.m.rows.get(i, {}).items()
-                       if j >= q.n), Fraction(0))
-            if got != g.value(i):
-                out.append("(iv) xi = %s fails at coordinate %d: %s != %s"
-                           % (xi, i, got, g.value(i)))
-                break
+        g = families.g(xi)
+        bad = _interpolation_failure(p.m, families.f(xi), g, q.n, p.n)
+        if bad is not None:
+            i, got = bad
+            out.append("(iv) xi = %s fails at coordinate %d: %s != %s"
+                       % (xi, i, got, g.value(i)))
     return not out, out
 
 
 def _merge_blocks(stem: Condition, w: RMatrix, w_inv: RMatrix, n_r: int,
                   a_r) -> Condition:
-    rows = {i: dict(r) for i, r in stem.m.rows.items()}
-    rows.update({i: dict(r) for i, r in w.rows.items()})
-    inv_rows = {i: dict(r) for i, r in _inverse_of(stem).rows.items()}
-    inv_rows.update({i: dict(r) for i, r in w_inv.rows.items()})
-    return Condition(n_r, RMatrix(0, n_r, 0, n_r, rows), tuple(a_r),
-                     cuts=stem.cuts + (n_r,),
-                     inv=RMatrix(0, n_r, 0, n_r, inv_rows))
+    def grow(m, block):
+        return RMatrix(0, n_r, 0, n_r, {**m.rows, **block.rows})
+    return Condition(n_r, grow(stem.m, w), tuple(a_r), stem.cuts + (n_r,),
+                     grow(_inverse_of(stem), w_inv))
 
 
 def amalgamate(p: Condition, q: Condition, big_n: int,
-               families: PairedFamilies,
-               config: RunConfig | None = None) -> Condition:
+               families: PairedFamilies, config: RunConfig) -> Condition:
     """Common extension of two conditions sharing a stem (n, M), with
     stage at least big_n; every returned condition is fully verified."""
-    config = config or RunConfig()
     if p.n != q.n or not p.m.equals(q.m):
         raise ParameterError("conditions do not share a stem")
     for cond in (p, q):
@@ -308,7 +294,7 @@ def amalgamate(p: Condition, q: Condition, big_n: int,
 
 
 def dense_hit_D(p: Condition, n: int, families: PairedFamilies,
-                config: RunConfig | None = None) -> Condition:
+                config: RunConfig) -> Condition:
     """An extension with stage at least n."""
     if p.n >= n:
         return p
@@ -316,7 +302,7 @@ def dense_hit_D(p: Condition, n: int, families: PairedFamilies,
 
 
 def dense_hit_E(p: Condition, xi, families: PairedFamilies,
-                config: RunConfig | None = None) -> Condition:
+                config: RunConfig) -> Condition:
     """An extension committing the index xi."""
     if xi not in families._by_index:
         raise ParameterError("index %s outside the families" % (xi,))
@@ -351,13 +337,13 @@ class GenericRun:
     def final(self) -> Condition:
         return self.chain[-1]
 
-    @property
-    def layout(self) -> BlockLayout:
-        return BlockLayout(self.final.cuts)
-
     def to_json_obj(self):
+        """The final matrix once; per condition, what its block adds."""
+        lows = [0] + [c.n for c in self.chain]
         return {
-            "chain": [c.to_json_obj() for c in self.chain],
+            "chain": [{"n": c.n, "a": list(c.a), "inv": rmatrix_to_json(
+                _block(_inverse_of(c), lo, c.n))}
+                for lo, c in zip(lows, self.chain)],
             "hit_log": [[k, v, i] for k, v, i in self.hit_log],
             "entry_stage": {str(k): v for k, v in sorted(self.entry_stage.items())},
             "horizon": self.horizon,
@@ -369,35 +355,54 @@ class GenericRun:
 
     @staticmethod
     def from_json_obj(obj) -> "GenericRun":
+        """Condition k: the matrix on [0, n_k)^2 and block inverses 0..k."""
         if not obj["chain"]:
             raise ParameterError("a run's chain holds at least one condition")
+        stages = tuple(int(c["n"]) for c in obj["chain"])
+        binvs = [rmatrix_from_json(c["inv"]) for c in obj["chain"]]
+        if stages[0] != 0 or binvs[0].window != (0, 0, 0, 0):
+            raise ParameterError("a run's chain starts at the empty stage 0")
+        matrix = rmatrix_from_json(obj["matrix"])
+        if matrix.window != (0, stages[-1], 0, stages[-1]):
+            raise ParameterError("matrix window is not [0, %d)^2" % stages[-1])
+        chain = tuple(
+            Condition(n, _block(matrix, 0, n), tuple(c["a"]), stages[:k + 1],
+                      block_compose(binvs[1:k + 1],
+                                    BlockLayout(stages[:k + 1])))
+            for k, (n, c) in enumerate(zip(stages, obj["chain"])))
         return GenericRun(
-            tuple(Condition.from_json_obj(c) for c in obj["chain"]),
+            chain,
             tuple((k, v, i) for k, v, i in obj["hit_log"]),
             {int(k): v for k, v in obj["entry_stage"].items()},
             obj["horizon"], RunConfig.from_json_obj(obj["config"]),
             obj["failure"])
 
 
-def run_generic(families: PairedFamilies, schedule=None, horizon=None,
+def _entry_stages(chain) -> dict:
+    """xi -> the stage of the condition before the first committing xi."""
+    entry, prev = {}, 0
+    for c in chain:
+        for xi in c.a:
+            entry.setdefault(xi, prev)
+        prev = c.n
+    return entry
+
+
+def run_generic(families: PairedFamilies, horizon=None,
                 config: RunConfig | None = None) -> GenericRun:
     """Greedy decreasing chain hitting every scheduled dense set, starting
     from the trivial condition.  Deterministic given its inputs."""
     config = config or RunConfig()
     horizon = horizon or config.horizon
-    schedule = tuple(schedule or config.schedule or
-                     default_schedule(families, horizon))
+    schedule = config.schedule or default_schedule(families, horizon)
     chain = [Condition.trivial()]
     log = []
-    entry = {}
     failure = None
     for kind, param in schedule:
         p = chain[-1]
         try:
             if kind == "E":
                 r = dense_hit_E(p, param, families, config)
-                if param not in entry:
-                    entry[param] = p.n
             elif kind == "D":
                 r = dense_hit_D(p, param, families, config)
             else:
@@ -409,7 +414,8 @@ def run_generic(families: PairedFamilies, schedule=None, horizon=None,
         if r is not p:
             chain.append(r)
         log.append((kind, param, len(chain) - 1))
-    return GenericRun(tuple(chain), tuple(log), entry, horizon, config, failure)
+    return GenericRun(tuple(chain), tuple(log), _entry_stages(chain), horizon,
+                      config, failure)
 
 
 def verify_run(run: GenericRun, families: PairedFamilies,
@@ -433,11 +439,11 @@ def verify_run(run: GenericRun, families: PairedFamilies,
 
     # (2) per-block invertibility and norms
     final = run.final
-    inv = final.inv
-    for lo, hi in run.layout.blocks():
+    for lo, hi in BlockLayout(final.cuts).blocks():
         b = _block(final.m, lo, hi)
         try:
-            binv = _block(inv, lo, hi) if inv is not None else invert(b)
+            binv = (_block(final.inv, lo, hi) if final.inv is not None
+                    else invert(b))
             if not b.matmul(binv).equals(RMatrix.identity(lo, hi)):
                 failures.append("block [%d, %d): inverse product is not I"
                                 % (lo, hi))
@@ -451,28 +457,28 @@ def verify_run(run: GenericRun, families: PairedFamilies,
             failures.append("block [%d, %d): norm %s or inverse norm %s "
                             "exceeds c2" % (lo, hi, nb, nbi))
 
-    # (3) exact interpolation beyond each entry stage, up to the horizon
+    # (3) exact interpolation beyond each entry stage, up to the horizon;
+    # the entry stages come from the chain, not from run.entry_stage
     n_end = final.n
     if n_end < run.horizon:
         failures.append("final stage %d below the horizon %d"
                         % (n_end, run.horizon))
+    entry = _entry_stages(run.chain)
     for xi in families.indices:
-        if xi not in run.entry_stage:
+        if xi not in entry:
             failures.append("index %s never committed" % (xi,))
             continue
-        n0 = run.entry_stage[xi]
+        n0 = entry[xi]
+        stored = run.entry_stage.get(xi, "never committed")
+        if stored != n0:
+            failures.append("index %s: entry_stage says %s, the chain %d"
+                            % (xi, stored, n0))
         f, g = families.f(xi), families.g(xi)
-        bad = None
-        for i in range(n0, min(n_end, run.horizon)):
-            got = sum((v * f.value(j)
-                       for j, v in final.m.rows.get(i, {}).items() if j >= n0),
-                      Fraction(0))
-            if got != g.value(i):
-                bad = i
-                break
+        bad = _interpolation_failure(final.m, f, g, n0,
+                                     min(n_end, run.horizon))
         if bad is not None:
             failures.append("index %s: interpolation fails at coordinate %d"
-                            % (xi, bad))
+                            % (xi, bad[0]))
         # identity blocks would extend the matrix beyond the final stage,
         # so the tail claim is symbolic exactly when f - g vanishes there
         d = f.sub(g)

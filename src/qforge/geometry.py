@@ -264,7 +264,7 @@ def hahn_banach_extend(y: Subspace, phi_values, cap=None):
     return lp_min_l1(a, b)
 
 
-def dual_norm(y: Subspace, phi_values, vertex_cap=6) -> Fraction:
+def dual_norm(y: Subspace, phi_values) -> Fraction:
     """Independent dual-norm computation by vertex enumeration of the
     unit ball of y in coefficient space; used as a cross-check oracle."""
     from .polytope import vertex_enumerate
@@ -272,8 +272,7 @@ def dual_norm(y: Subspace, phi_values, vertex_cap=6) -> Fraction:
     phi_values = [frac(p) for p in phi_values]
     if y.dim == 0 or all(p == 0 for p in phi_values):
         return ZERO
-    verts = vertex_enumerate(coordinate_rows(y.basis, y.lo, y.hi), dim=y.dim,
-                             cap=vertex_cap)
+    verts = vertex_enumerate(coordinate_rows(y.basis, y.lo, y.hi), dim=y.dim)
     return max(abs(sum(c * p for c, p in zip(v, phi_values))) for v in verts)
 
 
@@ -532,7 +531,7 @@ def extend_isomorphism(t: LinMap,
         _partial_matrix(r.images, extz1.matmul(pz1), y1.lo, y1.hi))
 
     # w^-1 = t^-1 . P_{y2} + r^-1 . P_{z2}, built symbolically
-    ext_ty = Subspace(y1.lo, y1.hi, tuple(t.images)).coefficient_extractor()
+    ext_ty = y2.coefficient_extractor()
     ext_rz = Subspace(y1.lo, y1.hi, tuple(r.images)).coefficient_extractor()
     pz2 = eye.sub(p2)
     w_inv = _partial_matrix(y1.basis, ext_ty.matmul(p2), y1.lo, y1.hi).add(

@@ -315,8 +315,7 @@ class RMatrix:
         return RMatrix(self.row_lo, self.row_hi, other.col_lo, other.col_hi, rows)
 
     def add(self, other: "RMatrix") -> "RMatrix":
-        if (self.row_lo, self.row_hi, self.col_lo, self.col_hi) != \
-           (other.row_lo, other.row_hi, other.col_lo, other.col_hi):
+        if self.window != other.window:
             raise ParameterError("windows do not match")
         rows = {}
         for i in set(self.rows) | set(other.rows):
@@ -338,10 +337,12 @@ class RMatrix:
     def sub(self, other: "RMatrix") -> "RMatrix":
         return self.add(other.scale(-1))
 
+    @property
+    def window(self) -> tuple:
+        return self.row_lo, self.row_hi, self.col_lo, self.col_hi
+
     def equals(self, other: "RMatrix") -> bool:
-        return (self.row_lo, self.row_hi, self.col_lo, self.col_hi) == \
-               (other.row_lo, other.row_hi, other.col_lo, other.col_hi) and \
-               self.rows == other.rows
+        return self.window == other.window and self.rows == other.rows
 
 
 def op_norm_inf(m: RMatrix) -> Fraction:
@@ -378,7 +379,7 @@ def block_compose(blocks: Sequence[RMatrix], layout: BlockLayout) -> RMatrix:
         raise ParameterError("block count does not match layout")
     rows = {}
     for b, (lo, hi) in zip(blocks, intervals):
-        if (b.row_lo, b.row_hi, b.col_lo, b.col_hi) != (lo, hi, lo, hi):
+        if b.window != (lo, hi, lo, hi):
             raise ParameterError("block window does not match layout interval [%d, %d)" % (lo, hi))
         for i, row in b.rows.items():
             rows[i] = dict(row)

@@ -152,8 +152,6 @@ class QuotientClass:
 @dataclass(frozen=True)
 class LiftWindow:
     n: int
-    epsilon: Fraction
-    direction: str  # "tail-lift" | "prefix-restriction"
     verified_value: Fraction  # the exact polyhedral max certifying n
 
 
@@ -200,7 +198,7 @@ def lifting_index(fs, epsilon=ZERO) -> LiftWindow:
         if val <= budget:
             best = (n, val)
             break
-    return LiftWindow(best[0], epsilon, "tail-lift", best[1])
+    return LiftWindow(*best)
 
 
 def restriction_index(fs, epsilon=ZERO) -> LiftWindow:
@@ -221,7 +219,7 @@ def restriction_index(fs, epsilon=ZERO) -> LiftWindow:
             continue
         val, _, _ = polyhedral_max(full, constraints)
         if val <= budget:
-            return LiftWindow(n, epsilon, "prefix-restriction", val)
+            return LiftWindow(n, val)
     raise NotInvertibleError("no restriction window found; basis is dependent")
 
 

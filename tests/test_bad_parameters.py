@@ -1,5 +1,5 @@
-"""A non-rational CLI parameter or a malformed config file exits 2 with
-one line on stderr and nothing on stdout."""
+"""A non-rational or out-of-range CLI parameter or a malformed config
+file exits 2 with one line on stderr and nothing on stdout."""
 
 import pytest
 
@@ -50,3 +50,20 @@ def test_bad_config_environment(capsys, tmp_path, monkeypatch, text):
     monkeypatch.setenv(ENV_CONFIG, str(path))
     assert_one_line_exit_2(capsys, ["build-adf", "--kind", "branch",
                                     "--count", "2"])
+
+
+@pytest.mark.parametrize("cap", ["w*x", "w*", "x", "w*1+y"])
+def test_bad_ordinal_cap(capsys, cap):
+    assert_one_line_exit_2(capsys, ["build-coherent", "--cells", "2",
+                                    "--cap", cap])
+
+
+@pytest.mark.parametrize("inside, outside", [("0", "9"), ("0", "-1"),
+                                             ("3", "1")])
+def test_set_index_outside_the_family(capsys, tmp_path, inside, outside):
+    path = tmp_path / "f.json"
+    assert main(["build-adf", "--kind", "branch", "--count", "3",
+                 "--depth", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert_one_line_exit_2(capsys, ["check-separation", "--family", str(path),
+                                    "--inside", inside, "--outside", outside])

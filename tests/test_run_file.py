@@ -1,0 +1,132 @@
+"""The run file: what it stores, and what verify-run makes of a file that
+was tampered with.
+
+A run file stores the forged matrix once.  Each chain condition carries
+its stage, its committed indices and the inverse of the block it added;
+verify-run rebuilds the conditions from these and derives every entry
+stage from the chain.
+"""
+
+import copy
+import json
+
+import pytest
+
+from qforge.adf.families import FamilyGenerator, make_family
+from qforge.cli import main
+from qforge.config import RunConfig
+from qforge.forcing import paired_from_certsets, run_generic, verify_run
+from qforge.jsonio import rmatrix_to_json, write_json
+from qforge.linalg import RMatrix
+
+
+@pytest.fixture(scope="module")
+def run_obj():
+    f = make_family(FamilyGenerator("branch", count=2, depth=3))
+    g = make_family(FamilyGenerator("progression", count=2))
+    families = paired_from_certsets(f.sets, g.sets)
+    config = RunConfig(horizon=16)
+    run = run_generic(families, config=config)
+    assert verify_run(run, families, config)["failures"] == []
+    obj = run.to_json_obj()
+    obj["families"] = families.to_json_obj()
+    return obj
+
+
+def verify(capsys, tmp_path, obj):
+    path = tmp_path / "run.json"
+    write_json(path, obj)
+    code = main(["verify-run", str(path)])
+    captured = capsys.readouterr()
+    return code, captured
+
+
+def failures_of(capsys, tmp_path, obj):
+    code, captured = verify(capsys, tmp_path, obj)
+    assert code == 1
+    return json.loads(captured.out)["failures"]
+
+
+def test_chain_holds_stages_commitments_and_block_inverses(run_obj):
+    lo = 0
+    for c in run_obj["chain"]:
+        assert set(c) == {"n", "a", "inv"}
+        inv = c["inv"]
+        assert (inv["row_lo"], inv["row_hi"], inv["col_lo"], inv["col_hi"]) \
+            == (lo, c["n"], lo, c["n"])
+        lo = c["n"]
+    assert run_obj["chain"][0]["inv"]["entries"] == []
+    assert run_obj["layout"] == [c["n"] for c in run_obj["chain"]]
+    assert run_obj["matrix"]["row_hi"] == lo
+
+
+def test_identity_forgery_with_nothing_committed(capsys, tmp_path, run_obj):
+    # the identity matrix, no commitments, and entry stages past the final
+    # stage, so that no coordinate is left to check
+    obj = copy.deepcopy(run_obj)
+    n = obj["chain"][-1]["n"]
+    obj["matrix"] = rmatrix_to_json(RMatrix.identity(0, n))
+    lo = 0
+    for c in obj["chain"]:
+        c["inv"] = rmatrix_to_json(RMatrix.identity(lo, c["n"]))
+        c["a"] = []
+        lo = c["n"]
+    obj["entry_stage"] = {k: n + 2 for k in obj["entry_stage"]}
+    failures = failures_of(capsys, tmp_path, obj)
+    for xi in obj["families"]["indices"]:
+        assert "index %s never committed" % xi in failures
+
+
+@pytest.mark.parametrize("shift", [-4, 8])
+def test_shifted_entry_stage(capsys, tmp_path, run_obj, shift):
+    obj = copy.deepcopy(run_obj)
+    stored = obj["entry_stage"]["1"]
+    obj["entry_stage"]["1"] = stored + shift
+    failures = failures_of(capsys, tmp_path, obj)
+    assert "index 1: entry_stage says %d, the chain %d" % (
+        stored + shift, stored) in failures
+
+
+def test_commitment_moved_later_in_the_chain(capsys, tmp_path, run_obj):
+    # the chain now commits index 1 one condition later than entry_stage says
+    obj = copy.deepcopy(run_obj)
+    first = next(k for k, c in enumerate(obj["chain"]) if 1 in c["a"])
+    obj["chain"][first]["a"].remove(1)
+    failures = failures_of(capsys, tmp_path, obj)
+    assert any(f.startswith("index 1: entry_stage") for f in failures)
+
+
+def test_matrix_entry_outside_the_blocks(capsys, tmp_path, run_obj):
+    obj = copy.deepcopy(run_obj)
+    obj["matrix"]["entries"].append([0, obj["chain"][-1]["n"] - 1, "1"])
+    obj["matrix"]["entries"].sort()
+    failures = failures_of(capsys, tmp_path, obj)
+    assert any("outside the block form" in f for f in failures)
+
+
+def malformed(capsys, tmp_path, obj):
+    code, captured = verify(capsys, tmp_path, obj)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed run file")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_matrix_window_must_be_the_final_stage(capsys, tmp_path, run_obj):
+    obj = copy.deepcopy(run_obj)
+    obj["matrix"]["row_hi"] += 1
+    assert "matrix window" in malformed(capsys, tmp_path, obj)
+
+
+def test_block_inverse_on_the_wrong_window(capsys, tmp_path, run_obj):
+    obj = copy.deepcopy(run_obj)
+    obj["chain"][1]["inv"] = rmatrix_to_json(
+        RMatrix.identity(0, obj["chain"][2]["n"]))
+    malformed(capsys, tmp_path, obj)
+
+
+def test_chain_must_start_at_stage_0(capsys, tmp_path, run_obj):
+    obj = copy.deepcopy(run_obj)
+    obj["chain"] = obj["chain"][1:]
+    malformed(capsys, tmp_path, obj)
