@@ -1,11 +1,40 @@
 """Certified subsets of the naturals.
 
 A CertSet is stored in a normal form (threshold, modulus, residues,
-explicit below-threshold part) equivalent to "finite union of arithmetic
-progressions plus finite patches".  The form is closed under union,
-intersection, difference and complement, and makes membership,
-infinitude, =*, and subset-modulo-finite decidable with explicit finite
-exception sets as certificates.
+below): n >= threshold belongs iff n % modulus is in residues, and
+n < threshold belongs iff n is in below.  This is equivalent to "finite
+union of arithmetic progressions plus finite patches".  The form is
+closed under union, intersection, difference and complement, and makes
+membership, infinitude, =*, and subset-modulo-finite decidable with
+explicit finite exception sets as certificates.
+
+The normal form is unique: the modulus is the least period of the rule,
+and the threshold is then the least one from which the rule holds.  Two
+descriptions of one set store the same four fields and the same JSON,
+whichever algorithm reduced them, so a change of the kernels below
+cannot move output bytes.
+
+Costs.  A side's lifted residues are its residues written modulo the
+lcm of both moduli: len(residues) * lcm // modulus of them.  Its
+explicit elements are its below part and its rule members between its
+threshold and the larger one.  Each candidate costs one membership test
+per side.
+
+- Normal form: trial division of the modulus (up to its second-largest
+  prime factor or the square root of its largest, whichever is larger),
+  one pass over the residues per prime divided out, and len(below) + 1
+  steps for the threshold.
+- union and eq_star: the lifted residues and explicit elements of both
+  sides.
+- diff and subset_star: those of self.
+- intersect and almost_disjoint: the lifted residues of the side with
+  fewer of them, and the below part of the side with the larger
+  threshold.
+
+The lift still grows with lcm // modulus, so a union of many sets with
+unrelated moduli costs the lcm.  A form of disjoint residue classes plus
+a finite patch, intersected by the Chinese remainder theorem, would
+remove that; it is not built yet (ROADMAP item 3, step 2).
 """
 
 from __future__ import annotations
@@ -16,21 +45,59 @@ from math import lcm
 from ..errors import NotAlmostDisjointError, ParameterError
 
 
+def _prime_factors(n):
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            yield p
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        yield n
+
+
+def _last_gap(t, m, residues, below):
+    """The largest x < t with x % m in residues and x not in below, or -1.
+
+    Walks the rule members below t downwards; every step but the last
+    passes a member of below, so it takes at most len(below) + 1 steps."""
+    if not residues:
+        return -1
+    offsets = sorted((t - 1 - r) % m for r in residues)
+    for top in range(t - 1, -1, -m):
+        for d in offsets:
+            x = top - d
+            if x < 0:
+                return -1
+            if x not in below:
+                return x
+    return -1
+
+
 def _minimize(threshold, modulus, residues, below):
-    # smallest modulus: a divisor m of modulus with m-periodic residues
-    for m in sorted(d for d in range(1, modulus + 1) if modulus % d == 0):
-        res_m = {r % m for r in residues}
-        if all((r % m in res_m) == (r in residues) for r in range(modulus)):
-            modulus, residues = m, frozenset(res_m)
-            break
-    # smallest threshold: pull it down while the rule already agrees
-    t = threshold
-    while t > 0 and ((t - 1) in below) == ((t - 1) % modulus in residues):
-        t -= 1
-    below = frozenset(x for x in below if x < t)
     if any(x < 0 for x in below):
         raise ParameterError("negative elements are not allowed")
-    return t, modulus, residues, below
+    # least period: the periods that divide the modulus are closed under
+    # gcd, so dividing out one prime at a time while the residues stay
+    # invariant under the shorter shift reaches the least one; the empty
+    # rule has period 1
+    if not residues:
+        modulus = 1
+    for p in _prime_factors(modulus):
+        while modulus % p == 0:
+            step = modulus // p
+            if not all((r + step) % modulus in residues for r in residues):
+                break
+            modulus = step
+            residues = frozenset(r % step for r in residues)
+    # least threshold: one above the last point below it where the
+    # explicit part and the rule disagree
+    below = frozenset(x for x in below if x < threshold)
+    t = 1 + max(_last_gap(threshold, modulus, residues, below),
+                max((x for x in below if x % modulus not in residues),
+                    default=-1))
+    return t, modulus, residues, frozenset(x for x in below if x < t)
 
 
 @dataclass(frozen=True)
@@ -130,13 +197,35 @@ class CertSet:
         return len(self.elements_below(n + 1)) - 1
 
     # -- Boolean algebra -----------------------------------------------
+    def _lift(self, m):
+        """The residues of the rule modulo a multiple m of the modulus."""
+        return (r + k for r in self.residues
+                for k in range(0, m, self.modulus))
+
+    def _members_below(self, t):
+        """The members below t >= threshold: the explicit part, then the
+        rule members in [threshold, t)."""
+        yield from self.below
+        for r in self.residues:
+            yield from range(self.threshold + (r - self.threshold) % self.modulus,
+                             t, self.modulus)
+
     def _combine(self, other: "CertSet", op) -> "CertSet":
+        # op(False, False) is False, so every member of the result is a
+        # member of a side that op keeps on its own; when op keeps neither
+        # alone it needs both, and the cheaper side bounds the result
         m = lcm(self.modulus, other.modulus)
         t = max(self.threshold, other.threshold)
-        residues = frozenset(r for r in range(m)
+        keep = [s for s, kept in ((self, op(True, False)),
+                                  (other, op(False, True))) if kept]
+        rule_sides = keep or [min(self, other, key=lambda s:
+                                  len(s.residues) * (m // s.modulus))]
+        below_sides = keep or [max(self, other, key=lambda s: s.threshold)]
+        residues = frozenset(r for s in rule_sides for r in s._lift(m)
                              if op(r % self.modulus in self.residues,
                                    r % other.modulus in other.residues))
-        below = frozenset(x for x in range(t) if op(x in self, x in other))
+        below = frozenset(x for s in below_sides for x in s._members_below(t)
+                          if op(x in self, x in other))
         return CertSet(t, m, residues, below)
 
     def union(self, other: "CertSet") -> "CertSet":

@@ -8,7 +8,9 @@ from ..errors import NotAlmostDisjointError, ParameterError
 from .certset import CertSet
 from .ordinals import OrdinalIdx
 
-MAX_COUNT = 512
+# the largest count of each kind: build-adf at each takes at most 2 s on
+# a 2-vCPU machine (tests/test_cli.py holds it to a budget)
+MAX_COUNT = {"progression": 256, "branch": 256, "luzin": 160}
 LUZIN_CHECK_HORIZON = 64   # stages up to which the Luzin bound is checked
 MAX_VALUATION = 16         # largest dyadic valuation of an ordinal family
 
@@ -23,8 +25,10 @@ class FamilyGenerator:
     def __post_init__(self):
         if self.kind not in ("progression", "branch", "luzin", "explicit"):
             raise ParameterError("unknown family kind %r" % self.kind)
-        if self.kind != "explicit" and not (0 < self.count <= MAX_COUNT):
-            raise ParameterError("count must be in [1, %d]" % MAX_COUNT)
+        if self.kind != "explicit" and not (
+                0 < self.count <= MAX_COUNT[self.kind]):
+            raise ParameterError("%s count must be in [1, %d]"
+                                 % (self.kind, MAX_COUNT[self.kind]))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import replace
 from .adf.certset import CertSet
 from .adf.coherent import CoherentFamily, chain_set
 from .adf.families import (
+    MAX_VALUATION,
     FamilyGenerator,
     OrdinalProgressionFamily,
     make_family,
@@ -123,6 +124,11 @@ def _parse_ordinal(text):
 
 
 def cmd_build_coherent(args, config):
+    # offset r samples the stages w*q+r, and no member has a valuation
+    # above MAX_VALUATION
+    if not 0 <= args.sample_offsets <= MAX_VALUATION + 1:
+        raise ParameterError("--sample-offsets must be in [0, %d]"
+                             % (MAX_VALUATION + 1))
     fam = OrdinalProgressionFamily(cells=args.cells, blocks=args.blocks)
     cap = (_parse_ordinal(args.cap) if args.cap
            else OrdinalIdx(0, min(config.ordinal_cap, args.blocks), 0))

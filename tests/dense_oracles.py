@@ -5,9 +5,24 @@ library's kernels learned to skip zero entries: every row update runs
 over every column and every pivot row is divided, even by 1.  The tests
 require the library's kernels to return the same values, the same pivot
 columns and the same simplex pivot sequence.
+
+The certified-set kernels are kept the same way, as they were before
+their cost followed the size of a set's description: the normal form
+tries every divisor of the modulus and pulls the threshold down one step
+at a time, and a Boolean operation scans every residue modulo the lcm
+and every point below the larger threshold.  The tests require
+`CertSet` to give the same (threshold, modulus, residues, below).
 """
 
-from qforge.errors import InfeasibleError, ParameterError, SingularMatrixError, UnboundedError
+from math import lcm
+
+from qforge.errors import (
+    InfeasibleError,
+    NotAlmostDisjointError,
+    ParameterError,
+    SingularMatrixError,
+    UnboundedError,
+)
 from qforge.linalg import ONE, ZERO, RMatrix
 
 
@@ -175,3 +190,65 @@ def simplex_min(cost, a_rows, b):
     for r, bvar in enumerate(basis):
         x[bvar] = tab[r][-1]
     return x, val
+
+
+def certset_minimize(threshold, modulus, residues, below):
+    # smallest modulus: a divisor m of modulus with m-periodic residues
+    for m in sorted(d for d in range(1, modulus + 1) if modulus % d == 0):
+        res_m = {r % m for r in residues}
+        if all((r % m in res_m) == (r in residues) for r in range(modulus)):
+            modulus, residues = m, frozenset(res_m)
+            break
+    # smallest threshold: pull it down while the rule already agrees
+    t = threshold
+    while t > 0 and ((t - 1) in below) == ((t - 1) % modulus in residues):
+        t -= 1
+    below = frozenset(x for x in below if x < t)
+    if any(x < 0 for x in below):
+        raise ParameterError("negative elements are not allowed")
+    return t, modulus, residues, below
+
+
+def certset_normal_form(threshold, modulus, residues, below):
+    """The (threshold, modulus, residues, below) that CertSet stores."""
+    if modulus < 1 or threshold < 0:
+        raise ParameterError("bad normal form parameters")
+    return certset_minimize(threshold, modulus,
+                            frozenset(x % modulus for x in residues),
+                            frozenset(below))
+
+
+def certset_combine(a, b, op):
+    """The normal form of {n : op(n in a, n in b)} for CertSets a and b."""
+    m = lcm(a.modulus, b.modulus)
+    t = max(a.threshold, b.threshold)
+    residues = frozenset(r for r in range(m)
+                         if op(r % a.modulus in a.residues,
+                               r % b.modulus in b.residues))
+    below = frozenset(x for x in range(t) if op(x in a, x in b))
+    return certset_normal_form(t, m, residues, below)
+
+
+def certset_finite_part(form):
+    """(True, sorted elements) for a finite normal form, else (False, None)."""
+    _, _, residues, below = form
+    return (False, None) if residues else (True, sorted(below))
+
+
+def certset_eq_star(a, b):
+    return certset_finite_part(certset_combine(a, b, lambda x, y: x != y))
+
+
+def certset_subset_star(a, b):
+    return certset_finite_part(certset_combine(a, b, lambda x, y: x and not y))
+
+
+def certset_almost_disjoint(a, b):
+    t, m, residues, below = certset_combine(a, b, lambda x, y: x and y)
+    if residues:
+        r = min(residues)
+        a0 = t + ((r - t) % m)
+        raise NotAlmostDisjointError(
+            "intersection contains the progression {%d + %d k}" % (a0, m),
+            witness=(a0, m))
+    return sorted(below)

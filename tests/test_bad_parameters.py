@@ -1,8 +1,12 @@
 """A non-rational or out-of-range CLI parameter or a malformed config
 file exits 2 with one line on stderr and nothing on stdout."""
 
+import json
+import time
+
 import pytest
 
+from qforge.adf.families import MAX_VALUATION
 from qforge.cli import main
 from qforge.config import ENV_CONFIG
 from qforge.errors import ParameterError
@@ -67,3 +71,20 @@ def test_set_index_outside_the_family(capsys, tmp_path, inside, outside):
     capsys.readouterr()
     assert_one_line_exit_2(capsys, ["check-separation", "--family", str(path),
                                     "--inside", inside, "--outside", outside])
+
+
+@pytest.mark.parametrize("offsets", ["100000", "18", "-1"])
+def test_sample_offsets_outside_the_cap(capsys, offsets):
+    # an offset r samples the stages w*q+r, and no member has a valuation
+    # above MAX_VALUATION, so the check comes before any stage is built
+    t0 = time.monotonic()
+    assert_one_line_exit_2(capsys, ["build-coherent", "--cells", "2",
+                                    "--sample-offsets", offsets])
+    assert time.monotonic() - t0 < 1
+
+
+def test_largest_sample_offsets_is_accepted(capsys):
+    top = str(MAX_VALUATION + 1)
+    assert main(["build-coherent", "--cells", "1", "--blocks", "1",
+                 "--cap", str(MAX_VALUATION), "--sample-offsets", top]) == 0
+    assert len(json.loads(capsys.readouterr().out)["stages"]) == int(top)

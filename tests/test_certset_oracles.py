@@ -1,0 +1,91 @@
+"""The certified-set kernels against their dense originals.
+
+`dense_oracles` keeps the normal form and the Boolean operations of
+`CertSet` as they were when they scanned every divisor of the modulus,
+every residue modulo the lcm and every point below the threshold.  The
+normal form is unique, so the library must give exactly the same
+(threshold, modulus, residues, below), the same certificates and the
+same witnesses, also from constructor input that is not canonical.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dense_oracles
+from qforge.adf.certset import CertSet
+from qforge.errors import NotAlmostDisjointError, ParameterError
+
+# moduli with one prime and with several, as the families and the
+# coherent system build them and beyond
+moduli = st.one_of(st.integers(1, 16),
+                   st.sampled_from([12, 30, 32, 45, 49, 60, 64]))
+
+
+def raw_forms(below=st.integers(0, 90)):
+    """Constructor arguments: residues may be negative or above the
+    modulus, and below elements may lie at or above the threshold."""
+    return st.tuples(st.integers(0, 80), moduli,
+                     st.lists(st.integers(-5, 130), max_size=6),
+                     st.lists(below, max_size=8))
+
+
+cert_sets = raw_forms().map(lambda raw: CertSet(*raw))
+
+
+def form(s):
+    return s.threshold, s.modulus, s.residues, s.below
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ParameterError, NotAlmostDisjointError) as e:
+        return type(e), str(e), getattr(e, "witness", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_forms(below=st.integers(-3, 90)))
+def test_constructor_gives_the_oracle_normal_form(raw):
+    assert outcome(lambda *r: form(CertSet(*r)), *raw) == outcome(
+        dense_oracles.certset_normal_form, *raw)
+
+
+@pytest.mark.parametrize("raw", [
+    (0, 1, [], [-1]),
+    (10, 12, [1, 5], [3, -2]),
+    (0, 60, [0, 12], [-7, 100]),
+])
+def test_negative_below_raises_on_both_sides(raw):
+    with pytest.raises(ParameterError):
+        dense_oracles.certset_normal_form(*raw)
+    with pytest.raises(ParameterError):
+        CertSet(*raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cert_sets, cert_sets)
+def test_boolean_operations_give_the_oracle_normal_form(a, b):
+    combine = dense_oracles.certset_combine
+    assert form(a.union(b)) == combine(a, b, lambda x, y: x or y)
+    assert form(a.intersect(b)) == combine(a, b, lambda x, y: x and y)
+    assert form(a.diff(b)) == combine(a, b, lambda x, y: x and not y)
+    assert form(b.diff(a)) == combine(b, a, lambda x, y: x and not y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cert_sets, cert_sets)
+def test_certificates_and_witnesses_match_the_oracle(a, b):
+    assert a.eq_star(b) == dense_oracles.certset_eq_star(a, b)
+    assert a.subset_star(b) == dense_oracles.certset_subset_star(a, b)
+    assert b.subset_star(a) == dense_oracles.certset_subset_star(b, a)
+    assert outcome(a.almost_disjoint, b) == outcome(
+        dense_oracles.certset_almost_disjoint, a, b)
+
+
+def test_least_period_over_several_primes():
+    # multiples of 12 written modulo 60, and a class that needs all of 60
+    assert form(CertSet(0, 60, [0, 12, 24, 36, 48], [])) == (
+        0, 12, frozenset({0}), frozenset())
+    assert CertSet(0, 60, [1, 31], []).modulus == 30
+    assert CertSet(0, 60, [1, 13], []).modulus == 60

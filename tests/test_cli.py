@@ -1,11 +1,17 @@
 """Command-line surface: every subcommand, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
+from qforge.adf.families import MAX_COUNT
 from qforge.cli import main
 from qforge.jsonio import write_json
+
+# each kind's MAX_COUNT is set so that build-adf at that count takes at
+# most 2 s on a 2-vCPU machine
+BUILD_ADF_BUDGET_S = 20
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +46,27 @@ class TestBuildAdf:
         code, _ = run_cli(capsys, "build-adf", "--kind", "branch",
                           "--count", "100", "--depth", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("kind", sorted(MAX_COUNT))
+    def test_largest_count_within_budget(self, capsys, kind):
+        def build(count):
+            # a branch family of count sets needs 2^depth >= count
+            return main(["build-adf", "--kind", kind, "--count", str(count),
+                         "--depth", str((count - 1).bit_length())])
+
+        top = MAX_COUNT[kind]
+        t0 = time.monotonic()
+        code = build(top)
+        elapsed = time.monotonic() - t0
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["sets"]) == top
+        assert elapsed < BUILD_ADF_BUDGET_S, (
+            "budget exceeded: %.2fs > %ds" % (elapsed, BUILD_ADF_BUDGET_S))
+        assert build(top + 1) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s count must be in [1, %d]\n" % (
+            kind, top)
 
     def test_deterministic(self, capsys):
         a = run_cli(capsys, "build-adf", "--kind", "branch", "--count", "4")

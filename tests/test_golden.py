@@ -3,7 +3,8 @@
 Criterion 9 checks that two runs of one version give the same bytes.
 This test checks that every version gives the bytes recorded here, so a
 change that claims to keep the output can be held to it.  The extension
-pipeline's matrices and its norm report are pinned the same way.
+pipeline's matrices and its norm report are pinned the same way, and so
+are the outputs of the six certify commands at the benchmark's sizes.
 """
 
 import hashlib
@@ -11,7 +12,7 @@ import json
 import random
 from fractions import Fraction
 
-from qforge.cli import _plain
+from qforge.cli import _plain, main
 from qforge.config import RunConfig
 from qforge.forcing import GenericRun, run_generic
 from qforge.geometry import extend_isomorphism
@@ -35,6 +36,25 @@ FORGE_MATRIX_SHA256 = (
     "3ee06240b68fa735ee2e435a6d94edc935ea8e600d9b3e8a84734386443bf1f3")
 FORGE_DETAILS_SHA256 = (
     "1203622d8a59bfbde1f782f7cc8c8b1adba8cda84d86bc88a4c801dba9546450")
+
+# build-adf, check-separation, mad-census and build-coherent at the sizes
+# of the certify benchmark workload, whose default seed 20260828 draws the
+# 4 + 4 branch sets that check-separation splits
+CERTIFY_SEED = 20260828
+CERTIFY_SHA256 = {
+    "build-adf progression":
+        "71c34f049ec93d2f7acb5a2db14e7e9066cf897831f081585797b706db1eefc3",
+    "build-adf branch":
+        "2593d22bd8b36ce13a73d017c3d9bbd8b57eda282f2bd1f5841fdbfc4944e11f",
+    "build-adf luzin":
+        "7cb218c97d3e01b6751e7012d6e650c5dad4839c019b15fc9ee533d841cbefac",
+    "check-separation":
+        "55da3a5c7230b980867f9ad73511b140eb20fbda44aa2909d69af2e3aeea29e0",
+    "mad-census":
+        "73be39304d51b870e7a3940a540f66f2326b1647573036360aabce0872363305",
+    "build-coherent":
+        "eef66fe7c5e3d4bafe064b70d6f78b4ad1948afe15808f0824e14241947dc36b",
+}
 
 
 def sha256(text):
@@ -75,3 +95,27 @@ def test_extension_reports_are_pinned():
                                          config=cfg).report)
                for _ in range(50)]
     assert sha256(canonical_dumps(reports)) == EXTENSION_REPORT_SHA256
+
+
+def test_certify_outputs_are_pinned(capsys, tmp_path):
+    picked = random.Random(CERTIFY_SEED).sample(range(128), 8)
+    inside = [str(i) for i in sorted(picked[:4])]
+    outside = [str(i) for i in sorted(picked[4:])]
+    branch = str(tmp_path / "branch.json")
+    commands = {
+        "build-adf progression": ["build-adf", "--kind", "progression",
+                                  "--count", "17"],
+        "build-adf branch": ["build-adf", "--kind", "branch", "--count", "128",
+                             "--depth", "7", "--out", branch],
+        "build-adf luzin": ["build-adf", "--kind", "luzin", "--count", "128"],
+        "check-separation": ["check-separation", "--family", branch,
+                             "--inside", *inside, "--outside", *outside],
+        "mad-census": ["mad-census", "--family", branch],
+        "build-coherent": ["build-coherent", "--cells", "64", "--blocks", "4",
+                           "--cap", "w*4"],
+    }
+    digests = {}
+    for name, argv in commands.items():
+        assert main(argv) == 0, name
+        digests[name] = sha256(capsys.readouterr().out)
+    assert digests == CERTIFY_SHA256
