@@ -11,6 +11,9 @@ from .ordinals import OrdinalIdx
 # the largest count of each kind: build-adf at each takes at most 2 s on
 # a 2-vCPU machine (tests/test_cli.py holds it to a budget)
 MAX_COUNT = {"progression": 256, "branch": 256, "luzin": 160}
+# a branch set stores depth prefix codes below 2^(depth + 1), so the output
+# grows with count * depth^2: 256 branch sets of depth 16 take about 1 s
+MAX_DEPTH = 16
 LUZIN_CHECK_HORIZON = 64   # stages up to which the Luzin bound is checked
 MAX_VALUATION = 16         # largest dyadic valuation of an ordinal family
 
@@ -29,6 +32,8 @@ class FamilyGenerator:
                 0 < self.count <= MAX_COUNT[self.kind]):
             raise ParameterError("%s count must be in [1, %d]"
                                  % (self.kind, MAX_COUNT[self.kind]))
+        if not 0 <= self.depth <= MAX_DEPTH:
+            raise ParameterError("depth must be in [0, %d]" % MAX_DEPTH)
 
 
 @dataclass(frozen=True)

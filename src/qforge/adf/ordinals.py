@@ -53,12 +53,6 @@ class OrdinalIdx:
             raise ParameterError("limit ordinals have no predecessor")
         return OrdinalIdx(self.c2, self.c1, self.c0 - 1)
 
-    def times_omega(self) -> "OrdinalIdx":
-        """omega * self, defined for self < omega^2 (result stays < omega^3)."""
-        if self.c2 > 0:
-            raise ParameterError("omega * alpha exceeds the omega^3 cap")
-        return OrdinalIdx(self.c1, self.c0, 0)
-
     def fiber_and_offset(self):
         """Write self = omega * xi + j; returns (xi, j).
 
@@ -82,15 +76,6 @@ class OrdinalIdx:
         if self.c1 > 0:
             return OrdinalIdx(self.c2, self.c1 - 1, n)
         return OrdinalIdx(self.c2 - 1, n, 0)
-
-    def fibers_below(self):
-        """Iterate the fibers xi with omega * xi < self (requires self to be
-        a countable-stage window: self = omega * alpha); finite only when
-        alpha is finite."""
-        xi = OrdinalIdx.nat(0)
-        while OrdinalIdx.from_fiber(xi, 0) < self:
-            yield xi
-            xi = xi.successor()
 
     def __str__(self):
         parts = []

@@ -132,88 +132,119 @@ def _inverse_of(p: Condition) -> RMatrix:
                           for lo, hi in layout.blocks()], layout)
 
 
-def _interpolation_failure(m: RMatrix, f, g, lo: int, hi: int):
-    """The first (i, value) with lo <= i < hi where row i of m over the
-    columns >= lo, applied to f, is not g(i); None when there is none."""
-    for i in range(lo, hi):
-        got = sum((v * f.value(j) for j, v in m.rows.get(i, {}).items()
-                   if j >= lo), Fraction(0))
-        if got != g.value(i):
-            return i, got
-    return None
+# -- the block checker: the l_inf operator norm is the largest row l1 sum,
+# so each fact of a block-diagonal matrix is checked on its own block
+
+def _form_failures(m: RMatrix, lo: int, hi: int) -> list:
+    """Entries of rows [lo, hi) outside the columns [lo, hi)."""
+    return ["(ii) entry (%d, %d) outside the block form" % (i, j)
+            for i in range(lo, hi) for j in sorted(m.rows.get(i, ()))
+            if not lo <= j < hi]
+
+
+def _algebra_failures(m: RMatrix, inv, lo: int, hi: int, c2):
+    """(b) on block [lo, hi): B * B^-1 = I, B^-1 inverted from B unless
+    carried, and both norms at most c2.  Returns the failures and the two
+    norms, the second None when B is singular."""
+    b = _block(m, lo, hi)
+    norm, out = op_norm_inf(b), []
+    try:
+        binv = invert(b) if inv is None else _block(inv, lo, hi)
+    except SingularMatrixError:
+        return ["(b) matrix is singular"], norm, None
+    if inv is not None and (_form_failures(inv, lo, hi) or not (
+            b.matmul(binv).equals(RMatrix.identity(lo, hi)))):
+        out.append("(b) carried inverse fails M * inv = I")
+    inv_norm = op_norm_inf(binv)
+    for name, value in (("matrix", norm), ("inverse", inv_norm)):
+        if value > c2:
+            out.append("(b) %s norm %s exceeds c2 = %s" % (name, value, c2))
+    return out, norm, inv_norm
+
+
+def _interpolation_failures(m: RMatrix, lo: int, hi: int, a,
+                            families: PairedFamilies) -> list:
+    """(iv): rows [lo, hi) of m over the columns [lo, hi) send the f-tail
+    of each committed index to its g-tail; the first failing row of each."""
+    out = []
+    for xi in a:
+        if xi not in families._by_index:
+            out.append("(iv) index %s outside the families" % (xi,))
+            continue
+        f, g = families.f(xi), families.g(xi)
+        fv = {j: v for j in range(lo, hi) if (v := f.value(j))}
+        for i in range(lo, hi):
+            got = sum((v * fv[j] for j, v in m.rows.get(i, {}).items()
+                       if j in fv), Fraction(0))
+            if got != g.value(i):
+                out.append("(iv) xi = %s fails at coordinate %d: %s != %s"
+                           % (xi, i, got, g.value(i)))
+                break
+    return out
+
+
+def _section_failures(a, n: int, families: PairedFamilies) -> list:
+    """(c): the section norms at stage n of the committed F- and G-spans
+    are at most 2; indices outside the families are left out."""
+    good = [xi for xi in a if xi in families._by_index]
+    if not good:
+        return []
+    out = []
+    for name, vecs in (("F", [families.f(xi) for xi in good]),
+                       ("G", [families.g(xi) for xi in good])):
+        try:
+            s = pi_section_norm(vecs, n)
+        except NotInjectiveError:
+            out.append("(c) %s-family span meets the vanishing ideal" % name)
+            continue
+        if s > 2:
+            out.append("(c) %s-section norm %s exceeds 2" % (name, s))
+    return out
+
+
+def _check_block(m: RMatrix, inv, lo: int, hi: int, a,
+                 families: PairedFamilies, c2):
+    """Every fact block [lo, hi) of m introduces, with a committed there:
+    its form, its algebra, the interpolation of a on its rows and clause
+    (c) at hi.  Returns the failures and the block's two norms."""
+    algebra, norm, inv_norm = _algebra_failures(m, inv, lo, hi, c2)
+    failures = (_form_failures(m, lo, hi) + algebra
+                + _interpolation_failures(m, lo, hi, a, families)
+                + _section_failures(a, hi, families))
+    return ["block [%d, %d): %s" % (lo, hi, f) for f in failures], norm, inv_norm
 
 
 def validate_condition(p: Condition, families: PairedFamilies,
                        config: RunConfig):
     """List of violations (empty means the condition is valid)."""
-    out = []
     if p.m.window != (0, p.n, 0, p.n):
-        out.append("(a) matrix window is not [0, %d)^2" % p.n)
-        return out
-    for xi in p.a:
-        if xi not in families._by_index:
-            out.append("(a) index %s outside the families" % (xi,))
-    if p.n > 0:
-        norm = op_norm_inf(p.m)
-        if norm > config.c2:
-            out.append("(b) matrix norm %s exceeds c2 = %s" % (norm, config.c2))
-        try:
-            inv = _inverse_of(p)
-            if p.inv is not None and not (
-                    p.m.matmul(inv).equals(RMatrix.identity(0, p.n))):
-                out.append("(b) carried inverse fails M * inv = I")
-            else:
-                inorm = op_norm_inf(inv)
-                if inorm > config.c2:
-                    out.append("(b) inverse norm %s exceeds c2 = %s"
-                               % (inorm, config.c2))
-        except SingularMatrixError:
-            out.append("(b) matrix is singular")
-    good_a = [xi for xi in p.a if xi in families._by_index]
-    if good_a:
-        for name, vecs in (("F", [families.f(xi) for xi in good_a]),
-                           ("G", [families.g(xi) for xi in good_a])):
-            try:
-                s = pi_section_norm(vecs, p.n)
-            except NotInjectiveError:
-                out.append("(c) %s-family span meets the vanishing ideal" % name)
-                continue
-            if s > 2:
-                out.append("(c) %s-section norm %s exceeds 2" % (name, s))
-    return out
+        return ["(a) matrix window is not [0, %d)^2" % p.n]
+    cuts = list(p.cuts)
+    if cuts[0] != 0 or cuts[-1] != p.n or cuts != sorted(set(cuts)):
+        return ["(a) block cuts %s do not rise from 0 to %d" % (cuts, p.n)]
+    # the form and algebra of each block, from which clause (b) for the
+    # whole matrix follows; then p.a, checked on the empty block [n, n)
+    out = []
+    for lo, hi in BlockLayout(p.cuts).blocks():
+        out += _check_block(p.m, p.inv, lo, hi, (), families, config.c2)[0]
+    return out + _check_block(p.m, p.inv, p.n, p.n, p.a, families,
+                              config.c2)[0]
 
 
 def cond_leq(p: Condition, q: Condition, families: PairedFamilies):
     """Is p an extension of q?  Returns (bool, list of failure witnesses)."""
-    out = []
     if p.n < q.n:
-        out.append("(i) stage %d below %d" % (p.n, q.n))
-        return False, out
+        return False, ["(i) stage %d below %d" % (p.n, q.n)]
+    out = []
     for i in range(q.n):
-        prow = p.m.rows.get(i, {})
-        qrow = q.m.rows.get(i, {})
-        for j in set(prow) | set(qrow):
-            pv, qv = prow.get(j, 0), qrow.get(j, 0)
-            if j < q.n and pv != qv:
-                out.append("(ii) entry (%d, %d) differs from the stem" % (i, j))
-            if j >= q.n and pv != 0:
-                out.append("(ii) entry (%d, %d) outside the block form" % (i, j))
-    for i in range(q.n, p.n):
-        for j, v in p.m.rows.get(i, {}).items():
-            if j < q.n and v != 0:
-                out.append("(ii) entry (%d, %d) outside the block form" % (i, j))
+        prow, qrow = p.m.rows.get(i, {}), q.m.rows.get(i, {})
+        out += ["(ii) entry (%d, %d) differs from the stem" % (i, j)
+                for j in sorted(set(prow) | set(qrow))
+                if j < q.n and prow.get(j, 0) != qrow.get(j, 0)]
+    out += _form_failures(p.m, 0, q.n) + _form_failures(p.m, q.n, p.n)
     if not set(q.a) <= set(p.a):
         out.append("(iii) committed indices were dropped")
-    for xi in q.a:
-        if xi not in families._by_index:
-            out.append("(iv) index %s outside the families" % (xi,))
-            continue
-        g = families.g(xi)
-        bad = _interpolation_failure(p.m, families.f(xi), g, q.n, p.n)
-        if bad is not None:
-            i, got = bad
-            out.append("(iv) xi = %s fails at coordinate %d: %s != %s"
-                       % (xi, i, got, g.value(i)))
+    out += _interpolation_failures(p.m, q.n, p.n, q.a, families)
     return not out, out
 
 
@@ -231,23 +262,23 @@ def amalgamate(p: Condition, q: Condition, big_n: int,
     stage at least big_n; every returned condition is fully verified."""
     if p.n != q.n or not p.m.equals(q.m):
         raise ParameterError("conditions do not share a stem")
-    for cond in (p, q):
-        viol = validate_condition(cond, families, config)
-        if viol:
-            raise ParameterError("invalid input condition: %s" % "; ".join(viol))
+    # the stem is validated once: unless q carries another inverse or
+    # layout, it differs from p only in what it commits at stage n
+    viol = validate_condition(p, families, config)
+    if q.inv is not p.inv or q.cuts != p.cuts:
+        viol += validate_condition(q, families, config)
+    elif q is not p:
+        viol += _check_block(q.m, q.inv, q.n, q.n, q.a, families, config.c2)[0]
+    if viol:
+        raise ParameterError("invalid input condition: %s" % "; ".join(viol))
     a_r = sorted(set(p.a) | set(q.a))
     n = p.n
-    if set(a_r) == set(p.a) and set(q.a) <= set(p.a) and n >= big_n:
+    if set(q.a) <= set(p.a) and n >= big_n:
         return p
 
-    if not a_r:
-        n_r = max(n, big_n) + 1
-        ident = RMatrix.identity(n, n_r)
-        r = _merge_blocks(p, ident, ident, n_r, a_r)
-        viol = validate_condition(r, families, config)
-        if viol:
-            raise SearchExhaustedError("identity extension invalid: %s" % viol)
-        return r
+    if not a_r:  # an identity block commits nothing and has norms 1 < c2
+        ident = RMatrix.identity(n, max(n, big_n) + 1)
+        return _merge_blocks(p, ident, ident, ident.row_hi, a_r)
 
     fs = [families.f(xi) for xi in a_r]
     gs = [families.g(xi) for xi in a_r]
@@ -280,12 +311,11 @@ def amalgamate(p: Condition, q: Condition, big_n: int,
         except _CANDIDATE_ERRORS as e:
             attempts.append((n_r, "%s: %s" % (type(e).__name__, e)))
             continue
+        # r extends p and q by construction: only its new block is checked
         r = _merge_blocks(p, ext.w, ext.w_inv, n_r, a_r)
-        viol = validate_condition(r, families, config)
-        ok_p, wit_p = cond_leq(r, p, families)
-        ok_q, wit_q = cond_leq(r, q, families)
-        if viol or not ok_p or not ok_q:
-            attempts.append((n_r, "verifier: %s" % (viol + wit_p + wit_q)))
+        viol = _check_block(r.m, r.inv, n, n_r, a_r, families, config.c2)[0]
+        if viol:
+            attempts.append((n_r, "verifier: %s" % viol))
             continue
         return r
     raise SearchExhaustedError(
@@ -418,47 +448,59 @@ def run_generic(families: PairedFamilies, horizon=None,
                       config, failure)
 
 
+def _hit_log_failures(run: GenericRun, families: PairedFamilies,
+                      config: RunConfig) -> list:
+    """The hits follow the schedule in order, all of it unless the run
+    aborted, and the condition each hit reached lies in its dense set."""
+    schedule = config.schedule or default_schedule(families, run.horizon)
+    out = []
+    for k, (kind, param, i) in enumerate(run.hit_log):
+        if schedule[k:k + 1] != ((kind, param),):
+            return out + ["hit %d: (%s, %s) where the schedule has %s"
+                          % (k, kind, param, list(schedule[k:k + 1]))]
+        c = (run.chain[i] if isinstance(i, int) and 0 <= i < len(run.chain)
+             else None)
+        if c is None or (param not in c.a if kind == "E" else c.n < param):
+            out.append("hit %d: chain condition %s misses (%s, %s)"
+                       % (k, i, kind, param))
+    if len(run.hit_log) < len(schedule) and not run.failure:
+        out.append("hit_log stops after %d of %d scheduled hits"
+                   % (len(run.hit_log), len(schedule)))
+    return out
+
+
 def verify_run(run: GenericRun, families: PairedFamilies,
                config: RunConfig | None = None) -> dict:
-    """Replay every claim of a run; the report lists all failures."""
+    """Replay every claim of a run, each on the block that introduced it;
+    the report lists all failures."""
     config = config or run.config
     failures = []
     details = {"blocks": [], "indices": {}}
     if run.failure:
         failures.append("run aborted: %s" % run.failure)
 
-    # (1) chain order, including one-step-skipping transitivity
-    for k in range(len(run.chain) - 1):
-        ok, wit = cond_leq(run.chain[k + 1], run.chain[k], families)
-        if not ok:
-            failures.append("chain step %d: %s" % (k, wit[:3]))
-    for k in range(len(run.chain) - 2):
-        ok, wit = cond_leq(run.chain[k + 2], run.chain[k], families)
-        if not ok:
-            failures.append("chain transitivity at %d: %s" % (k, wit[:3]))
-
-    # (2) per-block invertibility and norms
+    # (1) condition k adds the block [n_{k-1}, n_k) and commits a_k there
     final = run.final
-    for lo, hi in BlockLayout(final.cuts).blocks():
-        b = _block(final.m, lo, hi)
-        try:
-            binv = (_block(final.inv, lo, hi) if final.inv is not None
-                    else invert(b))
-            if not b.matmul(binv).equals(RMatrix.identity(lo, hi)):
-                failures.append("block [%d, %d): inverse product is not I"
-                                % (lo, hi))
-            nb, nbi = op_norm_inf(b), op_norm_inf(binv)
-        except SingularMatrixError:
-            failures.append("block [%d, %d): singular" % (lo, hi))
-            continue
-        details["blocks"].append({"lo": lo, "hi": hi,
-                                  "norm": str(nb), "inv_norm": str(nbi)})
-        if nb > config.c2 or nbi > config.c2:
-            failures.append("block [%d, %d): norm %s or inverse norm %s "
-                            "exceeds c2" % (lo, hi, nb, nbi))
+    matrix_norm = Fraction(0)
+    lo, prev_a = 0, ()
+    for c in run.chain:
+        if not set(prev_a) <= set(c.a):
+            failures.append("block [%d, %d): (iii) committed indices were "
+                            "dropped" % (lo, c.n))
+        found, norm, inv_norm = _check_block(final.m, final.inv, lo, c.n,
+                                             c.a, families, config.c2)
+        failures += found
+        matrix_norm = max(matrix_norm, norm)
+        # the first condition adds the empty block
+        if c.n > lo and inv_norm is not None:
+            details["blocks"].append({"lo": lo, "hi": c.n, "norm": str(norm),
+                                      "inv_norm": str(inv_norm)})
+        lo, prev_a = c.n, c.a
+    details["matrix_norm"] = str(matrix_norm)
 
-    # (3) exact interpolation beyond each entry stage, up to the horizon;
-    # the entry stages come from the chain, not from run.entry_stage
+    # (2) every index is committed, so by (1) it interpolates from its
+    # entry stage to the final stage; the entry stages come from the chain,
+    # not from run.entry_stage
     n_end = final.n
     if n_end < run.horizon:
         failures.append("final stage %d below the horizon %d"
@@ -473,28 +515,19 @@ def verify_run(run: GenericRun, families: PairedFamilies,
         if stored != n0:
             failures.append("index %s: entry_stage says %s, the chain %d"
                             % (xi, stored, n0))
-        f, g = families.f(xi), families.g(xi)
-        bad = _interpolation_failure(final.m, f, g, n0,
-                                     min(n_end, run.horizon))
-        if bad is not None:
-            failures.append("index %s: interpolation fails at coordinate %d"
-                            % (xi, bad[0]))
         # identity blocks would extend the matrix beyond the final stage,
         # so the tail claim is symbolic exactly when f - g vanishes there
-        d = f.sub(g)
+        d = families.f(xi).sub(families.g(xi))
         symbolic = d.is_vanishing() and all(
             d.value(i) == 0 for i in range(n_end, n_end + d.prefix_len + 1))
         details["indices"][str(xi)] = {
             "entry_stage": n0,
-            "checked_window": [n0, min(n_end, run.horizon)],
+            "checked_window": [n0, n_end],
             "symbolic_tail": symbolic,
         }
 
-    # (4) row l1 norms of the assembled matrix
-    total = op_norm_inf(final.m) if final.n else Fraction(0)
-    details["matrix_norm"] = str(total)
-    if total > config.c2:
-        failures.append("assembled matrix norm %s exceeds c2" % total)
+    # (3) the hit log replays the schedule
+    failures += _hit_log_failures(run, families, config)
 
     return {"failures": failures, "details": details,
             "config": config.to_json_obj(),

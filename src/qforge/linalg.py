@@ -276,10 +276,6 @@ class RMatrix:
     def get(self, i: int, j: int) -> Fraction:
         return self.rows.get(i, {}).get(j, ZERO)
 
-    def col_vector(self, j: int) -> WindowVector:
-        return _vector(self.row_lo, self.row_hi,
-                       {i: self.rows[i][j] for i in sorted(self.rows) if j in self.rows[i]})
-
     def to_dense(self):
         return [[self.get(i, j) for j in range(self.col_lo, self.col_hi)]
                 for i in range(self.row_lo, self.row_hi)]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import NotInjectiveError, NotInvertibleError, ParameterError
-from .linalg import ONE, ZERO, RMatrix, WindowVector, coordinate_rows, frac, nullspace, rank
+from .linalg import ONE, ZERO, WindowVector, coordinate_rows, frac, nullspace, rank
 from .simplex import polyhedral_max
 
 
@@ -48,10 +48,6 @@ class TailVector:
             period = [period[-1]] + period[:-1]
         object.__setattr__(self, "prefix", tuple(prefix))
         object.__setattr__(self, "period", tuple(_minimal_period(tuple(period))))
-
-    @staticmethod
-    def constant(c) -> "TailVector":
-        return TailVector((), (frac(c),))
 
     @staticmethod
     def from_window(v: WindowVector) -> "TailVector":
@@ -236,23 +232,6 @@ def pi_section_norm(fs, n: int) -> Fraction:
         return ONE
     objectives = coordinate_rows(fs, n, m) + constraints
     val, _, _ = polyhedral_max(objectives, constraints)
-    return val
-
-
-def r_operator(fs, n: int, n_prime: int):
-    """The composition (restrict to [n, n')) after (section from n), as a
-    matrix from coefficient space to the window [n, n').
-    """
-    if n_prime <= n:
-        raise ParameterError("n' must exceed n")
-    check_pi_injective(fs)
-    return RMatrix.from_dense(coordinate_rows(fs, n, n_prime), row_lo=n, col_lo=0)
-
-
-def r_operator_norm(fs, n: int, n_prime: int) -> Fraction:
-    """max over the quotient-norm unit ball of |y| on [n, n')."""
-    check_pi_injective(fs)
-    val, _, _ = polyhedral_max(coordinate_rows(fs, n, n_prime), qnorm_rows(fs))
     return val
 
 

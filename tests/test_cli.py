@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qforge.adf.families import MAX_COUNT
+from qforge.adf.families import MAX_COUNT, MAX_DEPTH
 from qforge.cli import main
 from qforge.jsonio import write_json
 
@@ -67,6 +67,26 @@ class TestBuildAdf:
         assert captured.out == ""
         assert captured.err == "error: %s count must be in [1, %d]\n" % (
             kind, top)
+
+    def test_largest_depth_within_budget(self, capsys):
+        def build(depth):
+            return main(["build-adf", "--kind", "branch", "--count",
+                         str(MAX_COUNT["branch"]), "--depth", str(depth)])
+
+        t0 = time.monotonic()
+        code = build(MAX_DEPTH)
+        elapsed = time.monotonic() - t0
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["params"]["depth"] == (
+            MAX_DEPTH)
+        assert elapsed < BUILD_ADF_BUDGET_S, (
+            "budget exceeded: %.2fs > %ds" % (elapsed, BUILD_ADF_BUDGET_S))
+        for depth in (MAX_DEPTH + 1, -1):
+            assert build(depth) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: depth must be in [0, %d]\n" % (
+                MAX_DEPTH)
 
     def test_deterministic(self, capsys):
         a = run_cli(capsys, "build-adf", "--kind", "branch", "--count", "4")

@@ -25,7 +25,7 @@ from test_acceptance import (
     forge_and_verify,
 )
 
-FORGE_SHA256 = "f7dad6c6588f85079fc9674307df397c2c7f01946ae1c022e8892c7017a27c8f"
+FORGE_SHA256 = "4b72f43dcb896f1083c998774847c50b82ad985d7ab0823900a9342bc4a51f38"
 EXTENSION_SUITE_SHA256 = (
     "0eb174b246b65624b79eaef277fd640f5e6decad7de4a06cc773ff7ec9048812")
 EXTENSION_REPORT_SHA256 = (
@@ -35,7 +35,7 @@ EXTENSION_REPORT_SHA256 = (
 FORGE_MATRIX_SHA256 = (
     "3ee06240b68fa735ee2e435a6d94edc935ea8e600d9b3e8a84734386443bf1f3")
 FORGE_DETAILS_SHA256 = (
-    "1203622d8a59bfbde1f782f7cc8c8b1adba8cda84d86bc88a4c801dba9546450")
+    "e1ae3d81500cd5432f58d766d0379e786652ad0a180ddb9fa64577bc3b6fb8a7")
 
 # build-adf, check-separation, mad-census and build-coherent at the sizes
 # of the certify benchmark workload, whose default seed 20260828 draws the

@@ -81,8 +81,8 @@ class TestRMatrix:
     def test_from_columns_round_trip(self):
         cols = [WindowVector(1, 4, (1, 0, 2)), WindowVector(1, 4, (0, 5, 0))]
         m = RMatrix.from_columns(cols, col_lo=7)
-        assert m.col_vector(7).coords == (1, 0, 2)
-        assert m.col_vector(8).coords == (0, 5, 0)
+        assert (m.col_lo, m.col_hi) == (7, 9)
+        assert m.to_dense() == [[1, 0], [0, 5], [2, 0]]
 
     def test_window_mismatch_raises(self):
         with pytest.raises(ParameterError):

@@ -32,21 +32,11 @@ class TestStructure:
             OrdinalIdx.omega().predecessor()
         assert not OrdinalIdx.nat(0).is_limit()
 
-    def test_times_omega(self):
-        assert OrdinalIdx.nat(3).times_omega() == OrdinalIdx.omega(3)
-        assert OrdinalIdx.omega().times_omega() == OrdinalIdx(1, 0, 0)
-        with pytest.raises(ParameterError):
-            OrdinalIdx(1, 0, 0).times_omega()
-
     @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 9))
     def test_fiber_round_trip(self, c1, c0, j):
         xi = OrdinalIdx(0, c1, c0)
         beta = OrdinalIdx.from_fiber(xi, j)
         assert beta.fiber_and_offset() == (xi, j)
-
-    def test_fibers_below(self):
-        window = OrdinalIdx.omega(2)  # omega * 2
-        assert list(window.fibers_below()) == [OrdinalIdx.nat(0), OrdinalIdx.nat(1)]
 
 
 class TestFundamental:

@@ -3,21 +3,29 @@ was tampered with.
 
 A run file stores the forged matrix once.  Each chain condition carries
 its stage, its committed indices and the inverse of the block it added;
-verify-run rebuilds the conditions from these and derives every entry
-stage from the chain.
+verify-run rebuilds the conditions from these, derives every entry stage
+from the chain, checks each block with the indices committed there and
+replays the hit log against the schedule.
 """
 
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 
 from qforge.adf.families import FamilyGenerator, make_family
 from qforge.cli import main
 from qforge.config import RunConfig
-from qforge.forcing import paired_from_certsets, run_generic, verify_run
+from qforge.forcing import (
+    PairedFamilies,
+    paired_from_certsets,
+    run_generic,
+    verify_run,
+)
 from qforge.jsonio import rmatrix_to_json, write_json
 from qforge.linalg import RMatrix
+from qforge.tails import TailVector
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +110,69 @@ def test_matrix_entry_outside_the_blocks(capsys, tmp_path, run_obj):
     obj["matrix"]["entries"].sort()
     failures = failures_of(capsys, tmp_path, obj)
     assert any("outside the block form" in f for f in failures)
+
+
+def test_sign_flip_past_the_horizon(capsys, tmp_path, run_obj):
+    # stages 0, 4, 12, 18 and horizon 16: flipping row 17 of the matrix and
+    # column 17 of the last block inverse keeps M * inv = I and every norm,
+    # but the last block no longer maps f_0 onto g_0 at coordinate 17
+    obj = copy.deepcopy(run_obj)
+    assert [c["n"] for c in obj["chain"]] == [0, 4, 12, 18]
+    assert obj["horizon"] == 16
+    for entries, k in ((obj["matrix"]["entries"], 0),
+                       (obj["chain"][-1]["inv"]["entries"], 1)):
+        for e in entries:
+            if e[k] == 17:
+                e[2] = str(-Fraction(e[2]))
+    failures = failures_of(capsys, tmp_path, obj)
+    assert any("(iv) xi = 0 fails at coordinate 17" in f for f in failures)
+
+
+def test_hit_log_skips_a_scheduled_set(capsys, tmp_path, run_obj):
+    obj = copy.deepcopy(run_obj)
+    obj["hit_log"].remove(["D", 8, 2])
+    failures = failures_of(capsys, tmp_path, obj)
+    assert any(f.startswith("hit 4:") for f in failures)
+
+
+def spiked_families():
+    """Three tails, equal on both sides, whose span has section norm 3
+    below stage 6: from 6 on tail k is the indicator of k + 3N, and at
+    coordinate 5 the tails read 1, -1, -1."""
+    tails = tuple(
+        TailVector(tuple(int(i % 3 == k) for i in range(5)) + (spike,),
+                   tuple(int(r == k) for r in range(3)))
+        for k, spike in enumerate((1, -1, -1)))
+    return PairedFamilies((0, 1, 2), tails, tails)
+
+
+def identity_run(stages):
+    """A run whose matrix is the identity, committing 0, 1, 2 at once."""
+    families = spiked_families()
+    lows = [0] + stages[:-1]
+    return {
+        "chain": [{"n": n, "a": [0, 1, 2] if n else [],
+                   "inv": rmatrix_to_json(RMatrix.identity(lo, n))}
+                  for lo, n in zip(lows, stages)],
+        "hit_log": [["E", 0, 1], ["E", 1, 1], ["E", 2, 1], ["D", 2, 1],
+                    ["D", 4, 1], ["D", 8, len(stages) - 1]],
+        "entry_stage": {"0": 0, "1": 0, "2": 0},
+        "horizon": 8,
+        "config": RunConfig(horizon=8).to_json_obj(),
+        "failure": None,
+        "layout": stages,
+        "matrix": rmatrix_to_json(RMatrix.identity(0, stages[-1])),
+        "families": families.to_json_obj(),
+    }
+
+
+def test_member_with_section_norm_above_2(capsys, tmp_path):
+    code, captured = verify(capsys, tmp_path, identity_run([0, 8]))
+    assert code == 0, captured.out
+    # a member at stage 4 commits the indices where the section norm is 3
+    failures = failures_of(capsys, tmp_path, identity_run([0, 4, 8]))
+    assert failures == ["block [0, 4): (c) F-section norm 3 exceeds 2",
+                        "block [0, 4): (c) G-section norm 3 exceeds 2"]
 
 
 def malformed(capsys, tmp_path, obj):
