@@ -32,9 +32,11 @@ per side.
   threshold.
 
 The lift still grows with lcm // modulus, so a union of many sets with
-unrelated moduli costs the lcm.  A form of disjoint residue classes plus
-a finite patch, intersected by the Chinese remainder theorem, would
-remove that; it is not built yet (ROADMAP item 3, step 2).
+unrelated moduli costs the lcm.  An operation whose lift would pass
+MAX_LIFT raises ParameterError before it enumerates anything.  A form of
+disjoint residue classes plus a finite patch, intersected by the Chinese
+remainder theorem, would remove the growth; it is not built yet (ROADMAP
+item 3, step 2).
 """
 
 from __future__ import annotations
@@ -43,6 +45,15 @@ from dataclasses import dataclass
 from math import lcm
 
 from ..errors import NotAlmostDisjointError, ParameterError
+
+
+# The most lifted residues one Boolean operation may enumerate.  A lift
+# costs lcm / modulus residues per residue, so a union across a
+# progression family (set i has modulus 2^(i+1)) doubles it per set; the
+# bound stops such a chain after about 17 sets, in well under a second,
+# and sits above every lift that the tests and the certify workload make
+# (at most 114 687).
+MAX_LIFT = 1 << 17
 
 
 def _prime_factors(n):
@@ -197,6 +208,9 @@ class CertSet:
         return len(self.elements_below(n + 1)) - 1
 
     # -- Boolean algebra -----------------------------------------------
+    def _lift_size(self, m):
+        return len(self.residues) * (m // self.modulus)
+
     def _lift(self, m):
         """The residues of the rule modulo a multiple m of the modulus."""
         return (r + k for r in self.residues
@@ -218,8 +232,14 @@ class CertSet:
         t = max(self.threshold, other.threshold)
         keep = [s for s, kept in ((self, op(True, False)),
                                   (other, op(False, True))) if kept]
-        rule_sides = keep or [min(self, other, key=lambda s:
-                                  len(s.residues) * (m // s.modulus))]
+        rule_sides = keep or [min(self, other, key=lambda s: s._lift_size(m))]
+        # a side lifts at most m residues, so only a large lcm needs a count
+        if len(rule_sides) * m > MAX_LIFT:
+            lift = sum(s._lift_size(m) for s in rule_sides)
+            if lift > MAX_LIFT:
+                raise ParameterError(
+                    "combining these sets lifts %d residues modulo %d, above "
+                    "the bound of %d" % (lift, m, MAX_LIFT))
         below_sides = keep or [max(self, other, key=lambda s: s.threshold)]
         residues = frozenset(r for s in rule_sides for r in s._lift(m)
                              if op(r % self.modulus in self.residues,

@@ -234,9 +234,11 @@ def _paired_from_file(path):
 
 
 def cmd_forge_matrix(args, config):
-    config = replace(config, rho=args.rho or config.rho,
-                     c2=args.c2 or config.c2,
-                     horizon=args.horizon or config.horizon)
+    config = replace(
+        config,
+        rho=config.rho if args.rho is None else args.rho,
+        c2=config.c2 if args.c2 is None else args.c2,
+        horizon=config.horizon if args.horizon is None else args.horizon)
     families = _paired_from_file(args.families)
     run = run_generic(families, config=config)
     report = verify_run(run, families, config)

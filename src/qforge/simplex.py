@@ -5,86 +5,154 @@ deterministic function of its input.  The optimum of a linear functional
 over a bounded polytope is attained at a basic feasible point, i.e. at a
 vertex; the terminal tableau's nonnegative reduced costs are the
 optimality certificate.
+
+The tableau holds integers.  Each row is a pair (ints, den): a list of
+Python ints over a positive row denominator, so entry j is ints[j] / den.
+A pivot on (r, c) rescales row r to ints over ints[c], which makes its
+entry c equal to 1, and turns every other row k into
+row_k * p - f * pivot_row over den_k * p, with f its entry c and p the
+pivot row's denominator (both first divided by their gcd); a row is
+divided by the gcd of its entries and denominator only when its
+denominator is not 1.  Bland's rule reads the sign of an integer reduced
+cost, and the ratio test compares rhs_r / a_r across rows by
+cross-multiplying, since a row's denominator cancels from its own ratio.
+So every decision, and every value, is the one a Fraction tableau makes.
+Inputs become integer rows once, on the way in; the solution and the
+objective become Fractions once, on the way out.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .errors import InfeasibleError, UnboundedError
-from .linalg import ONE, ZERO, RMatrix, WindowVector, pivot, rank
+from .linalg import ZERO, RMatrix, WindowVector, rank
+
+
+def _int_row(values):
+    """The exact rationals `values` as (ints, den) over their least common
+    denominator."""
+    den = lcm(*[v.denominator for v in values])
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _eliminate(tab, k, r, c):
+    """Clear entry c of row k with row r, whose entry c is 1."""
+    row, den = tab[k]
+    f = row[c]
+    if not f:
+        return
+    prow, p = tab[r]
+    g = gcd(f, p)
+    f //= g
+    s = p // g
+    if s == 1:
+        row = [x - f * y if y else x for x, y in zip(row, prow)]
+    else:
+        row = [x * s - f * y for x, y in zip(row, prow)]
+        den *= s
+    if den != 1:
+        g = gcd(den, *row)
+        if g != 1:
+            row = [x // g for x in row]
+            den //= g
+    tab[k] = (row, den)
 
 
 def _pivot(tab, basis, r, c):
-    pivot(tab, r, c)
+    """Pivot on (r, c): row r over its entry c, whose entry c is then 1,
+    and column c cleared from every other row."""
+    row = tab[r][0]
+    p = row[c]
+    if p < 0:
+        row = [-x for x in row]
+        p = -p
+    if p != 1:
+        g = gcd(*row)  # p is an entry, so g divides it
+        if g != 1:
+            row = [x // g for x in row]
+            p //= g
+    tab[r] = (row, p)
+    for k in range(len(tab)):
+        if k != r:
+            _eliminate(tab, k, r, c)
     basis[r] = c
 
 
-def _run_simplex(tab, basis, cost, allowed):
-    """Minimize cost over the tableau in place. Returns the objective value.
+def _run_simplex(tab, basis, cost):
+    """Minimize the cost row (ints, den) over the tableau in place.
+    Returns the objective value.
 
     While it runs, the reduced-cost row rides below the constraint rows,
-    so each pivot step updates it too."""
+    so each pivot step updates it too; its last entry is minus the
+    objective."""
     m = len(tab)
     if m == 0:
         return ZERO
-    ncols = len(tab[0]) - 1
-    tab.append(list(cost) + [ZERO])
+    ncols = len(cost[0]) - 1
+    tab.append(cost)
     # price out the basis: basic columns are unit columns, so each step
     # changes only the reduced-cost row
     for r, bvar in enumerate(basis):
-        if tab[m][bvar] != 0:
-            pivot(tab, r, bvar)
+        _eliminate(tab, m, r, bvar)
     while True:
-        z = tab[m]
-        enter = None
-        for j in range(ncols):
-            if allowed[j] and z[j] < 0:
-                enter = j
-                break  # Bland: smallest index
+        z = tab[m][0]
+        enter = next((j for j in range(ncols) if z[j] < 0), None)  # Bland
         if enter is None:
-            del tab[m]
-            return sum((cost[basis[r]] * tab[r][-1] for r in range(m)), ZERO)
+            z, den = tab.pop()
+            return Fraction(-z[-1], den)
         leave = None
-        best = None
         for r in range(m):
-            a = tab[r][enter]
+            row = tab[r][0]
+            a = row[enter]
             if a > 0:
-                ratio = tab[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
+                if leave is None:
+                    leave, num, a_best = r, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * a_best, num * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, num, a_best = r, row[-1], a
         if leave is None:
             raise UnboundedError("objective unbounded below")
         _pivot(tab, basis, leave, enter)
 
 
+def _basic_values(tab, basis, ncols):
+    x = [ZERO] * ncols
+    for (row, den), bvar in zip(tab, basis):
+        x[bvar] = Fraction(row[-1], den)
+    return x
+
+
 def simplex_min(cost, a_rows, b):
     """Minimize cost.x subject to (a_rows)x = b, x >= 0.
 
-    Returns (x, value).  Raises InfeasibleError / UnboundedError.
+    Entries are exact rationals (ints or Fractions).  Returns (x, value)
+    in Fractions.  Raises InfeasibleError / UnboundedError.
     """
     m = len(a_rows)
     n = len(cost)
     tab = []
-    for row, rhs in zip(a_rows, b):
-        row = list(row)
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        tab.append(row + [ZERO] * m + [rhs])
     # phase 1: artificial variables n .. n+m-1
-    for r in range(m):
-        tab[r][n + r] = ONE
+    for r, (row, rhs) in enumerate(zip(a_rows, b)):
+        ints, den = _int_row(list(row) + [rhs])
+        if rhs < 0:
+            ints = [-x for x in ints]
+        artificial = [0] * m
+        artificial[r] = den
+        tab.append((ints[:n] + artificial + ints[n:], den))
     basis = [n + r for r in range(m)]
-    allowed = [True] * (n + m)
-    cost1 = [ZERO] * n + [ONE] * m
-    val1 = _run_simplex(tab, basis, cost1, allowed)
-    if val1 != 0:
+    if _run_simplex(tab, basis, ([0] * n + [1] * m + [0], 1)) != 0:
         raise InfeasibleError("equality system is inconsistent")
     # drive artificials out of the basis
     drop = []
     for r in range(m):
         if basis[r] >= n:
-            piv = next((j for j in range(n) if tab[r][j] != 0), None)
+            row = tab[r][0]
+            piv = next((j for j in range(n) if row[j]), None)
             if piv is None:
                 drop.append(r)
             else:
@@ -92,38 +160,36 @@ def simplex_min(cost, a_rows, b):
     for r in sorted(drop, reverse=True):
         del tab[r]
         del basis[r]
-    tab = [row[:n] + [row[-1]] for row in tab]
-    allowed = [True] * n
-    val = _run_simplex(tab, basis, list(cost), allowed)
-    x = [ZERO] * n
-    for r, bvar in enumerate(basis):
-        x[bvar] = tab[r][-1]
-    return x, val
+    tab = [(row[:n] + row[-1:], den) for row, den in tab]
+    ints, den = _int_row(list(cost))
+    val = _run_simplex(tab, basis, (ints + [0], den))
+    return _basic_values(tab, basis, n), val
 
 
 def lp_min_l1(a: RMatrix, b: WindowVector):
     """Minimize ||u||_1 subject to A u = b, exactly.
 
     u lives on A's column window; the split u = u+ - u- turns the problem
-    into a standard-form LP with unit costs.
+    into a standard-form LP with unit costs.  The rows are laid out from
+    A's nonzeros, with int zeros in between.
     """
     n = a.n_cols
     m = a.n_rows
     rows = []
     rhs = []
     for i in range(a.row_lo, a.row_hi):
-        arow = [ZERO] * n
+        row = [0] * (2 * n)
         for j, v in a.rows.get(i, {}).items():
-            arow[j - a.col_lo] = v
-        rows.append(arow + [-x for x in arow])
+            row[j - a.col_lo] = v
+            row[n + j - a.col_lo] = -v
+        rows.append(row)
         rhs.append(b.value(i))
     if m == 0 or n == 0:
         if any(v != 0 for v in rhs):
             raise InfeasibleError("nonzero rhs with no variables")
         return WindowVector.zero(a.col_lo, a.col_hi), ZERO
-    cost = [ONE] * (2 * n)
-    x, val = simplex_min(cost, rows, rhs)
-    u = tuple(x[j] - x[n + j] for j in range(n))
+    x, val = simplex_min([1] * (2 * n), rows, rhs)
+    u = tuple(p - q if p or q else ZERO for p, q in zip(x, x[n:]))
     return WindowVector(a.col_lo, a.col_hi, u), val
 
 
@@ -140,24 +206,20 @@ def max_linear(objective, constraint_rows):
         return ZERO, []
     # variables: p(d), q(d), s(m), t(m); rows: R(p-q)+s=1, -R(p-q)+t=1
     ncols = 2 * d + 2 * m
-    tab = []
-    basis = []
+    plus, minus = [], []
     for k, row in enumerate(constraint_rows):
-        r = list(row) + [-x for x in row] + [ZERO] * (2 * m) + [ONE]
-        r[2 * d + k] = ONE
-        tab.append(r)
-        basis.append(2 * d + k)
-    for k, row in enumerate(constraint_rows):
-        r = [-x for x in row] + list(row) + [ZERO] * (2 * m) + [ONE]
-        r[2 * d + m + k] = ONE
-        tab.append(r)
-        basis.append(2 * d + m + k)
-    cost = [-x for x in objective] + list(objective) + [ZERO] * (2 * m)
-    allowed = [True] * ncols
-    val = _run_simplex(tab, basis, cost, allowed)
-    x = [ZERO] * ncols
-    for r, bvar in enumerate(basis):
-        x[bvar] = tab[r][-1]
+        ints, den = _int_row(row)
+        neg = [-x for x in ints]
+        plus.append((ints + neg + [0] * (2 * m) + [den], den))
+        plus[k][0][2 * d + k] = den
+        minus.append((neg + ints + [0] * (2 * m) + [den], den))
+        minus[k][0][2 * d + m + k] = den
+    tab = plus + minus
+    basis = list(range(2 * d, ncols))
+    ints, den = _int_row(objective)
+    cost = ([-x for x in ints] + ints + [0] * (2 * m + 1), den)
+    val = _run_simplex(tab, basis, cost)
+    x = _basic_values(tab, basis, ncols)
     witness = [x[j] - x[d + j] for j in range(d)]
     return -val, witness
 

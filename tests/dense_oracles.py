@@ -4,7 +4,9 @@ These are the elimination and simplex routines as they were before the
 library's kernels learned to skip zero entries: every row update runs
 over every column and every pivot row is divided, even by 1.  The tests
 require the library's kernels to return the same values, the same pivot
-columns and the same simplex pivot sequence.
+columns and the same simplex pivot sequence.  `simplex_min` and
+`max_linear` here run on a `Fraction` tableau, as the library's did
+before its tableau held integers over row denominators.
 
 The certified-set kernels are kept the same way, as they were before
 their cost followed the size of a set's description: the normal form
@@ -190,6 +192,41 @@ def simplex_min(cost, a_rows, b):
     for r, bvar in enumerate(basis):
         x[bvar] = tab[r][-1]
     return x, val
+
+
+def max_linear(objective, constraint_rows):
+    """Maximize objective.x over {x : |row.x| <= 1 for each row}.
+
+    Returns (value, witness x).  The feasible start x = 0 lets us skip
+    phase 1.  Raises UnboundedError when the improving direction escapes
+    the (possibly lower-dimensional-unbounded) constraint set.
+    """
+    d = len(objective)
+    m = len(constraint_rows)
+    if d == 0:
+        return ZERO, []
+    # variables: p(d), q(d), s(m), t(m); rows: R(p-q)+s=1, -R(p-q)+t=1
+    ncols = 2 * d + 2 * m
+    tab = []
+    basis = []
+    for k, row in enumerate(constraint_rows):
+        r = list(row) + [-x for x in row] + [ZERO] * (2 * m) + [ONE]
+        r[2 * d + k] = ONE
+        tab.append(r)
+        basis.append(2 * d + k)
+    for k, row in enumerate(constraint_rows):
+        r = [-x for x in row] + list(row) + [ZERO] * (2 * m) + [ONE]
+        r[2 * d + m + k] = ONE
+        tab.append(r)
+        basis.append(2 * d + m + k)
+    cost = [-x for x in objective] + list(objective) + [ZERO] * (2 * m)
+    allowed = [True] * ncols
+    val = _run_simplex(tab, basis, cost, allowed)
+    x = [ZERO] * ncols
+    for r, bvar in enumerate(basis):
+        x[bvar] = tab[r][-1]
+    witness = [x[j] - x[d + j] for j in range(d)]
+    return -val, witness
 
 
 def certset_minimize(threshold, modulus, residues, below):

@@ -39,6 +39,18 @@ def test_non_rational_rho(capsys, tmp_path):
                                     "--rho", "abc"])
 
 
+@pytest.mark.parametrize("option, value", [("--horizon", "0"), ("--rho", ""),
+                                           ("--c2", "")])
+def test_explicit_empty_or_zero_forge_option(capsys, tmp_path, option, value):
+    # an explicit value is checked like any other, not replaced by the
+    # config's value because it is falsy
+    path = tmp_path / "pf.json"
+    write_json(path, {"f": {"kind": "branch", "count": 2},
+                      "g": {"kind": "progression", "count": 2}})
+    assert_one_line_exit_2(capsys, ["forge-matrix", "--families", str(path),
+                                    option, value])
+
+
 @pytest.mark.parametrize("text", BAD_CONFIGS)
 def test_bad_config_option(capsys, tmp_path, text):
     path = tmp_path / "c.json"
@@ -88,3 +100,17 @@ def test_largest_sample_offsets_is_accepted(capsys):
     assert main(["build-coherent", "--cells", "1", "--blocks", "1",
                  "--cap", str(MAX_VALUATION), "--sample-offsets", top]) == 0
     assert len(json.loads(capsys.readouterr().out)["stages"]) == int(top)
+
+
+def test_separation_whose_union_lifts_too_far(capsys, tmp_path):
+    # set i of a progression family has modulus 2^(i+1), so the union of
+    # sets 0 and 40 lifts 2^40 residues: rejected before the lift, where
+    # it used to run without end
+    path = tmp_path / "f.json"
+    assert main(["build-adf", "--kind", "progression", "--count", "64",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    t0 = time.monotonic()
+    assert_one_line_exit_2(capsys, ["check-separation", "--family", str(path),
+                                    "--inside", "0", "40", "--outside", "1"])
+    assert time.monotonic() - t0 < 1
