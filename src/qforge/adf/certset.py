@@ -30,6 +30,12 @@ per side.
 - intersect and almost_disjoint: the lifted residues of the side with
   fewer of them, and the below part of the side with the larger
   threshold.
+- nth and rank: one sort (nth) or one pass (rank) over the below part
+  and the residues, whatever the size of the element.
+
+A family's pairwise certificates do not go through almost_disjoint:
+families.make_family finds them in one pass over the below parts, once
+it has checked that no two rules meet.
 
 The lift still grows with lcm // modulus, so a union of many sets with
 unrelated moduli costs the lcm.  An operation whose lift would pass
@@ -202,10 +208,18 @@ class CertSet:
         return res[offset] + block * self.modulus
 
     def rank(self, n: int):
-        """Inverse of nth: the rank of a member, or None."""
+        """Inverse of nth: the rank of a member, or None.  Counts the below
+        part, then the full blocks of the rule, then the residues met
+        first in the partial block, so it costs len(below) +
+        len(residues) steps, not n."""
         if n not in self:
             return None
-        return len(self.elements_below(n + 1)) - 1
+        if n < self.threshold:
+            return sum(1 for x in self.below if x < n)
+        block, offset = divmod(n - self.threshold, self.modulus)
+        return (len(self.below) + block * len(self.residues)
+                + sum(1 for r in self.residues
+                      if (r - self.threshold) % self.modulus < offset))
 
     # -- Boolean algebra -----------------------------------------------
     def _lift_size(self, m):

@@ -1,8 +1,20 @@
-"""Almost-disjoint family constructors and certified family-level queries."""
+"""Almost-disjoint family constructors and certified family-level queries.
+
+Costs.  make_family certifies the exact finite intersection of every
+pair of its sets in one pass and builds no intersection CertSet: one
+check of the periodic rules per pair of distinct moduli, then one
+membership test per set and point of the union of the below parts, plus
+one append per element of the certificates.  A family of n sets with
+one modulus therefore costs n times the number of distinct explicit
+points plus its output, not n^2 / 2 CertSet operations.
+separation_find and mad_census still make one CertSet operation per
+member.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from ..errors import NotAlmostDisjointError, ParameterError
 from .certset import CertSet
@@ -14,6 +26,10 @@ MAX_COUNT = {"progression": 256, "branch": 256, "luzin": 160}
 # a branch set stores depth prefix codes below 2^(depth + 1), so the output
 # grows with count * depth^2: 256 branch sets of depth 16 take about 1 s
 MAX_DEPTH = 16
+# the largest block count of an ordinal family: build-coherent with
+# --cells, --blocks and --cap w*b all at b = 32 takes about 1 s on a
+# 2-vCPU machine, and the time grows with about the cube of b
+MAX_BLOCKS = 32
 LUZIN_CHECK_HORIZON = 64   # stages up to which the Luzin bound is checked
 MAX_VALUATION = 16         # largest dyadic valuation of an ordinal family
 
@@ -50,12 +66,58 @@ class Family:
         return self.sets[i]
 
 
+def _rules_meet(sets):
+    """Do the periodic rules of some two of the sets share a point?
+
+    By the Chinese remainder theorem two rules meet, and then in
+    infinitely many points, exactly when a residue of one is congruent
+    to a residue of the other modulo the gcd of their moduli.  The
+    residues are pooled per modulus, so the cost is one pass per pair of
+    distinct moduli, not per pair of sets."""
+    pools = {}
+    for s in sets:
+        pools.setdefault(s.modulus, []).extend(s.residues)
+    moduli = sorted(pools)
+    for a, m in enumerate(moduli):
+        # the residues of one set are distinct, so a repeat in a pool is
+        # a residue that two sets share
+        if len(set(pools[m])) < len(pools[m]):
+            return True
+        for m2 in moduli[a + 1:]:
+            g = gcd(m, m2)
+            if not {r % g for r in pools[m]}.isdisjoint(
+                    [r % g for r in pools[m2]]):
+                return True
+    return False
+
+
 def _pairwise_certificates(sets):
-    certs = {}
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            certs[(i, j)] = sets[i].almost_disjoint(sets[j])
-    return certs
+    """The exact finite intersection of every pair (i, j), i < j, as a
+    sorted list, in one pass over the family.
+
+    When no two rules meet, a common point x of a pair lies below the
+    larger threshold of the two, so it is in that set's below part.  So
+    the pass lists, for each x in the union of the below parts, the sets
+    holding x and appends x to the certificate of every pair of them.
+    It costs one membership test per set and such x, plus one append per
+    element of the output.  When some rules meet, the first such pair
+    raises the NotAlmostDisjointError of CertSet.almost_disjoint.
+    """
+    n = len(sets)
+    if _rules_meet(sets):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if _rules_meet([sets[i], sets[j]]):
+                    sets[i].almost_disjoint(sets[j])
+    # rows[i][j] is the certificate of the pair (i, j)
+    rows = [[[] for _ in range(n)] for _ in range(n)]
+    for x in sorted(set().union(*(s.below for s in sets))):
+        holders = [k for k, s in enumerate(sets) if x in s]
+        for a, i in enumerate(holders):
+            row = rows[i]
+            for j in holders[a + 1:]:
+                row[j].append(x)
+    return {(i, j): rows[i][j] for i in range(n) for j in range(i + 1, n)}
 
 
 def _progression_sets(count):
@@ -211,6 +273,8 @@ class OrdinalProgressionFamily:
     def __init__(self, cells: int, blocks: int = 4):
         if cells < 1 or blocks < 1 or blocks > cells:
             raise ParameterError("need 1 <= blocks <= cells")
+        if blocks > MAX_BLOCKS:
+            raise ParameterError("blocks must be at most %d" % MAX_BLOCKS)
         self.cells = cells
         self.blocks = blocks
 

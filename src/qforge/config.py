@@ -12,6 +12,9 @@ from .jsonio import load_json
 from .linalg import frac
 
 ENV_CONFIG = "QF_CONFIG"
+# the largest horizon: the stage search may reach 8 * horizon, and the
+# criterion-7 forge at 4096 takes about 5 s on a 2-vCPU machine
+MAX_HORIZON = 4096
 _RATIONAL = ("rho", "c1", "c2", "delta")
 
 
@@ -35,6 +38,8 @@ class RunConfig:
             raise ParameterError("need rho > 1, c2 >= rho, c1 > 0, delta > 0")
         if self.horizon < 1 or self.ordinal_cap < 1:
             raise ParameterError("horizon and ordinal cap must be positive")
+        if self.horizon > MAX_HORIZON:
+            raise ParameterError("horizon must be at most %d" % MAX_HORIZON)
         object.__setattr__(self, "schedule",
                            tuple((str(k), int(v)) for k, v in self.schedule))
 

@@ -14,6 +14,10 @@ tries every divisor of the modulus and pulls the threshold down one step
 at a time, and a Boolean operation scans every residue modulo the lcm
 and every point below the larger threshold.  The tests require
 `CertSet` to give the same (threshold, modulus, residues, below).
+
+The pairwise certificates of a family are kept as the loop that made
+them before they were found in one pass: one `CertSet.almost_disjoint`
+per pair, in (i, j) order.
 """
 
 from math import lcm
@@ -289,3 +293,13 @@ def certset_almost_disjoint(a, b):
             "intersection contains the progression {%d + %d k}" % (a0, m),
             witness=(a0, m))
     return sorted(below)
+
+
+def pairwise_certificates(sets):
+    """{(i, j): sets[i].almost_disjoint(sets[j])} for i < j, in that order;
+    the first pair that fails raises its error."""
+    certs = {}
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            certs[(i, j)] = sets[i].almost_disjoint(sets[j])
+    return certs

@@ -6,9 +6,9 @@ import time
 
 import pytest
 
-from qforge.adf.families import MAX_VALUATION
+from qforge.adf.families import MAX_BLOCKS, MAX_VALUATION
 from qforge.cli import main
-from qforge.config import ENV_CONFIG
+from qforge.config import ENV_CONFIG, MAX_HORIZON, RunConfig
 from qforge.errors import ParameterError
 from qforge.jsonio import write_json
 from qforge.linalg import frac
@@ -49,6 +49,25 @@ def test_explicit_empty_or_zero_forge_option(capsys, tmp_path, option, value):
                       "g": {"kind": "progression", "count": 2}})
     assert_one_line_exit_2(capsys, ["forge-matrix", "--families", str(path),
                                     option, value])
+
+
+def test_horizon_above_the_bound(capsys, tmp_path):
+    # the stage search may reach 8 * horizon, so an unbounded horizon
+    # never finishes; the bound is checked before any family is built
+    path = tmp_path / "pf.json"
+    write_json(path, {"f": {"kind": "branch", "count": 8, "depth": 3},
+                      "g": {"kind": "progression", "count": 8}})
+    t0 = time.monotonic()
+    assert_one_line_exit_2(capsys, ["forge-matrix", "--families", str(path),
+                                    "--horizon", "100000"])
+    assert time.monotonic() - t0 < 1
+    config = tmp_path / "c.json"
+    config.write_text('{"horizon": %d}' % (MAX_HORIZON + 1))
+    assert_one_line_exit_2(capsys, ["--config", str(config), "forge-matrix",
+                                    "--families", str(path)])
+    assert RunConfig(horizon=MAX_HORIZON).horizon == MAX_HORIZON
+    with pytest.raises(ParameterError):
+        RunConfig(horizon=MAX_HORIZON + 1)
 
 
 @pytest.mark.parametrize("text", BAD_CONFIGS)
@@ -92,6 +111,16 @@ def test_sample_offsets_outside_the_cap(capsys, offsets):
     t0 = time.monotonic()
     assert_one_line_exit_2(capsys, ["build-coherent", "--cells", "2",
                                     "--sample-offsets", offsets])
+    assert time.monotonic() - t0 < 1
+
+
+def test_blocks_above_the_bound(capsys):
+    # build-coherent's time grows with about the cube of --blocks
+    t0 = time.monotonic()
+    top = MAX_BLOCKS + 1
+    assert_one_line_exit_2(capsys, ["build-coherent", "--cells", str(top),
+                                    "--blocks", str(top), "--cap",
+                                    "w*%d" % top])
     assert time.monotonic() - t0 < 1
 
 

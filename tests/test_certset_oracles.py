@@ -83,6 +83,17 @@ def test_certificates_and_witnesses_match_the_oracle(a, b):
         dense_oracles.certset_almost_disjoint, a, b)
 
 
+@settings(max_examples=300, deadline=None)
+@given(cert_sets)
+def test_rank_counts_the_elements_below(s):
+    # rank is the closed-form inverse of nth; the scan is its definition
+    for n in range(s.threshold + 3 * s.modulus + 5):
+        scan = len(s.elements_below(n + 1)) - 1 if n in s else None
+        assert s.rank(n) == scan
+        if scan is not None:
+            assert s.nth(scan) == n
+
+
 def test_least_period_over_several_primes():
     # multiples of 12 written modulo 60, and a class that needs all of 60
     assert form(CertSet(0, 60, [0, 12, 24, 36, 48], [])) == (

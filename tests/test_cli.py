@@ -5,13 +5,16 @@ import time
 
 import pytest
 
-from qforge.adf.families import MAX_COUNT, MAX_DEPTH
+from qforge.adf.families import MAX_BLOCKS, MAX_COUNT, MAX_DEPTH
 from qforge.cli import main
 from qforge.jsonio import write_json
 
 # each kind's MAX_COUNT is set so that build-adf at that count takes at
 # most 2 s on a 2-vCPU machine
 BUILD_ADF_BUDGET_S = 20
+# build-coherent with 10^9 cells, or with MAX_BLOCKS cells and blocks,
+# takes at most about 1 s on a 2-vCPU machine
+BUILD_COHERENT_BUDGET_S = 10
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +117,20 @@ class TestSeparationAndCensus:
 
 
 class TestBuildCoherent:
+    @pytest.mark.parametrize("cells, blocks", [
+        (10 ** 9, 4), (MAX_BLOCKS, MAX_BLOCKS)])
+    def test_large_sizes_within_budget(self, capsys, cells, blocks):
+        # the limit core ranks range points of the size of --cells, and
+        # the stages and their coherence pairs grow with --blocks
+        t0 = time.monotonic()
+        code, obj = run_cli(capsys, "build-coherent", "--cells", str(cells),
+                            "--blocks", str(blocks), "--cap", "w*%d" % blocks)
+        elapsed = time.monotonic() - t0
+        assert code == 0
+        assert obj["cap"] == "w*%d" % blocks and obj["failures"] == []
+        assert elapsed < BUILD_COHERENT_BUDGET_S, (
+            "budget exceeded: %.2fs > %ds" % (elapsed, BUILD_COHERENT_BUDGET_S))
+
     def test_report(self, capsys):
         code, obj = run_cli(capsys, "build-coherent", "--cells", "8",
                             "--blocks", "2", "--cap", "w*2")
