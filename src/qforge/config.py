@@ -27,7 +27,6 @@ class RunConfig:
     horizon: int = 512
     ordinal_cap: int = 2          # coherent builds run to omega * ordinal_cap
     dim_cap: int = 12             # compute op-norm, lower-bound, hahn-banach
-    schedule: tuple = ()          # () means the default interleaving
 
     def __post_init__(self):
         for name in _RATIONAL:
@@ -40,8 +39,6 @@ class RunConfig:
             raise ParameterError("horizon and ordinal cap must be positive")
         if self.horizon > MAX_HORIZON:
             raise ParameterError("horizon must be at most %d" % MAX_HORIZON)
-        object.__setattr__(self, "schedule",
-                           tuple((str(k), int(v)) for k, v in self.schedule))
 
     @property
     def search_cap(self) -> int:
@@ -51,7 +48,6 @@ class RunConfig:
     def to_json_obj(self):
         obj = {f.name: getattr(self, f.name) for f in fields(self)}
         obj.update({name: str(obj[name]) for name in _RATIONAL})
-        obj["schedule"] = [list(s) for s in self.schedule]
         return obj
 
     @staticmethod

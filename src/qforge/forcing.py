@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import RunConfig
+from .config import MAX_HORIZON, RunConfig
 from .errors import (
     ComplementNotFoundError,
     NormBudgetError,
-    NotInjectiveError,
     NotInvertibleError,
     ParameterError,
     QForgeError,
@@ -36,7 +35,7 @@ from .tails import (
 )
 
 _CANDIDATE_ERRORS = (NormBudgetError, ComplementNotFoundError, ParameterError,
-                     NotInvertibleError, SingularMatrixError, NotInjectiveError)
+                     NotInvertibleError, SingularMatrixError)
 
 
 @dataclass(frozen=True)
@@ -185,18 +184,15 @@ def _interpolation_failures(m: RMatrix, lo: int, hi: int, a,
 
 def _section_failures(a, n: int, families: PairedFamilies) -> list:
     """(c): the section norms at stage n of the committed F- and G-spans
-    are at most 2; indices outside the families are left out."""
+    are at most 2; indices outside the families are left out, and
+    PairedFamilies has proved every subfamily pi-injective."""
     good = [xi for xi in a if xi in families._by_index]
     if not good:
         return []
     out = []
     for name, vecs in (("F", [families.f(xi) for xi in good]),
                        ("G", [families.g(xi) for xi in good])):
-        try:
-            s = pi_section_norm(vecs, n)
-        except NotInjectiveError:
-            out.append("(c) %s-family span meets the vanishing ideal" % name)
-            continue
+        s = pi_section_norm(vecs, n)
         if s > 2:
             out.append("(c) %s-section norm %s exceeds 2" % (name, s))
     return out
@@ -259,7 +255,8 @@ def _merge_blocks(stem: Condition, w: RMatrix, w_inv: RMatrix, n_r: int,
 def amalgamate(p: Condition, q: Condition, big_n: int,
                families: PairedFamilies, config: RunConfig) -> Condition:
     """Common extension of two conditions sharing a stem (n, M), with
-    stage at least big_n; every returned condition is fully verified."""
+    stage at least big_n; every returned condition is fully verified.
+    The check of a candidate's new block is the one test of clause (c)."""
     if p.n != q.n or not p.m.equals(q.m):
         raise ParameterError("conditions do not share a stem")
     # the stem is validated once: unless q carries another inverse or
@@ -293,10 +290,6 @@ def amalgamate(p: Condition, q: Condition, big_n: int,
             continue
         try:
             for name, vecs in (("F", fs), ("G", gs)):
-                s = pi_section_norm(vecs, n_r)
-                if s > 2:
-                    raise NormBudgetError(
-                        "%s-section norm exceeds 2" % name, measured=s)
                 rinv = r_operator_inverse_norm(vecs, n, n_r)
                 if rinv > 2:
                     raise NormBudgetError(
@@ -385,10 +378,19 @@ class GenericRun:
 
     @staticmethod
     def from_json_obj(obj) -> "GenericRun":
-        """Condition k: the matrix on [0, n_k)^2 and block inverses 0..k."""
+        """Condition k: the matrix on [0, n_k)^2 and block inverses 0..k.
+        No run passes horizon + search_cap <= 9 * MAX_HORIZON, so a file
+        outside these bounds is rejected before any matrix is built."""
+        horizon = obj["horizon"]
+        if type(horizon) is not int or not 1 <= horizon <= MAX_HORIZON:
+            raise ParameterError("horizon %r is not an integer in [1, %d]"
+                                 % (horizon, MAX_HORIZON))
         if not obj["chain"]:
             raise ParameterError("a run's chain holds at least one condition")
         stages = tuple(int(c["n"]) for c in obj["chain"])
+        if max(stages) > 9 * MAX_HORIZON:
+            raise ParameterError("chain stage %d exceeds 9 * %d"
+                                 % (max(stages), MAX_HORIZON))
         binvs = [rmatrix_from_json(c["inv"]) for c in obj["chain"]]
         if stages[0] != 0 or binvs[0].window != (0, 0, 0, 0):
             raise ParameterError("a run's chain starts at the empty stage 0")
@@ -404,7 +406,7 @@ class GenericRun:
             chain,
             tuple((k, v, i) for k, v, i in obj["hit_log"]),
             {int(k): v for k, v in obj["entry_stage"].items()},
-            obj["horizon"], RunConfig.from_json_obj(obj["config"]),
+            horizon, RunConfig.from_json_obj(obj["config"]),
             obj["failure"])
 
 
@@ -424,19 +426,16 @@ def run_generic(families: PairedFamilies, horizon=None,
     from the trivial condition.  Deterministic given its inputs."""
     config = config or RunConfig()
     horizon = horizon or config.horizon
-    schedule = config.schedule or default_schedule(families, horizon)
     chain = [Condition.trivial()]
     log = []
     failure = None
-    for kind, param in schedule:
+    for kind, param in default_schedule(families, horizon):
         p = chain[-1]
         try:
             if kind == "E":
                 r = dense_hit_E(p, param, families, config)
-            elif kind == "D":
-                r = dense_hit_D(p, param, families, config)
             else:
-                raise ParameterError("unknown dense-set kind %r" % kind)
+                r = dense_hit_D(p, param, families, config)
         except QForgeError as e:
             failure = "hit (%s, %s) failed: %s: %s" % (
                 kind, param, type(e).__name__, e)
@@ -448,11 +447,10 @@ def run_generic(families: PairedFamilies, horizon=None,
                       config, failure)
 
 
-def _hit_log_failures(run: GenericRun, families: PairedFamilies,
-                      config: RunConfig) -> list:
-    """The hits follow the schedule in order, all of it unless the run
-    aborted, and the condition each hit reached lies in its dense set."""
-    schedule = config.schedule or default_schedule(families, run.horizon)
+def _hit_log_failures(run: GenericRun, families: PairedFamilies) -> list:
+    """The hits follow the default schedule in order, all of it unless the
+    run aborted, and the condition each hit reached lies in its dense set."""
+    schedule = default_schedule(families, run.horizon)
     out = []
     for k, (kind, param, i) in enumerate(run.hit_log):
         if schedule[k:k + 1] != ((kind, param),):
@@ -527,7 +525,7 @@ def verify_run(run: GenericRun, families: PairedFamilies,
         }
 
     # (3) the hit log replays the schedule
-    failures += _hit_log_failures(run, families, config)
+    failures += _hit_log_failures(run, families)
 
     return {"failures": failures, "details": details,
             "config": config.to_json_obj(),

@@ -280,32 +280,31 @@ def build_projection(y: Subspace) -> RMatrix:
     """Projection of the ambient l_infty^n onto y, as an n x n matrix.
 
     Built from norm-preserving extensions of the coefficient functionals
-    v_k -> e_k; verified idempotent and identity on y before returning.
+    v_k -> e_k, and certified by Psi . B = I before it is returned (see
+    `_projection_parts`).
     """
     return _projection_parts(y)[0]
 
 
 def _projection_parts(y: Subspace):
-    """(projection matrix, functional rows): the projection is B . Psi,
-    and its kernel equals the joint kernel of the h rows of Psi, which is
-    far cheaper to compute than a dense nullspace of the full n x n
-    matrix."""
+    """(projection matrix P, h x n functional matrix Psi) with P = B . Psi
+    for the basis matrix B.  The one certificate is Psi . B = I_h: B has
+    independent columns, so it holds exactly when P fixes every basis
+    vector, and then P^2 = B (Psi B) Psi = P.  The kernel of P is the
+    joint kernel of the h rows of Psi, far cheaper to compute than a
+    dense nullspace of the full n x n matrix."""
     h = y.dim
     if h == 0:
-        return RMatrix(y.lo, y.hi, y.lo, y.hi, {}), []
+        return (RMatrix(y.lo, y.hi, y.lo, y.hi, {}),
+                RMatrix(0, 0, y.lo, y.hi, {}))
     # row j of psi is the l1-minimal extension of the j-th coefficient
-    psi_rows = []
-    for j in range(h):
-        u, _ = hahn_banach_extend(y, [ONE if k == j else ZERO for k in range(h)])
-        psi_rows.append(u)
-    psi = RMatrix.from_rows_vectors(psi_rows)
-    p = y.basis_matrix().matmul(psi)
-    if not p.matmul(p).equals(p):
-        raise NormBudgetError("projection failed idempotence check")
-    for v in y.basis:
-        if p.apply(v) != v.restrict(y.lo, y.hi):
-            raise NormBudgetError("projection does not fix the subspace")
-    return p, psi_rows
+    psi = RMatrix.from_rows_vectors([
+        hahn_banach_extend(y, [ONE if k == j else ZERO for k in range(h)])[0]
+        for j in range(h)])
+    b = y.basis_matrix()
+    if not psi.matmul(b).equals(RMatrix.identity(0, h)):
+        raise NormBudgetError("projection does not fix the subspace")
+    return b.matmul(psi), psi
 
 
 def kernel_subspace(p: RMatrix, lo: int, hi: int) -> Subspace:
@@ -464,12 +463,12 @@ def balanced_rescale(q: LinMap, delta=Fraction(1, 100)):
     return r
 
 
-def _partial_matrix(image_cols, coeff_extractor, lo, hi) -> RMatrix:
-    """(columns of images) . (coefficient extractor), as an n x n matrix."""
+def _partial_matrix(image_cols, coeff_rows, lo, hi) -> RMatrix:
+    """(columns of images) . (coefficient rows), as an n x n matrix."""
     if not image_cols:
         return RMatrix(lo, hi, lo, hi, {})
     bmat = RMatrix.from_columns(list(image_cols))
-    m = bmat.matmul(coeff_extractor)
+    m = bmat.matmul(coeff_rows)
     return RMatrix(lo, hi, lo, hi, dict(m.rows))
 
 
@@ -486,7 +485,7 @@ def extend_isomorphism(t: LinMap,
                        config: RunConfig | None = None) -> ExtensionResult:
     """Extend the isomorphism t: y1 -> y2 to a verified automorphism of
     the ambient space: w = t on y1, |w|, |w^-1| <= c2, all entries
-    rational, inverse returned alongside and checked by multiplication.
+    rational, inverse returned alongside and checked by w . w^-1 = I.
     """
     config = config or RunConfig()
     y1 = t.domain
@@ -512,10 +511,10 @@ def extend_isomorphism(t: LinMap,
     report["norm_P1"] = op_norm_inf(p1)
     report["norm_P2"] = op_norm_inf(p2)
     eye = RMatrix.identity(y1.lo, y1.hi)
-    # ker P = ker(S^-1 Psi) = ker Psi: h functionals instead of an n x n
+    # ker P = ker(B Psi) = ker Psi: h functionals instead of an n x n
     # elimination
-    z1 = kernel_of_functionals(psi1, y1.lo, y1.hi)
-    z2 = kernel_of_functionals(psi2, y1.lo, y1.hi)
+    z1 = kernel_of_functionals(psi1.rows.values(), y1.lo, y1.hi)
+    z2 = kernel_of_functionals(psi2.rows.values(), y1.lo, y1.hi)
     if z1.dim == 0:
         r = LinMap(z1, ())
     else:
@@ -523,21 +522,20 @@ def extend_isomorphism(t: LinMap,
         report["distortion_Q"] = q.norm() / q.lower()
         r = balanced_rescale(q, config.delta)
 
-    # w = t . P_{y1} + r . P_{z1}; P_{z1} = I - P_{y1}
-    ext1 = y1.coefficient_extractor()
+    # w = t . P_{y1} + r . P_{z1} with P_{z1} = I - P_{y1}; y1's
+    # coefficient extractor E has E B = I, so E P_{y1} = E B Psi_1 = Psi_1
     extz1 = r.domain.coefficient_extractor()
-    pz1 = eye.sub(p1)
-    w = _partial_matrix(t.images, ext1.matmul(p1), y1.lo, y1.hi).add(
-        _partial_matrix(r.images, extz1.matmul(pz1), y1.lo, y1.hi))
+    w = _partial_matrix(t.images, psi1, y1.lo, y1.hi).add(
+        _partial_matrix(r.images, extz1.matmul(eye.sub(p1)), y1.lo, y1.hi))
 
     # w^-1 = t^-1 . P_{y2} + r^-1 . P_{z2}, built symbolically
-    ext_ty = y2.coefficient_extractor()
     ext_rz = Subspace(y1.lo, y1.hi, tuple(r.images)).coefficient_extractor()
-    pz2 = eye.sub(p2)
-    w_inv = _partial_matrix(y1.basis, ext_ty.matmul(p2), y1.lo, y1.hi).add(
-        _partial_matrix(r.domain.basis, ext_rz.matmul(pz2), y1.lo, y1.hi))
+    w_inv = _partial_matrix(y1.basis, psi2, y1.lo, y1.hi).add(
+        _partial_matrix(r.domain.basis, ext_rz.matmul(eye.sub(p2)),
+                        y1.lo, y1.hi))
 
-    if not w.matmul(w_inv).equals(eye) or not w_inv.matmul(w).equals(eye):
+    # w and w^-1 are square exact matrices, so w w^-1 = I gives w^-1 w = I
+    if not w.matmul(w_inv).equals(eye):
         raise NormBudgetError("extension inverse verification failed")
     for v, img in zip(y1.basis, t.images):
         if w.apply(v) != img.restrict(y1.lo, y1.hi):

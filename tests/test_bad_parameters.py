@@ -143,3 +143,20 @@ def test_separation_whose_union_lifts_too_far(capsys, tmp_path):
     assert_one_line_exit_2(capsys, ["check-separation", "--family", str(path),
                                     "--inside", "0", "40", "--outside", "1"])
     assert time.monotonic() - t0 < 1
+
+
+def test_config_schedule_is_not_read(capsys, tmp_path):
+    # RunConfig has no schedule field, and unknown keys are ignored, so a
+    # scheduled D-hit at 100000 neither runs nor reaches the output
+    path = tmp_path / "pf.json"
+    write_json(path, {"f": {"kind": "branch", "count": 2},
+                      "g": {"kind": "progression", "count": 2}})
+    argv = ["forge-matrix", "--families", str(path), "--horizon", "8"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    config = tmp_path / "c.json"
+    config.write_text('{"schedule": [["D", 100000]]}')
+    t0 = time.monotonic()
+    assert main(["--config", str(config)] + argv) == 0
+    assert time.monotonic() - t0 < 1
+    assert capsys.readouterr().out == plain

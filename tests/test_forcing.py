@@ -27,7 +27,8 @@ from qforge.forcing import (
 )
 from qforge.jsonio import canonical_dumps
 from qforge.linalg import RMatrix
-from qforge.tails import TailVector
+from qforge.tails import TailVector, pi_section_norm
+from test_run_file import spiked_families
 
 
 def paired(count, depth=3):
@@ -172,6 +173,20 @@ class TestAmalgamate:
         for base in (p, q):
             ok, wit = cond_leq(r, base, PF4)
             assert ok, wit
+
+    def test_stage_rejected_on_clause_c(self):
+        # the spiked tails' span has section norm 3 at stage 4, the first
+        # stage wide enough for three indices (c1 = 2), so the block check
+        # rejects that candidate and the search goes on to stage 8
+        families = spiked_families()
+        config = RunConfig(c1=2, horizon=8)
+        empty = RMatrix(0, 0, 0, 0, {})
+        p = Condition(0, empty, (0, 1), inv=empty)
+        q = Condition(0, empty, (2,), inv=empty)
+        assert pi_section_norm(list(families.fs), 4) == 3
+        r = amalgamate(p, q, 0, families, config)
+        assert r.n == 8
+        assert validate_condition(r, families, config) == []
 
 
 class TestDenseHits:

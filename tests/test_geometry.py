@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qforge import geometry
 from qforge.config import RunConfig
 from qforge.errors import (
     NormBudgetError,
@@ -146,6 +147,19 @@ class TestBuildProjection:
         assert z.dim == 3
         for v in z.basis:
             assert p.apply(v).is_zero()
+
+    def test_certificate_rejects_wrong_functionals(self, monkeypatch):
+        # Psi . B = I is the projection's only certificate: functionals
+        # twice too large give Psi . B = 2 I, and P no longer fixes y
+        extend = geometry.hahn_banach_extend
+
+        def doubled(y, phi, cap=None):
+            u, value = extend(y, phi, cap)
+            return u.scale(2), 2 * value
+        monkeypatch.setattr(geometry, "hahn_banach_extend", doubled)
+        y = Subspace(0, 4, (wv(1, 1, 0, 0), wv(0, 0, 1, -1)))
+        with pytest.raises(NormBudgetError, match="does not fix"):
+            build_projection(y)
 
 
 class TestComplementIso:

@@ -25,7 +25,7 @@ from test_acceptance import (
     forge_and_verify,
 )
 
-FORGE_SHA256 = "4b72f43dcb896f1083c998774847c50b82ad985d7ab0823900a9342bc4a51f38"
+FORGE_SHA256 = "e6694182eaf9770d8b67b3e950b6bde242948805fd6bb354e9e2d0e18f438fa4"
 EXTENSION_SUITE_SHA256 = (
     "0eb174b246b65624b79eaef277fd640f5e6decad7de4a06cc773ff7ec9048812")
 EXTENSION_REPORT_SHA256 = (

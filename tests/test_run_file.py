@@ -10,6 +10,7 @@ replays the hit log against the schedule.
 
 import copy
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -201,3 +202,27 @@ def test_chain_must_start_at_stage_0(capsys, tmp_path, run_obj):
     obj = copy.deepcopy(run_obj)
     obj["chain"] = obj["chain"][1:]
     malformed(capsys, tmp_path, obj)
+
+
+@pytest.mark.parametrize("horizon", ["8", None, [8], 0, 4097, True])
+def test_horizon_must_be_a_bounded_integer(capsys, tmp_path, run_obj,
+                                           horizon):
+    obj = copy.deepcopy(run_obj)
+    obj["horizon"] = horizon
+    t0 = time.monotonic()
+    assert "horizon" in malformed(capsys, tmp_path, obj)
+    assert time.monotonic() - t0 < 1
+
+
+def test_chain_stage_beyond_any_run(capsys, tmp_path):
+    # no run passes horizon + 8 * horizon <= 9 * MAX_HORIZON, so a stage
+    # of 10^6 is rejected before its block is checked row by row
+    obj = identity_run([0, 8])
+    n = 10 ** 6
+    empty = rmatrix_to_json(RMatrix(0, n, 0, n))
+    obj["chain"][1] = {"n": n, "a": [], "inv": empty}
+    obj["layout"] = [0, n]
+    obj["matrix"] = empty
+    t0 = time.monotonic()
+    assert "chain stage" in malformed(capsys, tmp_path, obj)
+    assert time.monotonic() - t0 < 1
