@@ -51,17 +51,6 @@ from .jsonio import (
 from .linalg import RMatrix, frac, op_norm_inf
 
 
-def _plain(obj):
-    """Recursively turn Fractions (and tuples) into canonical JSON values."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if hasattr(obj, "numerator") and not isinstance(obj, (int, bool)):
-        return str(obj)
-    return obj
-
-
 def _emit(obj, out_path=None):
     text = canonical_dumps(obj)
     if out_path:
@@ -210,7 +199,7 @@ def cmd_compute(args, config):
                   "w_inv": rmatrix_to_json(ext.w_inv),
                   "norm_w": str(ext.norm_w),
                   "norm_w_inv": str(ext.norm_w_inv),
-                  "report": _plain(ext.report)}
+                  "report": ext.report}
     else:
         raise QForgeError("unknown compute op %r" % args.op)
     result["failures"] = []

@@ -264,18 +264,6 @@ def hahn_banach_extend(y: Subspace, phi_values, cap=None):
     return lp_min_l1(a, b)
 
 
-def dual_norm(y: Subspace, phi_values) -> Fraction:
-    """Independent dual-norm computation by vertex enumeration of the
-    unit ball of y in coefficient space; used as a cross-check oracle."""
-    from .polytope import vertex_enumerate
-
-    phi_values = [frac(p) for p in phi_values]
-    if y.dim == 0 or all(p == 0 for p in phi_values):
-        return ZERO
-    verts = vertex_enumerate(coordinate_rows(y.basis, y.lo, y.hi), dim=y.dim)
-    return max(abs(sum(c * p for c, p in zip(v, phi_values))) for v in verts)
-
-
 def build_projection(y: Subspace) -> RMatrix:
     """Projection of the ambient l_infty^n onto y, as an n x n matrix.
 
@@ -305,12 +293,6 @@ def _projection_parts(y: Subspace):
     if not psi.matmul(b).equals(RMatrix.identity(0, h)):
         raise NormBudgetError("projection does not fix the subspace")
     return b.matmul(psi), psi
-
-
-def kernel_subspace(p: RMatrix, lo: int, hi: int) -> Subspace:
-    """Kernel of an idempotent matrix p on [lo, hi), as a Subspace."""
-    rows = [[p.get(i, j) for j in range(lo, hi)] for i in range(lo, hi)]
-    return Subspace(lo, hi, tuple(kernel_basis(rows, lo, hi)))
 
 
 def kernel_of_functionals(rows, lo: int, hi: int) -> Subspace:

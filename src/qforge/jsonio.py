@@ -1,16 +1,65 @@
 """Canonical JSON: rationals as exact "p/q" strings, keys sorted, so two
-runs with the same inputs produce byte-identical files."""
+runs with the same inputs produce byte-identical files.
+
+`canonical_dumps` writes the bytes that the standard `json` encoder
+writes with sort_keys=True and indent=2, plus a newline, in one
+recursive walk instead of that encoder's pure-Python path.  The walk
+is where a `Fraction` becomes its "p/q" string (or "p" when the
+denominator is 1) and a tuple becomes a list; a float, a dict key that
+is not a string, or any other object is refused with a ParameterError,
+so no floating point reaches an output.
+"""
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ParameterError, QForgeError
 from .linalg import RMatrix, WindowVector, frac
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _dumps(obj, "\n") + "\n"
+
+
+def _dumps(obj, nl):
+    """obj as canonical JSON text, its nested lines starting with nl plus
+    two spaces; the exact-int test in the list case spares the call
+    for the ints that make up most of a certificate."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([
+            repr(v) if type(v) is int else _dumps(v, inner)
+            for v in obj]) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for k in obj:
+            if not isinstance(k, str):
+                raise ParameterError("canonical JSON keys are strings, not %s"
+                                     % type(k).__name__)
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join([
+            _quote(k) + ": " + _dumps(obj[k], inner)
+            for k in sorted(obj)]) + nl + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, Fraction):
+        return _quote(str(obj))
+    raise ParameterError("cannot write a %s as canonical JSON"
+                         % type(obj).__name__)
 
 
 def write_json(path, obj):

@@ -18,18 +18,28 @@ and every point below the larger threshold.  The tests require
 The pairwise certificates of a family are kept as the loop that made
 them before they were found in one pass: one `CertSet.almost_disjoint`
 per pair, in (i, j) order.
+
+Vertex enumeration of a symmetric polytope, the dual norm it gives, and
+the kernel of a dense idempotent matrix are independent oracles for the
+simplex-based norms and the functional kernels of `geometry`; the
+library itself never enumerates vertices.
 """
 
+from itertools import combinations, product
 from math import lcm
 
+from qforge import linalg
 from qforge.errors import (
+    DimensionCapError,
     InfeasibleError,
     NotAlmostDisjointError,
     ParameterError,
     SingularMatrixError,
     UnboundedError,
 )
-from qforge.linalg import ONE, ZERO, RMatrix
+from qforge.geometry import Subspace
+from qforge.linalg import ONE, ZERO, RMatrix, coordinate_rows, frac
+from qforge.simplex import _dedup_rows
 
 
 def rref(rows):
@@ -303,3 +313,61 @@ def pairwise_certificates(sets):
         for j in range(i + 1, len(sets)):
             certs[(i, j)] = sets[i].almost_disjoint(sets[j])
     return certs
+
+
+DEFAULT_DIM_CAP = 6
+
+
+def vertex_enumerate(constraint_rows, dim=None, cap=DEFAULT_DIM_CAP):
+    """All vertices of {x : |row . x| <= 1 for each constraint row}.
+
+    Every vertex is the unique solution of d active constraints at levels
+    +-1, so d-subsets of the deduped rows and sign vectors are tried.
+    This is exponential in the dimension, hence the hard cap.  Returns a
+    deterministically sorted list of coordinate tuples; raises
+    UnboundedError when the rows are rank deficient and DimensionCapError
+    above the dimension cap.
+    """
+    rows = _dedup_rows(constraint_rows)
+    if dim is None:
+        if not rows:
+            raise UnboundedError("no constraint rows")
+        dim = len(rows[0])
+    if dim > cap:
+        raise DimensionCapError(
+            "vertex enumeration capped at dimension %d (asked for %d)" % (cap, dim))
+    if linalg.rank([list(r) for r in rows]) < dim:
+        raise UnboundedError("constraint rows are rank deficient; the ball is unbounded")
+    verts = set()
+    for subset in combinations(range(len(rows)), dim):
+        sub = [list(rows[i]) for i in subset]
+        if linalg.rank(sub) < dim:
+            continue
+        # fixing the first active level to +1 halves the search; -x is
+        # added alongside x below since the polytope is symmetric
+        for signs in product((ONE, -ONE), repeat=dim - 1):
+            sol = linalg.solve_exact(sub, [ONE] + list(signs))
+            if sol is None:
+                continue
+            x = tuple(sol)
+            if any(abs(sum(a * b for a, b in zip(r, x))) > 1 for r in rows):
+                continue
+            verts.add(x)
+            verts.add(tuple(-v for v in x))
+    return sorted(verts)
+
+
+def dual_norm(y, phi_values):
+    """Dual norm of phi on y, by vertex enumeration of the unit ball of y
+    in coefficient space."""
+    phi_values = [frac(p) for p in phi_values]
+    if y.dim == 0 or all(p == 0 for p in phi_values):
+        return ZERO
+    verts = vertex_enumerate(coordinate_rows(y.basis, y.lo, y.hi), dim=y.dim)
+    return max(abs(sum(c * p for c, p in zip(v, phi_values))) for v in verts)
+
+
+def kernel_subspace(p, lo, hi):
+    """Kernel of an idempotent matrix p on [lo, hi), as a Subspace."""
+    rows = [[p.get(i, j) for j in range(lo, hi)] for i in range(lo, hi)]
+    return Subspace(lo, hi, tuple(linalg.kernel_basis(rows, lo, hi)))

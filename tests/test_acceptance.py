@@ -9,6 +9,7 @@ from itertools import combinations, product
 
 import pytest
 
+from dense_oracles import dual_norm
 from qforge.adf.certset import CertSet
 from qforge.adf.coherent import (
     CoherentFamily,
@@ -34,7 +35,6 @@ from qforge.adf.families import FamilyGenerator, make_family
 from qforge.geometry import (
     LinMap,
     Subspace,
-    dual_norm,
     extend_isomorphism,
     hahn_banach_extend,
 )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracles import dual_norm, kernel_subspace
 from qforge import geometry
 from qforge.config import RunConfig
 from qforge.errors import (
@@ -18,10 +19,8 @@ from qforge.geometry import (
     balanced_rescale,
     build_projection,
     complement_iso,
-    dual_norm,
     extend_isomorphism,
     hahn_banach_extend,
-    kernel_subspace,
     lower_bound,
     op_norm,
     rational_sqrt_upper,

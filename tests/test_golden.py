@@ -12,7 +12,7 @@ import json
 import random
 from fractions import Fraction
 
-from qforge.cli import _plain, main
+from qforge.cli import main
 from qforge.config import RunConfig
 from qforge.forcing import GenericRun, run_generic
 from qforge.geometry import extend_isomorphism
@@ -91,8 +91,7 @@ def test_extension_suite_bytes_are_pinned():
 def test_extension_reports_are_pinned():
     rng = random.Random(SEED + 2)
     cfg = RunConfig(rho=Fraction(4), c2=Fraction(64))
-    reports = [_plain(extend_isomorphism(_extension_instance(rng),
-                                         config=cfg).report)
+    reports = [extend_isomorphism(_extension_instance(rng), config=cfg).report
                for _ in range(50)]
     assert sha256(canonical_dumps(reports)) == EXTENSION_REPORT_SHA256
 

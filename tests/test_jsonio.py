@@ -1,0 +1,88 @@
+"""canonical_dumps against the standard json encoder it replaces.
+
+The walk must write the bytes of json.dumps(sort_keys=True, indent=2)
+plus a newline for every JSON value without floats, write a Fraction as
+its "p/q" string and a tuple as a list, and refuse anything else.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qforge.errors import ParameterError
+from qforge.jsonio import canonical_dumps
+
+# any code point, with control characters and lone surrogates drawn often
+strings = st.text(st.characters(exclude_categories=())
+                  | st.characters(categories=["Cc"])
+                  | st.characters(categories=["Cs"]))
+scalars = (st.none() | st.booleans() | strings
+           | st.integers() | st.integers(min_value=2 ** 64) | st.integers(max_value=-2 ** 64))
+
+
+def values(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                      | st.dictionaries(strings, kids)),
+        max_leaves=25)
+
+
+def oracle(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@given(values(scalars))
+@settings(max_examples=100, deadline=None)
+def test_same_bytes_as_json_dumps(obj):
+    assert canonical_dumps(obj) == oracle(obj)
+
+
+def test_scalars_and_empty_containers():
+    assert canonical_dumps([True, False, None, 1, 0, [], {}, ()]) == (
+        "[\n  true,\n  false,\n  null,\n  1,\n  0,\n  [],\n  {},\n  []\n]\n")
+    assert canonical_dumps({"b": [1, {"c": ()}], "a": "\u00e9"}) == (
+        '{\n  "a": "\\u00e9",\n  "b": [\n    1,\n    {\n      "c": []\n'
+        '    }\n  ]\n}\n')
+
+
+def _as_strings(obj):
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_as_strings(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _as_strings(v) for k, v in obj.items()}
+    return obj
+
+
+@given(values(scalars | st.fractions()))
+@settings(max_examples=60, deadline=None)
+def test_fractions_are_written_as_their_strings(obj):
+    assert canonical_dumps(obj) == oracle(_as_strings(obj))
+
+
+def test_fraction_strings():
+    assert canonical_dumps([Fraction(6, 2), Fraction(-1, 2)]) == (
+        '[\n  "3",\n  "-1/2"\n]\n')
+
+
+@pytest.mark.parametrize("obj, name", [
+    (1.5, "float"),
+    ([0.0], "float"),
+    ({"x": float("nan")}, "float"),
+    ([[float("inf")]], "float"),
+    ({1: "a"}, "int"),
+    ({"a": 1, None: 2}, "NoneType"),
+    ({(0, 1): []}, "tuple"),
+    ({1, 2}, "set"),
+    ([object()], "object"),
+])
+def test_non_json_values_are_refused(obj, name):
+    with pytest.raises(ParameterError) as info:
+        canonical_dumps(obj)
+    message = str(info.value)
+    assert name in message and "\n" not in message

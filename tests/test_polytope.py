@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qforge.errors import DimensionCapError, UnboundedError
 from qforge.linalg import frac, rank, solve_exact
-from qforge.polytope import vertex_enumerate
+from dense_oracles import vertex_enumerate
 
 
 def brute_vertices(rows, dim):

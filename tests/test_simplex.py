@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracles import vertex_enumerate
 from qforge.errors import InfeasibleError, UnboundedError
 from qforge.linalg import RMatrix, WindowVector, frac, rank
 from qforge.simplex import lp_min_l1, max_linear, polyhedral_max, simplex_min
@@ -132,7 +133,6 @@ class TestPolyhedralMax:
     def test_matches_vertex_scan(self):
         rows = [[frac(1), frac(0)], [frac(0), frac(1)], [frac(1), frac(1)]]
         objs = [[frac(2), frac(-1)], [frac(0), frac(3)]]
-        from qforge.polytope import vertex_enumerate
         verts = vertex_enumerate(rows)
         oracle = max(abs(sum(o * v for o, v in zip(obj, vert)))
                      for obj in objs for vert in verts)
@@ -156,7 +156,6 @@ class TestPolyhedralMax:
                     min_size=1, max_size=3))
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_enumeration(self, rows, objs):
-        from qforge.polytope import vertex_enumerate
         try:
             verts = vertex_enumerate(rows)
         except UnboundedError:
