@@ -10,7 +10,7 @@ verified block-diagonal matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import MAX_HORIZON, RunConfig
@@ -99,6 +99,11 @@ class Condition:
     a: tuple
     cuts: tuple = ()           # block boundaries 0 = c_0 < ... < c_k = n
     inv: RMatrix | None = None  # verified inverse carried alongside
+    # (families, c2) for which amalgamate proved the condition valid: the
+    # only inputs validate_condition reads.  Never copied, so a condition
+    # built from fields, loaded or rebuilt with replace is checked again
+    _proof: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(sorted(set(self.a))))
@@ -252,16 +257,27 @@ def _merge_blocks(stem: Condition, w: RMatrix, w_inv: RMatrix, n_r: int,
                      grow(_inverse_of(stem), w_inv))
 
 
+def _prove(r: Condition, families: PairedFamilies,
+           config: RunConfig) -> Condition:
+    object.__setattr__(r, "_proof", (families, config.c2))
+    return r
+
+
 def amalgamate(p: Condition, q: Condition, big_n: int,
                families: PairedFamilies, config: RunConfig) -> Condition:
     """Common extension of two conditions sharing a stem (n, M), with
-    stage at least big_n; every returned condition is fully verified.
-    The check of a candidate's new block is the one test of clause (c)."""
+    stage at least big_n.  Every returned condition is valid and carries
+    the proof of it for these families and c2, so a stem that carries it
+    is not validated again.  extend_isomorphism certifies a new block's
+    algebra, norms and interpolation, and RMatrix its form; the check of
+    a candidate's block here is clause (c) alone."""
     if p.n != q.n or not p.m.equals(q.m):
         raise ParameterError("conditions do not share a stem")
     # the stem is validated once: unless q carries another inverse or
     # layout, it differs from p only in what it commits at stage n
-    viol = validate_condition(p, families, config)
+    proof = p._proof
+    viol = ([] if proof and proof[0] is families and proof[1] == config.c2
+            else validate_condition(p, families, config))
     if q.inv is not p.inv or q.cuts != p.cuts:
         viol += validate_condition(q, families, config)
     elif q is not p:
@@ -271,11 +287,12 @@ def amalgamate(p: Condition, q: Condition, big_n: int,
     a_r = sorted(set(p.a) | set(q.a))
     n = p.n
     if set(q.a) <= set(p.a) and n >= big_n:
-        return p
+        return _prove(p, families, config)
 
     if not a_r:  # an identity block commits nothing and has norms 1 < c2
         ident = RMatrix.identity(n, max(n, big_n) + 1)
-        return _merge_blocks(p, ident, ident, ident.row_hi, a_r)
+        return _prove(_merge_blocks(p, ident, ident, ident.row_hi, a_r),
+                      families, config)
 
     fs = [families.f(xi) for xi in a_r]
     gs = [families.g(xi) for xi in a_r]
@@ -297,20 +314,23 @@ def amalgamate(p: Condition, q: Condition, big_n: int,
                         measured=rinv)
             fw = [f.restrict(n, n_r) for f in fs]
             gw = [g.restrict(n, n_r) for g in gs]
-            # the block must send each f-window exactly to the matching
-            # g-window: extend_isomorphism checks it on the block it builds
+            # extend_isomorphism certifies the block it builds: w w^-1 = I,
+            # both norms at most c2, and w sends each f-window exactly to
+            # the matching g-window
             t = LinMap(Subspace(n, n_r, tuple(fw)), tuple(gw))
             ext = extend_isomorphism(t, config=config)
         except _CANDIDATE_ERRORS as e:
             attempts.append((n_r, "%s: %s" % (type(e).__name__, e)))
             continue
-        # r extends p and q by construction: only its new block is checked
-        r = _merge_blocks(p, ext.w, ext.w_inv, n_r, a_r)
-        viol = _check_block(r.m, r.inv, n, n_r, a_r, families, config.c2)[0]
+        # r extends p and q by construction, and the stem is valid: clause
+        # (c) at n_r is the one fact left to check
+        viol = ["block [%d, %d): %s" % (n, n_r, f)
+                for f in _section_failures(a_r, n_r, families)]
         if viol:
             attempts.append((n_r, "verifier: %s" % viol))
             continue
-        return r
+        return _prove(_merge_blocks(p, ext.w, ext.w_inv, n_r, a_r),
+                      families, config)
     raise SearchExhaustedError(
         "no stage up to %d admits the extension; attempts: %s"
         % (config.search_cap, attempts[-3:]))

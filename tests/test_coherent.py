@@ -1,6 +1,5 @@
 import pytest
 
-from qforge.adf.certset import CertSet
 from qforge.adf.coherent import (
     CoherentFamily,
     boolean_image,

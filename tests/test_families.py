@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from qforge.adf.certset import CertSet
 from qforge.adf.families import (
-    Family,
     FamilyGenerator,
     OrdinalProgressionFamily,
     mad_census,

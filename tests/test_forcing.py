@@ -1,16 +1,18 @@
 """Poset of block-diagonal matrix conditions: validation, extension order,
 amalgamation, dense-set hitting, and full generic runs."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qforge import forcing
 from qforge.adf.certset import CertSet
 from qforge.adf.families import FamilyGenerator, make_family
 from qforge.config import RunConfig
-from qforge.errors import ParameterError, QForgeError
+from qforge.errors import ParameterError
 from qforge.forcing import (
     Condition,
     GenericRun,
@@ -40,6 +42,7 @@ def paired(count, depth=3):
 PF1 = paired(1)
 PF2 = paired(2)
 PF4 = paired(4)
+PF8 = paired(8)
 CFG = RunConfig(horizon=64)
 
 
@@ -187,6 +190,54 @@ class TestAmalgamate:
         r = amalgamate(p, q, 0, families, config)
         assert r.n == 8
         assert validate_condition(r, families, config) == []
+
+
+class TestCarriedProof:
+    """A condition amalgamate returns carries the proof of its validity
+    for the families (by identity) and c2 it was given; a stem that
+    carries it is not validated again."""
+
+    @staticmethod
+    def amalgamated():
+        p = Condition.trivial()
+        return amalgamate(p, Condition(0, p.m, (0, 1), inv=p.inv), 8, PF2,
+                          CFG)
+
+    @staticmethod
+    def count_validations(monkeypatch):
+        seen = []
+
+        def counted(p, families, config):
+            seen.append(p)
+            return validate_condition(p, families, config)
+        monkeypatch.setattr(forcing, "validate_condition", counted)
+        return seen
+
+    def test_run_validates_only_the_trivial_condition(self, monkeypatch):
+        seen = self.count_validations(monkeypatch)
+        run = run_generic(PF8, horizon=8, config=CFG)
+        assert run.failure is None and len(run.chain) > 2
+        assert seen == [Condition.trivial()]
+
+    def test_proof_is_bound_to_families_and_c2(self, monkeypatch):
+        r = self.amalgamated()
+        seen = self.count_validations(monkeypatch)
+        assert amalgamate(r, r, 0, PF2, CFG) is r and seen == []
+        assert amalgamate(r, r, 0, paired(2), CFG) is r and seen == [r]
+        low = RunConfig(rho=2, c2=2, horizon=64)  # r's block has norm 3
+        with pytest.raises(ParameterError, match="invalid input condition"
+                           ".*matrix norm 3 exceeds c2 = 2"):
+            amalgamate(r, r, 0, PF2, low)
+        assert seen == [r, r]
+
+    def test_rebuilt_condition_is_validated_again(self):
+        r = self.amalgamated()
+        corrupt = RMatrix.identity(0, r.n)  # r.m is not the identity
+        for bad in (replace(r, inv=corrupt),
+                    Condition(r.n, r.m, r.a, r.cuts, corrupt)):
+            with pytest.raises(ParameterError, match="invalid input condition"
+                               ".*carried inverse fails"):
+                amalgamate(bad, bad, 0, PF2, CFG)
 
 
 class TestDenseHits:

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from qforge.config import RunConfig
 from qforge.errors import (
     NormBudgetError,
     ParameterError,
-    SingularMatrixError,
 )
 from qforge.geometry import (
     LinMap,

@@ -11,10 +11,12 @@ replays the hit log against the schedule.
 import copy
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from qforge import forcing
 from qforge.adf.families import FamilyGenerator, make_family
 from qforge.cli import main
 from qforge.config import RunConfig
@@ -226,3 +228,44 @@ def test_chain_stage_beyond_any_run(capsys, tmp_path):
     t0 = time.monotonic()
     assert "chain stage" in malformed(capsys, tmp_path, obj)
     assert time.monotonic() - t0 < 1
+
+
+# amalgamate trusts extend_isomorphism's certificate of a new block's
+# algebra and norms; forge-matrix replays every block with verify_run
+# before it writes, so a block that breaks that certificate still reaches
+# no output unflagged
+
+def forge_with_blocks(monkeypatch, capsys, tmp_path, corrupt):
+    real = forcing.extend_isomorphism
+    monkeypatch.setattr(forcing, "extend_isomorphism", lambda t, config: (
+        corrupt(real(t, config=config), config)))
+    fam, out = tmp_path / "pf.json", tmp_path / "run.json"
+    write_json(fam, {"f": {"kind": "branch", "count": 2, "depth": 3},
+                     "g": {"kind": "progression", "count": 2}})
+    code = main(["forge-matrix", "--families", str(fam), "--horizon", "16",
+                 "--out", str(out)])
+    capsys.readouterr()
+    obj = json.loads(out.read_text())
+    assert code == 1 and obj["failure"] is None
+    return obj["failures"]
+
+
+def test_forge_replay_catches_a_wrong_carried_inverse(monkeypatch, capsys,
+                                                      tmp_path):
+    def off_by_one(ext, config):
+        lo, hi = ext.w_inv.row_lo, ext.w_inv.row_hi
+        return replace(ext, w_inv=ext.w_inv.add(
+            RMatrix(lo, hi, lo, hi, {lo: {lo: 1}})))
+    failures = forge_with_blocks(monkeypatch, capsys, tmp_path, off_by_one)
+    assert any(f.startswith("block [") and "(b) carried inverse fails" in f
+               for f in failures)
+
+
+def test_forge_replay_catches_a_norm_above_c2(monkeypatch, capsys, tmp_path):
+    def too_large(ext, config):
+        s = (config.c2 + 1) / ext.norm_w  # w w^-1 = I still holds
+        return replace(ext, w=ext.w.scale(s), w_inv=ext.w_inv.scale(1 / s),
+                       norm_w=config.c2 + 1, norm_w_inv=ext.norm_w_inv / s)
+    failures = forge_with_blocks(monkeypatch, capsys, tmp_path, too_large)
+    assert any(f.startswith("block [") and "(b) matrix norm 65 exceeds c2"
+               in f for f in failures)

@@ -1,11 +1,8 @@
-import itertools
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qforge.errors import NotInjectiveError, NotInvertibleError, ParameterError
+from qforge.errors import NotInjectiveError, NotInvertibleError
 from qforge.linalg import WindowVector, frac
 from qforge.tails import (
     QuotientClass,
