@@ -313,7 +313,11 @@ class CertSet:
 
     def indicator_tail(self):
         """The 0/1 indicator sequence as an eventually periodic vector."""
-        from ..tails import TailVector
+        from ..tails import MAX_TAIL, TailVector
+        if max(self.threshold, self.modulus) > MAX_TAIL:
+            raise ParameterError(
+                "the indicator tail of a set with threshold %d and modulus %d "
+                "exceeds the bound of %d" % (self.threshold, self.modulus, MAX_TAIL))
         prefix = tuple(1 if i in self else 0 for i in range(self.threshold))
         period = tuple(1 if (i + self.threshold) % self.modulus in self.residues else 0
                        for i in range(self.modulus))

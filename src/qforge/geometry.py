@@ -20,6 +20,7 @@ from .errors import (
     NormBudgetError,
     ParameterError,
     SingularMatrixError,
+    UnboundedError,
 )
 from .linalg import (
     ONE,
@@ -239,10 +240,10 @@ def lower_bound(t: LinMap, cap=None):
     _check_cap(d, cap)
     y, w = t.domain, t.images[0]
     image_rows = coordinate_rows(t.images, w.lo, w.hi)
-    if rank(image_rows) < d:
-        ker = nullspace(image_rows, d)
-        return ZERO, t.domain.combine(ker[0])
-    val, coeffs, _ = polyhedral_max(coordinate_rows(y.basis, y.lo, y.hi), image_rows)
+    try:
+        val, coeffs, _ = polyhedral_max(coordinate_rows(y.basis, y.lo, y.hi), image_rows)
+    except UnboundedError:  # T has a kernel
+        return ZERO, t.domain.combine(nullspace(image_rows, d)[0])
     return ONE / val, t.domain.combine(coeffs)
 
 

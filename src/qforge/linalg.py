@@ -1,13 +1,17 @@
 """Exact rational vectors and matrices on integer index windows.
 
 Everything is a pure function over immutable values; scalars are
-`fractions.Fraction` throughout and no operation ever rounds.
+`fractions.Fraction` at every interface and no operation ever rounds.
+Elimination runs on integer rows (ints, den) through `pivot`, the one
+Gauss-Jordan step behind rref, rank, inverses, kernels, solves and the
+simplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import ParameterError, SingularMatrixError
@@ -359,13 +363,15 @@ def invert(m: RMatrix) -> RMatrix:
     if n == 0:
         return RMatrix(m.row_lo, m.row_hi, m.col_lo, m.col_hi, {})
     eye = RMatrix.identity(0, n).to_dense()
-    red, pivots = rref([a + e for a, e in zip(m.to_dense(), eye)])
+    tab, pivots = _reduce([a + e for a, e in zip(m.to_dense(), eye)])
     # pivots rise strictly, so the first c with pivots[c] != c is the
     # first column of m without a pivot
     missing = next((c for c, p in enumerate(pivots) if c != p), None)
     if missing is not None:
         raise SingularMatrixError("matrix is singular at column %d" % missing)
-    return RMatrix.from_dense([r[n:] for r in red], row_lo=m.row_lo, col_lo=m.col_lo)
+    return RMatrix(m.row_lo, m.row_hi, m.col_lo, m.col_hi, {
+        m.row_lo + i: {m.col_lo + j: Fraction(x, den) for j, x in enumerate(row[n:]) if x}
+        for i, (row, den) in enumerate(tab)})
 
 
 def block_compose(blocks: Sequence[RMatrix], layout: BlockLayout) -> RMatrix:
@@ -393,43 +399,86 @@ def coordinate_rows(vectors, lo: int, hi: int) -> list:
     return [tuple(v.value(i) for v in vectors) for i in range(lo, hi)]
 
 
-def pivot(rows: list, r: int, c: int):
-    """One Gauss-Jordan step in place: scale row r so that entry c is 1,
-    then clear column c from every other row.  Zero entries of the pivot
-    row are skipped, and a unit pivot divides nothing."""
-    p = rows[r][c]
+def int_row(values):
+    """The exact rationals `values` as (ints, den) over their least common
+    denominator, so entry j is ints[j] / den."""
+    den = lcm(*[v.denominator for v in values])
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def eliminate(tab, k, r, c):
+    """Clear entry c of row k with row r, whose entry c is 1: row_k * s -
+    f * row_r over den_k * s, for f the entry and s row r's denominator,
+    both over their gcd.  A row is reduced only when its den is not 1."""
+    row, den = tab[k]
+    f = row[c]
+    if not f:
+        return
+    prow, p = tab[r]
+    g = gcd(f, p)
+    f //= g
+    s = p // g
+    if s == 1:
+        row = [x - f * y if y else x for x, y in zip(row, prow)]
+    else:
+        row = [x * s - f * y for x, y in zip(row, prow)]
+        den *= s
+    if den != 1:
+        g = gcd(den, *row)
+        if g != 1:
+            row = [x // g for x in row]
+            den //= g
+    tab[k] = (row, den)
+
+
+def pivot(tab, r, c):
+    """One Gauss-Jordan step in place on rows (ints, den): row r becomes
+    its ints over its entry c, whose entry c is then 1, and column c is
+    cleared from every other row."""
+    row = tab[r][0]
+    p = row[c]
+    if p < 0:
+        row = [-x for x in row]
+        p = -p
     if p != 1:
-        rows[r] = [x / p if x else x for x in rows[r]]
-    pivot_row = rows[r]
-    for k in range(len(rows)):
-        if k != r and rows[k][c] != 0:
-            f = rows[k][c]
-            rows[k] = [x - f * y if y else x for x, y in zip(rows[k], pivot_row)]
+        g = gcd(*row)  # p is an entry, so g divides it
+        if g != 1:
+            row = [x // g for x in row]
+            p //= g
+    tab[r] = (row, p)
+    for k in range(len(tab)):
+        if k != r:
+            eliminate(tab, k, r, c)
+
+
+def _reduce(rows) -> tuple:
+    """(integer rows of the rref of rows, pivot columns)."""
+    tab = [int_row(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(tab[0][0]) if tab else 0):
+        piv = next((k for k in range(r, len(tab)) if tab[k][0][c]), None)
+        if piv is None:
+            continue
+        tab[r], tab[piv] = tab[piv], tab[r]
+        pivot(tab, r, c)
+        pivots.append(c)
+        r += 1
+        if r == len(tab):
+            break
+    return tab, pivots
 
 
 def rref(rows: list) -> tuple:
     """Reduced row echelon form. Returns (rref_rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot(rows, r, c)
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    tab, pivots = _reduce(rows)
+    return [[Fraction(x, den) if x else ZERO for x in row] for row, den in tab], pivots
 
 
-def rank(rows: list) -> int:
-    return len(rref(rows)[1])
+def rank(rows) -> int:
+    return len(_reduce(rows)[1])
 
 
 def kernel_basis(rows: list, lo: int, hi: int) -> list:
@@ -438,12 +487,12 @@ def kernel_basis(rows: list, lo: int, hi: int) -> list:
     One vector per free column f of the rref: 1 at f, minus column f of
     the reduced rows at the pivots, zero elsewhere, so each has at most
     rank + 1 nonzero entries."""
-    red, pivots = rref(rows)
+    tab, pivots = _reduce(rows)
     pivot_cols = set(pivots)
     basis = []
     for f in range(hi - lo):
         if f not in pivot_cols:
-            entries = {lo + p: -red[r][f] for r, p in enumerate(pivots)}
+            entries = {lo + p: Fraction(-row[f], den) for (row, den), p in zip(tab, pivots)}
             entries[lo + f] = ONE
             basis.append(WindowVector.sparse(lo, hi, entries))
     return basis
@@ -459,14 +508,10 @@ def solve_exact(rows: list, rhs: list):
     if not rows:
         return [] if all(v == 0 for v in rhs) else None
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    for r in red:
-        if all(x == 0 for x in r[:ncols]) and r[ncols] != 0:
-            return None
+    tab, pivots = _reduce([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:  # a row reads 0 = nonzero
+        return None
     sol = [ZERO] * ncols
-    for r, p in enumerate(pivots):
-        if p == ncols:
-            return None
-        sol[p] = red[r][ncols]
+    for (row, den), p in zip(tab, pivots):
+        sol[p] = Fraction(row[ncols], den)
     return sol

@@ -6,79 +6,28 @@ over a bounded polytope is attained at a basic feasible point, i.e. at a
 vertex; the terminal tableau's nonnegative reduced costs are the
 optimality certificate.
 
-The tableau holds integers.  Each row is a pair (ints, den): a list of
-Python ints over a positive row denominator, so entry j is ints[j] / den.
-A pivot on (r, c) rescales row r to ints over ints[c], which makes its
-entry c equal to 1, and turns every other row k into
-row_k * p - f * pivot_row over den_k * p, with f its entry c and p the
-pivot row's denominator (both first divided by their gcd); a row is
-divided by the gcd of its entries and denominator only when its
-denominator is not 1.  Bland's rule reads the sign of an integer reduced
-cost, and the ratio test compares rhs_r / a_r across rows by
-cross-multiplying, since a row's denominator cancels from its own ratio.
-So every decision, and every value, is the one a Fraction tableau makes.
-Inputs become integer rows once, on the way in; the solution and the
-objective become Fractions once, on the way out.
+The tableau holds the integer rows (ints, den) of `linalg`, and every
+pivot is `linalg.pivot`, the one Gauss-Jordan step.  Bland's rule reads
+the sign of an integer reduced cost, and the ratio test compares
+rhs_r / a_r across rows by cross-multiplying, since a row's denominator
+cancels from its own ratio.  So every decision, and every value, is the
+one a Fraction tableau makes.  Inputs become integer rows once, on the
+way in; the solution and the objective become Fractions once, on the way
+out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
+from . import linalg
 from .errors import InfeasibleError, UnboundedError
 from .linalg import ZERO, RMatrix, WindowVector, rank
 
 
-def _int_row(values):
-    """The exact rationals `values` as (ints, den) over their least common
-    denominator."""
-    den = lcm(*[v.denominator for v in values])
-    if den == 1:
-        return [v.numerator for v in values], 1
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _eliminate(tab, k, r, c):
-    """Clear entry c of row k with row r, whose entry c is 1."""
-    row, den = tab[k]
-    f = row[c]
-    if not f:
-        return
-    prow, p = tab[r]
-    g = gcd(f, p)
-    f //= g
-    s = p // g
-    if s == 1:
-        row = [x - f * y if y else x for x, y in zip(row, prow)]
-    else:
-        row = [x * s - f * y for x, y in zip(row, prow)]
-        den *= s
-    if den != 1:
-        g = gcd(den, *row)
-        if g != 1:
-            row = [x // g for x in row]
-            den //= g
-    tab[k] = (row, den)
-
-
 def _pivot(tab, basis, r, c):
-    """Pivot on (r, c): row r over its entry c, whose entry c is then 1,
-    and column c cleared from every other row."""
-    row = tab[r][0]
-    p = row[c]
-    if p < 0:
-        row = [-x for x in row]
-        p = -p
-    if p != 1:
-        g = gcd(*row)  # p is an entry, so g divides it
-        if g != 1:
-            row = [x // g for x in row]
-            p //= g
-    tab[r] = (row, p)
-    for k in range(len(tab)):
-        if k != r:
-            _eliminate(tab, k, r, c)
+    """The Gauss-Jordan step on (r, c), and column c enters the basis at r."""
+    linalg.pivot(tab, r, c)
     basis[r] = c
 
 
@@ -97,7 +46,7 @@ def _run_simplex(tab, basis, cost):
     # price out the basis: basic columns are unit columns, so each step
     # changes only the reduced-cost row
     for r, bvar in enumerate(basis):
-        _eliminate(tab, m, r, bvar)
+        linalg.eliminate(tab, m, r, bvar)
     while True:
         z = tab[m][0]
         enter = next((j for j in range(ncols) if z[j] < 0), None)  # Bland
@@ -138,7 +87,7 @@ def simplex_min(cost, a_rows, b):
     tab = []
     # phase 1: artificial variables n .. n+m-1
     for r, (row, rhs) in enumerate(zip(a_rows, b)):
-        ints, den = _int_row(list(row) + [rhs])
+        ints, den = linalg.int_row(list(row) + [rhs])
         if rhs < 0:
             ints = [-x for x in ints]
         artificial = [0] * m
@@ -161,7 +110,7 @@ def simplex_min(cost, a_rows, b):
         del tab[r]
         del basis[r]
     tab = [(row[:n] + row[-1:], den) for row, den in tab]
-    ints, den = _int_row(list(cost))
+    ints, den = linalg.int_row(list(cost))
     val = _run_simplex(tab, basis, (ints + [0], den))
     return _basic_values(tab, basis, n), val
 
@@ -208,7 +157,7 @@ def max_linear(objective, constraint_rows):
     ncols = 2 * d + 2 * m
     plus, minus = [], []
     for k, row in enumerate(constraint_rows):
-        ints, den = _int_row(row)
+        ints, den = linalg.int_row(row)
         neg = [-x for x in ints]
         plus.append((ints + neg + [0] * (2 * m) + [den], den))
         plus[k][0][2 * d + k] = den
@@ -216,7 +165,7 @@ def max_linear(objective, constraint_rows):
         minus[k][0][2 * d + m + k] = den
     tab = plus + minus
     basis = list(range(2 * d, ncols))
-    ints, den = _int_row(objective)
+    ints, den = linalg.int_row(objective)
     cost = ([-x for x in ints] + ints + [0] * (2 * m + 1), den)
     val = _run_simplex(tab, basis, cost)
     x = _basic_values(tab, basis, ncols)
@@ -230,12 +179,9 @@ def _dedup_rows(rows):
     out = []
     for row in rows:
         row = tuple(row)
-        if all(v == 0 for v in row):
+        if row in seen or not any(row):
             continue
-        neg = tuple(-v for v in row)
-        if row in seen or neg in seen:
-            continue
-        seen.add(row)
+        seen.update((row, tuple(-v for v in row)))
         out.append(row)
     return out
 
@@ -255,17 +201,16 @@ def polyhedral_max(objective_rows, constraint_rows):
     d = dims.pop() if dims else 0
     if d == 0:
         return ZERO, [], None
-    if rank([list(r) for r in constraint_rows]) < d:
+    if rank(constraint_rows) < d:
         raise UnboundedError("constraint rows are rank deficient; the ball is unbounded")
     best = ZERO
     best_x = [ZERO] * d
     best_i = None
     seen = set()
     for i, obj in enumerate(objective_rows):
-        key = obj if obj >= tuple(-v for v in obj) else tuple(-v for v in obj)
-        if key in seen or all(v == 0 for v in obj):
+        if obj in seen or not any(obj):
             continue
-        seen.add(key)
+        seen.update((obj, tuple(-v for v in obj)))
         val, x = max_linear(list(obj), constraint_rows)
         if val > best:
             best, best_x, best_i = val, x, i

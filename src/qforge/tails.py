@@ -4,6 +4,12 @@ The certified class is "finite rational prefix + eventually periodic
 tail".  It is closed under linear combinations (align prefixes, take the
 lcm of periods), so limsup norms, eventual-equality classes and the
 window searches below are all exact finite computations.
+
+Each norm is a polyhedral max over coefficient rows of the span.  A call
+builds one aligned period of rows once, with the proof that their rank is
+the span's dimension (pi-injectivity); `polyhedral_max` itself ranks the
+rows of a window.  Aligned prefixes and periods are at most MAX_TAIL =
+2^16, the lcm of the pair branch 16 depth 4 against progression 16.
 """
 
 from __future__ import annotations
@@ -12,9 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import NotInjectiveError, NotInvertibleError, ParameterError
+from .errors import NotInjectiveError, NotInvertibleError, ParameterError, UnboundedError
 from .linalg import ONE, ZERO, WindowVector, coordinate_rows, frac, nullspace, rank
 from .simplex import polyhedral_max
+
+MAX_TAIL = 1 << 16
 
 
 def _minimal_period(pattern):
@@ -156,23 +164,30 @@ def _aligned(fs):
         raise ParameterError("empty span")
     m = max(f.prefix_len for f in fs)
     p = lcm(*[f.period_len for f in fs])
+    if max(m, p) > MAX_TAIL:
+        raise ParameterError(
+            "aligning these tails needs a prefix of %d and a period of %d; "
+            "the bound is %d" % (m, p, MAX_TAIL))
     return m, p
 
 
-def qnorm_rows(fs):
-    """Coefficient-space rows whose sup of |row . c| is quotient_norm(sum c_k f_k)."""
+def _quotient_rows(fs):
+    """(aligned prefix length, coefficient rows of one aligned period, whose
+    sup of |row . c| is quotient_norm(sum c_k f_k)); NotInjectiveError
+    when a nonzero combination vanishes at infinity."""
     m, p = _aligned(fs)
-    return coordinate_rows(fs, m, m + p)
-
-
-def check_pi_injective(fs):
-    """Raise NotInjectiveError when a nonzero combination vanishes at infinity."""
-    rows = qnorm_rows(fs)
+    rows = coordinate_rows(fs, m, m + p)
     if rank(rows) < len(fs):
         witness = nullspace(rows, len(fs))[0]
         raise NotInjectiveError(
             "combination with coefficients %s lies in the vanishing ideal"
             % (tuple(witness),))
+    return m, rows
+
+
+def check_pi_injective(fs):
+    """Raise NotInjectiveError when a nonzero combination vanishes at infinity."""
+    _quotient_rows(fs)
 
 
 def lifting_index(fs, epsilon=ZERO) -> LiftWindow:
@@ -183,9 +198,7 @@ def lifting_index(fs, epsilon=ZERO) -> LiftWindow:
     epsilon = frac(epsilon)
     if not (0 <= epsilon < 1):
         raise ParameterError("epsilon must lie in [0, 1)")
-    check_pi_injective(fs)
-    m, _ = _aligned(fs)
-    constraints = qnorm_rows(fs)
+    m, constraints = _quotient_rows(fs)
     budget = ONE / (1 - epsilon)
     best = (m, ONE)
     for n in range(m):
@@ -206,14 +219,13 @@ def restriction_index(fs, epsilon=ZERO) -> LiftWindow:
         raise ParameterError("epsilon must lie in [0, 1)")
     fs = [f if isinstance(f, TailVector) else TailVector.from_window(f) for f in fs]
     m, p = _aligned(fs)
-    d = len(fs)
     full = coordinate_rows(fs, 0, m + p)
     budget = ONE / (1 - epsilon)
     for n in range(1, m + p + 1):
-        constraints = coordinate_rows(fs, 0, n)
-        if rank([list(r) for r in constraints]) < d:
+        try:
+            val, _, _ = polyhedral_max(full, coordinate_rows(fs, 0, n))
+        except UnboundedError:  # [0, n) does not pin the coefficients
             continue
-        val, _, _ = polyhedral_max(full, constraints)
         if val <= budget:
             return LiftWindow(n, val)
     raise NotInvertibleError("no restriction window found; basis is dependent")
@@ -223,9 +235,7 @@ def pi_section_norm(fs, n: int) -> Fraction:
     """Norm of the section sending the class of y to y restricted to [n, inf),
     on the span of fs: max tail sup over the quotient-norm unit ball.
     """
-    check_pi_injective(fs)
-    m, _ = _aligned(fs)
-    constraints = qnorm_rows(fs)
+    m, constraints = _quotient_rows(fs)
     if n >= m:
         # past every prefix the objective rows coincide with the
         # constraint rows, so the sup over the unit ball is exactly 1
@@ -239,10 +249,11 @@ def r_operator_inverse_norm(fs, n: int, n_prime: int) -> Fraction:
     """max quotient norm over {|y| <= 1 on [n, n')}; NotInvertible when the
     restriction window is too short to pin down coefficients.
     """
-    check_pi_injective(fs)
-    constraints = coordinate_rows(fs, n, n_prime)
-    if rank([list(r) for r in constraints]) < len(fs):
+    _, rows = _quotient_rows(fs)
+    try:
+        val, _, _ = polyhedral_max(rows, coordinate_rows(fs, n, n_prime))
+    except UnboundedError:
         raise NotInvertibleError(
-            "restriction to [%d, %d) is not injective on the span" % (n, n_prime))
-    val, _, _ = polyhedral_max(qnorm_rows(fs), constraints)
+            "restriction to [%d, %d) is not injective on the span"
+            % (n, n_prime)) from None
     return val

@@ -336,7 +336,7 @@ def vertex_enumerate(constraint_rows, dim=None, cap=DEFAULT_DIM_CAP):
     if dim > cap:
         raise DimensionCapError(
             "vertex enumeration capped at dimension %d (asked for %d)" % (cap, dim))
-    if linalg.rank([list(r) for r in rows]) < dim:
+    if linalg.rank(rows) < dim:
         raise UnboundedError("constraint rows are rank deficient; the ball is unbounded")
     verts = set()
     for subset in combinations(range(len(rows)), dim):

@@ -83,7 +83,7 @@ def test_criterion_1_operator_norm_oracle():
 def _random_subspace(rng, n, dim):
     while True:
         rows = [[rand_fraction(rng) for _ in range(n)] for _ in range(dim)]
-        if rank([list(r) for r in rows]) == dim:
+        if rank(rows) == dim:
             basis = tuple(WindowVector(0, n, tuple(r)) for r in rows)
             return Subspace(0, n, basis)
 

@@ -6,12 +6,14 @@ import time
 
 import pytest
 
+from qforge.adf.certset import CertSet
 from qforge.adf.families import MAX_BLOCKS, MAX_VALUATION
 from qforge.cli import main
 from qforge.config import ENV_CONFIG, MAX_HORIZON, RunConfig
 from qforge.errors import ParameterError
 from qforge.jsonio import write_json
 from qforge.linalg import frac
+from qforge.tails import MAX_TAIL, TailVector, check_pi_injective
 
 BAD_CONFIGS = ['{"rho": "x"}', "not json", '{"horizon": "x"}']
 
@@ -160,3 +162,60 @@ def test_config_schedule_is_not_read(capsys, tmp_path):
     assert main(["--config", str(config)] + argv) == 0
     assert time.monotonic() - t0 < 1
     assert capsys.readouterr().out == plain
+
+
+def coprime_tails():
+    # three periods whose lcm is 18 181 979: aligning them would build
+    # that many rows
+    return [TailVector((), (1,) + (0,) * (p - 1)) for p in (257, 263, 269)]
+
+
+def coprime_families():
+    tails = [t.to_json_obj() for t in coprime_tails()]
+    return {"indices": [0, 1, 2], "f": tails, "g": tails}
+
+
+def test_indicator_tail_above_the_bound(capsys, tmp_path):
+    # a set of modulus 2^40 used to build a 2^40-entry period
+    path = tmp_path / "pf.json"
+    big = CertSet(0, 1 << 40, frozenset({0}), frozenset())
+    write_json(path, {"f": [big.to_json_obj()], "g": [big.to_json_obj()]})
+    t0 = time.monotonic()
+    assert_one_line_exit_2(capsys, ["forge-matrix", "--families", str(path)])
+    assert time.monotonic() - t0 < 1
+
+
+def test_aligned_tails_above_the_bound(capsys, tmp_path):
+    path = tmp_path / "pf.json"
+    write_json(path, coprime_families())
+    t0 = time.monotonic()
+    assert_one_line_exit_2(capsys, ["forge-matrix", "--families", str(path)])
+    assert time.monotonic() - t0 < 1
+
+
+def test_run_file_with_tails_above_the_bound(capsys, tmp_path):
+    pair = tmp_path / "pf.json"
+    write_json(pair, {"f": {"kind": "branch", "count": 2},
+                      "g": {"kind": "progression", "count": 2}})
+    run = tmp_path / "run.json"
+    assert main(["forge-matrix", "--families", str(pair), "--horizon", "8",
+                 "--out", str(run)]) == 0
+    capsys.readouterr()
+    obj = json.loads(run.read_text())
+    obj["families"] = coprime_families()
+    write_json(run, obj)
+    t0 = time.monotonic()
+    assert_one_line_exit_2(capsys, ["verify-run", str(run)])
+    assert time.monotonic() - t0 < 1
+
+
+def test_tail_of_period_at_the_bound_is_accepted():
+    t = CertSet(0, MAX_TAIL, frozenset({0}), frozenset()).indicator_tail()
+    assert t.period_len == MAX_TAIL
+    check_pi_injective([t, TailVector((), (0, 1))])
+    with pytest.raises(ParameterError):
+        CertSet(0, MAX_TAIL + 1, frozenset({0}), frozenset()).indicator_tail()
+    with pytest.raises(ParameterError):
+        CertSet(MAX_TAIL + 1, 2, frozenset({0}), frozenset()).indicator_tail()
+    with pytest.raises(ParameterError):
+        check_pi_injective(coprime_tails())

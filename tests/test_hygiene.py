@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package, the tests or the scripts
-imports a name it never uses."""
+imports a name it never uses, and no module of the package imports a
+private name from another."""
 
 import ast
 from pathlib import Path
@@ -26,3 +27,18 @@ def test_no_unused_imports():
              for p in sorted((ROOT / d).rglob("*.py"))]
     assert paths
     assert [u for p in paths for u in unused_imports(p)] == []
+
+
+def private_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    return ["%s:%d %s" % (path.relative_to(ROOT), node.lineno, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "qforge")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_private_imports_across_package_modules():
+    paths = sorted((ROOT / "src/qforge").rglob("*.py"))
+    assert paths
+    assert [u for p in paths for u in private_imports(p)] == []

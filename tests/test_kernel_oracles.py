@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracles
-from qforge import simplex
+from qforge import linalg, simplex
 from qforge.errors import QForgeError, SingularMatrixError
 from qforge.geometry import kernel_of_functionals
-from qforge.linalg import RMatrix, WindowVector, invert, nullspace, rref, solve_exact
+from qforge.linalg import RMatrix, WindowVector, invert, nullspace, rank, rref, solve_exact
 
 # mostly zeros and ones, so that the zero and unit-pivot shortcuts are taken
 entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(1)),
@@ -35,6 +35,7 @@ def matrices(max_rows=5, max_cols=6, rows=None, cols=None):
 @given(matrices())
 def test_rref_and_nullspace(rows):
     assert rref(rows) == dense_oracles.rref(rows)
+    assert rank(rows) == len(dense_oracles.rref(rows)[1])
     ncols = len(rows[0])
     assert nullspace(rows, ncols) == dense_oracles.nullspace(rows, ncols)
 
@@ -101,6 +102,26 @@ def test_simplex_pivots_are_recorded():
     _, pivots = outcome(simplex, [Fraction(1), Fraction(1)],
                         [[Fraction(1), Fraction(2)]], [Fraction(2)])
     assert pivots
+
+
+def test_one_gauss_jordan_step():
+    # rref, invert and the simplex all eliminate through linalg.pivot
+    seen = []
+    original = linalg.pivot
+
+    def pivot(tab, r, c):
+        seen.append((r, c))
+        original(tab, r, c)
+
+    with mock.patch.object(linalg, "pivot", pivot):
+        two = Fraction(2)
+        for run in (lambda: rref([[two, Fraction(1)]]),
+                    lambda: invert(RMatrix.from_dense([[two]])),
+                    lambda: simplex.simplex_min([Fraction(1), Fraction(1)],
+                                                [[Fraction(1), two]], [two])):
+            seen.clear()
+            run()
+            assert seen
 
 
 @settings(max_examples=200, deadline=None)

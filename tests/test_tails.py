@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,7 +182,8 @@ class TestPiSectionNorm:
             assert pi_section_norm(fs, 0) >= 1
 
     def test_not_injective(self):
-        with pytest.raises(NotInjectiveError):
+        with pytest.raises(NotInjectiveError,
+                           match=re.escape("(Fraction(-2, 1), Fraction(1, 1))")):
             pi_section_norm([EVENS, EVENS.scale(2)], 0)
 
 
@@ -190,7 +193,8 @@ class TestROperator:
 
     def test_window_too_short(self):
         # evens vanish at odd indices: the window {1} cannot pin the coefficient
-        with pytest.raises(NotInvertibleError):
+        with pytest.raises(NotInvertibleError,
+                           match=r"restriction to \[1, 2\) is not injective on the span"):
             r_operator_inverse_norm([EVENS], 1, 2)
 
     def test_inverse_norm_weakly_decreasing(self):
