@@ -4,12 +4,13 @@ Stage alpha is an injection s_alpha from the positions below omega * alpha
 (position omega * xi + j encodes the j-th point of the xi-th fiber) onto
 the exact range set W_alpha of the underlying ordinal-indexed family.
 Successor stages append the enumeration of a fresh fiber and change
-nothing below, so coherence there is exact.  Limit stages are built from
-a lazy chain of finite repairs: step n extends step n-1 across one fiber,
-redirecting only the finitely many positions whose value would collide
-or that are needed to cover the next range point.  Every stage therefore
-differs from every earlier stage on an explicit finite set of positions,
-and all range sets stay in the certified-set algebra.
+nothing below, so coherence there is exact.  Limit stages are the union
+of a lazy chain whose step n appends one fiber to step n-1 and moves no
+value.  Stages are checked, never repaired: each step proves that its
+fiber lies in the limit range set and misses the previous range, and
+that the next range point is covered, and a family that fails a check
+is rejected.  Every stage therefore agrees with every earlier stage, and
+all range sets stay in the certified-set algebra.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ def _limit_part(alpha: OrdinalIdx):
 class LimitCore:
     """Lazy chain t_0 <= t_1 <= ... converging to the limit stage.
 
-    t_n agrees with the smaller stage s_{xi_n} except on the finite
-    override dictionary ovr_n, and its exact range is tracked as a
-    certified set.  Step n guarantees the first n elements of W_lambda
-    are covered, so the union is onto W_lambda.
+    t_n is the smaller stage s_{xi_n}: step n adds the fiber xi_{n-1} to
+    the domain of t_{n-1}.  Step n checks that the fiber lies in W_lambda
+    and misses the range of t_{n-1}, and that the first n elements of
+    W_lambda lie in the range of t_n, so the union is an injection onto
+    W_lambda.  A failed check raises; nothing is repaired.
     """
 
     def __init__(self, coherent: "CoherentFamily", lam: OrdinalIdx):
@@ -46,8 +48,8 @@ class LimitCore:
         self.coherent = coherent
         self.lam = lam
         self.w = coherent.family.w_set(lam)
-        self._ovr = [dict()]  # ovr_n: position -> value, relative to s_{xi_n}
-        self._ran = [coherent.family.w_set(self._xi(0))]
+        self._steps = 0  # the chain is checked through t_{_steps}
+        self._ran = coherent.family.w_set(self._xi(0))  # range of that map
 
     def _xi(self, n: int) -> OrdinalIdx:
         return self.lam.fundamental(n)
@@ -60,104 +62,43 @@ class LimitCore:
             return 0
         return xi.c0 + 1
 
-    def _ensure(self, n: int):
-        while len(self._ovr) <= n:
-            self._step(len(self._ovr))
+    def ensure(self, n: int):
+        """Check the chain through step n."""
+        while self._steps < n:
+            self._step(self._steps + 1)
 
     def _step(self, n: int):
-        fam = self.coherent.family
-        xi_prev, xi = self._xi(n - 1), self._xi(n)
-        g = self.coherent.stage(xi)
-        fiber = fam.fiber_set(xi_prev)
+        xi_prev = self._xi(n - 1)
+        fiber = self.coherent.family.fiber_set(xi_prev)
         if not fiber.diff(self.w).is_empty():
             raise HypothesisViolationError(
                 2, "fiber %s leaves the limit range set" % xi_prev)
-        prev_ovr, prev_ran = self._ovr[n - 1], self._ran[n - 1]
-
-        # collisions: fiber values already produced by the previous map;
-        # the fiber is exactly disjoint from W_{xi_prev}, so only the
-        # finitely many redirected values can collide
-        collide = fiber.intersect(prev_ran)
-        if collide.is_infinite():
+        if not fiber.intersect(self._ran).is_empty():
             raise HypothesisViolationError(
-                6, "previous chain map meets the new fiber infinitely")
-        d3 = set()
-        for v in collide.finite_elements():
-            d3.add(OrdinalIdx.from_fiber(xi_prev, fiber.rank(v)))
-
-        # coverage: the first n points of W_lambda must land in the range
-        targets = [self.w.nth(k) for k in range(n)]
-
-        def missing_targets():
-            out = []
-            for v in targets:
-                if v in prev_ran:
-                    continue
-                if v in fiber and OrdinalIdx.from_fiber(
-                        xi_prev, fiber.rank(v)) not in d3:
-                    continue
-                out.append(v)
-            return out
-
-        missing = missing_targets()
-        j = 0
-        while len(d3) < len(missing):
-            d3.add(OrdinalIdx.from_fiber(xi_prev, j))
-            j += 1
-            missing = missing_targets()
-        d3 = sorted(d3)
-
-        # fresh values live outside the next stage range and all repairs
-        pool = self.w.diff(fam.w_set(xi))
-        avoid = set(targets) | set(prev_ovr.values())
-        assignments = {}
-        k = 0
-        for idx, pos in enumerate(d3):
-            if idx < len(missing):
-                assignments[pos] = missing[idx]
-            else:
-                while pool.nth(k) in avoid:
-                    k += 1
-                assignments[pos] = pool.nth(k)
-                avoid.add(pool.nth(k))
-        ovr = {pos: v for pos, v in prev_ovr.items()
-               if v != g.value(pos)}
-        ovr.update(assignments)
-
-        displaced = [g.value(pos) for pos in ovr]
-        ran = fam.w_set(xi).diff(CertSet.finite(displaced)).union(
-            CertSet.finite(ovr.values()))
-        for v in targets:
-            if v not in ran:
-                raise ParameterError("coverage certificate failed at step %d" % n)
-        self._ovr.append(ovr)
-        self._ran.append(ran)
+                6, "previous chain map meets the new fiber")
+        ran = self._ran.union(fiber)
+        # the first n - 1 points lie in the range of t_{n-1}, which ran contains
+        if self.w.nth(n - 1) not in ran:
+            raise ParameterError("coverage certificate failed at step %d" % n)
+        self._steps, self._ran = n, ran
 
     # -- chain access -----------------------------------------------------
-    def overrides_for(self, n: int) -> dict:
-        self._ensure(n)
-        return self._ovr[n]
-
     def value(self, beta: OrdinalIdx) -> int:
         xi, _ = beta.fiber_and_offset()
         n = self._entry_step(xi)
-        ovr = self.overrides_for(n)
-        if beta in ovr:
-            return ovr[beta]
+        self.ensure(n)
         return self.coherent.stage(self._xi(n)).value(beta)
 
     def preimage(self, v: int):
+        """No step moves a value, so v's position lies in v's own fiber."""
         if v not in self.w:
             return None
-        n = self.w.rank(v) + 1
-        ovr = self.overrides_for(n)
-        for pos, val in ovr.items():
-            if val == v:
-                return pos
-        pos = self.coherent.stage(self._xi(n)).preimage(v)
-        if pos is None or pos in ovr:
-            return None
-        return pos
+        xi = self.coherent.family.index_of(v)
+        if xi is None:
+            raise ParameterError("valuation index beyond cap")
+        n = self._entry_step(xi)
+        self.ensure(n)
+        return self.coherent.stage(self._xi(n)).preimage(v)
 
 
 @dataclass(frozen=True)
@@ -189,9 +130,9 @@ class Stage:
 
     def range_set(self) -> CertSet:
         """Exact range: the family's W-set at alpha.  Below a limit this
-        rests on the per-step coverage certificates of the core; every
-        chain repair keeps the range inside W and the coverage checks
-        pull each W point into the range."""
+        rests on the checks of the core, which repairs nothing: each step
+        adds a fiber inside W that misses the range so far, and the
+        coverage checks pull each W point into the range."""
         return self.coherent.family.w_set(self.alpha)
 
 
@@ -217,22 +158,19 @@ class CoherentFamily:
 
     # -- certificates -----------------------------------------------------
     def coherence_exceptions(self, gamma: OrdinalIdx, alpha: OrdinalIdx):
-        """Exact positions below omega * gamma where the two stages differ."""
+        """Exact positions below omega * gamma where the two stages differ.
+
+        No chain step moves a value, so the list is empty once the chain
+        of each limit between gamma and alpha is checked as far as gamma.
+        """
         if not gamma <= alpha or alpha > self.cap:
             raise ParameterError("need gamma <= alpha <= cap")
         lam = _limit_part(alpha)
         if lam is None or gamma >= lam or gamma == alpha:
             return []
-        core = self.core(lam)
         n = 0 if gamma.c1 < lam.c1 - 1 else gamma.c0
-        xi_n = lam.fundamental(n)
-        candidates = set(self.coherence_exceptions(gamma, xi_n))
-        for pos in core.overrides_for(n):
-            fib, _ = pos.fiber_and_offset()
-            if fib < gamma:
-                candidates.add(pos)
-        s_a, s_g = self.stage(alpha), self.stage(gamma)
-        return sorted(p for p in candidates if s_a.value(p) != s_g.value(p))
+        self.core(lam).ensure(n)
+        return self.coherence_exceptions(gamma, lam.fundamental(n))
 
     def image_of_fiber(self, alpha: OrdinalIdx, xi: OrdinalIdx) -> CertSet:
         """Exact image of the xi-th fiber of positions under stage alpha."""
@@ -243,17 +181,8 @@ class CoherentFamily:
             return self.family.fiber_set(xi)
         core = self.core(lam)
         n = core._entry_step(xi)
-        xi_n = lam.fundamental(n)
-        img = self.image_of_fiber(xi_n, xi)
-        inner = self.stage(xi_n)
-        ovr = core.overrides_for(n)
-        moved = {pos: v for pos, v in ovr.items()
-                 if pos.fiber_and_offset()[0] == xi}
-        if moved:
-            img = img.diff(CertSet.finite(
-                [inner.value(p) for p in moved])).union(
-                CertSet.finite(moved.values()))
-        return img
+        core.ensure(n)
+        return self.image_of_fiber(lam.fundamental(n), xi)
 
     def derived_set(self, xi: OrdinalIdx) -> CertSet:
         """Image of the xi-th fiber under the first stage containing it."""

@@ -296,29 +296,27 @@ class OrdinalProgressionFamily:
         """A_xi minus W_xi; equal to A_xi exactly by construction."""
         return self.member(xi)
 
+    def _prefix_union(self, alpha: OrdinalIdx, start: int) -> CertSet:
+        """The residue blocks qq < q, each from start + qq on, united with
+        the first r valuation fibers of block q."""
+        q, r = self._split(alpha, boundary=True)
+        k = self.cells
+        out = CertSet.empty()
+        for qq in range(q):
+            out = out.union(CertSet.ap(start + qq, k))
+        for i in range(r):
+            out = out.union(self.member(OrdinalIdx(0, q, i)))
+        return out
+
     def w_set(self, alpha: OrdinalIdx) -> CertSet:
         """Exact range of the coherent injection at stage alpha:
         full residue blocks below q, plus the first r valuation fibers."""
-        q, r = self._split(alpha, boundary=True)
-        k = self.cells
-        w = CertSet.empty()
-        for qq in range(q):
-            w = w.union(CertSet.ap(k + qq, k))
-        for i in range(r):
-            w = w.union(self.member(OrdinalIdx(0, q, i)))
-        return w
+        return self._prefix_union(alpha, self.cells)
 
     def separator(self, alpha: OrdinalIdx) -> CertSet:
         """Chain set V_alpha: members below alpha are almost inside, members
         at or above alpha meet it finitely."""
-        q, r = self._split(alpha, boundary=True)
-        k = self.cells
-        v = CertSet.empty()
-        for qq in range(q):
-            v = v.union(CertSet.ap(qq, k))
-        for i in range(r):
-            v = v.union(self.member(OrdinalIdx(0, q, i)))
-        return v
+        return self._prefix_union(alpha, 0)
 
     def index_of(self, value: int):
         """The unique xi with value in A_xi, or None."""

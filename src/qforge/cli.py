@@ -49,6 +49,7 @@ from .jsonio import (
     window_vector_to_json,
 )
 from .linalg import RMatrix, frac, op_norm_inf
+from .tails import TailVector
 
 
 def _emit(obj, out_path=None):
@@ -217,9 +218,15 @@ def _paired_from_file(path):
 
     def parse(obj):
         if "indices" in obj:
-            return PairedFamilies.from_json_obj(obj)
-        return paired_from_certsets(side(obj["f"]), side(obj["g"]))
-    return load_json(path, parse, "family file")
+            return PairedFamilies, (
+                tuple(int(i) for i in obj["indices"]),
+                tuple(TailVector.from_json_obj(v) for v in obj["f"]),
+                tuple(TailVector.from_json_obj(v) for v in obj["g"]))
+        return paired_from_certsets, (side(obj["f"]), side(obj["g"]))
+    # only parsing counts as malformed: a well-formed file whose tails
+    # exceed a bound fails with that bound's own message
+    build, parts = load_json(path, parse, "family file")
+    return build(*parts)
 
 
 def cmd_forge_matrix(args, config):

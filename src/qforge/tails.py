@@ -26,11 +26,20 @@ MAX_TAIL = 1 << 16
 
 
 def _minimal_period(pattern):
+    """The shortest prefix that repeats to the whole pattern: n minus the
+    longest proper border when that divides n, else the pattern itself.
+    One prefix-function pass finds the border."""
     n = len(pattern)
-    for p in range(1, n + 1):
-        if n % p == 0 and all(pattern[i] == pattern[i % p] for i in range(n)):
-            return pattern[:p]
-    return pattern
+    border = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and pattern[i] != pattern[k]:
+            k = border[k - 1]
+        if pattern[i] == pattern[k]:
+            k += 1
+        border[i] = k
+    p = n - k
+    return pattern[:p] if n % p == 0 else pattern
 
 
 @dataclass(frozen=True)
@@ -50,12 +59,15 @@ class TailVector:
         period = [frac(c) for c in self.period]
         if not period:
             raise ParameterError("period pattern must be nonempty")
-        period = list(_minimal_period(tuple(period)))
-        while prefix and prefix[-1] == period[-1]:
-            prefix.pop()
-            period = [period[-1]] + period[:-1]
-        object.__setattr__(self, "prefix", tuple(prefix))
-        object.__setattr__(self, "period", tuple(_minimal_period(tuple(period))))
+        period = _minimal_period(tuple(period))
+        # absorb the k trailing prefix entries that match the pattern
+        # rotated right by k; a rotation of a minimal period is minimal
+        p, k = len(period), 0
+        while k < len(prefix) and prefix[-1 - k] == period[(-1 - k) % p]:
+            k += 1
+        s = k % p
+        object.__setattr__(self, "prefix", tuple(prefix[:len(prefix) - k]))
+        object.__setattr__(self, "period", period[p - s:] + period[:p - s])
 
     @staticmethod
     def from_window(v: WindowVector) -> "TailVector":

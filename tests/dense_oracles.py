@@ -19,6 +19,10 @@ The pairwise certificates of a family are kept as the loop that made
 them before they were found in one pass: one `CertSet.almost_disjoint`
 per pair, in (i, j) order.
 
+The canonical form of a tail vector is kept as it was before one
+prefix-function pass found its period: a scan over every divisor of the
+period's length, and one rotation per absorbed prefix entry.
+
 Vertex enumeration of a symmetric polytope, the dual norm it gives, and
 the kernel of a dense idempotent matrix are independent oracles for the
 simplex-based norms and the functional kernels of `geometry`; the
@@ -313,6 +317,26 @@ def pairwise_certificates(sets):
         for j in range(i + 1, len(sets)):
             certs[(i, j)] = sets[i].almost_disjoint(sets[j])
     return certs
+
+
+def minimal_period(pattern):
+    """The shortest prefix that repeats to the whole pattern, found by
+    trying every divisor of its length."""
+    n = len(pattern)
+    for p in range(1, n + 1):
+        if n % p == 0 and all(pattern[i] == pattern[i % p] for i in range(n)):
+            return pattern[:p]
+    return pattern
+
+
+def tail_canonical_form(prefix, period):
+    """The (prefix, period) a TailVector stores: a minimal period, and
+    each trailing prefix entry that matches absorbed by one rotation."""
+    prefix, period = list(prefix), list(minimal_period(tuple(period)))
+    while prefix and prefix[-1] == period[-1]:
+        prefix.pop()
+        period = [period[-1]] + period[:-1]
+    return tuple(prefix), tuple(minimal_period(tuple(period)))
 
 
 DEFAULT_DIM_CAP = 6

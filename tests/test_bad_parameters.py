@@ -25,6 +25,7 @@ def assert_one_line_exit_2(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    return captured.err
 
 
 @pytest.mark.parametrize("text", ["abc", "1/0", "", "1/2/3"])
@@ -181,16 +182,20 @@ def test_indicator_tail_above_the_bound(capsys, tmp_path):
     big = CertSet(0, 1 << 40, frozenset({0}), frozenset())
     write_json(path, {"f": [big.to_json_obj()], "g": [big.to_json_obj()]})
     t0 = time.monotonic()
-    assert_one_line_exit_2(capsys, ["forge-matrix", "--families", str(path)])
+    err = assert_one_line_exit_2(capsys, ["forge-matrix", "--families", str(path)])
     assert time.monotonic() - t0 < 1
+    # the file is well formed; only its tails are too long
+    assert "malformed" not in err
 
 
 def test_aligned_tails_above_the_bound(capsys, tmp_path):
     path = tmp_path / "pf.json"
     write_json(path, coprime_families())
     t0 = time.monotonic()
-    assert_one_line_exit_2(capsys, ["forge-matrix", "--families", str(path)])
+    err = assert_one_line_exit_2(capsys, ["forge-matrix", "--families", str(path)])
     assert time.monotonic() - t0 < 1
+    # the file is well formed; only its tails are too long
+    assert "malformed" not in err
 
 
 def test_run_file_with_tails_above_the_bound(capsys, tmp_path):

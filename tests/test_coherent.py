@@ -6,9 +6,10 @@ from qforge.adf.coherent import (
     chain_set,
     separator_from_embedding,
 )
+from qforge.adf.certset import CertSet
 from qforge.adf.families import OrdinalProgressionFamily
 from qforge.adf.ordinals import OrdinalIdx
-from qforge.errors import ParameterError
+from qforge.errors import HypothesisViolationError, ParameterError
 
 W = OrdinalIdx.omega
 N = OrdinalIdx.nat
@@ -76,6 +77,17 @@ class TestLimitStage:
     def test_preimage_outside_w(self, system):
         s = system.stage(W(1))
         assert s.preimage(3) is None
+
+    @pytest.mark.parametrize("alpha", [W(1), W(2)])
+    def test_preimage_of_high_rank_points(self, system, alpha):
+        # the rank of a point once set how far the chain ran, and step 18
+        # needs fiber 17, past the valuation cap
+        s = system.stage(alpha)
+        w = system.family.w_set(alpha)
+        for k in (10, 17, 20, 200):
+            v = w.nth(k)
+            p = s.preimage(v)
+            assert p is not None and s.value(p) == v
 
     def test_coherence_certificates_replay(self, system):
         for gamma in (N(1), N(3), N(6)):
@@ -230,3 +242,35 @@ class TestSeparatorAndChain:
         assert ok
         assert system.family.member(xi).almost_disjoint(
             chain_set(system, W(1))) == []
+
+
+class MeetsPreviousRange(OrdinalProgressionFamily):
+    """Fiber 1 of block 0 also holds the first point of fiber 0."""
+
+    def fiber_set(self, xi):
+        fiber = super().fiber_set(xi)
+        if xi == OrdinalIdx(0, 0, 1):
+            return fiber.union(CertSet.finite([self.member(N(0)).nth(0)]))
+        return fiber
+
+
+class LeavesLimitRange(OrdinalProgressionFamily):
+    """Fiber 1 of block 0 also holds 1, which lies below every W-set."""
+
+    def fiber_set(self, xi):
+        fiber = super().fiber_set(xi)
+        if xi == OrdinalIdx(0, 0, 1):
+            return fiber.union(CertSet.finite([1]))
+        return fiber
+
+
+class TestCheckedNotRepaired:
+    @pytest.mark.parametrize("family, number", [(MeetsPreviousRange, 6),
+                                                (LeavesLimitRange, 2)])
+    def test_bad_fiber_is_rejected(self, family, number):
+        system = CoherentFamily(family(cells=8, blocks=2), W(2))
+        with pytest.raises(HypothesisViolationError,
+                           match=r"hypothesis \(%d\)" % number):
+            system.coherence_exceptions(N(3), W(1))
+        with pytest.raises(HypothesisViolationError):
+            system.stage(W(1)).value(pos(0, 1, 0))

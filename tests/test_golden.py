@@ -56,6 +56,11 @@ CERTIFY_SHA256 = {
         "eef66fe7c5e3d4bafe064b70d6f78b4ad1948afe15808f0824e14241947dc36b",
 }
 
+# build-coherent past the certify size in valuation: stages w*q + r for
+# every r < 12, so each limit chain is checked through step 11
+COHERENT_HIGH_VALUATION_SHA256 = (
+    "fa34ade0fd72522b5d2a6f9d76c6c66ce70fb7b526413a48516cfa30bb37755d")
+
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -118,3 +123,9 @@ def test_certify_outputs_are_pinned(capsys, tmp_path):
         assert main(argv) == 0, name
         digests[name] = sha256(capsys.readouterr().out)
     assert digests == CERTIFY_SHA256
+
+
+def test_coherent_high_valuations_are_pinned(capsys):
+    assert main(["build-coherent", "--cells", "3", "--blocks", "2",
+                 "--sample-offsets", "12"]) == 0
+    assert sha256(capsys.readouterr().out) == COHERENT_HIGH_VALUATION_SHA256

@@ -1,14 +1,19 @@
 import re
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracles
+from qforge.adf.certset import CertSet
 from qforge.errors import NotInjectiveError, NotInvertibleError
 from qforge.linalg import WindowVector, frac
 from qforge.tails import (
     QuotientClass,
     TailVector,
+    _minimal_period,
     eq_star,
     lifting_index,
     pi_section_norm,
@@ -203,3 +208,32 @@ class TestROperator:
         vals = [r_operator_inverse_norm(fs, 0, c) for c in cuts]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert vals[-1] >= 1
+
+
+# a repeated base pattern, so that short periods occur, with a stray tail
+symbols = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2)])
+patterns = st.builds(lambda base, reps, extra: tuple(base * reps + extra),
+                     st.lists(symbols, min_size=1, max_size=5),
+                     st.integers(1, 6), st.lists(symbols, max_size=2))
+
+
+class TestCanonicalForm:
+    @settings(max_examples=300, deadline=None)
+    @given(patterns)
+    def test_minimal_period_matches_the_divisor_scan(self, pattern):
+        assert _minimal_period(pattern) == dense_oracles.minimal_period(pattern)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(symbols, max_size=8).map(tuple), patterns)
+    def test_stored_form_matches_the_rotation_loop(self, prefix, period):
+        t = TailVector(prefix, period)
+        assert (t.prefix, t.period) == dense_oracles.tail_canonical_form(
+            prefix, period)
+
+    def test_long_period_with_a_late_member_within_budget(self):
+        # one member at the end of a 2^16 period: the divisor scan
+        # compared the period once per divisor of its length
+        t0 = time.monotonic()
+        t = CertSet(3, 2 ** 16, frozenset({1}), frozenset({0})).indicator_tail()
+        assert time.monotonic() - t0 < 1
+        assert t.period_len == 2 ** 16
