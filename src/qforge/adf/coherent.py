@@ -2,7 +2,8 @@
 
 Stage alpha is an injection s_alpha from the positions below omega * alpha
 (position omega * xi + j encodes the j-th point of the xi-th fiber) onto
-the exact range set W_alpha of the underlying ordinal-indexed family.
+the points of the range set W_alpha of the underlying ordinal-indexed
+family that some fiber holds, those of valuation at most MAX_VALUATION.
 Successor stages append the enumeration of a fresh fiber and change
 nothing below, so coherence there is exact.  Limit stages are the union
 of a lazy chain whose step n appends one fiber to step n-1 and moves no
@@ -38,8 +39,10 @@ class LimitCore:
     t_n is the smaller stage s_{xi_n}: step n adds the fiber xi_{n-1} to
     the domain of t_{n-1}.  Step n checks that the fiber lies in W_lambda
     and misses the range of t_{n-1}, and that the first n elements of
-    W_lambda lie in the range of t_n, so the union is an injection onto
-    W_lambda.  A failed check raises; nothing is repaired.
+    W_lambda lie in the range of t_n.  The union is an injection onto the
+    points of W_lambda that some fiber holds: those whose quotient has
+    dyadic valuation at most MAX_VALUATION.  A failed check raises;
+    nothing is repaired.
     """
 
     def __init__(self, coherent: "CoherentFamily", lam: OrdinalIdx):
@@ -128,13 +131,6 @@ class Stage:
             return self.coherent.core(lam).preimage(v)
         return None
 
-    def range_set(self) -> CertSet:
-        """Exact range: the family's W-set at alpha.  Below a limit this
-        rests on the checks of the core, which repairs nothing: each step
-        adds a fiber inside W that misses the range so far, and the
-        coverage checks pull each W point into the range."""
-        return self.coherent.family.w_set(self.alpha)
-
 
 class CoherentFamily:
     """Memoized system of coherent injections over an ordinal family."""
@@ -145,6 +141,7 @@ class CoherentFamily:
         self.family = family
         self.cap = cap
         self._cores = {}
+        self._chain_sets = {}
 
     def stage(self, alpha: OrdinalIdx) -> Stage:
         if alpha > self.cap:
@@ -233,5 +230,13 @@ def separator_from_embedding(coherent: CoherentFamily, f_indices,
 
 
 def chain_set(coherent: CoherentFamily, alpha: OrdinalIdx) -> CertSet:
-    """The alpha-th member of the increasing chain the stages embed into."""
-    return coherent.family.separator(alpha)
+    """The alpha-th member of the increasing chain the stages embed into.
+
+    Memoized on the system; the member at a successor alpha whose
+    predecessor's is known adds the fiber alpha - 1 to that one."""
+    memo = coherent._chain_sets
+    if alpha not in memo:
+        below = memo.get(alpha.predecessor()) if alpha.is_successor() else None
+        memo[alpha] = (coherent.family.separator(alpha) if below is None else
+                       below.union(coherent.family.member(alpha.predecessor())))
+    return memo[alpha]

@@ -121,18 +121,12 @@ class Condition:
                 "inv": rmatrix_to_json(self.inv) if self.inv else None}
 
 
-def _block(m: RMatrix, lo: int, hi: int) -> RMatrix:
-    return RMatrix(lo, hi, lo, hi, {
-        i: {j: v for j, v in row.items() if lo <= j < hi}
-        for i, row in m.rows.items() if lo <= i < hi})
-
-
 def _inverse_of(p: Condition) -> RMatrix:
     """p.inv when carried, else blockwise inversion along p.cuts."""
     if p.inv is not None:
         return p.inv
     layout = BlockLayout(p.cuts)
-    return block_compose([invert(_block(p.m, lo, hi))
+    return block_compose([invert(p.m.block(lo, hi))
                           for lo, hi in layout.blocks()], layout)
 
 
@@ -142,18 +136,16 @@ def _inverse_of(p: Condition) -> RMatrix:
 def _form_failures(m: RMatrix, lo: int, hi: int) -> list:
     """Entries of rows [lo, hi) outside the columns [lo, hi)."""
     return ["(ii) entry (%d, %d) outside the block form" % (i, j)
-            for i in range(lo, hi) for j in sorted(m.rows.get(i, ()))
-            if not lo <= j < hi]
+            for i in range(lo, hi) for j in m.columns(i) if not lo <= j < hi]
 
 
-def _algebra_failures(m: RMatrix, inv, lo: int, hi: int, c2):
-    """(b) on block [lo, hi): B * B^-1 = I, B^-1 inverted from B unless
-    carried, and both norms at most c2.  Returns the failures and the two
-    norms, the second None when B is singular."""
-    b = _block(m, lo, hi)
+def _algebra_failures(b: RMatrix, inv, lo: int, hi: int, c2):
+    """(b) on the block b on [lo, hi): B * B^-1 = I, B^-1 inverted from B
+    unless carried, and both norms at most c2.  Returns the failures and
+    the two norms, the second None when B is singular."""
     norm, out = op_norm_inf(b), []
     try:
-        binv = invert(b) if inv is None else _block(inv, lo, hi)
+        binv = invert(b) if inv is None else inv.block(lo, hi)
     except SingularMatrixError:
         return ["(b) matrix is singular"], norm, None
     if inv is not None and (_form_failures(inv, lo, hi) or not (
@@ -166,24 +158,21 @@ def _algebra_failures(m: RMatrix, inv, lo: int, hi: int, c2):
     return out, norm, inv_norm
 
 
-def _interpolation_failures(m: RMatrix, lo: int, hi: int, a,
-                            families: PairedFamilies) -> list:
-    """(iv): rows [lo, hi) of m over the columns [lo, hi) send the f-tail
-    of each committed index to its g-tail; the first failing row of each."""
+def _interpolation_failures(b: RMatrix, a, families: PairedFamilies) -> list:
+    """(iv): the block b on [lo, hi) sends the f-tail of each committed
+    index to its g-tail; the first failing row of each."""
+    lo, hi = b.row_lo, b.row_hi
     out = []
     for xi in a:
         if xi not in families._by_index:
             out.append("(iv) index %s outside the families" % (xi,))
             continue
-        f, g = families.f(xi), families.g(xi)
-        fv = {j: v for j in range(lo, hi) if (v := f.value(j))}
-        for i in range(lo, hi):
-            got = sum((v * fv[j] for j, v in m.rows.get(i, {}).items()
-                       if j in fv), Fraction(0))
-            if got != g.value(i):
-                out.append("(iv) xi = %s fails at coordinate %d: %s != %s"
-                           % (xi, i, got, g.value(i)))
-                break
+        got = b.apply(families.f(xi).restrict(lo, hi))
+        want = families.g(xi).restrict(lo, hi)
+        if got != want:
+            i = next(i for i in range(lo, hi) if got.value(i) != want.value(i))
+            out.append("(iv) xi = %s fails at coordinate %d: %s != %s"
+                       % (xi, i, got.value(i), want.value(i)))
     return out
 
 
@@ -208,9 +197,10 @@ def _check_block(m: RMatrix, inv, lo: int, hi: int, a,
     """Every fact block [lo, hi) of m introduces, with a committed there:
     its form, its algebra, the interpolation of a on its rows and clause
     (c) at hi.  Returns the failures and the block's two norms."""
-    algebra, norm, inv_norm = _algebra_failures(m, inv, lo, hi, c2)
+    b = m.block(lo, hi)
+    algebra, norm, inv_norm = _algebra_failures(b, inv, lo, hi, c2)
     failures = (_form_failures(m, lo, hi) + algebra
-                + _interpolation_failures(m, lo, hi, a, families)
+                + _interpolation_failures(b, a, families)
                 + _section_failures(a, hi, families))
     return ["block [%d, %d): %s" % (lo, hi, f) for f in failures], norm, inv_norm
 
@@ -236,25 +226,19 @@ def cond_leq(p: Condition, q: Condition, families: PairedFamilies):
     """Is p an extension of q?  Returns (bool, list of failure witnesses)."""
     if p.n < q.n:
         return False, ["(i) stage %d below %d" % (p.n, q.n)]
-    out = []
-    for i in range(q.n):
-        prow, qrow = p.m.rows.get(i, {}), q.m.rows.get(i, {})
-        out += ["(ii) entry (%d, %d) differs from the stem" % (i, j)
-                for j in sorted(set(prow) | set(qrow))
-                if j < q.n and prow.get(j, 0) != qrow.get(j, 0)]
+    out = ["(ii) entry (%d, %d) differs from the stem" % ij
+           for ij in p.m.differences(q.m, 0, q.n)]
     out += _form_failures(p.m, 0, q.n) + _form_failures(p.m, q.n, p.n)
     if not set(q.a) <= set(p.a):
         out.append("(iii) committed indices were dropped")
-    out += _interpolation_failures(p.m, q.n, p.n, q.a, families)
+    out += _interpolation_failures(p.m.block(q.n, p.n), q.a, families)
     return not out, out
 
 
 def _merge_blocks(stem: Condition, w: RMatrix, w_inv: RMatrix, n_r: int,
                   a_r) -> Condition:
-    def grow(m, block):
-        return RMatrix(0, n_r, 0, n_r, {**m.rows, **block.rows})
-    return Condition(n_r, grow(stem.m, w), tuple(a_r), stem.cuts + (n_r,),
-                     grow(_inverse_of(stem), w_inv))
+    return Condition(n_r, stem.m.merged(w), tuple(a_r), stem.cuts + (n_r,),
+                     _inverse_of(stem).merged(w_inv))
 
 
 def _prove(r: Condition, families: PairedFamilies,
@@ -385,7 +369,7 @@ class GenericRun:
         lows = [0] + [c.n for c in self.chain]
         return {
             "chain": [{"n": c.n, "a": list(c.a), "inv": rmatrix_to_json(
-                _block(_inverse_of(c), lo, c.n))}
+                _inverse_of(c).block(lo, c.n))}
                 for lo, c in zip(lows, self.chain)],
             "hit_log": [[k, v, i] for k, v, i in self.hit_log],
             "entry_stage": {str(k): v for k, v in sorted(self.entry_stage.items())},
@@ -418,7 +402,7 @@ class GenericRun:
         if matrix.window != (0, stages[-1], 0, stages[-1]):
             raise ParameterError("matrix window is not [0, %d)^2" % stages[-1])
         chain = tuple(
-            Condition(n, _block(matrix, 0, n), tuple(c["a"]), stages[:k + 1],
+            Condition(n, matrix.block(0, n), tuple(c["a"]), stages[:k + 1],
                       block_compose(binvs[1:k + 1],
                                     BlockLayout(stages[:k + 1])))
             for k, (n, c) in enumerate(zip(stages, obj["chain"])))

@@ -120,18 +120,16 @@ class Subspace:
             rows = {k: {i: ONE / self.basis[k].value(i)}
                     for k, i in enumerate(pivots)}
             return RMatrix(0, self.dim, self.lo, self.hi, rows)
-        bmat = self.basis_matrix()
         # pivot rows of the basis matrix give an invertible dim x dim minor
         _, pivots = rref([[b.value(i) for i in range(self.lo, self.hi)]
                           for b in self.basis])
         pivot_rows = [self.lo + c for c in pivots]
-        sub = RMatrix.from_dense(
-            [[bmat.get(i, k) for k in range(self.dim)] for i in pivot_rows])
-        inv = invert(sub)
+        inv = invert(RMatrix.from_dense(
+            [[b.value(i) for b in self.basis] for i in pivot_rows]))
         rows = {}
         for k in range(self.dim):
-            rows[k] = {i: inv.get(k, j) for j, i in enumerate(pivot_rows)
-                       if inv.get(k, j) != 0}
+            rows[k] = {i: v for j, i in enumerate(pivot_rows)
+                       if (v := inv.get(k, j))}
         return RMatrix(0, self.dim, self.lo, self.hi, rows)
 
 
@@ -450,9 +448,7 @@ def _partial_matrix(image_cols, coeff_rows, lo, hi) -> RMatrix:
     """(columns of images) . (coefficient rows), as an n x n matrix."""
     if not image_cols:
         return RMatrix(lo, hi, lo, hi, {})
-    bmat = RMatrix.from_columns(list(image_cols))
-    m = bmat.matmul(coeff_rows)
-    return RMatrix(lo, hi, lo, hi, dict(m.rows))
+    return RMatrix.from_columns(list(image_cols)).matmul(coeff_rows)
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,7 @@ def load_json(path, parse, what):
 
 def rmatrix_to_json(m: RMatrix):
     entries = sorted((i, j, str(v)) for i, row in m.rows.items()
-                     for j, v in row.items() if v != 0)
+                     for j, v in row.items())
     return {"row_lo": m.row_lo, "row_hi": m.row_hi,
             "col_lo": m.col_lo, "col_hi": m.col_hi,
             "entries": [[i, j, v] for i, j, v in entries]}
@@ -97,7 +97,7 @@ def rmatrix_to_json(m: RMatrix):
 def rmatrix_from_json(obj) -> RMatrix:
     rows = {}
     for i, j, v in obj["entries"]:
-        rows.setdefault(i, {})[j] = frac(v)
+        rows.setdefault(i, {})[j] = v
     return RMatrix(obj["row_lo"], obj["row_hi"],
                    obj["col_lo"], obj["col_hi"], rows)
 

@@ -2,14 +2,14 @@
 
 Everything is a pure function over immutable values; scalars are
 `fractions.Fraction` at every interface and no operation ever rounds.
-Elimination runs on integer rows (ints, den) through `pivot`, the one
-Gauss-Jordan step behind rref, rank, inverses, kernels, solves and the
-simplex.
+Inside, numbers are integer rows (ints, den): an RMatrix stores each row
+so, and elimination runs on them through `pivot`, the one Gauss-Jordan
+step behind rref, rank, inverses, kernels, solves and the simplex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -195,35 +195,94 @@ class BlockLayout:
         return list(zip(self.cuts, self.cuts[1:]))
 
 
-@dataclass(frozen=True)
+def _int_entries(nz: dict) -> tuple:
+    """The nonzero Fractions {col: value} as one canonical row
+    ({col: int}, den), through `int_row`."""
+    ints, den = int_row(list(nz.values()))
+    return dict(zip(nz, ints)), den
+
+
+def _canonical(acc: dict, den: int):
+    """The row acc over den > 0 with its zeros dropped and reduced by the
+    gcd of den and its entries, or None when every entry is zero."""
+    acc = {j: x for j, x in acc.items() if x}
+    if not acc:
+        return None
+    if den != 1:
+        g = gcd(den, *acc.values())
+        if g != 1:
+            acc = {j: x // g for j, x in acc.items()}
+            den //= g
+    return acc, den
+
+
+def _matrix(row_lo: int, row_hi: int, col_lo: int, col_hi: int,
+            rows: dict) -> "RMatrix":
+    """An RMatrix from trusted canonical rows inside its windows."""
+    m = object.__new__(RMatrix)
+    m._init(row_lo, row_hi, col_lo, col_hi, rows)
+    return m
+
+
+_NO_ROW = ({}, 1)
+
+
 class RMatrix:
     """Sparse rational matrix on row window x column window.
 
-    ``rows`` maps a row index to {col: nonzero Fraction}; missing entries
-    are zero.  Instances are never mutated after construction.
+    Each nonzero row is stored as ({col: int}, den), entry j being
+    ints[j] / den, in one canonical form: den > 0, gcd(den, entries) = 1,
+    no zero entry and no empty row.  Two matrices are therefore equal
+    exactly when their windows and row dicts are.  Every entry a caller
+    reads (`get`, `to_dense`, `rows`) is a Fraction.  The constructor
+    checks the windows and coerces every entry through `frac`; the
+    operations build their results from canonical rows without either.
+    Instances are never mutated.
     """
 
-    row_lo: int
-    row_hi: int
-    col_lo: int
-    col_hi: int
-    rows: dict = field(default_factory=dict)
+    __slots__ = ("row_lo", "row_hi", "col_lo", "col_hi", "_rows", "_fractions")
 
-    def __post_init__(self):
+    def __init__(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int,
+                 rows: dict | None = None):
         clean = {}
-        for i, row in self.rows.items():
-            if not (self.row_lo <= i < self.row_hi):
+        for i, row in (rows or {}).items():
+            if not (row_lo <= i < row_hi):
                 raise ParameterError("row index %d outside window" % i)
             r = {}
             for j, v in row.items():
-                if not (self.col_lo <= j < self.col_hi):
+                if not (col_lo <= j < col_hi):
                     raise ParameterError("col index %d outside window" % j)
                 v = frac(v)
                 if v != 0:
                     r[j] = v
             if r:
-                clean[i] = r
-        object.__setattr__(self, "rows", clean)
+                clean[i] = _int_entries(r)
+        self._init(row_lo, row_hi, col_lo, col_hi, clean)
+
+    def _init(self, row_lo, row_hi, col_lo, col_hi, rows):
+        _setattr(self, "row_lo", row_lo)
+        _setattr(self, "row_hi", row_hi)
+        _setattr(self, "col_lo", col_lo)
+        _setattr(self, "col_hi", col_hi)
+        _setattr(self, "_rows", rows)
+        _setattr(self, "_fractions", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RMatrix is immutable")
+
+    def __reduce__(self):
+        return RMatrix, self.window + (self.rows,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.equals(other)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "RMatrix(row_lo=%r, row_hi=%r, col_lo=%r, col_hi=%r, rows=%r)" % (
+            self.window + (self.rows,))
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -235,12 +294,18 @@ class RMatrix:
         for i, r in enumerate(entries):
             if len(r) != m:
                 raise ParameterError("ragged rows")
-            rows[row_lo + i] = {col_lo + j: frac(v) for j, v in enumerate(r) if frac(v) != 0}
-        return RMatrix(row_lo, row_lo + n, col_lo, col_lo + m, rows)
+            nz = {}
+            for j, v in enumerate(r):
+                v = frac(v)
+                if v:
+                    nz[col_lo + j] = v
+            if nz:
+                rows[row_lo + i] = _int_entries(nz)
+        return _matrix(row_lo, row_lo + n, col_lo, col_lo + m, rows)
 
     @staticmethod
     def identity(lo: int, hi: int) -> "RMatrix":
-        return RMatrix(lo, hi, lo, hi, {i: {i: ONE} for i in range(lo, hi)})
+        return _matrix(lo, hi, lo, hi, {i: ({i: 1}, 1) for i in range(lo, hi)})
 
     @staticmethod
     def from_columns(cols: Sequence[WindowVector], col_lo=0) -> "RMatrix":
@@ -253,7 +318,8 @@ class RMatrix:
                 raise ParameterError("column windows differ")
             for i, v in c.items():
                 rows.setdefault(i, {})[col_lo + j] = v
-        return RMatrix(lo, hi, col_lo, col_lo + len(cols), rows)
+        return _matrix(lo, hi, col_lo, col_lo + len(cols),
+                       {i: _int_entries(r) for i, r in rows.items()})
 
     @staticmethod
     def from_rows_vectors(rws: Sequence[WindowVector], row_lo=0) -> "RMatrix":
@@ -265,8 +331,8 @@ class RMatrix:
             if (r.lo, r.hi) != (lo, hi):
                 raise ParameterError("row windows differ")
             if not r.is_zero():
-                rows[row_lo + i] = dict(r.items())
-        return RMatrix(row_lo, row_lo + len(rws), lo, hi, rows)
+                rows[row_lo + i] = _int_entries(r._nz)
+        return _matrix(row_lo, row_lo + len(rws), lo, hi, rows)
 
     # -- queries ------------------------------------------------------
     @property
@@ -277,82 +343,155 @@ class RMatrix:
     def n_cols(self) -> int:
         return self.col_hi - self.col_lo
 
+    @property
+    def window(self) -> tuple:
+        return self.row_lo, self.row_hi, self.col_lo, self.col_hi
+
+    @property
+    def rows(self) -> dict:
+        """{row: {col: nonzero Fraction}}, built on first use."""
+        if self._fractions is None:
+            _setattr(self, "_fractions", {
+                i: {j: Fraction(x, den) for j, x in row.items()}
+                for i, (row, den) in self._rows.items()})
+        return self._fractions
+
     def get(self, i: int, j: int) -> Fraction:
-        return self.rows.get(i, {}).get(j, ZERO)
+        row, den = self._rows.get(i, _NO_ROW)
+        x = row.get(j)
+        return Fraction(x, den) if x else ZERO
 
     def to_dense(self):
-        return [[self.get(i, j) for j in range(self.col_lo, self.col_hi)]
-                for i in range(self.row_lo, self.row_hi)]
+        out = []
+        for i in range(self.row_lo, self.row_hi):
+            dense = [ZERO] * (self.col_hi - self.col_lo)
+            row, den = self._rows.get(i, _NO_ROW)
+            for j, x in row.items():
+                dense[j - self.col_lo] = Fraction(x, den)
+            out.append(dense)
+        return out
 
     def is_square(self) -> bool:
         return (self.row_lo, self.row_hi) == (self.col_lo, self.col_hi)
 
+    def columns(self, i: int) -> list:
+        """The columns of row i's nonzero entries, in increasing order."""
+        return sorted(self._rows.get(i, _NO_ROW)[0])
+
+    def differences(self, other: "RMatrix", lo: int, hi: int) -> list:
+        """The (i, j) in [lo, hi)^2 where self and other differ, in order."""
+        out = []
+        for i in range(lo, hi):
+            a, b = self._rows.get(i, _NO_ROW), other._rows.get(i, _NO_ROW)
+            if a == b:
+                continue
+            (ra, da), (rb, db) = a, b
+            out += [(i, j) for j in sorted(ra.keys() | rb.keys())
+                    if lo <= j < hi and ra.get(j, 0) * db != rb.get(j, 0) * da]
+        return out
+
+    def equals(self, other: "RMatrix") -> bool:
+        return self.window == other.window and self._rows == other._rows
+
     # -- algebra ------------------------------------------------------
     def apply(self, v: WindowVector) -> WindowVector:
-        x = v._nz
+        x, xden = _int_entries(v._nz)
         nz = {}
-        for i in sorted(self.rows):
-            s = sum((a * x[j] for j, a in self.rows[i].items() if j in x), ZERO)
+        for i in sorted(self._rows):
+            row, den = self._rows[i]
+            s = sum(a * x[j] for j, a in row.items() if j in x)
             if s:
-                nz[i] = s
+                nz[i] = Fraction(s, den * xden)
         return _vector(self.row_lo, self.row_hi, nz)
 
     def matmul(self, other: "RMatrix") -> "RMatrix":
         if (self.col_lo, self.col_hi) != (other.row_lo, other.row_hi):
             raise ParameterError("inner windows do not match")
+        orows = other._rows
         rows = {}
-        for i, row in self.rows.items():
+        for i, (row, den) in self._rows.items():
+            terms = [(a, orows[j]) for j, a in row.items() if j in orows]
+            # row i of the product is sum_j a_j * (row j of other) / den,
+            # over the lcm of the denominators of the rows it sums
+            common = lcm(*[d for _, (_, d) in terms])
             acc = {}
-            for j, a in row.items():
-                orow = other.rows.get(j)
-                if not orow:
-                    continue
+            get = acc.get
+            for a, (orow, d) in terms:
+                if d != common:
+                    a *= common // d
                 for k, b in orow.items():
-                    acc[k] = acc.get(k, ZERO) + a * b
-            acc = {k: v for k, v in acc.items() if v != 0}
-            if acc:
-                rows[i] = acc
-        return RMatrix(self.row_lo, self.row_hi, other.col_lo, other.col_hi, rows)
+                    acc[k] = get(k, 0) + a * b
+            r = _canonical(acc, den * common)
+            if r:
+                rows[i] = r
+        return _matrix(self.row_lo, self.row_hi, other.col_lo, other.col_hi, rows)
 
     def add(self, other: "RMatrix") -> "RMatrix":
         if self.window != other.window:
             raise ParameterError("windows do not match")
-        rows = {}
-        for i in set(self.rows) | set(other.rows):
-            acc = dict(self.rows.get(i, {}))
-            for j, v in other.rows.get(i, {}).items():
-                acc[j] = acc.get(j, ZERO) + v
-            acc = {j: v for j, v in acc.items() if v != 0}
-            if acc:
-                rows[i] = acc
-        return RMatrix(self.row_lo, self.row_hi, self.col_lo, self.col_hi, rows)
+        rows = dict(self._rows)
+        for i, (orow, oden) in other._rows.items():
+            if i not in rows:
+                rows[i] = orow, oden
+                continue
+            row, den = rows.pop(i)
+            common = lcm(den, oden)
+            s, t = common // den, common // oden
+            acc = {j: x * s for j, x in row.items()} if s != 1 else dict(row)
+            get = acc.get
+            for j, y in orow.items():
+                acc[j] = get(j, 0) + y * t
+            r = _canonical(acc, common)
+            if r:
+                rows[i] = r
+        return _matrix(self.row_lo, self.row_hi, self.col_lo, self.col_hi, rows)
 
     def scale(self, s) -> "RMatrix":
         s = frac(s)
-        if s == 0:
-            return RMatrix(self.row_lo, self.row_hi, self.col_lo, self.col_hi, {})
-        return RMatrix(self.row_lo, self.row_hi, self.col_lo, self.col_hi,
-                       {i: {j: s * v for j, v in row.items()} for i, row in self.rows.items()})
+        p, q = s.numerator, s.denominator
+        if q == 1 and p in (1, -1):
+            rows = {i: ({j: p * x for j, x in row.items()}, den)
+                    for i, (row, den) in self._rows.items()}
+        elif p:
+            rows = {i: _canonical({j: p * x for j, x in row.items()}, den * q)
+                    for i, (row, den) in self._rows.items()}
+        else:
+            rows = {}
+        return _matrix(self.row_lo, self.row_hi, self.col_lo, self.col_hi, rows)
 
     def sub(self, other: "RMatrix") -> "RMatrix":
         return self.add(other.scale(-1))
 
-    @property
-    def window(self) -> tuple:
-        return self.row_lo, self.row_hi, self.col_lo, self.col_hi
+    def block(self, lo: int, hi: int) -> "RMatrix":
+        """The square block on [lo, hi)^2; entries outside are dropped."""
+        rows = {}
+        for i in range(max(lo, self.row_lo), min(hi, self.row_hi)):
+            r = self._rows.get(i)
+            if r is None:
+                continue
+            if not all(lo <= j < hi for j in r[0]):
+                r = _canonical({j: x for j, x in r[0].items() if lo <= j < hi}, r[1])
+                if r is None:
+                    continue
+            rows[i] = r
+        return _matrix(lo, hi, lo, hi, rows)
 
-    def equals(self, other: "RMatrix") -> bool:
-        return self.window == other.window and self.rows == other.rows
+    def merged(self, other: "RMatrix") -> "RMatrix":
+        """The rows of self and of other, other's in place of self's where
+        both have one, on the smallest windows that hold both."""
+        return _matrix(min(self.row_lo, other.row_lo), max(self.row_hi, other.row_hi),
+                       min(self.col_lo, other.col_lo), max(self.col_hi, other.col_hi),
+                       {**self._rows, **other._rows})
 
 
 def op_norm_inf(m: RMatrix) -> Fraction:
     """l_inf -> l_inf operator norm: the max l1-norm over rows."""
-    best = ZERO
-    for row in m.rows.values():
-        s = sum((abs(v) for v in row.values()), ZERO)
-        if s > best:
-            best = s
-    return best
+    best, best_den = 0, 1
+    for row, den in m._rows.values():
+        s = sum(map(abs, row.values()))
+        if s * best_den > best * den:
+            best, best_den = s, den
+    return Fraction(best, best_den)
 
 
 def invert(m: RMatrix) -> RMatrix:
@@ -361,16 +500,24 @@ def invert(m: RMatrix) -> RMatrix:
         raise ParameterError("invert requires a square window matrix")
     n = m.n_rows
     if n == 0:
-        return RMatrix(m.row_lo, m.row_hi, m.col_lo, m.col_hi, {})
-    eye = RMatrix.identity(0, n).to_dense()
-    tab, pivots = _reduce([a + e for a, e in zip(m.to_dense(), eye)])
+        return _matrix(m.row_lo, m.row_hi, m.col_lo, m.col_hi, {})
+    # row i of [m | I] over m's row denominator, as int_row would give it
+    tab = []
+    for i in range(n):
+        row, den = m._rows.get(m.row_lo + i, _NO_ROW)
+        ints = [0] * (2 * n)
+        for j, x in row.items():
+            ints[j - m.col_lo] = x
+        ints[n + i] = den
+        tab.append((ints, den))
+    pivots = _echelon(tab)
     # pivots rise strictly, so the first c with pivots[c] != c is the
     # first column of m without a pivot
     missing = next((c for c, p in enumerate(pivots) if c != p), None)
     if missing is not None:
         raise SingularMatrixError("matrix is singular at column %d" % missing)
-    return RMatrix(m.row_lo, m.row_hi, m.col_lo, m.col_hi, {
-        m.row_lo + i: {m.col_lo + j: Fraction(x, den) for j, x in enumerate(row[n:]) if x}
+    return _matrix(m.row_lo, m.row_hi, m.col_lo, m.col_hi, {
+        m.row_lo + i: _canonical({m.col_lo + j: x for j, x in enumerate(row[n:])}, den)
         for i, (row, den) in enumerate(tab)})
 
 
@@ -383,10 +530,9 @@ def block_compose(blocks: Sequence[RMatrix], layout: BlockLayout) -> RMatrix:
     for b, (lo, hi) in zip(blocks, intervals):
         if b.window != (lo, hi, lo, hi):
             raise ParameterError("block window does not match layout interval [%d, %d)" % (lo, hi))
-        for i, row in b.rows.items():
-            rows[i] = dict(row)
+        rows.update(b._rows)
     lo, hi = layout.cuts[0], layout.cuts[-1]
-    return RMatrix(lo, hi, lo, hi, rows)
+    return _matrix(lo, hi, lo, hi, rows)
 
 
 # -- dense helpers on lists of Fraction lists -------------------------
@@ -453,9 +599,8 @@ def pivot(tab, r, c):
             eliminate(tab, k, r, c)
 
 
-def _reduce(rows) -> tuple:
-    """(integer rows of the rref of rows, pivot columns)."""
-    tab = [int_row(row) for row in rows]
+def _echelon(tab) -> list:
+    """Bring the integer rows tab to rref in place; the pivot columns."""
     pivots = []
     r = 0
     for c in range(len(tab[0][0]) if tab else 0):
@@ -468,7 +613,13 @@ def _reduce(rows) -> tuple:
         r += 1
         if r == len(tab):
             break
-    return tab, pivots
+    return pivots
+
+
+def _reduce(rows) -> tuple:
+    """(integer rows of the rref of rows, pivot columns)."""
+    tab = [int_row(row) for row in rows]
+    return tab, _echelon(tab)
 
 
 def rref(rows: list) -> tuple:

@@ -6,7 +6,9 @@ over every column and every pivot row is divided, even by 1.  The tests
 require the library's kernels to return the same values, the same pivot
 columns and the same simplex pivot sequence.  `simplex_min` and
 `max_linear` here run on a `Fraction` tableau, as the library's did
-before its tableau held integers over row denominators.
+before its tableau held integers over row denominators.  The `matrix_*`
+functions do the `RMatrix` algebra on dense lists of Fractions, as it was
+before each row was stored as integers over a row denominator.
 
 The certified-set kernels are kept the same way, as they were before
 their cost followed the size of a set's description: the normal form
@@ -74,10 +76,37 @@ def rref(rows):
 def invert(m):
     if not m.is_square():
         raise ParameterError("invert requires a square window matrix")
-    n = m.n_rows
-    if n == 0:
-        return RMatrix(m.row_lo, m.row_hi, m.col_lo, m.col_hi, {})
-    a = m.to_dense()
+    return RMatrix.from_dense(matrix_inverse(m.to_dense()),
+                              row_lo=m.row_lo, col_lo=m.col_lo)
+
+
+# -- RMatrix operations on dense Fraction lists --------------------------
+
+def matrix_product(a, b):
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), ZERO)
+             for j in range(len(b[0]))] for row in a]
+
+
+def matrix_sum(a, b):
+    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def matrix_scale(a, s):
+    return [[s * x for x in row] for row in a]
+
+
+def matrix_apply(a, x):
+    return [sum((y * z for y, z in zip(row, x)), ZERO) for row in a]
+
+
+def matrix_norm_inf(a):
+    return max((sum(map(abs, row), ZERO) for row in a), default=ZERO)
+
+
+def matrix_inverse(a):
+    """Gauss-Jordan on [a | I], dividing every pivot row."""
+    n = len(a)
+    a = [list(row) for row in a]
     inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
@@ -96,7 +125,7 @@ def invert(m):
             f = a[r][col]
             a[r] = [x - f * y for x, y in zip(a[r], a[col])]
             inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return RMatrix.from_dense(inv, row_lo=m.row_lo, col_lo=m.col_lo)
+    return inv
 
 
 def nullspace(rows, ncols):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 
 from qforge.adf.coherent import (
@@ -242,6 +244,19 @@ class TestSeparatorAndChain:
         assert ok
         assert system.family.member(xi).almost_disjoint(
             chain_set(system, W(1))) == []
+
+    def test_chain_sets_of_a_block_extend_the_one_before(self):
+        fam = OrdinalProgressionFamily(cells=8, blocks=2)
+        fresh = OrdinalProgressionFamily(cells=8, blocks=2)
+        system = CoherentFamily(fam, W(2))
+        stages = [OrdinalIdx(0, q, r) for q in (0, 1) for r in range(6)] + [W(2)]
+        with mock.patch.object(fam, "separator", wraps=fam.separator) as sep:
+            for a in stages:
+                assert chain_set(system, a) == fresh.separator(a)
+        # one set from scratch per limit stage; each successor adds a fiber
+        assert [c.args for c in sep.call_args_list] == [(N(0),), (W(1),), (W(2),)]
+        with pytest.raises(ParameterError):
+            chain_set(system, W(2).successor())
 
 
 class MeetsPreviousRange(OrdinalProgressionFamily):

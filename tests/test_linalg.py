@@ -1,11 +1,19 @@
 import itertools
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracles
+from qforge import linalg
+from qforge.adf.families import FamilyGenerator, make_family
+from qforge.config import RunConfig
 from qforge.errors import ParameterError, SingularMatrixError
+from qforge.forcing import paired_from_certsets, run_generic
+from qforge.jsonio import canonical_dumps, rmatrix_from_json, rmatrix_to_json
 from qforge.linalg import (
     BlockLayout,
     RMatrix,
@@ -180,3 +188,127 @@ class TestDenseHelpers:
         sol = solve_exact([[frac(2), frac(0)], [frac(0), frac(4)]], [frac(1), frac(1)])
         assert sol == [Fraction(1, 2), Fraction(1, 4)]
         assert solve_exact([[frac(1)], [frac(1)]], [frac(0), frac(1)]) is None
+
+
+# mixed denominators, from which sums and products often cancel to zero
+mixed = st.sampled_from([Fraction(v) for v in (
+    0, 0, 0, 1, -1, 2, "1/2", "-1/2", "1/3", "-2/3", "3/4", "5/6", "-5/6")])
+
+
+def dense_lists(n_rows, n_cols):
+    return st.lists(st.lists(mixed, min_size=n_cols, max_size=n_cols),
+                    min_size=n_rows, max_size=n_rows)
+
+
+def assert_canonical(m):
+    """Each stored row is ({col: nonzero int}, den) inside the windows,
+    with den > 0 and gcd(den, entries) = 1."""
+    for i, (row, den) in m._rows.items():
+        assert m.row_lo <= i < m.row_hi and row
+        assert all(m.col_lo <= j < m.col_hi for j in row)
+        assert all(type(x) is int and x for x in row.values())
+        assert type(den) is int and den > 0 and gcd(den, *row.values()) == 1
+
+
+def assert_holds(m, dense, row_lo, col_lo):
+    """m is canonical and reads as the dense Fraction lists everywhere."""
+    assert_canonical(m)
+    assert m.window == (row_lo, row_lo + len(dense),
+                        col_lo, col_lo + len(dense[0]))
+    assert m.to_dense() == dense
+    assert all(type(v) is Fraction for row in m.to_dense() for v in row)
+    assert all(m.get(row_lo + i, col_lo + j) == v
+               for i, row in enumerate(dense) for j, v in enumerate(row))
+    assert m.rows == {row_lo + i: {col_lo + j: v for j, v in enumerate(row) if v}
+                      for i, row in enumerate(dense) if any(row)}
+    assert m.equals(RMatrix.from_dense(dense, row_lo=row_lo, col_lo=col_lo))
+
+
+class TestIntegerRowsAgainstDenseOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_algebra(self, data):
+        n, k, p = (data.draw(st.integers(1, 4)) for _ in range(3))
+        lo_r, lo_k, lo_c = (data.draw(st.integers(-3, 3)) for _ in range(3))
+        a = data.draw(dense_lists(n, k))
+        # b cancels a wherever it draws -a_ij
+        b = [[data.draw(st.one_of(st.just(-x), mixed)) for x in row] for row in a]
+        c = data.draw(dense_lists(k, p))
+        s = data.draw(mixed)
+        x = data.draw(st.lists(mixed, min_size=k, max_size=k))
+        ma = RMatrix.from_dense(a, row_lo=lo_r, col_lo=lo_k)
+        mb = RMatrix.from_dense(b, row_lo=lo_r, col_lo=lo_k)
+        mc = RMatrix.from_dense(c, row_lo=lo_k, col_lo=lo_c)
+        assert_holds(ma, a, lo_r, lo_k)
+        assert_holds(ma.add(mb), dense_oracles.matrix_sum(a, b), lo_r, lo_k)
+        assert_holds(ma.sub(mb), dense_oracles.matrix_sum(
+            a, dense_oracles.matrix_scale(b, -1)), lo_r, lo_k)
+        assert_holds(ma.scale(s), dense_oracles.matrix_scale(a, s), lo_r, lo_k)
+        assert_holds(ma.matmul(mc), dense_oracles.matrix_product(a, c),
+                     lo_r, lo_c)
+        v = ma.apply(WindowVector(lo_k, lo_k + k, x))
+        assert (v.lo, v.hi) == (lo_r, lo_r + n)
+        assert list(v.coords) == dense_oracles.matrix_apply(a, x)
+        assert op_norm_inf(ma) == dense_oracles.matrix_norm_inf(a)
+        assert ma.equals(mb) == (a == b) == (ma == mb)
+        assert ma.add(mb).equals(mb.add(ma))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: dense_lists(n, n)),
+           st.integers(-3, 3))
+    def test_invert(self, a, lo):
+        m = RMatrix.from_dense(a, row_lo=lo, col_lo=lo)
+        try:
+            want = dense_oracles.matrix_inverse(a)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                invert(m)
+            return
+        assert_holds(invert(m), want, lo, lo)
+
+    def test_sums_that_cancel(self):
+        half_third = dense([["1/2", "1/3"]])
+        assert_holds(half_third.matmul(dense([["2/3"], [-1]])), [[0]], 0, 0)
+        got = dense([["1/2", "1/6"]]).add(dense([["-1/2", "1/3"]]))
+        assert_holds(got, [[0, Fraction(1, 2)]], 0, 0)
+        assert got._rows == {0: ({1: 1}, 2)}
+        assert_holds(half_third.sub(half_third), [[0, 0]], 0, 0)
+        assert half_third.scale(0)._rows == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: dense_lists(n, 3)),
+           st.integers(-3, 3))
+    def test_json_round_trip(self, a, lo):
+        m = RMatrix.from_dense(a, row_lo=lo, col_lo=lo + 1)
+        obj = rmatrix_to_json(m)
+        back = rmatrix_from_json(obj)
+        assert back.equals(m) and back == m
+        assert_canonical(back)
+        assert canonical_dumps(rmatrix_to_json(back)) == canonical_dumps(obj)
+
+
+def test_operations_on_canonical_rows_skip_frac():
+    # a K=4 forge at horizon 64; its matrices' entries are checked once,
+    # where they enter, and never again by the operations on them
+    f = make_family(FamilyGenerator("branch", count=4, depth=3))
+    g = make_family(FamilyGenerator("progression", count=4))
+    run = run_generic(paired_from_certsets(f.sets, g.sets),
+                      config=RunConfig(horizon=64))
+    m, inv = run.final.m, run.final.inv
+    lo, hi = run.final.cuts[-2], run.final.cuts[-1]
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return frac(x)
+
+    with mock.patch.object(linalg, "frac", counted):
+        product = m.matmul(inv)
+        total = m.add(inv)
+        eye = RMatrix.identity(0, m.n_rows)
+        whole = m.block(0, lo).merged(m.block(lo, hi))
+        assert calls == []
+        RMatrix(0, 1, 0, 1, {0: {0: "1/2"}})
+        assert calls == ["1/2"]
+    assert product.equals(eye) and whole.equals(m)
+    assert total.equals(inv.add(m))
