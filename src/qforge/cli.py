@@ -51,6 +51,8 @@ from .jsonio import (
 from .linalg import RMatrix, frac, op_norm_inf
 from .tails import TailVector
 
+DEFAULT_CAP_Q = 2  # build-coherent runs to w * min(2, blocks) without --cap
+
 
 def _emit(obj, out_path=None):
     text = canonical_dumps(obj)
@@ -121,7 +123,7 @@ def cmd_build_coherent(args, config):
                              % (MAX_VALUATION + 1))
     fam = OrdinalProgressionFamily(cells=args.cells, blocks=args.blocks)
     cap = (_parse_ordinal(args.cap) if args.cap
-           else OrdinalIdx(0, min(config.ordinal_cap, args.blocks), 0))
+           else OrdinalIdx(0, min(DEFAULT_CAP_Q, args.blocks), 0))
     system = CoherentFamily(fam, cap)
     stages = [OrdinalIdx(0, q, r) for q in range(cap.c1 + 1)
               for r in range(args.sample_offsets)
@@ -185,14 +187,14 @@ def cmd_compute(args, config):
         if isinstance(data, RMatrix):
             result = {"norm": str(op_norm_inf(data))}
         else:
-            n, wit = op_norm(data, cap=config.dim_cap)
+            n, wit = op_norm(data)
             result = {"norm": str(n), "witness": window_vector_to_json(wit)}
     elif args.op == "lower-bound":
-        b, wit = lower_bound(data, cap=config.dim_cap)
+        b, wit = lower_bound(data)
         result = {"bound": str(b), "witness": window_vector_to_json(wit)}
     elif args.op == "hahn-banach":
         y, phi = data
-        u, value = hahn_banach_extend(y, phi, cap=config.dim_cap)
+        u, value = hahn_banach_extend(y, phi)
         result = {"extension": window_vector_to_json(u), "norm": str(value)}
     elif args.op == "extend-iso":
         ext = extend_isomorphism(data, config=config)

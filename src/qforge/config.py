@@ -18,6 +18,14 @@ MAX_HORIZON = 4096
 _RATIONAL = ("rho", "c1", "c2", "delta")
 
 
+def check_horizon(horizon) -> int:
+    """horizon if it is an int in [1, MAX_HORIZON]: no float, str or bool."""
+    if type(horizon) is not int or not 1 <= horizon <= MAX_HORIZON:
+        raise ParameterError("horizon %r is not an integer in [1, %d]"
+                             % (horizon, MAX_HORIZON))
+    return horizon
+
+
 @dataclass(frozen=True)
 class RunConfig:
     rho: Fraction = Fraction(4)
@@ -25,20 +33,13 @@ class RunConfig:
     c2: Fraction = Fraction(64)
     delta: Fraction = Fraction(1, 100)
     horizon: int = 512
-    ordinal_cap: int = 2          # coherent builds run to omega * ordinal_cap
-    dim_cap: int = 12             # compute op-norm, lower-bound, hahn-banach
 
     def __post_init__(self):
         for name in _RATIONAL:
             object.__setattr__(self, name, frac(getattr(self, name)))
-        for name in ("horizon", "ordinal_cap", "dim_cap"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        check_horizon(self.horizon)
         if self.rho <= 1 or self.c2 < self.rho or self.c1 <= 0 or self.delta <= 0:
             raise ParameterError("need rho > 1, c2 >= rho, c1 > 0, delta > 0")
-        if self.horizon < 1 or self.ordinal_cap < 1:
-            raise ParameterError("horizon and ordinal cap must be positive")
-        if self.horizon > MAX_HORIZON:
-            raise ParameterError("horizon must be at most %d" % MAX_HORIZON)
 
     @property
     def search_cap(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .config import MAX_HORIZON, RunConfig
+from .config import MAX_HORIZON, RunConfig, check_horizon
 from .errors import (
     ComplementNotFoundError,
     NormBudgetError,
@@ -57,9 +57,9 @@ class PairedFamilies:
                 raise ParameterError(
                     "family vectors must be normalized: sup norm equal to "
                     "quotient norm")
-        if self.fs:
-            check_pi_injective(list(self.fs))
-            check_pi_injective(list(self.gs))
+        # the one proof that every F- and G-subspan is pi-injective
+        object.__setattr__(self, "_spans", tuple(
+            check_pi_injective(vs) for vs in (self.fs, self.gs) if vs))
         object.__setattr__(self, "_by_index",
                            {i: k for k, i in enumerate(self.indices)})
 
@@ -68,6 +68,11 @@ class PairedFamilies:
 
     def g(self, xi) -> TailVector:
         return self.gs[self._by_index[xi]]
+
+    def spans(self, a) -> tuple:
+        """F- and G-subspans of a's indices in the families, or () if none."""
+        ks = [self._by_index[xi] for xi in a if xi in self._by_index]
+        return tuple(span.sub(ks) for span in self._spans) if ks else ()
 
     def to_json_obj(self):
         return {"indices": list(self.indices),
@@ -176,20 +181,11 @@ def _interpolation_failures(b: RMatrix, a, families: PairedFamilies) -> list:
     return out
 
 
-def _section_failures(a, n: int, families: PairedFamilies) -> list:
-    """(c): the section norms at stage n of the committed F- and G-spans
-    are at most 2; indices outside the families are left out, and
-    PairedFamilies has proved every subfamily pi-injective."""
-    good = [xi for xi in a if xi in families._by_index]
-    if not good:
-        return []
-    out = []
-    for name, vecs in (("F", [families.f(xi) for xi in good]),
-                       ("G", [families.g(xi) for xi in good])):
-        s = pi_section_norm(vecs, n)
-        if s > 2:
-            out.append("(c) %s-section norm %s exceeds 2" % (name, s))
-    return out
+def _section_failures(spans, n: int) -> list:
+    """(c): the section norms at stage n of PairedFamilies.spans are <= 2."""
+    norms = [(k, pi_section_norm(span, n)) for k, span in zip("FG", spans)]
+    return ["(c) %s-section norm %s exceeds 2" % (k, s) for k, s in norms
+            if s > 2]
 
 
 def _check_block(m: RMatrix, inv, lo: int, hi: int, a,
@@ -201,7 +197,7 @@ def _check_block(m: RMatrix, inv, lo: int, hi: int, a,
     algebra, norm, inv_norm = _algebra_failures(b, inv, lo, hi, c2)
     failures = (_form_failures(m, lo, hi) + algebra
                 + _interpolation_failures(b, a, families)
-                + _section_failures(a, hi, families))
+                + _section_failures(families.spans(a), hi))
     return ["block [%d, %d): %s" % (lo, hi, f) for f in failures], norm, inv_norm
 
 
@@ -278,8 +274,7 @@ def amalgamate(p: Condition, q: Condition, big_n: int,
         return _prove(_merge_blocks(p, ident, ident, ident.row_hi, a_r),
                       families, config)
 
-    fs = [families.f(xi) for xi in a_r]
-    gs = [families.g(xi) for xi in a_r]
+    spans = families.spans(a_r)
     h = len(a_r)
     attempts = []
     offset = 1
@@ -290,14 +285,14 @@ def amalgamate(p: Condition, q: Condition, big_n: int,
             attempts.append((n_r, "stage too small for %d indices" % h))
             continue
         try:
-            for name, vecs in (("F", fs), ("G", gs)):
-                rinv = r_operator_inverse_norm(vecs, n, n_r)
+            for name, span in zip("FG", spans):
+                rinv = r_operator_inverse_norm(span, n, n_r)
                 if rinv > 2:
                     raise NormBudgetError(
                         "%s-restriction inverse norm exceeds 2" % name,
                         measured=rinv)
-            fw = [f.restrict(n, n_r) for f in fs]
-            gw = [g.restrict(n, n_r) for g in gs]
+            fw, gw = [[v.restrict(n, n_r) for v in span.tails]
+                      for span in spans]
             # extend_isomorphism certifies the block it builds: w w^-1 = I,
             # both norms at most c2, and w sends each f-window exactly to
             # the matching g-window
@@ -309,7 +304,7 @@ def amalgamate(p: Condition, q: Condition, big_n: int,
         # r extends p and q by construction, and the stem is valid: clause
         # (c) at n_r is the one fact left to check
         viol = ["block [%d, %d): %s" % (n, n_r, f)
-                for f in _section_failures(a_r, n_r, families)]
+                for f in _section_failures(spans, n_r)]
         if viol:
             attempts.append((n_r, "verifier: %s" % viol))
             continue
@@ -385,10 +380,7 @@ class GenericRun:
         """Condition k: the matrix on [0, n_k)^2 and block inverses 0..k.
         No run passes horizon + search_cap <= 9 * MAX_HORIZON, so a file
         outside these bounds is rejected before any matrix is built."""
-        horizon = obj["horizon"]
-        if type(horizon) is not int or not 1 <= horizon <= MAX_HORIZON:
-            raise ParameterError("horizon %r is not an integer in [1, %d]"
-                                 % (horizon, MAX_HORIZON))
+        horizon = check_horizon(obj["horizon"])
         if not obj["chain"]:
             raise ParameterError("a run's chain holds at least one condition")
         stages = tuple(int(c["n"]) for c in obj["chain"])

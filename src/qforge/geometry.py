@@ -16,7 +16,6 @@ from math import isqrt
 from .config import RunConfig
 from .errors import (
     ComplementNotFoundError,
-    DimensionCapError,
     NormBudgetError,
     ParameterError,
     SingularMatrixError,
@@ -192,11 +191,6 @@ class LinMap:
         return self._lower
 
 
-def _check_cap(dim, cap):
-    if cap is not None and dim > cap:
-        raise DimensionCapError("dimension %d exceeds cap %d" % (dim, cap))
-
-
 def _ratio_extreme(t: LinMap, want_max: bool):
     """When both the basis and the images have pairwise disjoint supports
     the sup norm of any combination splits per basis vector, so the norm
@@ -210,20 +204,19 @@ def _ratio_extreme(t: LinMap, want_max: bool):
     return best, witness
 
 
-def op_norm(t: LinMap, cap=None):
+def op_norm(t: LinMap):
     """(norm, witness vector in the domain attaining it)."""
     if t.domain.dim == 0:
         return ZERO, WindowVector.zero(t.domain.lo, t.domain.hi)
     if _disjoint_supports(t.domain.basis) and _disjoint_supports(t.images):
         return _ratio_extreme(t, want_max=True)
-    _check_cap(t.domain.dim, cap)
     y, w = t.domain, t.images[0]
     val, coeffs, _ = polyhedral_max(coordinate_rows(t.images, w.lo, w.hi),
                                     coordinate_rows(y.basis, y.lo, y.hi))
     return val, t.domain.combine(coeffs)
 
 
-def lower_bound(t: LinMap, cap=None):
+def lower_bound(t: LinMap):
     """(largest r with r|x| <= |Tx| on the domain, witness x attaining it).
 
     Equals 1 / max{|x|_inf : |Tx|_inf <= 1}; that max is a polyhedral
@@ -235,7 +228,6 @@ def lower_bound(t: LinMap, cap=None):
         return ZERO, WindowVector.zero(t.domain.lo, t.domain.hi)
     if _disjoint_supports(t.domain.basis) and _disjoint_supports(t.images):
         return _ratio_extreme(t, want_max=False)
-    _check_cap(d, cap)
     y, w = t.domain, t.images[0]
     image_rows = coordinate_rows(t.images, w.lo, w.hi)
     try:
@@ -245,14 +237,13 @@ def lower_bound(t: LinMap, cap=None):
     return ONE / val, t.domain.combine(coeffs)
 
 
-def hahn_banach_extend(y: Subspace, phi_values, cap=None):
+def hahn_banach_extend(y: Subspace, phi_values):
     """Norm-preserving extension of the functional phi given on y's basis.
 
     Returns (u, value): the l1 representer u on the ambient window with
     <u, v_k> = phi(v_k) exactly and |u|_1 equal to the dual norm of phi
     on y (LP duality for the l1-minimal interpolant).
     """
-    _check_cap(y.dim, cap)
     phi_values = [frac(p) for p in phi_values]
     if len(phi_values) != y.dim:
         raise ParameterError("one value per basis vector required")

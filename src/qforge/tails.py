@@ -5,17 +5,18 @@ tail".  It is closed under linear combinations (align prefixes, take the
 lcm of periods), so limsup norms, eventual-equality classes and the
 window searches below are all exact finite computations.
 
-Each norm is a polyhedral max over coefficient rows of the span.  A call
-builds one aligned period of rows once, with the proof that their rank is
-the span's dimension (pi-injectivity); `polyhedral_max` itself ranks the
-rows of a window.  Aligned prefixes and periods are at most MAX_TAIL =
-2^16, the lcm of the pair branch 16 depth 4 against progression 16.
+Each norm is a polyhedral max over coefficient rows of a `Span`, proved
+pi-injective once by `check_pi_injective` (one aligned period of rows has
+full rank); `Span.sub` gives a subfamily's span, aligned on its own prefix
+and period and not proved again.  Aligned prefixes and periods are at most
+MAX_TAIL = 2^16, the lcm of branch 16 depth 4 against progression 16.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import NotInjectiveError, NotInvertibleError, ParameterError, UnboundedError
@@ -102,7 +103,13 @@ class TailVector:
         return max(vals)
 
     def restrict(self, lo: int, hi: int) -> WindowVector:
-        return WindowVector(lo, hi, tuple(self.value(i) for i in range(lo, hi)))
+        if lo < 0 and hi > lo:
+            raise ParameterError("negative index")
+        # a slice of the prefix, then n period values from the entry r
+        m, p = len(self.prefix), len(self.period)
+        n, r = max(0, hi - max(lo, m)), (max(lo, m) - m) % p
+        return WindowVector(lo, hi, self.prefix[lo:hi]
+                            + (self.period * ((n + r) // p + 1))[r:r + n])
 
     def scale(self, s) -> "TailVector":
         s = frac(s)
@@ -183,23 +190,35 @@ def _aligned(fs):
     return m, p
 
 
-def _quotient_rows(fs):
-    """(aligned prefix length, coefficient rows of one aligned period, whose
-    sup of |row . c| is quotient_norm(sum c_k f_k)); NotInjectiveError
-    when a nonzero combination vanishes at infinity."""
-    m, p = _aligned(fs)
-    rows = coordinate_rows(fs, m, m + p)
-    if rank(rows) < len(fs):
-        witness = nullspace(rows, len(fs))[0]
+@dataclass(frozen=True)
+class Span:
+    """Tails proved pi-injective by check_pi_injective, or a subfamily of
+    them (pi-injective as well); max |row . c| is the quotient norm of
+    sum c_k tails_k."""
+
+    tails: tuple
+    m: int
+    p: int
+
+    @cached_property
+    def rows(self) -> list:
+        return coordinate_rows(self.tails, self.m, self.m + self.p)
+
+    def sub(self, ks) -> "Span":
+        tails = tuple(self.tails[k] for k in ks)
+        return Span(tails, *_aligned(tails))
+
+
+def check_pi_injective(fs) -> Span:
+    """The span of fs, once its period rows have rank len(fs); else
+    NotInjectiveError with a combination that vanishes at infinity."""
+    span = Span(tuple(fs), *_aligned(fs))
+    if rank(span.rows) < len(fs):
+        witness = nullspace(span.rows, len(fs))[0]
         raise NotInjectiveError(
             "combination with coefficients %s lies in the vanishing ideal"
             % (tuple(witness),))
-    return m, rows
-
-
-def check_pi_injective(fs):
-    """Raise NotInjectiveError when a nonzero combination vanishes at infinity."""
-    _quotient_rows(fs)
+    return span
 
 
 def lifting_index(fs, epsilon=ZERO) -> LiftWindow:
@@ -210,16 +229,13 @@ def lifting_index(fs, epsilon=ZERO) -> LiftWindow:
     epsilon = frac(epsilon)
     if not (0 <= epsilon < 1):
         raise ParameterError("epsilon must lie in [0, 1)")
-    m, constraints = _quotient_rows(fs)
+    span = check_pi_injective(fs)
     budget = ONE / (1 - epsilon)
-    best = (m, ONE)
-    for n in range(m):
-        objectives = coordinate_rows(fs, n, m) + constraints
-        val, _, _ = polyhedral_max(objectives, constraints)
+    for n in range(span.m):
+        val = pi_section_norm(span, n)
         if val <= budget:
-            best = (n, val)
-            break
-    return LiftWindow(*best)
+            return LiftWindow(n, val)
+    return LiftWindow(span.m, ONE)
 
 
 def restriction_index(fs, epsilon=ZERO) -> LiftWindow:
@@ -243,27 +259,24 @@ def restriction_index(fs, epsilon=ZERO) -> LiftWindow:
     raise NotInvertibleError("no restriction window found; basis is dependent")
 
 
-def pi_section_norm(fs, n: int) -> Fraction:
+def pi_section_norm(span: Span, n: int) -> Fraction:
     """Norm of the section sending the class of y to y restricted to [n, inf),
-    on the span of fs: max tail sup over the quotient-norm unit ball.
-    """
-    m, constraints = _quotient_rows(fs)
-    if n >= m:
+    on the span: max tail sup over the quotient-norm unit ball."""
+    if n >= span.m:
         # past every prefix the objective rows coincide with the
         # constraint rows, so the sup over the unit ball is exactly 1
         return ONE
-    objectives = coordinate_rows(fs, n, m) + constraints
-    val, _, _ = polyhedral_max(objectives, constraints)
+    objectives = coordinate_rows(span.tails, n, span.m) + span.rows
+    val, _, _ = polyhedral_max(objectives, span.rows)
     return val
 
 
-def r_operator_inverse_norm(fs, n: int, n_prime: int) -> Fraction:
+def r_operator_inverse_norm(span: Span, n: int, n_prime: int) -> Fraction:
     """max quotient norm over {|y| <= 1 on [n, n')}; NotInvertible when the
-    restriction window is too short to pin down coefficients.
-    """
-    _, rows = _quotient_rows(fs)
+    restriction window is too short to pin down coefficients."""
     try:
-        val, _, _ = polyhedral_max(rows, coordinate_rows(fs, n, n_prime))
+        val, _, _ = polyhedral_max(span.rows,
+                                   coordinate_rows(span.tails, n, n_prime))
     except UnboundedError:
         raise NotInvertibleError(
             "restriction to [%d, %d) is not injective on the span"

@@ -15,7 +15,8 @@ from qforge.jsonio import write_json
 from qforge.linalg import frac
 from qforge.tails import MAX_TAIL, TailVector, check_pi_injective
 
-BAD_CONFIGS = ['{"rho": "x"}', "not json", '{"horizon": "x"}']
+BAD_CONFIGS = ['{"rho": "x"}', "not json", '{"horizon": "x"}',
+               '{"horizon": 64.9}', '{"horizon": "512"}', '{"horizon": true}']
 
 
 def assert_one_line_exit_2(capsys, argv):

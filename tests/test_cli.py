@@ -181,6 +181,25 @@ class TestCompute:
                             "--in", str(path))
         assert code == 0 and obj["bound"] == "3"
 
+    def test_thirteen_dimensional_map(self, capsys, tmp_path):
+        # T e_k = e_(13+k) + e_(13+(k+1) mod 13) / 2 on [0, 26): no
+        # dimension cap, and the images overlap, so both run the LP
+        def vec(entries):
+            return {"lo": 0, "hi": 26,
+                    "coords": [entries.get(i, "0") for i in range(26)]}
+        path = tmp_path / "t13.json"
+        write_json(path, {
+            "lo": 0, "hi": 26,
+            "basis": [vec({k: "1"}) for k in range(13)],
+            "images": [vec({13 + k: "1", 13 + (k + 1) % 13: "1/2"})
+                       for k in range(13)]})
+        code, obj = run_cli(capsys, "compute", "op-norm", "--in", str(path))
+        assert code == 0 and obj["norm"] == "3/2"
+        # the inverse sums (-S/2)^k over k < 13 divided by 1 + 2^-13
+        code, obj = run_cli(capsys, "compute", "lower-bound",
+                            "--in", str(path))
+        assert code == 0 and obj["bound"] == "8193/16382"
+
 
 class TestForgeAndVerify:
     def test_forge_then_verify(self, capsys, tmp_path):

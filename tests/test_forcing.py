@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qforge import forcing
+from qforge import forcing, tails
 from qforge.adf.certset import CertSet
 from qforge.adf.families import FamilyGenerator, make_family
 from qforge.config import RunConfig
@@ -28,8 +28,8 @@ from qforge.forcing import (
     verify_run,
 )
 from qforge.jsonio import canonical_dumps
-from qforge.linalg import RMatrix
-from qforge.tails import TailVector, pi_section_norm
+from qforge.linalg import RMatrix, rank
+from qforge.tails import TailVector, check_pi_injective, pi_section_norm
 from test_run_file import spiked_families
 
 
@@ -186,7 +186,7 @@ class TestAmalgamate:
         empty = RMatrix(0, 0, 0, 0, {})
         p = Condition(0, empty, (0, 1), inv=empty)
         q = Condition(0, empty, (2,), inv=empty)
-        assert pi_section_norm(list(families.fs), 4) == 3
+        assert pi_section_norm(check_pi_injective(families.fs), 4) == 3
         r = amalgamate(p, q, 0, families, config)
         assert r.n == 8
         assert validate_condition(r, families, config) == []
@@ -229,6 +229,22 @@ class TestCarriedProof:
                            ".*matrix norm 3 exceeds c2 = 2"):
             amalgamate(r, r, 0, PF2, low)
         assert seen == [r, r]
+
+    def test_families_prove_pi_injectivity_once(self, monkeypatch):
+        # PairedFamilies ranks the F- and G-rows once each; amalgamate and
+        # verify_run take subspans of those proofs and rank nothing
+        ranks = []
+
+        def counted(rows):
+            ranks.append(len(rows))
+            return rank(rows)
+        monkeypatch.setattr(tails, "rank", counted)
+        families = paired(4)
+        assert len(ranks) == 2
+        run = run_generic(families, horizon=16, config=CFG)
+        assert run.failure is None and len(run.chain) > 2
+        assert verify_run(run, families)["failures"] == []
+        assert len(ranks) == 2
 
     def test_rebuilt_condition_is_validated_again(self):
         r = self.amalgamated()

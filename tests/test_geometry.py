@@ -150,8 +150,8 @@ class TestBuildProjection:
         # twice too large give Psi . B = 2 I, and P no longer fixes y
         extend = geometry.hahn_banach_extend
 
-        def doubled(y, phi, cap=None):
-            u, value = extend(y, phi, cap)
+        def doubled(y, phi):
+            u, value = extend(y, phi)
             return u.scale(2), 2 * value
         monkeypatch.setattr(geometry, "hahn_banach_extend", doubled)
         y = Subspace(0, 4, (wv(1, 1, 0, 0), wv(0, 0, 1, -1)))

@@ -7,13 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracles
+from qforge import tails
 from qforge.adf.certset import CertSet
-from qforge.errors import NotInjectiveError, NotInvertibleError
+from qforge.errors import (
+    NotInjectiveError,
+    NotInvertibleError,
+    ParameterError,
+    UnboundedError,
+)
 from qforge.linalg import WindowVector, frac
 from qforge.tails import (
     QuotientClass,
     TailVector,
     _minimal_period,
+    check_pi_injective,
     eq_star,
     lifting_index,
     pi_section_norm,
@@ -87,6 +94,17 @@ class TestTailVector:
     @settings(max_examples=50)
     def test_quotient_norm_triangle(self, f, g):
         assert quotient_norm(f.add(g)) <= quotient_norm(f) + quotient_norm(g)
+
+    @given(tail_vectors, st.integers(0, 12), st.integers(0, 12))
+    @settings(max_examples=100)
+    def test_restrict_reads_the_values(self, f, lo, width):
+        w = f.restrict(lo, lo + width)
+        assert (w.lo, w.hi) == (lo, lo + width)
+        assert w.coords == tuple(f.value(i) for i in range(lo, lo + width))
+
+    def test_restrict_rejects_a_negative_index(self):
+        with pytest.raises(ParameterError, match="negative index"):
+            EVENS.restrict(-1, 2)
 
     @given(tail_vectors)
     def test_quotient_norm_is_eventual_sup(self, f):
@@ -171,43 +189,104 @@ class TestRestrictionIndex:
 
 class TestPiSectionNorm:
     def test_normalized_singleton_isometric(self):
-        assert pi_section_norm([EVENS], 0) == 1
+        assert pi_section_norm(check_pi_injective([EVENS]), 0) == 1
 
     def test_disjoint_normalized_family(self):
-        assert pi_section_norm([EVENS, ODDS], 0) == 1
+        assert pi_section_norm(check_pi_injective([EVENS, ODDS]), 0) == 1
 
     def test_perturbed_prefix_expands(self):
         f = tv([3], [1, 0])
-        val = pi_section_norm([f], 0)
+        val = pi_section_norm(check_pi_injective([f]), 0)
         assert val == 3  # the section must reproduce the spike at 0
-        assert pi_section_norm([f], 1) == 1
+        assert pi_section_norm(check_pi_injective([f]), 1) == 1
 
     def test_at_least_one(self):
         for fs in ([EVENS], [EVENS, ODDS], [tv([2], [1, 0, 0])]):
-            assert pi_section_norm(fs, 0) >= 1
+            assert pi_section_norm(check_pi_injective(fs), 0) >= 1
 
     def test_not_injective(self):
         with pytest.raises(NotInjectiveError,
                            match=re.escape("(Fraction(-2, 1), Fraction(1, 1))")):
-            pi_section_norm([EVENS, EVENS.scale(2)], 0)
+            pi_section_norm(check_pi_injective([EVENS, EVENS.scale(2)]), 0)
 
 
 class TestROperator:
     def test_singleton_isometry_past_period(self):
-        assert r_operator_inverse_norm([EVENS], 0, 2) == 1
+        assert r_operator_inverse_norm(check_pi_injective([EVENS]), 0, 2) == 1
 
     def test_window_too_short(self):
         # evens vanish at odd indices: the window {1} cannot pin the coefficient
         with pytest.raises(NotInvertibleError,
                            match=r"restriction to \[1, 2\) is not injective on the span"):
-            r_operator_inverse_norm([EVENS], 1, 2)
+            r_operator_inverse_norm(check_pi_injective([EVENS]), 1, 2)
 
     def test_inverse_norm_weakly_decreasing(self):
         fs = [tv([2], [1, 0]), tv([], [0, 0, 1])]
         cuts = [3, 4, 6, 9, 12]
-        vals = [r_operator_inverse_norm(fs, 0, c) for c in cuts]
+        span = check_pi_injective(fs)
+        vals = [r_operator_inverse_norm(span, 0, c) for c in cuts]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert vals[-1] >= 1
+
+
+small_tails = st.builds(
+    TailVector,
+    prefix=st.lists(st.sampled_from([0, 1, -1, 2]), max_size=3).map(tuple),
+    period=st.lists(st.sampled_from([0, 1, -1, Fraction(1, 2)]), min_size=1,
+                    max_size=3).map(tuple),
+)
+
+
+def _ball_vertices(fs, lo, hi):
+    """Vertices of {c : |sum c_k f_k(i)| <= 1 for i in [lo, hi)}."""
+    return dense_oracles.vertex_enumerate(
+        [[f.value(i) for f in fs] for i in range(lo, hi)], dim=len(fs))
+
+
+def _sup_over(fs, c, lo, hi):
+    return max(abs(sum(ck * f.value(i) for ck, f in zip(c, fs)))
+               for i in range(lo, hi))
+
+
+class TestSubSpanNorms:
+    """The norms of a subspan against vertex enumeration, on the whole
+    family's alignment rather than the subspan's own."""
+
+    @given(st.lists(small_tails, min_size=1, max_size=4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_against_vertex_enumeration(self, fs, data):
+        try:
+            span = check_pi_injective(fs)
+        except NotInjectiveError:
+            return
+        ks = data.draw(st.permutations(range(len(fs))).flatmap(
+            lambda ks: st.integers(1, len(ks)).map(lambda k: ks[:k])))
+        sub = span.sub(ks)
+        subs = [fs[k] for k in ks]
+        end = span.m + span.p  # one period past every prefix of the family
+        ball = _ball_vertices(subs, span.m, end)
+        n = data.draw(st.integers(0, span.m + 1))
+        assert pi_section_norm(sub, n) == max(
+            _sup_over(subs, c, n, max(n, span.m) + span.p) for c in ball)
+        lo = data.draw(st.integers(0, 4))
+        hi = lo + data.draw(st.integers(1, 6))
+        try:
+            window = _ball_vertices(subs, lo, hi)
+        except UnboundedError:
+            with pytest.raises(NotInvertibleError):
+                r_operator_inverse_norm(sub, lo, hi)
+            return
+        assert r_operator_inverse_norm(sub, lo, hi) == max(
+            _sup_over(subs, c, span.m, end) for c in window)
+
+    def test_section_norm_past_the_prefix_builds_no_rows(self, monkeypatch):
+        span = check_pi_injective([tv([3], [0, 1]), ODDS, tv([], [0, 0, 1])])
+        sub = span.sub([2, 0])
+        # a row built now would call None
+        monkeypatch.setattr(tails, "coordinate_rows", None)
+        assert (sub.m, sub.p) == (1, 6)
+        assert pi_section_norm(sub, 1) == pi_section_norm(sub, 5) == 1
+        assert "rows" not in vars(sub)
 
 
 # a repeated base pattern, so that short periods occur, with a stray tail
