@@ -512,8 +512,8 @@ def verify_run(run: GenericRun, families: PairedFamilies,
         # identity blocks would extend the matrix beyond the final stage,
         # so the tail claim is symbolic exactly when f - g vanishes there
         d = families.f(xi).sub(families.g(xi))
-        symbolic = d.is_vanishing() and all(
-            d.value(i) == 0 for i in range(n_end, n_end + d.prefix_len + 1))
+        symbolic = d.is_vanishing() and not any(
+            d.window(n_end, n_end + d.prefix_len + 1))
         details["indices"][str(xi)] = {
             "entry_stage": n0,
             "checked_window": [n0, n_end],

@@ -5,6 +5,8 @@ polyhedral convex function over a polyhedral unit ball is attained at a
 vertex, and we reach that vertex with one exact LP per (deduped)
 objective row instead of enumerating all vertices.  Every pipeline
 output is verified before it is returned; no bound is claimed unchecked.
+A `Subspace` keeps the private pivots that prove its basis independent,
+and its coefficient extractor reads them instead of eliminating.
 """
 
 from __future__ import annotations
@@ -28,12 +30,10 @@ from .linalg import (
     WindowVector,
     coordinate_rows,
     frac,
-    invert,
     kernel_basis,
     nullspace,
     op_norm_inf,
     rank,
-    rref,
     solve_exact,
 )
 from .simplex import lp_min_l1, polyhedral_max
@@ -55,7 +55,7 @@ def _private_pivots(basis):
         if not priv:
             return None
         out.append(priv[0])
-    return out
+    return tuple(out)
 
 
 def _disjoint_supports(vectors):
@@ -68,6 +68,16 @@ def _disjoint_supports(vectors):
     return True
 
 
+def _combination(coeffs, vectors, lo: int, hi: int) -> WindowVector:
+    """sum c_k v_k on [lo, hi), given one coefficient per vector."""
+    if len(coeffs) != len(vectors):
+        raise ParameterError("one coefficient per vector required")
+    out = WindowVector.zero(lo, hi)
+    for c, v in zip(coeffs, vectors):
+        out = out.add(v.scale(c))
+    return out
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Span of linearly independent vectors inside l_infty on [lo, hi)."""
@@ -75,6 +85,8 @@ class Subspace:
     lo: int
     hi: int
     basis: tuple
+    _pivots: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         basis = tuple(self.basis)
@@ -82,11 +94,11 @@ class Subspace:
             if v.lo < self.lo or v.hi > self.hi:
                 raise ParameterError("basis vector exceeds the ambient window")
         basis = tuple(v.restrict(self.lo, self.hi) for v in basis)
-        if basis and _private_pivots(basis) is None:
-            rows = [[v.value(i) for i in range(self.lo, self.hi)] for v in basis]
-            if rank(rows) < len(basis):
-                raise ParameterError("basis vectors are linearly dependent")
+        pivots = _private_pivots(basis)
+        if pivots is None and rank([v.coords for v in basis]) < len(basis):
+            raise ParameterError("basis vectors are linearly dependent")
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_pivots", pivots)
 
     @property
     def dim(self) -> int:
@@ -97,38 +109,25 @@ class Subspace:
         return RMatrix.from_columns(list(self.basis))
 
     def combine(self, coeffs) -> WindowVector:
-        out = WindowVector.zero(self.lo, self.hi)
-        for c, v in zip(coeffs, self.basis):
-            out = out.add(v.scale(c))
-        return out
+        return _combination(coeffs, self.basis, self.lo, self.hi)
 
     def coefficients(self, v: WindowVector):
         """Coefficients of v in the basis, or None if v is outside the span."""
-        rhs = [v.value(i) for i in range(self.lo, self.hi)]
-        return solve_exact(coordinate_rows(self.basis, self.lo, self.hi), rhs)
+        if any(not self.lo <= i < self.hi for i, _ in v.items()):
+            return None
+        return solve_exact(coordinate_rows(self.basis, self.lo, self.hi),
+                           v.window(self.lo, self.hi))
 
     def contains(self, v: WindowVector) -> bool:
         return self.coefficients(v) is not None
 
     def coefficient_extractor(self) -> RMatrix:
-        """A dim x n matrix E with E v = coefficients for every v in the span."""
-        if not self.basis:
-            return RMatrix(0, 0, self.lo, self.hi, {})
-        pivots = _private_pivots(self.basis)
-        if pivots is not None:
-            rows = {k: {i: ONE / self.basis[k].value(i)}
-                    for k, i in enumerate(pivots)}
-            return RMatrix(0, self.dim, self.lo, self.hi, rows)
-        # pivot rows of the basis matrix give an invertible dim x dim minor
-        _, pivots = rref([[b.value(i) for i in range(self.lo, self.hi)]
-                          for b in self.basis])
-        pivot_rows = [self.lo + c for c in pivots]
-        inv = invert(RMatrix.from_dense(
-            [[b.value(i) for b in self.basis] for i in pivot_rows]))
-        rows = {}
-        for k in range(self.dim):
-            rows[k] = {i: v for j, i in enumerate(pivot_rows)
-                       if (v := inv.get(k, j))}
+        """A dim x n matrix E with E v = coefficients for every v in the
+        span, read from the private pivots; ParameterError without them."""
+        if self._pivots is None:
+            raise ParameterError("the basis has no private coordinates")
+        rows = {k: {i: ONE / self.basis[k].value(i)}
+                for k, i in enumerate(self._pivots)}
         return RMatrix(0, self.dim, self.lo, self.hi, rows)
 
 
@@ -162,12 +161,8 @@ class LinMap:
         return LinMap(space, tuple(space.basis))
 
     def apply_coeffs(self, coeffs) -> WindowVector:
-        if not self.images:
-            return WindowVector.zero(0, 0)
-        out = WindowVector.zero(self.images[0].lo, self.images[0].hi)
-        for c, w in zip(coeffs, self.images):
-            out = out.add(w.scale(c))
-        return out
+        lo, hi = (self.images[0].lo, self.images[0].hi) if self.images else (0, 0)
+        return _combination(coeffs, self.images, lo, hi)
 
     def apply(self, v: WindowVector) -> WindowVector:
         coeffs = self.domain.coefficients(v)
@@ -176,6 +171,8 @@ class LinMap:
         return self.apply_coeffs(coeffs)
 
     def scale(self, s) -> "LinMap":
+        if frac(s) == 1:
+            return self
         return LinMap(self.domain, tuple(w.scale(s) for w in self.images))
 
     def norm(self) -> Fraction:
@@ -285,16 +282,10 @@ def _projection_parts(y: Subspace):
     return b.matmul(psi), psi
 
 
-def kernel_of_functionals(rows, lo: int, hi: int) -> Subspace:
-    """Joint kernel of a few functionals on [lo, hi), as a Subspace."""
-    dense = []
-    for r in rows:
-        d = [ZERO] * (hi - lo)
-        for i, c in r.items():
-            if lo <= i < hi:
-                d[i - lo] = c
-        dense.append(d)
-    return Subspace(lo, hi, tuple(kernel_basis(dense, lo, hi)))
+def kernel_of_functionals(psi: RMatrix) -> Subspace:
+    """Joint kernel of the functionals in psi's rows, on its column window."""
+    lo, hi = psi.col_lo, psi.col_hi
+    return Subspace(lo, hi, tuple(kernel_basis(psi.to_dense(), lo, hi)))
 
 
 def _lex_key(v: WindowVector):
@@ -357,8 +348,7 @@ def complement_iso(z1: Subspace, z2: Subspace, budget):
 
     # stage 2: greedy sign-pattern matching of sup-normalized bases
     def pattern(v):
-        return tuple(1 if v.value(i) > 0 else (-1 if v.value(i) < 0 else 0)
-                     for i in range(v.lo, v.hi))
+        return tuple((c > 0) - (c < 0) for c in v.window(v.lo, v.hi))
 
     remaining = list(range(len(b2)))
     images = []
@@ -483,8 +473,8 @@ def extend_isomorphism(t: LinMap,
     eye = RMatrix.identity(y1.lo, y1.hi)
     # ker P = ker(B Psi) = ker Psi: h functionals instead of an n x n
     # elimination
-    z1 = kernel_of_functionals(psi1.rows.values(), y1.lo, y1.hi)
-    z2 = kernel_of_functionals(psi2.rows.values(), y1.lo, y1.hi)
+    z1 = kernel_of_functionals(psi1)
+    z2 = kernel_of_functionals(psi2)
     if z1.dim == 0:
         r = LinMap(z1, ())
     else:

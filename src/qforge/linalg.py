@@ -135,6 +135,10 @@ class WindowVector:
     def value(self, i: int) -> Fraction:
         return self._nz.get(i, ZERO)
 
+    def window(self, lo: int, hi: int) -> tuple:
+        """The values at lo, ..., hi - 1; zero outside the vector's window."""
+        return tuple(self._nz.get(i, ZERO) for i in range(lo, hi))
+
     def sup_norm(self) -> Fraction:
         if self._sup is None:
             _setattr(self, "_sup", max(map(abs, self._nz.values()), default=ZERO))
@@ -542,7 +546,7 @@ def coordinate_rows(vectors, lo: int, hi: int) -> list:
 
     For a basis these are the coefficient-space rows of the unit ball
     {x in span : |x|_inf <= 1} on the window."""
-    return [tuple(v.value(i) for v in vectors) for i in range(lo, hi)]
+    return list(zip(*[v.window(lo, hi) for v in vectors]))
 
 
 def int_row(values):

@@ -10,6 +10,7 @@ pi-injective once by `check_pi_injective` (one aligned period of rows has
 full rank); `Span.sub` gives a subfamily's span, aligned on its own prefix
 and period and not proved again.  Aligned prefixes and periods are at most
 MAX_TAIL = 2^16, the lcm of branch 16 depth 4 against progression 16.
+Every reader of a tail's values over a window goes through `TailVector.window`.
 """
 
 from __future__ import annotations
@@ -102,14 +103,16 @@ class TailVector:
         vals = [abs(c) for c in self.prefix[k:]] + [abs(c) for c in self.period]
         return max(vals)
 
-    def restrict(self, lo: int, hi: int) -> WindowVector:
+    def window(self, lo: int, hi: int) -> tuple:
+        """Values at lo, ..., hi - 1: a prefix slice, then repeated periods."""
         if lo < 0 and hi > lo:
             raise ParameterError("negative index")
-        # a slice of the prefix, then n period values from the entry r
         m, p = len(self.prefix), len(self.period)
         n, r = max(0, hi - max(lo, m)), (max(lo, m) - m) % p
-        return WindowVector(lo, hi, self.prefix[lo:hi]
-                            + (self.period * ((n + r) // p + 1))[r:r + n])
+        return self.prefix[lo:hi] + (self.period * ((n + r) // p + 1))[r:r + n]
+
+    def restrict(self, lo: int, hi: int) -> WindowVector:
+        return WindowVector(lo, hi, self.window(lo, hi))
 
     def scale(self, s) -> "TailVector":
         s = frac(s)
@@ -119,9 +122,9 @@ class TailVector:
     def add(self, other: "TailVector") -> "TailVector":
         m = max(len(self.prefix), len(other.prefix))
         p = lcm(len(self.period), len(other.period))
-        prefix = tuple(self.value(i) + other.value(i) for i in range(m))
-        period = tuple(self.value(m + j) + other.value(m + j) for j in range(p))
-        return TailVector(prefix, period)
+        total = tuple(x + y for x, y in zip(self.window(0, m + p),
+                                            other.window(0, m + p)))
+        return TailVector(total[:m], total[m:])
 
     def sub(self, other: "TailVector") -> "TailVector":
         return self.add(other.scale(-1))
@@ -251,7 +254,7 @@ def restriction_index(fs, epsilon=ZERO) -> LiftWindow:
     budget = ONE / (1 - epsilon)
     for n in range(1, m + p + 1):
         try:
-            val, _, _ = polyhedral_max(full, coordinate_rows(fs, 0, n))
+            val, _, _ = polyhedral_max(full, full[:n])
         except UnboundedError:  # [0, n) does not pin the coefficients
             continue
         if val <= budget:
@@ -274,9 +277,10 @@ def pi_section_norm(span: Span, n: int) -> Fraction:
 def r_operator_inverse_norm(span: Span, n: int, n_prime: int) -> Fraction:
     """max quotient norm over {|y| <= 1 on [n, n')}; NotInvertible when the
     restriction window is too short to pin down coefficients."""
+    # a row past one period beyond n and every prefix repeats one already read
+    end = min(n_prime, max(n, span.m) + span.p)
     try:
-        val, _, _ = polyhedral_max(span.rows,
-                                   coordinate_rows(span.tails, n, n_prime))
+        val, _, _ = polyhedral_max(span.rows, coordinate_rows(span.tails, n, end))
     except UnboundedError:
         raise NotInvertibleError(
             "restriction to [%d, %d) is not injective on the span"

@@ -55,6 +55,30 @@ class TestSubspace:
             v = y.combine(coeffs)
             assert list(e.apply(v).coords) == coeffs
 
+    def test_extractor_needs_private_pivots(self):
+        # independent, but both vectors are nonzero at every coordinate
+        y = Subspace(0, 2, (wv(1, 1), wv(1, -1)))
+        with pytest.raises(ParameterError, match="no private coordinates"):
+            y.coefficient_extractor()
+
+    def test_vector_outside_the_window_is_outside_the_span(self):
+        y = Subspace(0, 2, (wv(1, 0),))
+        v = wv(1, 0, 0, 5)
+        assert y.coefficients(v) is None and not y.contains(v)
+        assert y.contains(wv(2, 0, 0, 0))
+        with pytest.raises(ParameterError, match="outside the map's domain"):
+            LinMap.identity(y).apply(v)
+
+    def test_one_coefficient_per_vector(self):
+        y = Subspace(0, 3, (wv(1, 0, 1), wv(0, 1, 0)))
+        t = LinMap(y, (wv(1, 1), wv(0, 2)))
+        for coeffs in ([2], [2, 1, 7]):
+            with pytest.raises(ParameterError, match="one coefficient per vector"):
+                y.combine(coeffs)
+            with pytest.raises(ParameterError, match="one coefficient per vector"):
+                t.apply_coeffs(coeffs)
+        assert t.apply_coeffs([1, 1]) == wv(1, 3)
+
 
 class TestOpNormAndLowerBound:
     def test_scaled_identity(self):
@@ -215,6 +239,15 @@ class TestBalancedRescale:
         rb = 1 / lower_bound(r)[0]
         bound = Fraction(101, 100) ** 2 * a * b
         assert ra * ra <= bound and rb * rb <= bound
+
+    def test_scaling_by_one_keeps_the_map(self):
+        z = Subspace(0, 2, (wv(1, 0), wv(0, 1)))
+        q = LinMap(z, (wv(1, 1), wv(0, 1)))
+        assert q.scale(1) is q and q.scale(Fraction(1)) is q
+        with pytest.raises(ParameterError):
+            q.scale(1.0)
+        # s = 1 here, so the result is q with its norms computed once
+        assert balanced_rescale(q) is q
 
 
 class TestExtendIsomorphism:

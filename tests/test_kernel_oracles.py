@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import dense_oracles
 from qforge import linalg, simplex
 from qforge.errors import QForgeError, SingularMatrixError
-from qforge.geometry import kernel_of_functionals
+from qforge.geometry import Subspace, kernel_of_functionals
 from qforge.linalg import RMatrix, WindowVector, invert, nullspace, rank, rref, solve_exact
 
 # mostly zeros and ones, so that the zero and unit-pivot shortcuts are taken
@@ -132,10 +132,30 @@ def test_kernels_match_dense_nullspace(data):
     hi = lo + len(funcs[0])
     want = [WindowVector(lo, hi, tuple(v))
             for v in dense_oracles.nullspace(funcs, hi - lo)]
-    rows = [WindowVector(lo, hi, tuple(r)) for r in funcs]
-    assert list(kernel_of_functionals(rows, lo, hi).basis) == want
+    psi = RMatrix.from_dense(funcs, col_lo=lo)
+    assert list(kernel_of_functionals(psi).basis) == want
     square = funcs + [[Fraction(0)] * (hi - lo)] * (hi - lo - len(funcs))
     p = RMatrix.from_dense(square[:hi - lo], row_lo=lo, col_lo=lo)
     assert list(dense_oracles.kernel_subspace(p, lo, hi).basis) == [
         WindowVector(lo, hi, tuple(v))
         for v in dense_oracles.nullspace(p.to_dense(), hi - lo)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernel_bases_have_private_pivots(data):
+    # extend_isomorphism extracts coefficients of kernel bases, reordered
+    # and rescaled, from their private pivots, with no elimination
+    lo = data.draw(st.integers(0, 4))
+    funcs = data.draw(matrices(max_rows=3, max_cols=7))
+    kernel = kernel_of_functionals(RMatrix.from_dense(funcs, col_lo=lo))
+    if kernel.dim == 0:
+        return
+    order = data.draw(st.permutations(range(kernel.dim)))
+    scales = data.draw(st.lists(st.fractions(min_value=-3, max_value=3).filter(bool),
+                                min_size=kernel.dim, max_size=kernel.dim))
+    moved = Subspace(kernel.lo, kernel.hi,
+                     tuple(kernel.basis[k].scale(c) for k, c in zip(order, scales)))
+    for y in (kernel, moved):
+        e = y.coefficient_extractor()
+        assert e.matmul(y.basis_matrix()).equals(RMatrix.identity(0, y.dim))

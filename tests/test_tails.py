@@ -15,7 +15,8 @@ from qforge.errors import (
     ParameterError,
     UnboundedError,
 )
-from qforge.linalg import WindowVector, frac
+from qforge.linalg import WindowVector, coordinate_rows, frac
+from qforge.simplex import polyhedral_max
 from qforge.tails import (
     QuotientClass,
     TailVector,
@@ -101,6 +102,15 @@ class TestTailVector:
         w = f.restrict(lo, lo + width)
         assert (w.lo, w.hi) == (lo, lo + width)
         assert w.coords == tuple(f.value(i) for i in range(lo, lo + width))
+
+    @given(st.lists(tail_vectors, min_size=1, max_size=3), st.integers(0, 6),
+           st.integers(0, 16))
+    @settings(max_examples=100)
+    def test_coordinate_rows_read_the_values(self, fs, lo, width):
+        # windows start before, at and after the prefixes end, and the
+        # widest spans four periods of up to 4 entries
+        assert coordinate_rows(fs, lo, lo + width) == [
+            tuple(f.value(i) for f in fs) for i in range(lo, lo + width)]
 
     def test_restrict_rejects_a_negative_index(self):
         with pytest.raises(ParameterError, match="negative index"):
@@ -210,6 +220,14 @@ class TestPiSectionNorm:
             pi_section_norm(check_pi_injective([EVENS, EVENS.scale(2)]), 0)
 
 
+small_tails = st.builds(
+    TailVector,
+    prefix=st.lists(st.sampled_from([0, 1, -1, 2]), max_size=3).map(tuple),
+    period=st.lists(st.sampled_from([0, 1, -1, Fraction(1, 2)]), min_size=1,
+                    max_size=3).map(tuple),
+)
+
+
 class TestROperator:
     def test_singleton_isometry_past_period(self):
         assert r_operator_inverse_norm(check_pi_injective([EVENS]), 0, 2) == 1
@@ -220,6 +238,26 @@ class TestROperator:
                            match=r"restriction to \[1, 2\) is not injective on the span"):
             r_operator_inverse_norm(check_pi_injective([EVENS]), 1, 2)
 
+    @given(st.lists(small_tails, min_size=1, max_size=3), st.integers(0, 5),
+           st.integers(0, 14))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_past_one_period_change_nothing(self, fs, n, width):
+        # the norm reads rows only to one period past n and the prefix;
+        # here every row of [n, n + width) is a constraint
+        try:
+            span = check_pi_injective(fs)
+        except NotInjectiveError:
+            return
+        rows = [[f.value(i) for f in fs] for i in range(span.m, span.m + span.p)]
+        window = [[f.value(i) for f in fs] for i in range(n, n + width)]
+        try:
+            want = polyhedral_max(rows, window)[0]
+        except UnboundedError:
+            with pytest.raises(NotInvertibleError):
+                r_operator_inverse_norm(span, n, n + width)
+            return
+        assert r_operator_inverse_norm(span, n, n + width) == want
+
     def test_inverse_norm_weakly_decreasing(self):
         fs = [tv([2], [1, 0]), tv([], [0, 0, 1])]
         cuts = [3, 4, 6, 9, 12]
@@ -227,14 +265,6 @@ class TestROperator:
         vals = [r_operator_inverse_norm(span, 0, c) for c in cuts]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert vals[-1] >= 1
-
-
-small_tails = st.builds(
-    TailVector,
-    prefix=st.lists(st.sampled_from([0, 1, -1, 2]), max_size=3).map(tuple),
-    period=st.lists(st.sampled_from([0, 1, -1, Fraction(1, 2)]), min_size=1,
-                    max_size=3).map(tuple),
-)
 
 
 def _ball_vertices(fs, lo, hi):
