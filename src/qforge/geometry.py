@@ -246,9 +246,7 @@ def hahn_banach_extend(y: Subspace, phi_values):
         raise ParameterError("one value per basis vector required")
     if y.dim == 0:
         return WindowVector.zero(y.lo, y.hi), ZERO
-    a = RMatrix.from_rows_vectors(list(y.basis))
-    b = WindowVector(0, y.dim, tuple(phi_values))
-    return lp_min_l1(a, b)
+    return lp_min_l1(y.basis, phi_values)
 
 
 def build_projection(y: Subspace) -> RMatrix:

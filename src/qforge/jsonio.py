@@ -87,17 +87,21 @@ def load_json(path, parse, what):
 
 
 def rmatrix_to_json(m: RMatrix):
-    entries = sorted((i, j, str(v)) for i, row in m.rows.items()
-                     for j, v in row.items())
     return {"row_lo": m.row_lo, "row_hi": m.row_hi,
             "col_lo": m.col_lo, "col_hi": m.col_hi,
-            "entries": [[i, j, v] for i, j, v in entries]}
+            "entries": [[i, j, str(v)] for i, j, v in m.items()]}
 
 
 def rmatrix_from_json(obj) -> RMatrix:
     rows = {}
     for i, j, v in obj["entries"]:
-        rows.setdefault(i, {})[j] = v
+        # true or 1.0 would join the row of 1 and pass the window checks
+        if type(i) is not int or type(j) is not int:
+            raise ParameterError("matrix index (%r, %r) is not an integer" % (i, j))
+        row = rows.setdefault(i, {})
+        if j in row:
+            raise ParameterError("matrix entry (%r, %r) is listed twice" % (i, j))
+        row[j] = v
     return RMatrix(obj["row_lo"], obj["row_hi"],
                    obj["col_lo"], obj["col_hi"], rows)
 

@@ -4,7 +4,7 @@ Everything is a pure function over immutable values; scalars are
 `fractions.Fraction` at every interface and no operation ever rounds.
 Inside, numbers are integer rows (ints, den): an RMatrix stores each row
 so, and elimination runs on them through `pivot`, the one Gauss-Jordan
-step behind rref, rank, inverses, kernels, solves and the simplex.
+step behind rank, inverses, kernels, solves and the simplex.
 """
 
 from __future__ import annotations
@@ -33,7 +33,16 @@ def frac(x) -> Fraction:
         raise ParameterError("not a rational number: %r" % (x,)) from e
 
 
+def _check_int(x, what: str):
+    """x itself when it is an int (not a bool); ParameterError otherwise."""
+    if type(x) is not int:
+        raise ParameterError("%s %r is not an integer" % (what, x))
+    return x
+
+
 def _check_window(lo: int, hi: int):
+    _check_int(lo, "window bound")
+    _check_int(hi, "window bound")
     if hi < lo:
         raise ParameterError("window [%d, %d) is inverted" % (lo, hi))
 
@@ -101,7 +110,7 @@ class WindowVector:
     @staticmethod
     def unit(lo: int, hi: int, index: int) -> "WindowVector":
         _check_window(lo, hi)
-        if not lo <= index < hi:
+        if not lo <= _check_int(index, "index") < hi:
             raise ParameterError("index %d outside window [%d, %d)" % (index, lo, hi))
         return _vector(lo, hi, {index: ONE})
 
@@ -112,7 +121,7 @@ class WindowVector:
         _check_window(lo, hi)
         nz = {}
         for i in sorted(entries):
-            if not lo <= i < hi:
+            if not lo <= _check_int(i, "index") < hi:
                 raise ParameterError("index %d outside window [%d, %d)" % (i, lo, hi))
             c = frac(entries[i])
             if c:
@@ -175,10 +184,6 @@ class WindowVector:
     def sub(self, other: "WindowVector") -> "WindowVector":
         return self.add(other.scale(-1))
 
-    def dot(self, other: "WindowVector") -> Fraction:
-        a, b = sorted((self._nz, other._nz), key=len)
-        return sum((c * b[i] for i, c in a.items() if i in b), ZERO)
-
     def is_zero(self) -> bool:
         return not self._nz
 
@@ -238,23 +243,25 @@ class RMatrix:
     ints[j] / den, in one canonical form: den > 0, gcd(den, entries) = 1,
     no zero entry and no empty row.  Two matrices are therefore equal
     exactly when their windows and row dicts are.  Every entry a caller
-    reads (`get`, `to_dense`, `rows`) is a Fraction.  The constructor
+    reads (`get`, `to_dense`, `items`) is a Fraction.  The constructor
     checks the windows and coerces every entry through `frac`; the
     operations build their results from canonical rows without either.
     Instances are never mutated.
     """
 
-    __slots__ = ("row_lo", "row_hi", "col_lo", "col_hi", "_rows", "_fractions")
+    __slots__ = ("row_lo", "row_hi", "col_lo", "col_hi", "_rows")
 
     def __init__(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int,
                  rows: dict | None = None):
+        _check_window(row_lo, row_hi)
+        _check_window(col_lo, col_hi)
         clean = {}
         for i, row in (rows or {}).items():
-            if not (row_lo <= i < row_hi):
+            if not (row_lo <= _check_int(i, "row index") < row_hi):
                 raise ParameterError("row index %d outside window" % i)
             r = {}
             for j, v in row.items():
-                if not (col_lo <= j < col_hi):
+                if not (col_lo <= _check_int(j, "col index") < col_hi):
                     raise ParameterError("col index %d outside window" % j)
                 v = frac(v)
                 if v != 0:
@@ -269,13 +276,15 @@ class RMatrix:
         _setattr(self, "col_lo", col_lo)
         _setattr(self, "col_hi", col_hi)
         _setattr(self, "_rows", rows)
-        _setattr(self, "_fractions", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RMatrix is immutable")
 
     def __reduce__(self):
-        return RMatrix, self.window + (self.rows,)
+        rows = {}
+        for i, j, v in self.items():
+            rows.setdefault(i, {})[j] = v
+        return RMatrix, self.window + (rows,)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -285,8 +294,9 @@ class RMatrix:
     __hash__ = None
 
     def __repr__(self):
+        # the constructor call that unpickling makes
         return "RMatrix(row_lo=%r, row_hi=%r, col_lo=%r, col_hi=%r, rows=%r)" % (
-            self.window + (self.rows,))
+            self.__reduce__()[1])
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -344,21 +354,16 @@ class RMatrix:
         return self.row_hi - self.row_lo
 
     @property
-    def n_cols(self) -> int:
-        return self.col_hi - self.col_lo
-
-    @property
     def window(self) -> tuple:
         return self.row_lo, self.row_hi, self.col_lo, self.col_hi
 
-    @property
-    def rows(self) -> dict:
-        """{row: {col: nonzero Fraction}}, built on first use."""
-        if self._fractions is None:
-            _setattr(self, "_fractions", {
-                i: {j: Fraction(x, den) for j, x in row.items()}
-                for i, (row, den) in self._rows.items()})
-        return self._fractions
+    def items(self):
+        """(row, col, value) of the nonzero entries in row-major order;
+        each value is a Fraction built on the call, none is kept."""
+        for i in sorted(self._rows):
+            row, den = self._rows[i]
+            for j in sorted(row):
+                yield i, j, Fraction(row[j], den)
 
     def get(self, i: int, j: int) -> Fraction:
         row, den = self._rows.get(i, _NO_ROW)
@@ -624,12 +629,6 @@ def _reduce(rows) -> tuple:
     """(integer rows of the rref of rows, pivot columns)."""
     tab = [int_row(row) for row in rows]
     return tab, _echelon(tab)
-
-
-def rref(rows: list) -> tuple:
-    """Reduced row echelon form. Returns (rref_rows, pivot_columns)."""
-    tab, pivots = _reduce(rows)
-    return [[Fraction(x, den) if x else ZERO for x in row] for row, den in tab], pivots
 
 
 def rank(rows) -> int:

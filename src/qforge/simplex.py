@@ -21,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .errors import InfeasibleError, UnboundedError
-from .linalg import ZERO, RMatrix, WindowVector, rank
+from .errors import InfeasibleError, ParameterError, UnboundedError
+from .linalg import ZERO, WindowVector, rank
 
 
 def _pivot(tab, basis, r, c):
@@ -115,31 +115,29 @@ def simplex_min(cost, a_rows, b):
     return _basic_values(tab, basis, n), val
 
 
-def lp_min_l1(a: RMatrix, b: WindowVector):
-    """Minimize ||u||_1 subject to A u = b, exactly.
+def lp_min_l1(vectors, rhs):
+    """Minimize ||u||_1 subject to <u, v_k> = rhs_k for each vector v_k,
+    exactly.
 
-    u lives on A's column window; the split u = u+ - u- turns the problem
-    into a standard-form LP with unit costs.  The rows are laid out from
-    A's nonzeros, with int zeros in between.
+    u lives on the vectors' common window; the split u = u+ - u- turns
+    the problem into a standard-form LP with unit costs, whose row k is
+    [v_k | -v_k], laid out from v_k's nonzeros with int zeros between.
     """
-    n = a.n_cols
-    m = a.n_rows
+    if not vectors or len(vectors) != len(rhs):
+        raise ParameterError("one right-hand side per constraint vector required")
+    lo, hi = vectors[0].lo, vectors[0].hi
+    if any((v.lo, v.hi) != (lo, hi) for v in vectors):
+        raise ParameterError("constraint vector windows differ")
+    n = hi - lo
     rows = []
-    rhs = []
-    for i in range(a.row_lo, a.row_hi):
+    for v in vectors:
         row = [0] * (2 * n)
-        for j, v in a.rows.get(i, {}).items():
-            row[j - a.col_lo] = v
-            row[n + j - a.col_lo] = -v
+        for i, c in v.items():
+            row[i - lo], row[n + i - lo] = c, -c
         rows.append(row)
-        rhs.append(b.value(i))
-    if m == 0 or n == 0:
-        if any(v != 0 for v in rhs):
-            raise InfeasibleError("nonzero rhs with no variables")
-        return WindowVector.zero(a.col_lo, a.col_hi), ZERO
     x, val = simplex_min([1] * (2 * n), rows, rhs)
     u = tuple(p - q if p or q else ZERO for p, q in zip(x, x[n:]))
-    return WindowVector(a.col_lo, a.col_hi, u), val
+    return WindowVector(lo, hi, u), val
 
 
 def max_linear(objective, constraint_rows):

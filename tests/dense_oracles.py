@@ -25,6 +25,10 @@ The canonical form of a tail vector is kept as it was before one
 prefix-function pass found its period: a scan over every divisor of the
 period's length, and one rotation per absorbed prefix entry.
 
+The dot product of two vectors is a loop over every index their windows
+share; the library has none, and the tests check the interpolation
+conditions of Hahn-Banach extensions with it.
+
 Vertex enumeration of a symmetric polytope, the dual norm it gives, and
 the kernel of a dense idempotent matrix are independent oracles for the
 simplex-based norms and the functional kernels of `geometry`; the
@@ -46,6 +50,12 @@ from qforge.errors import (
 from qforge.geometry import Subspace
 from qforge.linalg import ONE, ZERO, RMatrix, coordinate_rows, frac
 from qforge.simplex import _dedup_rows
+
+
+def dot(v, w):
+    """sum v_i w_i over the indices both windows share, one index at a time."""
+    return sum((v.value(i) * w.value(i)
+                for i in range(max(v.lo, w.lo), min(v.hi, w.hi))), ZERO)
 
 
 def rref(rows):

@@ -9,7 +9,7 @@ from itertools import combinations, product
 
 import pytest
 
-from dense_oracles import dual_norm
+from dense_oracles import dot, dual_norm
 from qforge.adf.certset import CertSet
 from qforge.adf.coherent import (
     CoherentFamily,
@@ -99,7 +99,7 @@ def test_criterion_2_hahn_banach_vs_vertex_dual():
         u, value = hahn_banach_extend(y, phi)
         assert u.l1_norm() == value
         for v, p in zip(y.basis, phi):
-            assert u.dot(v) == p
+            assert dot(u, v) == p
         assert dual_norm(y, phi) == value
     budget.check()
 

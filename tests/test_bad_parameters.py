@@ -11,8 +11,8 @@ from qforge.adf.families import MAX_BLOCKS, MAX_VALUATION
 from qforge.cli import main
 from qforge.config import ENV_CONFIG, MAX_HORIZON, RunConfig
 from qforge.errors import ParameterError
-from qforge.jsonio import write_json
-from qforge.linalg import frac
+from qforge.jsonio import rmatrix_from_json, write_json
+from qforge.linalg import RMatrix, WindowVector, frac
 from qforge.tails import MAX_TAIL, TailVector, check_pi_injective
 
 BAD_CONFIGS = ['{"rho": "x"}', "not json", '{"horizon": "x"}',
@@ -225,3 +225,38 @@ def test_tail_of_period_at_the_bound_is_accepted():
         CertSet(MAX_TAIL + 1, 2, frozenset({0}), frozenset()).indicator_tail()
     with pytest.raises(ParameterError):
         check_pi_injective(coprime_tails())
+
+
+# a window bound or an index must be an int: 0.5 and True compare as
+# inside a window, and a matrix entry is one (i, j) listed once
+NOT_AN_INDEX = {
+    "vector-bound": lambda: WindowVector(0.5, 2.5, (1, 0)),
+    "vector-bool-bound": lambda: WindowVector(False, 1, (1,)),
+    "sparse-index": lambda: WindowVector.sparse(0, 2, {True: 1}),
+    "unit-index": lambda: WindowVector.unit(0, 2, 1.0),
+    "matrix-bound": lambda: RMatrix(0, 2.5, 0, 2, {}),
+    "matrix-row": lambda: RMatrix(0, 2, 0, 2, {0.5: {0: 1}}),
+    "matrix-col": lambda: RMatrix(0, 2, 0, 2, {0: {True: 1}}),
+    "repeated-entry": lambda: rmatrix_from_json({
+        "row_lo": 0, "row_hi": 1, "col_lo": 0, "col_hi": 1,
+        "entries": [[0, 0, "1000"], [0, 0, "1"]]}),
+    "bool-beside-its-int": lambda: rmatrix_from_json({
+        "row_lo": 0, "row_hi": 2, "col_lo": 0, "col_hi": 2,
+        "entries": [[1, 0, "1"], [True, 1, "1000"]]}),
+}
+
+
+@pytest.mark.parametrize("build", NOT_AN_INDEX.values(), ids=NOT_AN_INDEX)
+def test_index_that_is_not_an_int(build):
+    with pytest.raises(ParameterError):
+        build()
+
+
+def test_compute_on_a_fractional_window(capsys, tmp_path):
+    v = {"lo": 0.5, "hi": 2.5, "coords": ["1", "0"]}
+    path = tmp_path / "map.json"
+    # a float is not canonical JSON, so the file is written by json
+    path.write_text(json.dumps({"lo": 0.5, "hi": 2.5, "basis": [v], "images": [v]}))
+    err = assert_one_line_exit_2(capsys, ["compute", "op-norm", "--in", str(path)])
+    assert "not an integer" in err
+

@@ -305,7 +305,9 @@ class TestGenericRun:
 
     def test_verify_catches_corrupted_entry(self):
         final = self.run.final
-        rows = {i: dict(r) for i, r in final.m.rows.items()}
+        rows = {}
+        for i, j, v in final.m.items():
+            rows.setdefault(i, {})[j] = v
         rows.setdefault(0, {})[0] = rows.get(0, {}).get(0, Fraction(0)) + 1
         bad = Condition(final.n, RMatrix(0, final.n, 0, final.n, rows),
                         final.a, final.cuts, final.inv)

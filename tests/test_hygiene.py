@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package, the tests or the scripts
-imports a name it never uses, and no module of the package imports a
-private name from another."""
+imports a name it never uses, no module of the package imports a private
+name from another, and only `linalg` reads the integer rows of a matrix
+or the nonzeros of a vector."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,23 @@ def test_no_private_imports_across_package_modules():
     paths = sorted((ROOT / "src/qforge").rglob("*.py"))
     assert paths
     assert [u for p in paths for u in private_imports(p)] == []
+
+
+# the stored forms of RMatrix rows (ints, den) and WindowVector nonzeros
+PRIVATE_ROWS = ("_rows", "_nz")
+
+
+def private_row_reads(path):
+    tree = ast.parse(path.read_text(), str(path))
+    return ["%s:%d %s" % (path.relative_to(ROOT), node.lineno, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in PRIVATE_ROWS]
+
+
+def test_integer_rows_are_read_only_in_linalg():
+    linalg = ROOT / "src/qforge/linalg.py"
+    assert private_row_reads(linalg)  # the check sees the reads it forbids
+    paths = [p for d in ("src/qforge", "scripts")
+             for p in sorted((ROOT / d).rglob("*.py")) if p != linalg]
+    assert paths
+    assert [u for p in paths for u in private_row_reads(p)] == []

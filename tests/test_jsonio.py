@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qforge.errors import ParameterError
-from qforge.jsonio import canonical_dumps
+from qforge.jsonio import canonical_dumps, rmatrix_from_json, rmatrix_to_json
+from qforge.linalg import RMatrix
 
 # any code point, with control characters and lone surrogates drawn often
 strings = st.text(st.characters(exclude_categories=())
@@ -86,3 +87,47 @@ def test_non_json_values_are_refused(obj, name):
         canonical_dumps(obj)
     message = str(info.value)
     assert name in message and "\n" not in message
+
+
+def sorted_triples_json(m):
+    """The matrix writer as it was when it read a Fraction copy of the
+    rows: the nonzero entries as sorted (i, j, str(v)) triples."""
+    entries = sorted((m.row_lo + i, m.col_lo + j, str(v))
+                     for i, row in enumerate(m.to_dense())
+                     for j, v in enumerate(row) if v)
+    return {"row_lo": m.row_lo, "row_hi": m.row_hi,
+            "col_lo": m.col_lo, "col_hi": m.col_hi,
+            "entries": [[i, j, v] for i, j, v in entries]}
+
+
+matrix_entries = st.sampled_from([Fraction(v) for v in (
+    0, 0, 0, 0, 1, -1, 3, "1/2", "-2/3", "5/6", "-7/4")])
+
+
+@st.composite
+def matrices(draw):
+    """A matrix on offset windows; a product of two when drawn, so that
+    its rows are stored in the order the product builds them."""
+    n, k, p = (draw(st.integers(0, 4)) for _ in range(3))
+    lo_r, lo_k, lo_c = (draw(st.integers(-3, 3)) for _ in range(3))
+    def dense(rows, cols):
+        return [draw(st.lists(matrix_entries, min_size=cols, max_size=cols))
+                for _ in range(rows)]
+    a = RMatrix(lo_r, lo_r + n, lo_k, lo_k + k, {
+        lo_r + i: {lo_k + j: v for j, v in enumerate(row)}
+        for i, row in enumerate(dense(n, k))})
+    if not draw(st.booleans()):
+        return a
+    b = RMatrix(lo_k, lo_k + k, lo_c, lo_c + p, {
+        lo_k + i: {lo_c + j: v for j, v in enumerate(row)}
+        for i, row in enumerate(dense(k, p))})
+    return a.matmul(b)
+
+
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_matrix_json_is_the_sorted_triples(m):
+    obj = rmatrix_to_json(m)
+    assert obj == sorted_triples_json(m)
+    assert canonical_dumps(obj) == canonical_dumps(sorted_triples_json(m))
+    assert rmatrix_from_json(obj) == m

@@ -24,7 +24,6 @@ from qforge.linalg import (
     nullspace,
     op_norm_inf,
     rank,
-    rref,
     solve_exact,
 )
 
@@ -72,7 +71,7 @@ class TestWindowVector:
         n = min(len(a), len(b))
         v = WindowVector(0, len(a), tuple(a))
         w = WindowVector(0, len(b), tuple(b))
-        assert v.dot(w) == w.dot(v) == sum(x * y for x, y in zip(a[:n], b[:n]))
+        assert dense_oracles.dot(v, w) == dense_oracles.dot(w, v) == sum(x * y for x, y in zip(a[:n], b[:n]))
 
 
 class TestRMatrix:
@@ -170,11 +169,6 @@ class TestBlockCompose:
 
 
 class TestDenseHelpers:
-    def test_rref_pivots(self):
-        red, pivots = rref([[frac(0), frac(2)], [frac(1), frac(1)]])
-        assert pivots == [0, 1]
-        assert red[0][:2] == [1, 0]
-
     def test_rank(self):
         assert rank([[frac(1), frac(2)], [frac(2), frac(4)]]) == 1
 
@@ -219,8 +213,9 @@ def assert_holds(m, dense, row_lo, col_lo):
     assert all(type(v) is Fraction for row in m.to_dense() for v in row)
     assert all(m.get(row_lo + i, col_lo + j) == v
                for i, row in enumerate(dense) for j, v in enumerate(row))
-    assert m.rows == {row_lo + i: {col_lo + j: v for j, v in enumerate(row) if v}
-                      for i, row in enumerate(dense) if any(row)}
+    assert list(m.items()) == [(row_lo + i, col_lo + j, v)
+                               for i, row in enumerate(dense)
+                               for j, v in enumerate(row) if v]
     assert m.equals(RMatrix.from_dense(dense, row_lo=row_lo, col_lo=col_lo))
 
 

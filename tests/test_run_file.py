@@ -44,9 +44,9 @@ def run_obj():
     return obj
 
 
-def verify(capsys, tmp_path, obj):
+def verify(capsys, tmp_path, obj, write=write_json):
     path = tmp_path / "run.json"
-    write_json(path, obj)
+    write(path, obj)
     code = main(["verify-run", str(path)])
     captured = capsys.readouterr()
     return code, captured
@@ -178,8 +178,8 @@ def test_member_with_section_norm_above_2(capsys, tmp_path):
                         "block [0, 4): (c) G-section norm 3 exceeds 2"]
 
 
-def malformed(capsys, tmp_path, obj):
-    code, captured = verify(capsys, tmp_path, obj)
+def malformed(capsys, tmp_path, obj, write=write_json):
+    code, captured = verify(capsys, tmp_path, obj, write)
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: malformed run file")
@@ -204,6 +204,24 @@ def test_chain_must_start_at_stage_0(capsys, tmp_path, run_obj):
     obj = copy.deepcopy(run_obj)
     obj["chain"] = obj["chain"][1:]
     malformed(capsys, tmp_path, obj)
+
+
+def test_matrix_entry_at_a_fractional_index(capsys, tmp_path, run_obj):
+    # 0.5 lies inside the window but names no entry
+    obj = copy.deepcopy(run_obj)
+    obj["matrix"]["entries"].append([0.5, 0, "1000"])
+    # a float is not canonical JSON, so the file is written by json
+    assert "not an integer" in malformed(
+        capsys, tmp_path, obj, lambda path, o: path.write_text(json.dumps(o)))
+
+
+def test_matrix_entry_listed_twice(capsys, tmp_path, run_obj):
+    # the forged value comes first, the true one last
+    obj = copy.deepcopy(run_obj)
+    entries = obj["matrix"]["entries"]
+    i, j, _ = entries[0]
+    entries.insert(0, [i, j, "1000"])
+    assert "listed twice" in malformed(capsys, tmp_path, obj)
 
 
 @pytest.mark.parametrize("horizon", ["8", None, [8], 0, 4097, True])

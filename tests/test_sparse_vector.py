@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracles import dot
 from qforge.geometry import _canonical_basis_order, _lex_key
 from qforge.linalg import ZERO, RMatrix, WindowVector
 
@@ -49,10 +50,6 @@ class DenseVector:
 
     def sub(self, other):
         return self.add(other.scale(-1))
-
-    def dot(self, other):
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return sum((self.value(i) * other.value(i) for i in range(lo, hi)), ZERO)
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
@@ -100,7 +97,7 @@ def test_operations_match_dense(a, b, window, s):
     assert same(v.scale(0), dv.scale(0)) and v.scale(0).is_zero()
     assert same(v.add(w), dv.add(dw))
     assert same(v.sub(w), dv.sub(dw))
-    assert v.dot(w) == dv.dot(dw) == w.dot(v)
+    assert dot(v, w) == dot(dv, dw) == dot(w, v)
 
 
 @settings(max_examples=200, deadline=None)
@@ -135,6 +132,21 @@ def test_immutable_and_copyable():
         v.lo = 0
     for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
         assert twin == v and twin.coords == v.coords
+
+
+@pytest.mark.parametrize("m", [
+    RMatrix(3, 5, 7, 7, {}),
+    RMatrix(-2, 1, 4, 7, {0: {5: "1/2", 4: -1}, -2: {6: "2/3"}}),
+    RMatrix.identity(0, 3).scale("5/7"),
+], ids=["empty-offset", "sparse", "scaled-identity"])
+def test_matrix_immutable_and_copyable(m):
+    with pytest.raises(AttributeError):
+        m.row_lo = 0
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m)),
+                 eval(repr(m), {"RMatrix": RMatrix, "Fraction": Fraction})):
+        assert twin == m and twin.window == m.window
+        assert list(twin.items()) == list(m.items())
+        assert twin.to_dense() == m.to_dense()
 
 
 @settings(max_examples=100, deadline=None)
