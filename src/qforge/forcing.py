@@ -28,6 +28,7 @@ from .jsonio import rmatrix_from_json, rmatrix_to_json
 from .linalg import BlockLayout, RMatrix, block_compose, invert, op_norm_inf
 from .tails import (
     TailVector,
+    agree_from,
     check_pi_injective,
     pi_section_norm,
     quotient_norm,
@@ -393,10 +394,10 @@ class GenericRun:
         matrix = rmatrix_from_json(obj["matrix"])
         if matrix.window != (0, stages[-1], 0, stages[-1]):
             raise ParameterError("matrix window is not [0, %d)^2" % stages[-1])
+        inv = block_compose(binvs[1:], BlockLayout(stages))
         chain = tuple(
             Condition(n, matrix.block(0, n), tuple(c["a"]), stages[:k + 1],
-                      block_compose(binvs[1:k + 1],
-                                    BlockLayout(stages[:k + 1])))
+                      inv.block(0, n))
             for k, (n, c) in enumerate(zip(stages, obj["chain"])))
         return GenericRun(
             chain,
@@ -510,14 +511,11 @@ def verify_run(run: GenericRun, families: PairedFamilies,
             failures.append("index %s: entry_stage says %s, the chain %d"
                             % (xi, stored, n0))
         # identity blocks would extend the matrix beyond the final stage,
-        # so the tail claim is symbolic exactly when f - g vanishes there
-        d = families.f(xi).sub(families.g(xi))
-        symbolic = d.is_vanishing() and not any(
-            d.window(n_end, n_end + d.prefix_len + 1))
+        # so the tail claim is symbolic exactly when f = g from there on
         details["indices"][str(xi)] = {
             "entry_stage": n0,
             "checked_window": [n0, n_end],
-            "symbolic_tail": symbolic,
+            "symbolic_tail": agree_from(families.f(xi), families.g(xi), n_end),
         }
 
     # (3) the hit log replays the schedule

@@ -17,7 +17,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ParameterError, QForgeError
-from .linalg import RMatrix, WindowVector, frac
+from .linalg import RMatrix, WindowVector
 
 
 def canonical_dumps(obj) -> str:
@@ -111,5 +111,4 @@ def window_vector_to_json(v: WindowVector):
 
 
 def window_vector_from_json(obj) -> WindowVector:
-    return WindowVector(obj["lo"], obj["hi"],
-                        tuple(frac(c) for c in obj["coords"]))
+    return WindowVector(obj["lo"], obj["hi"], obj["coords"])

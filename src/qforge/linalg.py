@@ -108,13 +108,6 @@ class WindowVector:
         return _vector(lo, hi, {})
 
     @staticmethod
-    def unit(lo: int, hi: int, index: int) -> "WindowVector":
-        _check_window(lo, hi)
-        if not lo <= _check_int(index, "index") < hi:
-            raise ParameterError("index %d outside window [%d, %d)" % (index, lo, hi))
-        return _vector(lo, hi, {index: ONE})
-
-    @staticmethod
     def sparse(lo: int, hi: int, entries: dict) -> "WindowVector":
         """The vector on [lo, hi) with the given {index: value} entries
         and zeros elsewhere."""
@@ -304,6 +297,8 @@ class RMatrix:
         entries = [list(r) for r in entries]
         n = len(entries)
         m = len(entries[0]) if entries else 0
+        _check_window(row_lo, row_lo + n)
+        _check_window(col_lo, col_lo + m)
         rows = {}
         for i, r in enumerate(entries):
             if len(r) != m:
@@ -319,10 +314,11 @@ class RMatrix:
 
     @staticmethod
     def identity(lo: int, hi: int) -> "RMatrix":
+        _check_window(lo, hi)
         return _matrix(lo, hi, lo, hi, {i: ({i: 1}, 1) for i in range(lo, hi)})
 
     @staticmethod
-    def from_columns(cols: Sequence[WindowVector], col_lo=0) -> "RMatrix":
+    def from_columns(cols: Sequence[WindowVector]) -> "RMatrix":
         if not cols:
             raise ParameterError("no columns")
         lo, hi = cols[0].lo, cols[0].hi
@@ -331,12 +327,12 @@ class RMatrix:
             if (c.lo, c.hi) != (lo, hi):
                 raise ParameterError("column windows differ")
             for i, v in c.items():
-                rows.setdefault(i, {})[col_lo + j] = v
-        return _matrix(lo, hi, col_lo, col_lo + len(cols),
+                rows.setdefault(i, {})[j] = v
+        return _matrix(lo, hi, 0, len(cols),
                        {i: _int_entries(r) for i, r in rows.items()})
 
     @staticmethod
-    def from_rows_vectors(rws: Sequence[WindowVector], row_lo=0) -> "RMatrix":
+    def from_rows_vectors(rws: Sequence[WindowVector]) -> "RMatrix":
         if not rws:
             raise ParameterError("no rows")
         lo, hi = rws[0].lo, rws[0].hi
@@ -345,8 +341,8 @@ class RMatrix:
             if (r.lo, r.hi) != (lo, hi):
                 raise ParameterError("row windows differ")
             if not r.is_zero():
-                rows[row_lo + i] = _int_entries(r._nz)
-        return _matrix(row_lo, row_lo + len(rws), lo, hi, rows)
+                rows[i] = _int_entries(r._nz)
+        return _matrix(0, len(rws), lo, hi, rows)
 
     # -- queries ------------------------------------------------------
     @property

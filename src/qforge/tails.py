@@ -1,16 +1,19 @@
 """Decidable semantics for bounded sequences modulo vanishing sequences.
 
 The certified class is "finite rational prefix + eventually periodic
-tail".  It is closed under linear combinations (align prefixes, take the
-lcm of periods), so limsup norms, eventual-equality classes and the
-window searches below are all exact finite computations.
+tail".  It is closed under linear combinations, which `_aligned` alone
+lines up: the longest prefix and the lcm of the periods, each at most
+MAX_TAIL = 2^16, the lcm of branch 16 depth 4 against progression 16.
+Tails equal from some index on have equal minimal periods (Fine and
+Wilf), so `agree_from` compares two by window, unaligned.  Limsup norms,
+eventual-equality classes and the window searches below are all exact
+finite computations.
 
 Each norm is a polyhedral max over coefficient rows of a `Span`, proved
 pi-injective once by `check_pi_injective` (one aligned period of rows has
 full rank); `Span.sub` gives a subfamily's span, aligned on its own prefix
-and period and not proved again.  Aligned prefixes and periods are at most
-MAX_TAIL = 2^16, the lcm of branch 16 depth 4 against progression 16.
-Every reader of a tail's values over a window goes through `TailVector.window`.
+and period and not proved again.  Every reader of a tail's values over a
+window goes through `TailVector.window`.
 """
 
 from __future__ import annotations
@@ -120,18 +123,10 @@ class TailVector:
                           tuple(s * c for c in self.period))
 
     def add(self, other: "TailVector") -> "TailVector":
-        m = max(len(self.prefix), len(other.prefix))
-        p = lcm(len(self.period), len(other.period))
+        m, p = _aligned((self, other))
         total = tuple(x + y for x, y in zip(self.window(0, m + p),
                                             other.window(0, m + p)))
         return TailVector(total[:m], total[m:])
-
-    def sub(self, other: "TailVector") -> "TailVector":
-        return self.add(other.scale(-1))
-
-    def is_vanishing(self) -> bool:
-        """True iff the sequence converges to 0 (period identically 0)."""
-        return all(c == 0 for c in self.period)
 
     def to_json_obj(self):
         return {"prefix": [str(c) for c in self.prefix],
@@ -139,8 +134,7 @@ class TailVector:
 
     @staticmethod
     def from_json_obj(obj) -> "TailVector":
-        return TailVector(tuple(frac(c) for c in obj["prefix"]),
-                          tuple(frac(c) for c in obj["period"]))
+        return TailVector(tuple(obj["prefix"]), tuple(obj["period"]))
 
 
 def quotient_norm(f: TailVector) -> Fraction:
@@ -148,13 +142,22 @@ def quotient_norm(f: TailVector) -> Fraction:
     return max(abs(c) for c in f.period)
 
 
+def agree_from(f: TailVector, g: TailVector, n: int) -> bool:
+    """f = g on [n, infinity)?  Equal tails have equal minimal periods, and
+    past both prefixes one period of each decides the rest."""
+    if f.period_len != g.period_len:
+        return False
+    end = max(n, f.prefix_len, g.prefix_len) + f.period_len
+    return f.window(n, end) == g.window(n, end)
+
+
 def eq_star(f: TailVector, g: TailVector):
     """(equal modulo finitely many indices?, exact exception set)."""
-    d = f.sub(g)
-    if not d.is_vanishing():
+    m = max(f.prefix_len, g.prefix_len)
+    if not agree_from(f, g, m):
         return False, None
-    exceptions = sorted(i for i in range(d.prefix_len) if d.prefix[i] != 0)
-    return True, exceptions
+    return True, [i for i, (x, y) in enumerate(zip(f.window(0, m), g.window(0, m)))
+                  if x != y]
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,10 @@ The canonical form of a tail vector is kept as it was before one
 prefix-function pass found its period: a scan over every divisor of the
 period's length, and one rotation per absorbed prefix entry.
 
+Eventual equality of two tail vectors is kept as it is defined: their
+values compared one index at a time past the larger prefix, over the lcm
+of the periods, where both repeat.
+
 The dot product of two vectors is a loop over every index their windows
 share; the library has none, and the tests check the interpolation
 conditions of Hahn-Banach extensions with it.
@@ -376,6 +380,21 @@ def tail_canonical_form(prefix, period):
         prefix.pop()
         period = [period[-1]] + period[:-1]
     return tuple(prefix), tuple(minimal_period(tuple(period)))
+
+
+def tails_agree_from(f, g, n):
+    """f = g on [n, infinity), value by value up to one common period
+    past n and both prefixes."""
+    end = max(n, f.prefix_len, g.prefix_len) + lcm(f.period_len, g.period_len)
+    return all(f.value(i) == g.value(i) for i in range(n, end))
+
+
+def tails_eq_star(f, g):
+    """(f = g past the larger prefix?, the indices below it where not)."""
+    m = max(f.prefix_len, g.prefix_len)
+    if not tails_agree_from(f, g, m):
+        return False, None
+    return True, [i for i in range(m) if f.value(i) != g.value(i)]
 
 
 DEFAULT_DIM_CAP = 6

@@ -228,15 +228,19 @@ def test_tail_of_period_at_the_bound_is_accepted():
 
 
 # a window bound or an index must be an int: 0.5 and True compare as
-# inside a window, and a matrix entry is one (i, j) listed once
+# inside a window; a window is not inverted, and a matrix entry is one
+# (i, j) listed once
 NOT_AN_INDEX = {
     "vector-bound": lambda: WindowVector(0.5, 2.5, (1, 0)),
     "vector-bool-bound": lambda: WindowVector(False, 1, (1,)),
     "sparse-index": lambda: WindowVector.sparse(0, 2, {True: 1}),
-    "unit-index": lambda: WindowVector.unit(0, 2, 1.0),
+    "unit-index": lambda: WindowVector.sparse(0, 2, {1.0: 1}),
     "matrix-bound": lambda: RMatrix(0, 2.5, 0, 2, {}),
     "matrix-row": lambda: RMatrix(0, 2, 0, 2, {0.5: {0: 1}}),
     "matrix-col": lambda: RMatrix(0, 2, 0, 2, {0: {True: 1}}),
+    "dense-offset": lambda: RMatrix.from_dense([[1]], row_lo=0.5),
+    "identity-bound": lambda: RMatrix.identity(0, 2.0),
+    "identity-inverted": lambda: RMatrix.identity(3, 1),
     "repeated-entry": lambda: rmatrix_from_json({
         "row_lo": 0, "row_hi": 1, "col_lo": 0, "col_hi": 1,
         "entries": [[0, 0, "1000"], [0, 0, "1"]]}),
@@ -250,6 +254,22 @@ NOT_AN_INDEX = {
 def test_index_that_is_not_an_int(build):
     with pytest.raises(ParameterError):
         build()
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (["forge-matrix", "--families"],
+     {"indices": [0], "f": [{"prefix": [], "period": [1.0]}],
+      "g": [{"prefix": [], "period": ["1"]}]}),
+    (["compute", "op-norm", "--in"],
+     {"lo": 0, "hi": 1, "basis": [{"lo": 0, "hi": 1, "coords": [0.5]}],
+      "images": [{"lo": 0, "hi": 1, "coords": ["1"]}]}),
+], ids=["family-tail", "compute-basis"])
+def test_float_value_in_an_input_file(capsys, tmp_path, argv, obj):
+    path = tmp_path / "in.json"
+    # a float is not canonical JSON, so the file is written by json
+    path.write_text(json.dumps(obj))
+    err = assert_one_line_exit_2(capsys, argv + [str(path)])
+    assert "floats are not allowed" in err
 
 
 def test_compute_on_a_fractional_window(capsys, tmp_path):

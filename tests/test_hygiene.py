@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package, the tests or the scripts
 imports a name it never uses, no module of the package imports a private
 name from another, and only `linalg` reads the integer rows of a matrix
-or the nonzeros of a vector."""
+or the nonzeros of a vector.  In `tails`, only `_aligned` takes the lcm
+of periods."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,26 @@ def test_integer_rows_are_read_only_in_linalg():
              for p in sorted((ROOT / d).rglob("*.py")) if p != linalg]
     assert paths
     assert [u for p in paths for u in private_row_reads(p)] == []
+
+
+def calls_by_function(path, name):
+    """The names of the functions whose bodies call `name`, plain or as
+    an attribute, once per call; "" for a call outside every function."""
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                out.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(ast.parse(path.read_text(), str(path)), "")
+    return out
+
+
+def test_tails_are_aligned_only_by_aligned():
+    # each lcm of periods is bounded by MAX_TAIL there
+    assert set(calls_by_function(ROOT / "src/qforge/tails.py", "lcm")) == {"_aligned"}

@@ -61,7 +61,7 @@ class TestWindowVector:
         assert s.coords == (1, 7, 7)
 
     def test_unit_and_restrict(self):
-        e = WindowVector.unit(3, 6, 4)
+        e = WindowVector.sparse(3, 6, {4: 1})
         assert e.coords == (0, 1, 0)
         assert e.restrict(4, 5).coords == (1,)
 
@@ -87,8 +87,8 @@ class TestRMatrix:
 
     def test_from_columns_round_trip(self):
         cols = [WindowVector(1, 4, (1, 0, 2)), WindowVector(1, 4, (0, 5, 0))]
-        m = RMatrix.from_columns(cols, col_lo=7)
-        assert (m.col_lo, m.col_hi) == (7, 9)
+        m = RMatrix.from_columns(cols)
+        assert m.window == (1, 4, 0, 2)
         assert m.to_dense() == [[1, 0], [0, 5], [2, 0]]
 
     def test_window_mismatch_raises(self):

@@ -248,6 +248,26 @@ def test_chain_stage_beyond_any_run(capsys, tmp_path):
     assert time.monotonic() - t0 < 1
 
 
+def test_tails_of_long_coprime_periods(capsys, tmp_path):
+    # periods 1021 and 1019: a tail difference would have period 1 040 399,
+    # and building it took most of a 6 s forge; the tails are compared by
+    # one window of each instead
+    def tail(p):
+        return TailVector((), (0,) + (1,) * (p - 1)).to_json_obj()
+    fam, out = tmp_path / "pf.json", tmp_path / "run.json"
+    write_json(fam, {"indices": [0], "f": [tail(1021)], "g": [tail(1019)]})
+    t0 = time.monotonic()
+    assert main(["forge-matrix", "--families", str(fam), "--horizon", "64",
+                 "--out", str(out)]) == 0
+    assert time.monotonic() - t0 < 1
+    capsys.readouterr()
+    t0 = time.monotonic()
+    assert main(["verify-run", str(out)]) == 0
+    assert time.monotonic() - t0 < 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["details"]["indices"]["0"]["symbolic_tail"] is False
+
+
 # amalgamate trusts extend_isomorphism's certificate of a new block's
 # algebra and norms; forge-matrix replays every block with verify_run
 # before it writes, so a block that breaks that certificate still reaches

@@ -157,13 +157,14 @@ def test_matrix_routines_match_dense(data):
     dense_cols = [tuple(data.draw(st.lists(entries, min_size=hi - lo, max_size=hi - lo)))
                   for _ in range(n_cols)]
     cols = [WindowVector(lo, hi, c) for c in dense_cols]
-    m = RMatrix.from_columns(cols, col_lo=2)
+    m = RMatrix.from_columns(cols)
     assert m.to_dense() == [[c[i] for c in dense_cols] for i in range(hi - lo)]
-    assert (m.col_lo, m.col_hi) == (2, 2 + n_cols)
-    r = RMatrix.from_rows_vectors(cols, row_lo=1)
+    assert (m.col_lo, m.col_hi) == (0, n_cols)
+    r = RMatrix.from_rows_vectors(cols)
     assert r.to_dense() == [list(c) for c in dense_cols]
+    assert (r.row_lo, r.row_hi) == (0, n_cols)
     x = tuple(data.draw(st.lists(entries, min_size=n_cols, max_size=n_cols)))
-    got = m.apply(WindowVector(2, 2 + n_cols, x))
+    got = m.apply(WindowVector(0, n_cols, x))
     want = tuple(sum((c[i] * x[j] for j, c in enumerate(dense_cols)), ZERO)
                  for i in range(hi - lo))
     assert (got.lo, got.hi, got.coords) == (lo, hi, want)

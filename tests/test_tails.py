@@ -19,8 +19,10 @@ from qforge.linalg import WindowVector, coordinate_rows, frac
 from qforge.simplex import polyhedral_max
 from qforge.tails import (
     QuotientClass,
+    MAX_TAIL,
     TailVector,
     _minimal_period,
+    agree_from,
     check_pi_injective,
     eq_star,
     lifting_index,
@@ -78,11 +80,17 @@ class TestTailVector:
     def test_from_window(self):
         v = TailVector.from_window(WindowVector(2, 4, (3, 4)))
         assert [v.value(i) for i in range(5)] == [0, 0, 3, 4, 0]
-        assert v.is_vanishing()
+        assert v.period == (0,)
 
     def test_json_round_trip(self):
         v = tv(["1/2"], [1, "-3/4"])
         assert TailVector.from_json_obj(v.to_json_obj()) == v
+
+    def test_add_aligns_within_the_bound(self):
+        # periods 257 and 263 align on 67 591 > MAX_TAIL entries
+        f, g = (tv([], (1,) + (0,) * (p - 1)) for p in (257, 263))
+        with pytest.raises(ParameterError, match="the bound is %d" % MAX_TAIL):
+            f.add(g)
 
     @given(tail_vectors, tail_vectors)
     @settings(max_examples=50)
@@ -122,7 +130,27 @@ class TestTailVector:
         for k in range(f.prefix_len + 2):
             assert f.tail_sup(k) >= qn
         assert f.tail_sup(f.prefix_len) == qn
-        assert (qn == 0) == f.is_vanishing()
+        assert (qn == 0) == agree_from(f, TailVector((), (0,)), f.prefix_len)
+
+
+# few symbols, so that windows often agree; g's period is often f's
+# rotated, by the prefix shift that makes the tails equal or by any step
+few = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)])
+
+
+@st.composite
+def tail_pairs(draw):
+    f = TailVector(tuple(draw(st.lists(few, max_size=4))),
+                   tuple(draw(st.lists(few, min_size=1, max_size=4))))
+    prefix = tuple(draw(st.lists(few, max_size=4)))
+    shift = draw(st.one_of(st.just(len(prefix) - f.prefix_len),
+                           st.integers(0, 3)))
+    k = shift % f.period_len
+    g = draw(st.one_of(
+        st.just(TailVector(prefix, f.period[k:] + f.period[:k])),
+        st.builds(TailVector, st.just(prefix),
+                  st.lists(few, min_size=1, max_size=4).map(tuple))))
+    return f, g
 
 
 class TestEqStar:
@@ -138,6 +166,19 @@ class TestEqStar:
     def test_quotient_class_equality(self):
         assert QuotientClass(tv([5, 0], [1, 0])) == QuotientClass(tv([], [1, 0]))
         assert QuotientClass(EVENS) != QuotientClass(ODDS)
+
+    @given(tail_pairs(), st.integers(0, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_window_comparison_matches_the_aligned_values(self, fg, n):
+        f, g = fg
+        assert agree_from(f, g, n) == dense_oracles.tails_agree_from(f, g, n)
+        assert eq_star(f, g) == dense_oracles.tails_eq_star(f, g)
+
+    def test_long_coprime_periods_compared_by_window(self):
+        # periods 4093 and 4091 would align on 16 744 463 entries
+        f, g = (tv([0], [0] + [1] * (p - 1)) for p in (4093, 4091))
+        assert eq_star(f, g) == (False, None)
+        assert eq_star(f, tv([1, 0], f.period[1:] + f.period[:1])) == (True, [0])
 
 
 class TestLiftingIndex:
