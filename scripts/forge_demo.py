@@ -25,7 +25,7 @@ def main():
     run = run_generic(families, config=config)
     report = verify_run(run, families, config)
 
-    print("committed indices :", sorted(run.entry_stage))
+    print("committed indices :", list(run.final.a))
     print("chain stages      :", [c.n for c in run.chain])
     print("block layout      :", run.final.cuts)
     print("matrix norm       :", report["details"]["matrix_norm"])

@@ -49,7 +49,6 @@ from .jsonio import (
     window_vector_to_json,
 )
 from .linalg import RMatrix, frac, op_norm_inf
-from .tails import TailVector
 
 DEFAULT_CAP_Q = 2  # build-coherent runs to w * min(2, blocks) without --cap
 
@@ -220,10 +219,7 @@ def _paired_from_file(path):
 
     def parse(obj):
         if "indices" in obj:
-            return PairedFamilies, (
-                tuple(int(i) for i in obj["indices"]),
-                tuple(TailVector.from_json_obj(v) for v in obj["f"]),
-                tuple(TailVector.from_json_obj(v) for v in obj["g"]))
+            return PairedFamilies, PairedFamilies.json_parts(obj)
         return paired_from_certsets, (side(obj["f"]), side(obj["g"]))
     # only parsing counts as malformed: a well-formed file whose tails
     # exceed a bound fails with that bound's own message
@@ -248,10 +244,11 @@ def cmd_forge_matrix(args, config):
 
 
 def cmd_verify_run(args, config):
-    run, families = load_json(args.run, lambda obj: (
+    # as in _paired_from_file, the families are built outside load_json
+    run, parts = load_json(args.run, lambda obj: (
         GenericRun.from_json_obj(obj),
-        PairedFamilies.from_json_obj(obj["families"])), "run file")
-    report = verify_run(run, families)
+        PairedFamilies.json_parts(obj["families"])), "run file")
+    report = verify_run(run, PairedFamilies(*parts))
     return _emit(report, args.out)
 
 

@@ -18,14 +18,6 @@ MAX_HORIZON = 4096
 _RATIONAL = ("rho", "c1", "c2", "delta")
 
 
-def check_horizon(horizon) -> int:
-    """horizon if it is an int in [1, MAX_HORIZON]: no float, str or bool."""
-    if type(horizon) is not int or not 1 <= horizon <= MAX_HORIZON:
-        raise ParameterError("horizon %r is not an integer in [1, %d]"
-                             % (horizon, MAX_HORIZON))
-    return horizon
-
-
 @dataclass(frozen=True)
 class RunConfig:
     rho: Fraction = Fraction(4)
@@ -37,7 +29,10 @@ class RunConfig:
     def __post_init__(self):
         for name in _RATIONAL:
             object.__setattr__(self, name, frac(getattr(self, name)))
-        check_horizon(self.horizon)
+        # an int in [1, MAX_HORIZON]: no float, str or bool
+        if type(self.horizon) is not int or not 1 <= self.horizon <= MAX_HORIZON:
+            raise ParameterError("horizon %r is not an integer in [1, %d]"
+                                 % (self.horizon, MAX_HORIZON))
         if self.rho <= 1 or self.c2 < self.rho or self.c1 <= 0 or self.delta <= 0:
             raise ParameterError("need rho > 1, c2 >= rho, c1 > 0, delta > 0")
 

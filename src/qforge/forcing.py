@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .config import MAX_HORIZON, RunConfig, check_horizon
+from .config import MAX_HORIZON, RunConfig
 from .errors import (
     ComplementNotFoundError,
     NormBudgetError,
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .geometry import LinMap, Subspace, extend_isomorphism
 from .jsonio import rmatrix_from_json, rmatrix_to_json
-from .linalg import BlockLayout, RMatrix, block_compose, invert, op_norm_inf
+from .linalg import ZERO, BlockLayout, RMatrix, block_compose, invert, op_norm_inf
 from .tails import (
     TailVector,
     agree_from,
@@ -54,7 +54,7 @@ class PairedFamilies:
         if len(set(self.indices)) != len(self.indices):
             raise ParameterError("duplicate indices")
         for v in self.fs + self.gs:
-            if v.sup_norm() != quotient_norm(v):
+            if max(map(abs, v.prefix), default=ZERO) > quotient_norm(v):
                 raise ParameterError(
                     "family vectors must be normalized: sup norm equal to "
                     "quotient norm")
@@ -81,11 +81,13 @@ class PairedFamilies:
                 "g": [v.to_json_obj() for v in self.gs]}
 
     @staticmethod
-    def from_json_obj(obj) -> "PairedFamilies":
-        return PairedFamilies(
-            tuple(obj["indices"]),
-            tuple(TailVector.from_json_obj(v) for v in obj["f"]),
-            tuple(TailVector.from_json_obj(v) for v in obj["g"]))
+    def json_parts(obj) -> tuple:
+        """The (indices, fs, gs) of a to_json_obj object, read for its
+        shape alone: PairedFamilies(*parts) checks what the tails must
+        satisfy, so a file is not called malformed for a bound they miss."""
+        return (tuple(int(i) for i in obj["indices"]),
+                tuple(TailVector.from_json_obj(v) for v in obj["f"]),
+                tuple(TailVector.from_json_obj(v) for v in obj["g"]))
 
 
 def paired_from_certsets(f_sets, g_sets) -> PairedFamilies:
@@ -351,9 +353,7 @@ def default_schedule(families: PairedFamilies, horizon: int):
 class GenericRun:
     chain: tuple               # decreasing sequence of conditions
     hit_log: tuple             # (kind, param, chain index after the hit)
-    entry_stage: dict          # xi -> stage from which interpolation holds
-    horizon: int
-    config: RunConfig
+    config: RunConfig          # its horizon is the run's one horizon
     failure: str | None = None
 
     @property
@@ -368,11 +368,8 @@ class GenericRun:
                 _inverse_of(c).block(lo, c.n))}
                 for lo, c in zip(lows, self.chain)],
             "hit_log": [[k, v, i] for k, v, i in self.hit_log],
-            "entry_stage": {str(k): v for k, v in sorted(self.entry_stage.items())},
-            "horizon": self.horizon,
             "config": self.config.to_json_obj(),
             "failure": self.failure,
-            "layout": list(self.final.cuts),
             "matrix": rmatrix_to_json(self.final.m),
         }
 
@@ -380,8 +377,9 @@ class GenericRun:
     def from_json_obj(obj) -> "GenericRun":
         """Condition k: the matrix on [0, n_k)^2 and block inverses 0..k.
         No run passes horizon + search_cap <= 9 * MAX_HORIZON, so a file
-        outside these bounds is rejected before any matrix is built."""
-        horizon = check_horizon(obj["horizon"])
+        outside these bounds, or whose config is not a RunConfig, is
+        rejected before any matrix is built."""
+        config = RunConfig.from_json_obj(obj["config"])
         if not obj["chain"]:
             raise ParameterError("a run's chain holds at least one condition")
         stages = tuple(int(c["n"]) for c in obj["chain"])
@@ -400,10 +398,7 @@ class GenericRun:
                       inv.block(0, n))
             for k, (n, c) in enumerate(zip(stages, obj["chain"])))
         return GenericRun(
-            chain,
-            tuple((k, v, i) for k, v, i in obj["hit_log"]),
-            {int(k): v for k, v in obj["entry_stage"].items()},
-            horizon, RunConfig.from_json_obj(obj["config"]),
+            chain, tuple((k, v, i) for k, v, i in obj["hit_log"]), config,
             obj["failure"])
 
 
@@ -417,16 +412,16 @@ def _entry_stages(chain) -> dict:
     return entry
 
 
-def run_generic(families: PairedFamilies, horizon=None,
+def run_generic(families: PairedFamilies,
                 config: RunConfig | None = None) -> GenericRun:
-    """Greedy decreasing chain hitting every scheduled dense set, starting
-    from the trivial condition.  Deterministic given its inputs."""
+    """Greedy decreasing chain hitting every scheduled dense set up to
+    config.horizon, starting from the trivial condition.  Deterministic
+    given its inputs."""
     config = config or RunConfig()
-    horizon = horizon or config.horizon
     chain = [Condition.trivial()]
     log = []
     failure = None
-    for kind, param in default_schedule(families, horizon):
+    for kind, param in default_schedule(families, config.horizon):
         p = chain[-1]
         try:
             if kind == "E":
@@ -440,14 +435,15 @@ def run_generic(families: PairedFamilies, horizon=None,
         if r is not p:
             chain.append(r)
         log.append((kind, param, len(chain) - 1))
-    return GenericRun(tuple(chain), tuple(log), _entry_stages(chain), horizon,
-                      config, failure)
+    return GenericRun(tuple(chain), tuple(log), config, failure)
 
 
-def _hit_log_failures(run: GenericRun, families: PairedFamilies) -> list:
-    """The hits follow the default schedule in order, all of it unless the
-    run aborted, and the condition each hit reached lies in its dense set."""
-    schedule = default_schedule(families, run.horizon)
+def _hit_log_failures(run: GenericRun, families: PairedFamilies,
+                      horizon: int) -> list:
+    """The hits follow the default schedule to horizon in order, all of it
+    unless the run aborted, and the condition each hit reached lies in its
+    dense set."""
+    schedule = default_schedule(families, horizon)
     out = []
     for k, (kind, param, i) in enumerate(run.hit_log):
         if schedule[k:k + 1] != ((kind, param),):
@@ -494,22 +490,17 @@ def verify_run(run: GenericRun, families: PairedFamilies,
     details["matrix_norm"] = str(matrix_norm)
 
     # (2) every index is committed, so by (1) it interpolates from its
-    # entry stage to the final stage; the entry stages come from the chain,
-    # not from run.entry_stage
+    # entry stage, derived from the chain, to the final stage
     n_end = final.n
-    if n_end < run.horizon:
+    if n_end < config.horizon:
         failures.append("final stage %d below the horizon %d"
-                        % (n_end, run.horizon))
+                        % (n_end, config.horizon))
     entry = _entry_stages(run.chain)
     for xi in families.indices:
         if xi not in entry:
             failures.append("index %s never committed" % (xi,))
             continue
         n0 = entry[xi]
-        stored = run.entry_stage.get(xi, "never committed")
-        if stored != n0:
-            failures.append("index %s: entry_stage says %s, the chain %d"
-                            % (xi, stored, n0))
         # identity blocks would extend the matrix beyond the final stage,
         # so the tail claim is symbolic exactly when f = g from there on
         details["indices"][str(xi)] = {
@@ -519,7 +510,7 @@ def verify_run(run: GenericRun, families: PairedFamilies,
         }
 
     # (3) the hit log replays the schedule
-    failures += _hit_log_failures(run, families)
+    failures += _hit_log_failures(run, families, config.horizon)
 
     return {"failures": failures, "details": details,
             "config": config.to_json_obj(),

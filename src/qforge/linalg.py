@@ -54,7 +54,7 @@ def _vector(lo: int, hi: int, nz: dict) -> "WindowVector":
     """A WindowVector on a checked window from trusted nonzeros: nonzero
     Fractions at indices inside [lo, hi), in increasing index order."""
     v = object.__new__(WindowVector)
-    v._init(lo, hi, nz, None)
+    v._init(lo, hi, nz)
     return v
 
 
@@ -62,26 +62,25 @@ class WindowVector:
     """Rational coordinates on a half-open window [lo, hi).
 
     Only the nonzero coordinates are stored, as a map index -> Fraction in
-    increasing index order; the dense ``coords`` tuple is built on first
-    use.  Instances are never mutated, so the sup norm and the support
-    are computed at most once.  Two vectors are equal when they have the
-    same window and the same coordinates.
+    increasing index order; the dense ``coords`` tuple is built from them
+    on each call.  Instances are never mutated, so the sup norm and the
+    support are computed at most once.  Two vectors are equal when they
+    have the same window and the same coordinates.
     """
 
-    __slots__ = ("lo", "hi", "_nz", "_coords", "_sup", "_support")
+    __slots__ = ("lo", "hi", "_nz", "_sup", "_support")
 
     def __init__(self, lo: int, hi: int, coords):
         _check_window(lo, hi)
         coords = tuple(frac(c) for c in coords)
         if len(coords) != hi - lo:
             raise ParameterError("coordinate count does not match window length")
-        self._init(lo, hi, {lo + k: c for k, c in enumerate(coords) if c}, coords)
+        self._init(lo, hi, {lo + k: c for k, c in enumerate(coords) if c})
 
-    def _init(self, lo, hi, nz, coords):
+    def _init(self, lo, hi, nz):
         _setattr(self, "lo", lo)
         _setattr(self, "hi", hi)
         _setattr(self, "_nz", nz)
-        _setattr(self, "_coords", coords)
         _setattr(self, "_sup", None)
         _setattr(self, "_support", None)
 
@@ -123,12 +122,10 @@ class WindowVector:
 
     @property
     def coords(self) -> tuple:
-        if self._coords is None:
-            dense = [ZERO] * (self.hi - self.lo)
-            for i, c in self._nz.items():
-                dense[i - self.lo] = c
-            _setattr(self, "_coords", tuple(dense))
-        return self._coords
+        dense = [ZERO] * (self.hi - self.lo)
+        for i, c in self._nz.items():
+            dense[i - self.lo] = c
+        return tuple(dense)
 
     def items(self):
         """(index, value) pairs of the nonzero coordinates, in index order."""

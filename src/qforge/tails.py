@@ -97,10 +97,6 @@ class TailVector:
             return self.prefix[i]
         return self.period[(i - len(self.prefix)) % len(self.period)]
 
-    def sup_norm(self) -> Fraction:
-        vals = [abs(c) for c in self.prefix] + [abs(c) for c in self.period]
-        return max(vals)
-
     def tail_sup(self, k: int) -> Fraction:
         """sup of |values| on [k, infinity)."""
         vals = [abs(c) for c in self.prefix[k:]] + [abs(c) for c in self.period]

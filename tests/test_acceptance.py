@@ -185,7 +185,7 @@ def test_criterion_4_lifting_restriction_windows():
             for c, f in zip(coeffs, fs):
                 y = y.add(f.scale(c))
             assert (1 - eps) * y.tail_sup(lift.n) <= quotient_norm(y)
-            assert (1 - eps) * y.sup_norm() <= y.restrict(0, restr.n).sup_norm()
+            assert (1 - eps) * y.tail_sup(0) <= y.restrict(0, restr.n).sup_norm()
     budget.check()
 
 

@@ -211,7 +211,7 @@ class TestForgeAndVerify:
                             "--horizon", "32", "--out", str(run_path))
         assert code == 0
         assert obj["failures"] == []
-        assert obj["matrix"]["entries"] and obj["layout"][-1] >= 32
+        assert obj["matrix"]["entries"] and obj["chain"][-1]["n"] >= 32
         code2, rep = run_cli(capsys, "verify-run", str(run_path))
         assert code2 == 0 and rep["failures"] == []
 
@@ -237,11 +237,12 @@ class TestForgeAndVerify:
                           "--horizon", "8", "--out", str(run_path))
         assert code == 0
         obj = json.loads(run_path.read_text())
-        obj["entry_stage"] = {}
+        obj["chain"][-1]["a"] = []
         write_json(run_path, obj)
         code2, rep = run_cli(capsys, "verify-run", str(run_path))
         assert code2 == 1
-        assert rep["failures"]
+        assert any("(iii) committed indices were dropped" in f
+                   for f in rep["failures"])
 
     def test_unknown_committed_index_is_a_failure(self, capsys, tmp_path):
         fam = tmp_path / "pf.json"

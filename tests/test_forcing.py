@@ -48,7 +48,8 @@ CFG = RunConfig(horizon=64)
 
 class TestPairedFamilies:
     def test_roundtrip_json(self):
-        assert PairedFamilies.from_json_obj(PF2.to_json_obj()) == PF2
+        parts = PairedFamilies.json_parts(PF2.to_json_obj())
+        assert PairedFamilies(*parts) == PF2
 
     def test_rejects_unnormalized(self):
         v = TailVector((5,), (1,))  # sup norm 5, quotient norm 1
@@ -61,7 +62,7 @@ class TestPairedFamilies:
 
     def test_lookup(self):
         assert PF2.f(1).value(0) in (0, 1)
-        assert PF2.g(0).sup_norm() == 1
+        assert PF2.g(0).tail_sup(0) == 1
 
 
 class TestValidateCondition:
@@ -215,7 +216,7 @@ class TestCarriedProof:
 
     def test_run_validates_only_the_trivial_condition(self, monkeypatch):
         seen = self.count_validations(monkeypatch)
-        run = run_generic(PF8, horizon=8, config=CFG)
+        run = run_generic(PF8, config=CFG)
         assert run.failure is None and len(run.chain) > 2
         assert seen == [Condition.trivial()]
 
@@ -241,7 +242,7 @@ class TestCarriedProof:
         monkeypatch.setattr(tails, "rank", counted)
         families = paired(4)
         assert len(ranks) == 2
-        run = run_generic(families, horizon=16, config=CFG)
+        run = run_generic(families, config=replace(CFG, horizon=16))
         assert run.failure is None and len(run.chain) > 2
         assert verify_run(run, families)["failures"] == []
         assert len(ranks) == 2
@@ -281,7 +282,7 @@ class TestDenseHits:
 
 
 class TestGenericRun:
-    run = run_generic(PF2, horizon=64, config=CFG)
+    run = run_generic(PF2, config=CFG)
 
     def test_schedule_covers_everything(self):
         sched = default_schedule(PF2, 64)
@@ -291,7 +292,7 @@ class TestGenericRun:
     def test_run_completes(self):
         assert self.run.failure is None
         assert self.run.final.n >= 64
-        assert set(self.run.entry_stage) == {0, 1}
+        assert self.run.final.a == (0, 1)
 
     def test_chain_strictly_grows(self):
         stages = [c.n for c in self.run.chain]
@@ -311,27 +312,26 @@ class TestGenericRun:
         rows.setdefault(0, {})[0] = rows.get(0, {}).get(0, Fraction(0)) + 1
         bad = Condition(final.n, RMatrix(0, final.n, 0, final.n, rows),
                         final.a, final.cuts, final.inv)
-        broken = GenericRun(self.run.chain[:-1] + (bad,), self.run.hit_log,
-                            self.run.entry_stage, self.run.horizon, CFG)
+        broken = GenericRun(self.run.chain[:-1] + (bad,), self.run.hit_log, CFG)
         rep = verify_run(broken, PF2)
         assert rep["failures"]
 
     def test_verify_catches_missing_index(self):
-        entry = dict(self.run.entry_stage)
-        entry.pop(1)
-        partial = GenericRun(self.run.chain, self.run.hit_log, entry,
-                             self.run.horizon, CFG)
+        chain = tuple(replace(c, a=tuple(set(c.a) - {1}))
+                      for c in self.run.chain)
+        partial = GenericRun(chain, self.run.hit_log, CFG)
         rep = verify_run(partial, PF2)
         assert any("never committed" in f for f in rep["failures"])
 
     def test_verify_flags_short_run(self):
         short = GenericRun(self.run.chain, self.run.hit_log,
-                           self.run.entry_stage, 10 ** 6, CFG)
+                           replace(CFG, horizon=4096))
         rep = verify_run(short, PF2)
-        assert any("below the horizon" in f for f in rep["failures"])
+        assert ("final stage %d below the horizon 4096" % self.run.final.n
+                in rep["failures"])
 
     def test_json_roundtrip_and_determinism(self):
-        again = run_generic(PF2, horizon=64, config=CFG)
+        again = run_generic(PF2, config=CFG)
         a = canonical_dumps(self.run.to_json_obj())
         b = canonical_dumps(again.to_json_obj())
         assert a == b
@@ -342,7 +342,7 @@ class TestGenericRun:
     def test_symbolic_tail_for_identical_families(self):
         sets = [CertSet.ap(1, 4), CertSet.ap(2, 4)]
         pf = paired_from_certsets(sets, sets)
-        run = run_generic(pf, horizon=16, config=CFG)
+        run = run_generic(pf, config=replace(CFG, horizon=16))
         rep = verify_run(run, pf)
         assert rep["failures"] == []
         assert all(i["symbolic_tail"] for i in rep["details"]["indices"].values())

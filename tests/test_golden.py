@@ -25,10 +25,10 @@ from test_acceptance import (
     forge_and_verify,
 )
 
-# the run file's config has no dim_cap or ordinal_cap: this pin is the
-# sha256 of the earlier pin's bytes with those two keys deleted from its
-# config and its report's config, dumped canonically again
-FORGE_SHA256 = "bf6d21a9748ee9cb23b1137dce7ecd9fe22713ce77c7d0c387b46ae04beda30a"
+# the run file has no top-level horizon (the config's is the run's one
+# horizon), layout or entry_stage: this pin is the sha256 of the earlier
+# pin's bytes with those three keys deleted, dumped canonically again
+FORGE_SHA256 = "70626148c88658d36f2cfcb9d70a2f3888cc9e45efaf27dc6c8aa8275a43ffda"
 EXTENSION_SUITE_SHA256 = (
     "0eb174b246b65624b79eaef277fd640f5e6decad7de4a06cc773ff7ec9048812")
 EXTENSION_REPORT_SHA256 = (

@@ -5,7 +5,7 @@ A run file stores the forged matrix once.  Each chain condition carries
 its stage, its committed indices and the inverse of the block it added;
 verify-run rebuilds the conditions from these, derives every entry stage
 from the chain, checks each block with the indices committed there and
-replays the hit log against the schedule.
+replays the hit log against the schedule to the horizon of the config.
 """
 
 import copy
@@ -21,6 +21,7 @@ from qforge.adf.families import FamilyGenerator, make_family
 from qforge.cli import main
 from qforge.config import RunConfig
 from qforge.forcing import (
+    GenericRun,
     PairedFamilies,
     paired_from_certsets,
     run_generic,
@@ -67,13 +68,22 @@ def test_chain_holds_stages_commitments_and_block_inverses(run_obj):
             == (lo, c["n"], lo, c["n"])
         lo = c["n"]
     assert run_obj["chain"][0]["inv"]["entries"] == []
-    assert run_obj["layout"] == [c["n"] for c in run_obj["chain"]]
     assert run_obj["matrix"]["row_hi"] == lo
+    assert set(run_obj) == {"chain", "hit_log", "config", "failure",
+                            "matrix", "families"}
+
+
+def test_every_written_key_is_read(capsys, tmp_path, run_obj):
+    # a key that verify-run ignores or derives again is a fact stored twice
+    for key in GenericRun.from_json_obj(run_obj).to_json_obj():
+        obj = copy.deepcopy(run_obj)
+        del obj[key]
+        assert repr(key) in malformed(capsys, tmp_path, obj)
 
 
 def test_identity_forgery_with_nothing_committed(capsys, tmp_path, run_obj):
-    # the identity matrix, no commitments, and entry stages past the final
-    # stage, so that no coordinate is left to check
+    # the identity matrix and no commitments, so that no coordinate is
+    # left to check
     obj = copy.deepcopy(run_obj)
     n = obj["chain"][-1]["n"]
     obj["matrix"] = rmatrix_to_json(RMatrix.identity(0, n))
@@ -82,29 +92,18 @@ def test_identity_forgery_with_nothing_committed(capsys, tmp_path, run_obj):
         c["inv"] = rmatrix_to_json(RMatrix.identity(lo, c["n"]))
         c["a"] = []
         lo = c["n"]
-    obj["entry_stage"] = {k: n + 2 for k in obj["entry_stage"]}
     failures = failures_of(capsys, tmp_path, obj)
     for xi in obj["families"]["indices"]:
         assert "index %s never committed" % xi in failures
 
 
-@pytest.mark.parametrize("shift", [-4, 8])
-def test_shifted_entry_stage(capsys, tmp_path, run_obj, shift):
-    obj = copy.deepcopy(run_obj)
-    stored = obj["entry_stage"]["1"]
-    obj["entry_stage"]["1"] = stored + shift
-    failures = failures_of(capsys, tmp_path, obj)
-    assert "index 1: entry_stage says %d, the chain %d" % (
-        stored + shift, stored) in failures
-
-
 def test_commitment_moved_later_in_the_chain(capsys, tmp_path, run_obj):
-    # the chain now commits index 1 one condition later than entry_stage says
+    # the chain now commits index 1 one condition later than the hit log says
     obj = copy.deepcopy(run_obj)
     first = next(k for k, c in enumerate(obj["chain"]) if 1 in c["a"])
     obj["chain"][first]["a"].remove(1)
     failures = failures_of(capsys, tmp_path, obj)
-    assert any(f.startswith("index 1: entry_stage") for f in failures)
+    assert "hit 1: chain condition %d misses (E, 1)" % first in failures
 
 
 def test_matrix_entry_outside_the_blocks(capsys, tmp_path, run_obj):
@@ -121,7 +120,7 @@ def test_sign_flip_past_the_horizon(capsys, tmp_path, run_obj):
     # but the last block no longer maps f_0 onto g_0 at coordinate 17
     obj = copy.deepcopy(run_obj)
     assert [c["n"] for c in obj["chain"]] == [0, 4, 12, 18]
-    assert obj["horizon"] == 16
+    assert obj["config"]["horizon"] == 16
     for entries, k in ((obj["matrix"]["entries"], 0),
                        (obj["chain"][-1]["inv"]["entries"], 1)):
         for e in entries:
@@ -159,11 +158,8 @@ def identity_run(stages):
                   for lo, n in zip(lows, stages)],
         "hit_log": [["E", 0, 1], ["E", 1, 1], ["E", 2, 1], ["D", 2, 1],
                     ["D", 4, 1], ["D", 8, len(stages) - 1]],
-        "entry_stage": {"0": 0, "1": 0, "2": 0},
-        "horizon": 8,
         "config": RunConfig(horizon=8).to_json_obj(),
         "failure": None,
-        "layout": stages,
         "matrix": rmatrix_to_json(RMatrix.identity(0, stages[-1])),
         "families": families.to_json_obj(),
     }
@@ -228,7 +224,7 @@ def test_matrix_entry_listed_twice(capsys, tmp_path, run_obj):
 def test_horizon_must_be_a_bounded_integer(capsys, tmp_path, run_obj,
                                            horizon):
     obj = copy.deepcopy(run_obj)
-    obj["horizon"] = horizon
+    obj["config"]["horizon"] = horizon
     t0 = time.monotonic()
     assert "horizon" in malformed(capsys, tmp_path, obj)
     assert time.monotonic() - t0 < 1
@@ -241,7 +237,6 @@ def test_chain_stage_beyond_any_run(capsys, tmp_path):
     n = 10 ** 6
     empty = rmatrix_to_json(RMatrix(0, n, 0, n))
     obj["chain"][1] = {"n": n, "a": [], "inv": empty}
-    obj["layout"] = [0, n]
     obj["matrix"] = empty
     t0 = time.monotonic()
     assert "chain stage" in malformed(capsys, tmp_path, obj)
@@ -266,6 +261,45 @@ def test_tails_of_long_coprime_periods(capsys, tmp_path):
     assert time.monotonic() - t0 < 1
     report = json.loads(capsys.readouterr().out)
     assert report["details"]["indices"]["0"]["symbolic_tail"] is False
+
+
+def test_tails_aligned_past_the_bound_are_not_malformed(capsys, tmp_path,
+                                                        run_obj):
+    # periods 257 and 263 on one side align on 67 591 > MAX_TAIL: a
+    # well-formed file that misses a bound, the same one line from both
+    # commands
+    def tail(p):
+        return TailVector((), (0,) + (1,) * (p - 1)).to_json_obj()
+    families = {"indices": [0, 1], "f": [tail(257), tail(263)],
+                "g": [tail(257), tail(263)]}
+    fam = tmp_path / "pf.json"
+    write_json(fam, families)
+    assert main(["forge-matrix", "--families", str(fam)]) == 2
+    forged = capsys.readouterr()
+    obj = copy.deepcopy(run_obj)
+    obj["families"] = families
+    code, captured = verify(capsys, tmp_path, obj)
+    assert code == 2 and captured.out == forged.out == ""
+    assert captured.err == forged.err == (
+        "error: aligning these tails needs a prefix of 0 and a period of "
+        "67591; the bound is 65536\n")
+
+
+def test_forged_config_horizon(capsys, tmp_path):
+    # the run reached stage 65 for horizon 64; its file claims 4096
+    fam, out = tmp_path / "pf.json", tmp_path / "run.json"
+    write_json(fam, {"f": {"kind": "branch", "count": 4, "depth": 2},
+                     "g": {"kind": "progression", "count": 4}})
+    assert main(["forge-matrix", "--families", str(fam), "--horizon", "64",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    obj = json.loads(out.read_text())
+    assert obj["chain"][-1]["n"] == 65
+    obj["config"]["horizon"] = 4096
+    code, captured = verify(capsys, tmp_path, obj)
+    report = json.loads(captured.out)
+    assert code == 1 and report["config"]["horizon"] == 4096
+    assert "final stage 65 below the horizon 4096" in report["failures"]
 
 
 # amalgamate trusts extend_isomorphism's certificate of a new block's

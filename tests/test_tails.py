@@ -67,7 +67,7 @@ class TestTailVector:
         v = tv([5, -7], [1, -2, 0])
         assert v.value(1) == -7
         assert v.value(2) == 1 and v.value(5) == 1
-        assert v.sup_norm() == 7
+        assert v.tail_sup(0) == 7
         assert v.tail_sup(2) == 2
         assert quotient_norm(v) == 2
 
@@ -235,7 +235,7 @@ class TestRestrictionIndex:
         except NotInvertibleError:
             return
         y = fs[0].scale(coeffs[0]).add(fs[1].scale(coeffs[1]))
-        assert (1 - frac("1/8")) * y.sup_norm() <= y.restrict(0, w.n).sup_norm()
+        assert (1 - frac("1/8")) * y.tail_sup(0) <= y.restrict(0, w.n).sup_norm()
 
 
 class TestPiSectionNorm:
