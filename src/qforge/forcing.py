@@ -25,7 +25,14 @@ from .errors import (
 )
 from .geometry import LinMap, Subspace, extend_isomorphism
 from .jsonio import rmatrix_from_json, rmatrix_to_json
-from .linalg import ZERO, BlockLayout, RMatrix, block_compose, invert, op_norm_inf
+from .linalg import (
+    ZERO,
+    BlockLayout,
+    RMatrix,
+    block_compose,
+    check_int,
+    op_norm_inf,
+)
 from .tails import (
     TailVector,
     agree_from,
@@ -48,7 +55,8 @@ class PairedFamilies:
     gs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        object.__setattr__(self, "indices",
+                           tuple(check_int(i, "index") for i in self.indices))
         if not (len(self.indices) == len(self.fs) == len(self.gs)):
             raise ParameterError("one f and one g per index required")
         if len(set(self.indices)) != len(self.indices):
@@ -85,7 +93,7 @@ class PairedFamilies:
         """The (indices, fs, gs) of a to_json_obj object, read for its
         shape alone: PairedFamilies(*parts) checks what the tails must
         satisfy, so a file is not called malformed for a bound they miss."""
-        return (tuple(int(i) for i in obj["indices"]),
+        return (tuple(obj["indices"]),
                 tuple(TailVector.from_json_obj(v) for v in obj["f"]),
                 tuple(TailVector.from_json_obj(v) for v in obj["g"]))
 
@@ -105,8 +113,8 @@ class Condition:
     n: int
     m: RMatrix
     a: tuple
-    cuts: tuple = ()           # block boundaries 0 = c_0 < ... < c_k = n
-    inv: RMatrix | None = None  # verified inverse carried alongside
+    cuts: tuple   # block boundaries 0 = c_0 < ... < c_k = n
+    inv: RMatrix  # the inverse of m, checked block by block
     # (families, c2) for which amalgamate proved the condition valid: the
     # only inputs validate_condition reads.  Never copied, so a condition
     # built from fields, loaded or rebuilt with replace is checked again
@@ -114,28 +122,19 @@ class Condition:
                                  compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(sorted(set(self.a))))
-        cuts = self.cuts or ((0,) if self.n == 0 else (0, self.n))
-        object.__setattr__(self, "cuts", tuple(cuts))
+        object.__setattr__(self, "a", tuple(sorted(set(
+            check_int(xi, "index") for xi in self.a))))
+        object.__setattr__(self, "cuts", tuple(self.cuts))
 
     @staticmethod
     def trivial() -> "Condition":
-        return Condition(0, RMatrix(0, 0, 0, 0, {}), (),
-                         inv=RMatrix(0, 0, 0, 0, {}))
+        empty = RMatrix(0, 0, 0, 0, {})
+        return Condition(0, empty, (), (0,), empty)
 
     def to_json_obj(self):
         return {"n": self.n, "a": list(self.a), "cuts": list(self.cuts),
                 "m": rmatrix_to_json(self.m),
-                "inv": rmatrix_to_json(self.inv) if self.inv else None}
-
-
-def _inverse_of(p: Condition) -> RMatrix:
-    """p.inv when carried, else blockwise inversion along p.cuts."""
-    if p.inv is not None:
-        return p.inv
-    layout = BlockLayout(p.cuts)
-    return block_compose([invert(p.m.block(lo, hi))
-                          for lo, hi in layout.blocks()], layout)
+                "inv": rmatrix_to_json(self.inv)}
 
 
 # -- the block checker: the l_inf operator norm is the largest row l1 sum,
@@ -147,17 +146,14 @@ def _form_failures(m: RMatrix, lo: int, hi: int) -> list:
             for i in range(lo, hi) for j in m.columns(i) if not lo <= j < hi]
 
 
-def _algebra_failures(b: RMatrix, inv, lo: int, hi: int, c2):
-    """(b) on the block b on [lo, hi): B * B^-1 = I, B^-1 inverted from B
-    unless carried, and both norms at most c2.  Returns the failures and
-    the two norms, the second None when B is singular."""
+def _algebra_failures(b: RMatrix, inv: RMatrix, lo: int, hi: int, c2):
+    """(b) on the block b on [lo, hi): the carried B^-1 is block-diagonal
+    there and B * B^-1 = I, which on a square block proves B invertible,
+    and both norms are at most c2.  Returns the failures and the two norms."""
     norm, out = op_norm_inf(b), []
-    try:
-        binv = invert(b) if inv is None else inv.block(lo, hi)
-    except SingularMatrixError:
-        return ["(b) matrix is singular"], norm, None
-    if inv is not None and (_form_failures(inv, lo, hi) or not (
-            b.matmul(binv).equals(RMatrix.identity(lo, hi)))):
+    binv = inv.block(lo, hi)
+    if _form_failures(inv, lo, hi) or not (
+            b.matmul(binv).equals(RMatrix.identity(lo, hi))):
         out.append("(b) carried inverse fails M * inv = I")
     inv_norm = op_norm_inf(binv)
     for name, value in (("matrix", norm), ("inverse", inv_norm)):
@@ -191,7 +187,7 @@ def _section_failures(spans, n: int) -> list:
             if s > 2]
 
 
-def _check_block(m: RMatrix, inv, lo: int, hi: int, a,
+def _check_block(m: RMatrix, inv: RMatrix, lo: int, hi: int, a,
                  families: PairedFamilies, c2):
     """Every fact block [lo, hi) of m introduces, with a committed there:
     its form, its algebra, the interpolation of a on its rows and clause
@@ -237,7 +233,7 @@ def cond_leq(p: Condition, q: Condition, families: PairedFamilies):
 def _merge_blocks(stem: Condition, w: RMatrix, w_inv: RMatrix, n_r: int,
                   a_r) -> Condition:
     return Condition(n_r, stem.m.merged(w), tuple(a_r), stem.cuts + (n_r,),
-                     _inverse_of(stem).merged(w_inv))
+                     stem.inv.merged(w_inv))
 
 
 def _prove(r: Condition, families: PairedFamilies,
@@ -364,8 +360,8 @@ class GenericRun:
         """The final matrix once; per condition, what its block adds."""
         lows = [0] + [c.n for c in self.chain]
         return {
-            "chain": [{"n": c.n, "a": list(c.a), "inv": rmatrix_to_json(
-                _inverse_of(c).block(lo, c.n))}
+            "chain": [{"n": c.n, "a": list(c.a),
+                       "inv": rmatrix_to_json(c.inv.block(lo, c.n))}
                 for lo, c in zip(lows, self.chain)],
             "hit_log": [[k, v, i] for k, v, i in self.hit_log],
             "config": self.config.to_json_obj(),
@@ -382,7 +378,7 @@ class GenericRun:
         config = RunConfig.from_json_obj(obj["config"])
         if not obj["chain"]:
             raise ParameterError("a run's chain holds at least one condition")
-        stages = tuple(int(c["n"]) for c in obj["chain"])
+        stages = tuple(check_int(c["n"], "chain stage") for c in obj["chain"])
         if max(stages) > 9 * MAX_HORIZON:
             raise ParameterError("chain stage %d exceeds 9 * %d"
                                  % (max(stages), MAX_HORIZON))
@@ -483,7 +479,7 @@ def verify_run(run: GenericRun, families: PairedFamilies,
         failures += found
         matrix_norm = max(matrix_norm, norm)
         # the first condition adds the empty block
-        if c.n > lo and inv_norm is not None:
+        if c.n > lo:
             details["blocks"].append({"lo": lo, "hi": c.n, "norm": str(norm),
                                       "inv_norm": str(inv_norm)})
         lo, prev_a = c.n, c.a

@@ -33,7 +33,7 @@ def frac(x) -> Fraction:
         raise ParameterError("not a rational number: %r" % (x,)) from e
 
 
-def _check_int(x, what: str):
+def check_int(x, what: str):
     """x itself when it is an int (not a bool); ParameterError otherwise."""
     if type(x) is not int:
         raise ParameterError("%s %r is not an integer" % (what, x))
@@ -41,8 +41,8 @@ def _check_int(x, what: str):
 
 
 def _check_window(lo: int, hi: int):
-    _check_int(lo, "window bound")
-    _check_int(hi, "window bound")
+    check_int(lo, "window bound")
+    check_int(hi, "window bound")
     if hi < lo:
         raise ParameterError("window [%d, %d) is inverted" % (lo, hi))
 
@@ -113,7 +113,7 @@ class WindowVector:
         _check_window(lo, hi)
         nz = {}
         for i in sorted(entries):
-            if not lo <= _check_int(i, "index") < hi:
+            if not lo <= check_int(i, "index") < hi:
                 raise ParameterError("index %d outside window [%d, %d)" % (i, lo, hi))
             c = frac(entries[i])
             if c:
@@ -185,7 +185,7 @@ class BlockLayout:
     cuts: tuple
 
     def __post_init__(self):
-        cuts = tuple(int(c) for c in self.cuts)
+        cuts = tuple(check_int(c, "cut point") for c in self.cuts)
         if any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise ParameterError("cut points must be strictly increasing")
         object.__setattr__(self, "cuts", cuts)
@@ -247,11 +247,11 @@ class RMatrix:
         _check_window(col_lo, col_hi)
         clean = {}
         for i, row in (rows or {}).items():
-            if not (row_lo <= _check_int(i, "row index") < row_hi):
+            if not (row_lo <= check_int(i, "row index") < row_hi):
                 raise ParameterError("row index %d outside window" % i)
             r = {}
             for j, v in row.items():
-                if not (col_lo <= _check_int(j, "col index") < col_hi):
+                if not (col_lo <= check_int(j, "col index") < col_hi):
                     raise ParameterError("col index %d outside window" % j)
                 v = frac(v)
                 if v != 0:

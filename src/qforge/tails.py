@@ -157,24 +157,6 @@ def eq_star(f: TailVector, g: TailVector):
 
 
 @dataclass(frozen=True)
-class QuotientClass:
-    """Class of a bounded sequence modulo vanishing sequences."""
-
-    representative: TailVector
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientClass):
-            return NotImplemented
-        return eq_star(self.representative, other.representative)[0]
-
-    def __hash__(self):
-        raise TypeError("quotient classes are not hashable")
-
-    def norm(self) -> Fraction:
-        return quotient_norm(self.representative)
-
-
-@dataclass(frozen=True)
 class LiftWindow:
     n: int
     verified_value: Fraction  # the exact polyhedral max certifying n

@@ -44,6 +44,15 @@ PF2 = paired(2)
 PF4 = paired(4)
 PF8 = paired(8)
 CFG = RunConfig(horizon=64)
+EMPTY = RMatrix(0, 0, 0, 0, {})
+
+
+def one_block(m, a=(), inv=None):
+    """A condition whose matrix m on [0, n)^2 is one block; it carries inv,
+    by default the identity, which most of these blocks are."""
+    n = m.row_hi
+    return Condition(n, m, a, (0, n) if n else (0,),
+                     RMatrix.identity(0, n) if inv is None else inv)
 
 
 class TestPairedFamilies:
@@ -70,63 +79,73 @@ class TestValidateCondition:
         assert validate_condition(Condition.trivial(), PF2, CFG) == []
 
     def test_identity_block_is_valid(self):
-        p = Condition(2, RMatrix.identity(0, 2), ())
+        p = one_block(RMatrix.identity(0, 2))
         assert validate_condition(p, PF2, CFG) == []
 
     def test_singular_matrix_flagged(self):
-        p = Condition(2, RMatrix.from_dense([[1, 1], [1, 1]]), ())
+        # no inverse a singular block could carry passes M * inv = I
+        p = one_block(RMatrix.from_dense([[1, 1], [1, 1]]))
         viol = validate_condition(p, PF2, CFG)
-        assert any("singular" in v for v in viol)
+        assert any("carried inverse fails" in v for v in viol)
 
     def test_norm_violation_flagged(self):
-        p = Condition(1, RMatrix.from_dense([[1000]]), ())
+        p = one_block(RMatrix.from_dense([[1000]]),
+                      inv=RMatrix.from_dense([["1/1000"]]))
         viol = validate_condition(p, PF2, CFG)
         assert any("exceeds c2" in v for v in viol)
 
     def test_bad_carried_inverse_flagged(self):
-        p = Condition(2, RMatrix.identity(0, 2), (),
+        p = one_block(RMatrix.identity(0, 2),
                       inv=RMatrix.from_dense([[2, 0], [0, 2]]))
         viol = validate_condition(p, PF2, CFG)
         assert any("M * inv" in v for v in viol)
 
     def test_unknown_index_flagged(self):
-        p = Condition(0, RMatrix(0, 0, 0, 0, {}), (99,))
+        p = one_block(EMPTY, (99,))
         viol = validate_condition(p, PF2, CFG)
         assert any("outside the families" in v for v in viol)
+
+    @pytest.mark.parametrize("xi", [0.0, True])
+    def test_index_must_be_an_integer(self, xi):
+        # 0.0 and True equal the family index 0 or 1 and would validate
+        with pytest.raises(ParameterError, match="not an integer"):
+            one_block(EMPTY, (xi,))
 
 
 class TestCondLeq:
     def test_reflexive(self):
-        p = Condition(2, RMatrix.identity(0, 2), (0,))
+        p = one_block(RMatrix.identity(0, 2), (0,))
         ok, wit = cond_leq(p, p, PF2)
         assert ok and wit == []
 
     def test_everything_extends_trivial(self):
-        p = Condition(3, RMatrix.identity(0, 3), (0, 1))
+        p = one_block(RMatrix.identity(0, 3), (0, 1))
         ok, _ = cond_leq(p, Condition.trivial(), PF2)
         assert ok
 
     def test_changed_stem_entry_fails(self):
-        q = Condition(1, RMatrix.from_dense([[1]]), ())
-        p = Condition(2, RMatrix.from_dense([[2, 0], [0, 1]]), ())
+        q = one_block(RMatrix.from_dense([[1]]))
+        p = one_block(RMatrix.from_dense([[2, 0], [0, 1]]),
+                      inv=RMatrix.from_dense([["1/2", 0], [0, 1]]))
         ok, wit = cond_leq(p, q, PF2)
         assert not ok and any("(ii)" in w for w in wit)
 
     def test_off_block_entry_fails(self):
-        q = Condition(1, RMatrix.from_dense([[1]]), ())
-        p = Condition(2, RMatrix.from_dense([[1, 1], [0, 1]]), ())
+        q = one_block(RMatrix.from_dense([[1]]))
+        p = one_block(RMatrix.from_dense([[1, 1], [0, 1]]),
+                      inv=RMatrix.from_dense([[1, -1], [0, 1]]))
         ok, wit = cond_leq(p, q, PF2)
         assert not ok and any("outside the block form" in w for w in wit)
 
     def test_dropped_index_fails(self):
-        q = Condition(1, RMatrix.from_dense([[1]]), (0,))
-        p = Condition(1, RMatrix.from_dense([[1]]), ())
+        q = one_block(RMatrix.from_dense([[1]]), (0,))
+        p = one_block(RMatrix.from_dense([[1]]))
         ok, wit = cond_leq(p, q, PF2)
         assert not ok and any("(iii)" in w for w in wit)
 
     def test_interpolation_failure_reports_coordinate(self):
-        q = Condition(0, RMatrix(0, 0, 0, 0, {}), (0,))
-        p = Condition(1, RMatrix.from_dense([[1]]), (0,))
+        q = one_block(EMPTY, (0,))
+        p = one_block(RMatrix.from_dense([[1]]), (0,))
         # the identity block almost never maps f_0 onto g_0 exactly
         f, g = PF1.f(0), PF1.g(0)
         expect_ok = f.value(0) == g.value(0)
@@ -138,18 +157,19 @@ class TestCondLeq:
 
 class TestAmalgamate:
     def test_distinct_stems_rejected(self):
-        p = Condition(1, RMatrix.from_dense([[1]]), ())
-        q = Condition(1, RMatrix.from_dense([[2]]), ())
+        p = one_block(RMatrix.from_dense([[1]]))
+        q = one_block(RMatrix.from_dense([[2]]),
+                      inv=RMatrix.from_dense([["1/2"]]))
         with pytest.raises(ParameterError):
             amalgamate(p, q, 0, PF2, CFG)
 
     def test_trivial_case_returns_p(self):
-        p = Condition(2, RMatrix.identity(0, 2), ())
+        p = one_block(RMatrix.identity(0, 2))
         assert amalgamate(p, p, 0, PF2, CFG) is p
 
     def test_single_index_amalgamation_verified(self):
         p = Condition.trivial()
-        q = Condition(0, RMatrix(0, 0, 0, 0, {}), (0,))
+        q = one_block(EMPTY, (0,))
         r = amalgamate(p, q, 0, PF1, CFG)
         assert validate_condition(r, PF1, CFG) == []
         for base in (p, q):
@@ -158,7 +178,7 @@ class TestAmalgamate:
 
     def test_two_index_amalgamation(self):
         p = Condition.trivial()
-        q = Condition(0, RMatrix(0, 0, 0, 0, {}), (0, 1))
+        q = one_block(EMPTY, (0, 1))
         r = amalgamate(p, q, 8, PF2, CFG)
         assert r.n >= 8
         assert validate_condition(r, PF2, CFG) == []
@@ -184,9 +204,8 @@ class TestAmalgamate:
         # rejects that candidate and the search goes on to stage 8
         families = spiked_families()
         config = RunConfig(c1=2, horizon=8)
-        empty = RMatrix(0, 0, 0, 0, {})
-        p = Condition(0, empty, (0, 1), inv=empty)
-        q = Condition(0, empty, (2,), inv=empty)
+        p = Condition(0, EMPTY, (0, 1), (0,), EMPTY)
+        q = Condition(0, EMPTY, (2,), (0,), EMPTY)
         assert pi_section_norm(check_pi_injective(families.fs), 4) == 3
         r = amalgamate(p, q, 0, families, config)
         assert r.n == 8
@@ -201,8 +220,8 @@ class TestCarriedProof:
     @staticmethod
     def amalgamated():
         p = Condition.trivial()
-        return amalgamate(p, Condition(0, p.m, (0, 1), inv=p.inv), 8, PF2,
-                          CFG)
+        return amalgamate(p, Condition(0, p.m, (0, 1), p.cuts, p.inv), 8,
+                          PF2, CFG)
 
     @staticmethod
     def count_validations(monkeypatch):
@@ -264,7 +283,7 @@ class TestDenseHits:
         assert validate_condition(p, PF2, CFG) == []
 
     def test_hit_d_noop_when_past(self):
-        p = Condition(4, RMatrix.identity(0, 4), ())
+        p = one_block(RMatrix.identity(0, 4))
         assert dense_hit_D(p, 3, PF2, CFG) is p
 
     def test_hit_e_commits_index(self):

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package, the tests or the scripts
 imports a name it never uses, no module of the package imports a private
 name from another, and only `linalg` reads the integer rows of a matrix
-or the nonzeros of a vector.  In `tails`, only `_aligned` takes the lcm
-of periods."""
+or the nonzeros of a vector, or names `invert`: a condition carries its
+inverse, so nothing else inverts a matrix.  In `tails`, only `_aligned`
+takes the lcm of periods.  Every source file parses as Python 3.10."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,36 @@ def calls_by_function(path, name):
 def test_tails_are_aligned_only_by_aligned():
     # each lcm of periods is bounded by MAX_TAIL there
     assert set(calls_by_function(ROOT / "src/qforge/tails.py", "lcm")) == {"_aligned"}
+
+
+def names(path):
+    """Every name a module defines, uses, imports or reads as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+    return out
+
+
+def test_only_linalg_inverts():
+    linalg = ROOT / "src/qforge/linalg.py"
+    assert "invert" in names(linalg)  # the check sees the name it forbids
+    paths = [p for p in sorted((ROOT / "src/qforge").rglob("*.py"))
+             if p != linalg]
+    assert paths
+    assert [p.name for p in paths if "invert" in names(p)] == []
+
+
+def test_sources_parse_as_python_3_10():
+    # the grammar only: a library call new in 3.11 would still pass
+    paths = [p for d in ("src", "tests", "scripts", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    assert paths
+    for p in paths:
+        ast.parse(p.read_text(), str(p), feature_version=(3, 10))

@@ -302,6 +302,41 @@ def test_forged_config_horizon(capsys, tmp_path):
     assert "final stage 65 below the horizon 4096" in report["failures"]
 
 
+@pytest.fixture(scope="module")
+def k4_obj():
+    """The K = 4 run (branch 4 depth 2 vs progression 4) at horizon 64."""
+    f = make_family(FamilyGenerator("branch", count=4, depth=2))
+    g = make_family(FamilyGenerator("progression", count=4))
+    families = paired_from_certsets(f.sets, g.sets)
+    obj = run_generic(families, config=RunConfig(horizon=64)).to_json_obj()
+    obj["families"] = families.to_json_obj()
+    return obj
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("chain", "n", 65.7),
+    ("chain", "a", [0.0, 1.0, 2.0, 3.0]),
+    ("chain", "a", [0, True, 2, 3]),
+    ("families", "indices", [0, 1.9, 2, 3]),
+    ("families", "indices", [0, True, 2, 3]),
+], ids=["stage-65.7", "indices-0.0-3.0", "index-true", "family-index-1.9",
+        "family-index-true"])
+def test_float_or_bool_is_refused(capsys, tmp_path, k4_obj, where, key,
+                                  value):
+    # int() would read 65.7 as 65, 1.9 as 1 and true as 1, and the copy
+    # would pass; a float is not canonical JSON, so it is written by json
+    obj = copy.deepcopy(k4_obj)
+    assert obj["chain"][-1]["n"] == 65
+    assert obj["chain"][-1]["a"] == obj["families"]["indices"] == [0, 1, 2, 3]
+    (obj["chain"][-1] if where == "chain" else obj[where])[key] = value
+    code, captured = verify(capsys, tmp_path, obj,
+                            lambda path, o: path.write_text(json.dumps(o)))
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "is not an integer" in captured.err
+
+
 # amalgamate trusts extend_isomorphism's certificate of a new block's
 # algebra and norms; forge-matrix replays every block with verify_run
 # before it writes, so a block that breaks that certificate still reaches
