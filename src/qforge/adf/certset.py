@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from ..errors import NotAlmostDisjointError, ParameterError
+from ..linalg import check_int
 
 
 # The most lifted residues one Boolean operation may enumerate.  A lift
@@ -149,7 +150,7 @@ class CertSet:
 
     @staticmethod
     def finite(elements) -> "CertSet":
-        elements = frozenset(int(x) for x in elements)
+        elements = frozenset(check_int(x, "element") for x in elements)
         t = max(elements) + 1 if elements else 0
         return CertSet(t, 1, frozenset(), elements)
 
@@ -308,8 +309,9 @@ class CertSet:
 
     @staticmethod
     def from_json_obj(obj) -> "CertSet":
-        return CertSet(obj["threshold"], obj["modulus"],
-                       frozenset(obj["residues"]), frozenset(obj["below"]))
+        t, m = (check_int(obj[k], k) for k in ("threshold", "modulus"))
+        return CertSet(t, m, frozenset(check_int(r, "residue") for r in obj["residues"]),
+                       frozenset(check_int(x, "element") for x in obj["below"]))
 
     def indicator_tail(self):
         """The 0/1 indicator sequence as an eventually periodic vector."""

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from ..errors import NotAlmostDisjointError, ParameterError
+from ..linalg import check_int
 from .certset import CertSet
 from .ordinals import OrdinalIdx
 
@@ -45,10 +46,10 @@ class FamilyGenerator:
         if self.kind not in ("progression", "branch", "luzin", "explicit"):
             raise ParameterError("unknown family kind %r" % self.kind)
         if self.kind != "explicit" and not (
-                0 < self.count <= MAX_COUNT[self.kind]):
+                0 < check_int(self.count, "count") <= MAX_COUNT[self.kind]):
             raise ParameterError("%s count must be in [1, %d]"
                                  % (self.kind, MAX_COUNT[self.kind]))
-        if not 0 <= self.depth <= MAX_DEPTH:
+        if not 0 <= check_int(self.depth, "depth") <= MAX_DEPTH:
             raise ParameterError("depth must be in [0, %d]" % MAX_DEPTH)
 
 

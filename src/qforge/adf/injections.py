@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import HypothesisViolationError, NotInjectiveError, ParameterError
+from ..linalg import check_int
 from .certset import CertSet
 
 
@@ -23,8 +24,10 @@ class NInjection:
     patch: tuple = ()        # ((point, value), ...), overrides the rules
 
     def __post_init__(self):
-        pieces = tuple((p, (int(m), int(b))) for p, (m, b) in self.pieces)
-        patch = tuple(sorted((int(k), int(v)) for k, v in dict(self.patch).items()))
+        pieces = tuple((p, (check_int(m, "multiplier"), check_int(b, "offset")))
+                       for p, (m, b) in self.pieces)
+        patch = tuple(sorted((check_int(k, "patch point"), check_int(v, "patch value"))
+                             for k, v in dict(self.patch).items()))
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "patch", patch)
         object.__setattr__(self, "_patch_map", dict(patch))
@@ -157,7 +160,7 @@ def nice_ext(a: CertSet, b: CertSet, c: CertSet,
       (6) f agrees with g on a modulo a finite set
       (7) big_f is a finite subset of c
     """
-    big_f = sorted(set(int(x) for x in big_f))
+    big_f = sorted(set(check_int(x, "target") for x in big_f))
     _require(a.diff(b).is_empty() and b.diff(a).is_infinite(), 1,
              "need a inside b with infinite complement")
     _require(f.domain == a and f.range_set.diff(c).is_empty(), 2,

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .errors import ParameterError
 from .jsonio import load_json
-from .linalg import frac
+from .linalg import check_int, frac
 
 ENV_CONFIG = "QF_CONFIG"
 # the largest horizon: the stage search may reach 8 * horizon, and the
@@ -29,10 +29,8 @@ class RunConfig:
     def __post_init__(self):
         for name in _RATIONAL:
             object.__setattr__(self, name, frac(getattr(self, name)))
-        # an int in [1, MAX_HORIZON]: no float, str or bool
-        if type(self.horizon) is not int or not 1 <= self.horizon <= MAX_HORIZON:
-            raise ParameterError("horizon %r is not an integer in [1, %d]"
-                                 % (self.horizon, MAX_HORIZON))
+        if not 1 <= check_int(self.horizon, "horizon") <= MAX_HORIZON:
+            raise ParameterError("horizon %d is not in [1, %d]" % (self.horizon, MAX_HORIZON))
         if self.rho <= 1 or self.c2 < self.rho or self.c1 <= 0 or self.delta <= 0:
             raise ParameterError("need rho > 1, c2 >= rho, c1 > 0, delta > 0")
 

@@ -17,10 +17,6 @@ class UnboundedError(QForgeError):
     """Polytope or linear program is unbounded."""
 
 
-class DimensionCapError(QForgeError):
-    """A combinatorial routine was asked to run above its dimension cap."""
-
-
 class NotInjectiveError(QForgeError):
     """The quotient map collapses a nonzero element of the span."""
 

@@ -394,7 +394,8 @@ class GenericRun:
                       inv.block(0, n))
             for k, (n, c) in enumerate(zip(stages, obj["chain"])))
         return GenericRun(
-            chain, tuple((k, v, i) for k, v, i in obj["hit_log"]), config,
+            chain, tuple((k, check_int(v, "hit parameter"), check_int(i, "chain index"))
+                         for k, v, i in obj["hit_log"]), config,
             obj["failure"])
 
 
@@ -445,8 +446,7 @@ def _hit_log_failures(run: GenericRun, families: PairedFamilies,
         if schedule[k:k + 1] != ((kind, param),):
             return out + ["hit %d: (%s, %s) where the schedule has %s"
                           % (k, kind, param, list(schedule[k:k + 1]))]
-        c = (run.chain[i] if isinstance(i, int) and 0 <= i < len(run.chain)
-             else None)
+        c = run.chain[i] if 0 <= i < len(run.chain) else None
         if c is None or (param not in c.a if kind == "E" else c.n < param):
             out.append("hit %d: chain condition %s misses (%s, %s)"
                        % (k, i, kind, param))

@@ -28,6 +28,7 @@ from .linalg import (
     ZERO,
     RMatrix,
     WindowVector,
+    check_int,
     coordinate_rows,
     frac,
     kernel_basis,
@@ -89,6 +90,8 @@ class Subspace:
                                   compare=False)
 
     def __post_init__(self):
+        check_int(self.lo, "window bound")
+        check_int(self.hi, "window bound")
         basis = tuple(self.basis)
         for v in basis:
             if v.lo < self.lo or v.hi > self.hi:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ParameterError, QForgeError
-from .linalg import RMatrix, WindowVector
+from .linalg import RMatrix, WindowVector, check_int
 
 
 def canonical_dumps(obj) -> str:
@@ -95,11 +95,8 @@ def rmatrix_to_json(m: RMatrix):
 def rmatrix_from_json(obj) -> RMatrix:
     rows = {}
     for i, j, v in obj["entries"]:
-        # true or 1.0 would join the row of 1 and pass the window checks
-        if type(i) is not int or type(j) is not int:
-            raise ParameterError("matrix index (%r, %r) is not an integer" % (i, j))
-        row = rows.setdefault(i, {})
-        if j in row:
+        row = rows.setdefault(check_int(i, "row index"), {})
+        if check_int(j, "col index") in row:
             raise ParameterError("matrix entry (%r, %r) is listed twice" % (i, j))
         row[j] = v
     return RMatrix(obj["row_lo"], obj["row_hi"],

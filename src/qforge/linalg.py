@@ -21,12 +21,12 @@ ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
-    """Coerce ints / strings like ``"3/4"`` to Fraction, exactly; a float
-    or anything that is not a rational raises ParameterError."""
+    """Coerce ints / strings like ``"3/4"`` to Fraction, exactly; a float,
+    a bool or anything that is not a rational raises ParameterError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        raise ParameterError("floats are not allowed; pass ints, Fractions or 'p/q' strings")
+    if isinstance(x, (float, bool)):
+        raise ParameterError("%r: floats are not allowed, nor bools; pass 'p/q' strings" % (x,))
     try:
         return Fraction(x)
     except (ValueError, TypeError, ZeroDivisionError) as e:

@@ -44,16 +44,20 @@ from math import lcm
 
 from qforge import linalg
 from qforge.errors import (
-    DimensionCapError,
     InfeasibleError,
     NotAlmostDisjointError,
     ParameterError,
+    QForgeError,
     SingularMatrixError,
     UnboundedError,
 )
 from qforge.geometry import Subspace
 from qforge.linalg import ONE, ZERO, RMatrix, coordinate_rows, frac
 from qforge.simplex import _dedup_rows
+
+
+class DimensionCapError(QForgeError):
+    """vertex_enumerate was asked to run above its dimension cap."""
 
 
 def dot(v, w):

@@ -1,8 +1,12 @@
 """A non-rational or out-of-range CLI parameter or a malformed config
 file exits 2 with one line on stderr and nothing on stdout."""
 
+import copy
+import functools
 import json
+import operator
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -91,7 +95,8 @@ def test_bad_config_environment(capsys, tmp_path, monkeypatch, text):
                                     "--count", "2"])
 
 
-@pytest.mark.parametrize("cap", ["w*x", "w*", "x", "w*1+y"])
+@pytest.mark.parametrize("cap", ["w*x", "w*", "x", "w*1+y", "w*1.5", "w*true",
+                                 "1.0", "w*2+0.5"])
 def test_bad_ordinal_cap(capsys, cap):
     assert_one_line_exit_2(capsys, ["build-coherent", "--cells", "2",
                                     "--cap", cap])
@@ -280,3 +285,120 @@ def test_compute_on_a_fractional_window(capsys, tmp_path):
     err = assert_one_line_exit_2(capsys, ["compute", "op-norm", "--in", str(path)])
     assert "not an integer" in err
 
+
+
+# -- every number in every input file: true, an integral float and a
+# non-integral float are each refused with exit 2 and one line, never read
+# as 1, truncated, or let through to a TypeError deeper down
+
+def numeric_leaves(obj, path=(), pattern=(), in_list=False):
+    """(pattern, path) of every int and every rational string in obj.  A
+    pattern is the path with the index of each list as "*", except in a
+    list inside a list (a matrix entry [i, j, v], a hit [kind, param, i]),
+    whose positions stay apart."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from numeric_leaves(v, path + (k,), pattern + (k,))
+    elif isinstance(obj, list):
+        for k, v in enumerate(obj):
+            yield from numeric_leaves(v, path + (k,),
+                                      pattern + (k if in_list else "*",), True)
+    elif type(obj) is int or isinstance(obj, str) and reads_as_rational(obj):
+        yield pattern, path
+
+
+def reads_as_rational(text):
+    try:
+        Fraction(text)
+    except ValueError:
+        return False
+    return True
+
+
+def mutants(obj, keys):
+    """(path, value, mutated copy) for the first leaf of each pattern under
+    the top-level keys the reader reads."""
+    first = {}
+    for pattern, path in numeric_leaves({k: obj[k] for k in keys or obj}):
+        first.setdefault(pattern, path)
+    for path in first.values():
+        *parents, last = path
+        n = Fraction(functools.reduce(operator.getitem, path, obj))
+        for value in (True, float(n), float(n) + 0.5):
+            mutant = copy.deepcopy(obj)
+            functools.reduce(operator.getitem, parents, mutant)[last] = value
+            yield path, value, mutant
+
+
+PATH = "<path>"
+CAMPAIGN_KINDS = ["run", "family-kind", "family-sets", "family-tails",
+                  "adf-separation", "adf-census", "set", "compute-map",
+                  "compute-hahn-banach", "compute-matrix", "config"]
+
+
+@pytest.fixture(scope="module")
+def campaign(tmp_path_factory):
+    """Input kind -> (file object, top-level keys its reader reads or None
+    for all, argv with PATH for the file)."""
+    d = tmp_path_factory.mktemp("campaign")
+    pair = {"f": {"kind": "branch", "count": 2, "depth": 4},
+            "g": {"kind": "progression", "count": 2, "depth": 4}}
+    write_json(d / "pair.json", pair)
+    assert main(["forge-matrix", "--families", str(d / "pair.json"),
+                 "--horizon", "8", "--out", str(d / "run.json")]) == 0
+    adf_path = str(d / "adf.json")
+    assert main(["build-adf", "--kind", "branch", "--count", "3",
+                 "--depth", "2", "--out", adf_path]) == 0
+    run = json.loads((d / "run.json").read_text())
+    adf = json.loads((d / "adf.json").read_text())
+    sets = adf["sets"]
+    forge = ["forge-matrix", "--horizon", "8", "--families", PATH]
+    vector = {"lo": 0, "hi": 2, "coords": ["1", "1/2"]}
+    return d, {
+        "run": (run, ["chain", "config", "failure", "families", "hit_log",
+                      "matrix"], ["verify-run", PATH]),
+        "family-kind": (pair, None, forge),
+        "family-sets": ({"f": sets[:2], "g": copy.deepcopy(sets[1:])}, None, forge),
+        "family-tails": (run["families"], None, forge),
+        "adf-separation": (adf, ["sets"], ["check-separation", "--family", PATH,
+                                           "--inside", "0", "--outside", "2"]),
+        "adf-census": (adf, ["sets"], ["mad-census", "--family", PATH]),
+        "set": (sets[0], None, ["mad-census", "--family", adf_path, "--x", PATH]),
+        "compute-map": ({"lo": 0, "hi": 2, "basis": [vector],
+                         "images": [dict(vector, coords=["2", "0"])]},
+                        None, ["compute", "op-norm", "--in", PATH]),
+        "compute-hahn-banach": ({"lo": 0, "hi": 2, "basis": [vector], "phi": ["1"]},
+                                None, ["compute", "hahn-banach", "--in", PATH]),
+        "compute-matrix": ({"matrix": {"row_lo": 0, "row_hi": 2, "col_lo": 0,
+                                       "col_hi": 2,
+                                       "entries": [[0, 0, "1"], [1, 1, "-1/2"]]}},
+                           None, ["compute", "op-norm", "--in", PATH]),
+        "config": (run["config"], None, ["--config", PATH, "build-adf",
+                                         "--kind", "branch", "--count", "2"]),
+    }
+
+
+@pytest.mark.parametrize("kind", CAMPAIGN_KINDS)
+def test_no_float_or_bool_is_read_as_a_number(capsys, campaign, kind):
+    d, inputs = campaign
+    obj, keys, argv = inputs[kind]
+    path = d / ("%s.json" % kind)
+    argv = [str(path) if a == PATH else a for a in argv]
+    write_json(path, obj)
+    capsys.readouterr()
+    assert main(argv) == 0  # the file as written is accepted
+    capsys.readouterr()
+    wrong, count = [], 0
+    for where, value, mutant in mutants(obj, keys):
+        count += 1
+        # a float is not canonical JSON, so the file is written by json
+        path.write_text(json.dumps(mutant))
+        code = main(argv)
+        captured = capsys.readouterr()
+        if not (code == 2 and captured.out == "" and
+                captured.err.startswith("error: ") and
+                captured.err.count("\n") == 1):
+            wrong.append("%s = %r: exit %s, %s" % (
+                "/".join(map(str, where)), value, code,
+                captured.err.strip().splitlines()[-1:]))
+    assert count and wrong == []

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qforge.errors import DimensionCapError, UnboundedError
+from qforge.errors import UnboundedError
 from qforge.linalg import frac, rank, solve_exact
-from dense_oracles import vertex_enumerate
+from dense_oracles import DimensionCapError, vertex_enumerate
 
 
 def brute_vertices(rows, dim):
