@@ -31,10 +31,10 @@ from .linalg import (
     check_int,
     coordinate_rows,
     frac,
-    kernel_basis,
     nullspace,
     op_norm_inf,
     rank,
+    row_kernel,
     solve_exact,
 )
 from .simplex import lp_min_l1, polyhedral_max
@@ -285,8 +285,7 @@ def _projection_parts(y: Subspace):
 
 def kernel_of_functionals(psi: RMatrix) -> Subspace:
     """Joint kernel of the functionals in psi's rows, on its column window."""
-    lo, hi = psi.col_lo, psi.col_hi
-    return Subspace(lo, hi, tuple(kernel_basis(psi.to_dense(), lo, hi)))
+    return Subspace(psi.col_lo, psi.col_hi, tuple(row_kernel(psi)))
 
 
 def _lex_key(v: WindowVector):

@@ -628,21 +628,45 @@ def rank(rows) -> int:
     return len(_reduce(rows)[1])
 
 
-def kernel_basis(rows: list, lo: int, hi: int) -> list:
-    """Basis of the nullspace of dense rows over the columns [lo, hi).
+def _kernel(tab, cols, lo: int, hi: int) -> list:
+    """Basis of the joint kernel of the integer rows tab over the window
+    [lo, hi), where column t of tab is window column cols[t] (increasing)
+    and every other window column is zero in every row.
 
-    One vector per free column f of the rref: 1 at f, minus column f of
-    the reduced rows at the pivots, zero elsewhere, so each has at most
-    rank + 1 nonzero entries."""
-    tab, pivots = _reduce(rows)
+    Only tab's columns are eliminated.  One vector per free column f, in
+    index order: 1 at f and minus column f of the reduced rows at the
+    pivots, so each has at most rank + 1 nonzero entries; a column
+    outside cols gives the unit vector at f.  A reduced row is zero left
+    of its pivot, so every pivot it puts in a vector lies below f."""
+    pivots = _echelon(tab)
+    at = {c: t for t, c in enumerate(cols)}
     pivot_cols = set(pivots)
+    pivot_at = [cols[p] for p in pivots]
     basis = []
-    for f in range(hi - lo):
-        if f not in pivot_cols:
-            entries = {lo + p: Fraction(-row[f], den) for (row, den), p in zip(tab, pivots)}
-            entries[lo + f] = ONE
-            basis.append(WindowVector.sparse(lo, hi, entries))
+    for f in range(lo, hi):
+        t = at.get(f)
+        if t is None:
+            basis.append(_vector(lo, hi, {f: ONE}))
+        elif t not in pivot_cols:
+            entries = {c: Fraction(-row[t], den)
+                       for (row, den), c in zip(tab, pivot_at) if row[t]}
+            entries[f] = ONE
+            basis.append(_vector(lo, hi, entries))
     return basis
+
+
+def kernel_basis(rows: list, lo: int, hi: int) -> list:
+    """Basis of the nullspace of dense rows over the columns [lo, hi)."""
+    return _kernel([int_row(row) for row in rows], range(lo, hi), lo, hi)
+
+
+def row_kernel(m: RMatrix) -> list:
+    """Basis of the joint kernel of m's rows on its column window, the
+    vectors `kernel_basis(m.to_dense(), ...)` gives, from the columns
+    that hold an entry alone."""
+    cols = sorted({j for row, _ in m._rows.values() for j in row})
+    tab = [([row.get(j, 0) for j in cols], den) for row, den in m._rows.values()]
+    return _kernel(tab, cols, m.col_lo, m.col_hi)
 
 
 def nullspace(rows: list, ncols: int) -> list:

@@ -121,23 +121,39 @@ def lp_min_l1(vectors, rhs):
 
     u lives on the vectors' common window; the split u = u+ - u- turns
     the problem into a standard-form LP with unit costs, whose row k is
-    [v_k | -v_k], laid out from v_k's nonzeros with int zeros between.
+    [v_k | -v_k] over the distinct columns of the vectors: the column of
+    index i is (v_1(i), ..., v_h(i)), and only the first index of each
+    distinct nonzero column is laid out, in index order.  Under Bland's
+    rule this makes the pivots of the LP over every index, mapped to the
+    kept ones: a later copy of a column has the reduced cost of its first
+    copy, so it never enters before it, and has reduced cost 0 while the
+    first copy is basic; a zero column has reduced cost 1 (0 in phase 1);
+    the drive-out of artificials takes the first nonzero entry of a row,
+    a first copy; and the ratio test breaks ties by basis index, whose
+    order the kept columns keep.  Columns equal up to sign are not
+    merged, since the u- half already holds each column's negated copy.
     """
     if not vectors or len(vectors) != len(rhs):
         raise ParameterError("one right-hand side per constraint vector required")
     lo, hi = vectors[0].lo, vectors[0].hi
     if any((v.lo, v.hi) != (lo, hi) for v in vectors):
         raise ParameterError("constraint vector windows differ")
-    n = hi - lo
-    rows = []
-    for v in vectors:
-        row = [0] * (2 * n)
+    columns = {}
+    for k, v in enumerate(vectors):
         for i, c in v.items():
-            row[i - lo], row[n + i - lo] = c, -c
-        rows.append(row)
+            columns.setdefault(i, []).append((k, c))
+    first = {}
+    for i in sorted(columns):
+        first.setdefault(tuple(columns[i]), i)
+    n = len(first)
+    rows = [[0] * (2 * n) for _ in vectors]
+    for j, column in enumerate(first):
+        for k, c in column:
+            rows[k][j], rows[k][n + j] = c, -c
     x, val = simplex_min([1] * (2 * n), rows, rhs)
-    u = tuple(p - q if p or q else ZERO for p, q in zip(x, x[n:]))
-    return WindowVector(lo, hi, u), val
+    # a basic solution has no more nonzeros than there are constraints
+    u = {i: p - q for i, p, q in zip(first.values(), x, x[n:]) if p != q}
+    return WindowVector.sparse(lo, hi, u), val
 
 
 def max_linear(objective, constraint_rows):
@@ -171,17 +187,25 @@ def max_linear(objective, constraint_rows):
     return -val, witness
 
 
+def _distinct_up_to_sign(rows):
+    """(index, row as a tuple) for each nonzero row that is neither an
+    earlier row nor its negative, in order.  A row is keyed by its sign-
+    normalized form, whose first nonzero entry is positive."""
+    seen = set()
+    for i, row in enumerate(rows):
+        row = tuple(row)
+        lead = next((v for v in row if v), None)
+        if lead is None:
+            continue
+        key = row if lead > 0 else tuple(-v for v in row)
+        if key not in seen:
+            seen.add(key)
+            yield i, row
+
+
 def _dedup_rows(rows):
     """Drop zero rows and duplicate rows up to sign."""
-    seen = set()
-    out = []
-    for row in rows:
-        row = tuple(row)
-        if row in seen or not any(row):
-            continue
-        seen.update((row, tuple(-v for v in row)))
-        out.append(row)
-    return out
+    return [row for _, row in _distinct_up_to_sign(rows)]
 
 
 def polyhedral_max(objective_rows, constraint_rows):
@@ -204,11 +228,7 @@ def polyhedral_max(objective_rows, constraint_rows):
     best = ZERO
     best_x = [ZERO] * d
     best_i = None
-    seen = set()
-    for i, obj in enumerate(objective_rows):
-        if obj in seen or not any(obj):
-            continue
-        seen.update((obj, tuple(-v for v in obj)))
+    for i, obj in _distinct_up_to_sign(objective_rows):
         val, x = max_linear(list(obj), constraint_rows)
         if val > best:
             best, best_x, best_i = val, x, i

@@ -29,6 +29,13 @@ Eventual equality of two tail vectors is kept as it is defined: their
 values compared one index at a time past the larger prefix, over the lcm
 of the periods, where both repeat.
 
+The l1-minimal interpolant `lp_min_l1` is kept as it was before it laid
+out only the distinct columns of its vectors: one u+ and one u- column
+per window index, zero and repeated columns included, solved here on the
+`Fraction` tableau.  Rows are deduped up to sign as they were before each
+row was keyed by its sign-normalized form: each kept row and its negation
+go into the seen set.
+
 The dot product of two vectors is a loop over every index their windows
 share; the library has none, and the tests check the interpolation
 conditions of Hahn-Banach extensions with it.
@@ -52,7 +59,7 @@ from qforge.errors import (
     UnboundedError,
 )
 from qforge.geometry import Subspace
-from qforge.linalg import ONE, ZERO, RMatrix, coordinate_rows, frac
+from qforge.linalg import ONE, ZERO, RMatrix, WindowVector, coordinate_rows, frac
 from qforge.simplex import _dedup_rows
 
 
@@ -257,6 +264,45 @@ def simplex_min(cost, a_rows, b):
     for r, bvar in enumerate(basis):
         x[bvar] = tab[r][-1]
     return x, val
+
+
+def lp_min_l1(vectors, rhs):
+    """Minimize ||u||_1 subject to <u, v_k> = rhs_k for each vector v_k,
+    exactly.
+
+    u lives on the vectors' common window; the split u = u+ - u- turns
+    the problem into a standard-form LP with unit costs, whose row k is
+    [v_k | -v_k], laid out from v_k's nonzeros with int zeros between.
+    """
+    if not vectors or len(vectors) != len(rhs):
+        raise ParameterError("one right-hand side per constraint vector required")
+    lo, hi = vectors[0].lo, vectors[0].hi
+    if any((v.lo, v.hi) != (lo, hi) for v in vectors):
+        raise ParameterError("constraint vector windows differ")
+    n = hi - lo
+    rows = []
+    for v in vectors:
+        row = [0] * (2 * n)
+        for i, c in v.items():
+            row[i - lo], row[n + i - lo] = c, -c
+        rows.append(row)
+    x, val = simplex_min([1] * (2 * n), rows, rhs)
+    u = tuple(p - q if p or q else ZERO for p, q in zip(x, x[n:]))
+    return WindowVector(lo, hi, u), val
+
+
+def distinct_up_to_sign(rows):
+    """[(index, row as a tuple)] for each nonzero row that is neither an
+    earlier kept row nor its negative, in order."""
+    seen = set()
+    out = []
+    for i, row in enumerate(rows):
+        row = tuple(row)
+        if row in seen or not any(row):
+            continue
+        seen.update((row, tuple(-v for v in row)))
+        out.append((i, row))
+    return out
 
 
 def max_linear(objective, constraint_rows):

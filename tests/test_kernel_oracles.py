@@ -142,6 +142,26 @@ def test_kernels_match_dense_nullspace(data):
         for v in dense_oracles.nullspace(p.to_dense(), hi - lo)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_of_sparse_functionals(data):
+    # psi shaped like the Hahn-Banach functionals of a wide window: a few
+    # rows supported on a few columns, every other column free
+    h = data.draw(st.integers(1, 5))
+    lo = data.draw(st.integers(-4, 4))
+    n = data.draw(st.integers(1, 64))
+    support = data.draw(st.lists(st.integers(lo, lo + n - 1), max_size=8, unique=True))
+    rows = {k: {j: data.draw(entries) for j in support} for k in range(h)}
+    psi = RMatrix(0, h, lo, lo + n, rows)
+    want = [WindowVector(lo, lo + n, tuple(v))
+            for v in dense_oracles.nullspace(psi.to_dense(), n)]
+    basis = kernel_of_functionals(psi).basis
+    assert list(basis) == want
+    for v in basis:
+        indices = [i for i, _ in v.items()]
+        assert indices == sorted(indices)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_kernel_bases_have_private_pivots(data):

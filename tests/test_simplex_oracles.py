@@ -7,9 +7,18 @@ small random LPs of `test_kernel_oracles`, the LPs here take the shape of
 the forge and amalgamate workloads: up to 8 rows, 16 to 64 columns,
 entries mostly -1, 0 and 1 with an occasional p/q, and often the l1 form
 [A | -A] with unit costs that `lp_min_l1` builds.
+
+`lp_min_l1` lays out only the distinct nonzero columns of its vectors;
+`dense_oracles` keeps it with one column per window index.  On vectors
+with repeated columns, zero columns and columns equal up to sign, both
+must give the same u, the same value and the same pivots, once each
+merged column is mapped back to the first window index that holds it.
+The sign-normalized dedup of rows is held to the seen set of each row
+and its negation that it replaced.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +26,7 @@ from hypothesis import strategies as st
 import dense_oracles
 from qforge import simplex
 from qforge.errors import QForgeError
+from qforge.linalg import WindowVector
 from test_kernel_oracles import entries, outcome, recorded_pivots
 
 # one entry in ten is a p/q
@@ -87,3 +97,86 @@ def test_max_linear_pivots_are_recorded():
         [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]])
     assert value == Fraction(3, 2)
     assert pivots
+
+
+def lp_outcome(module, vectors, rhs):
+    with recorded_pivots(module) as pivots:
+        try:
+            result = module.lp_min_l1(vectors, rhs)
+        except QForgeError as e:
+            result = (type(e), str(e))
+    return result, pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lp_min_l1_on_distinct_columns(data):
+    h = data.draw(st.integers(1, 4))
+    column = st.lists(workload_entries, min_size=h, max_size=h)
+    pool = data.draw(st.lists(column, min_size=1, max_size=4))
+    negated = data.draw(st.integers(0, len(pool)))
+    pool += [[-v for v in col] for col in pool[:negated]] + [[Fraction(0)] * h]
+    n = data.draw(st.integers(1, 20))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    lo = data.draw(st.integers(-3, 3))
+    columns = [tuple(pool[p]) for p in picks]
+    vectors = [WindowVector(lo, lo + n, tuple(col[k] for col in columns))
+               for k in range(h)]
+    if data.draw(st.booleans()):
+        # a right-hand side the vectors reach: <seed, v_k>
+        seed = data.draw(st.lists(workload_entries, min_size=n, max_size=n))
+        rhs = [sum((s * col[k] for s, col in zip(seed, columns)), Fraction(0))
+               for k in range(h)]
+    else:
+        rhs = data.draw(st.lists(workload_entries, min_size=h, max_size=h))
+    # the merged LP's column j is the first index holding the j-th
+    # distinct nonzero column; artificials follow both halves
+    kept = [t for t, col in enumerate(columns) if any(col) and col not in columns[:t]]
+    w = len(kept)
+
+    def window_column(c):
+        if c < w:
+            return kept[c]
+        if c < 2 * w:
+            return n + kept[c - w]
+        return 2 * n + c - 2 * w
+
+    got, got_pivots = lp_outcome(simplex, vectors, rhs)
+    want, want_pivots = lp_outcome(dense_oracles, vectors, rhs)
+    assert [(r, window_column(c)) for r, c in got_pivots] == want_pivots
+    if isinstance(got[0], type):
+        assert got == want
+        return
+    (u, value), (want_u, want_value) = got, want
+    assert u.coords == want_u.coords
+    assert value == want_value
+    assert type(value) is Fraction
+
+
+def test_lp_min_l1_merges_columns():
+    # guards the test above against a layout that merges nothing: indices
+    # 1 and 3 repeat index 0, index 2 is zero, and index 4 is index 0
+    # negated, which stays a column of its own
+    one, zero = Fraction(1), Fraction(0)
+    v = WindowVector(0, 5, (one, one, zero, one, -one))
+    widths = []
+    original = simplex.simplex_min
+
+    def simplex_min(cost, a_rows, b):
+        widths.append(len(cost))
+        return original(cost, a_rows, b)
+
+    with mock.patch.object(simplex, "simplex_min", simplex_min):
+        u, value = simplex.lp_min_l1([v], [Fraction(2)])
+    assert widths == [4]
+    assert (u.coords, value) == ((2, 0, 0, 0, 0), 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([Fraction(v) for v in (-2, -1, 0, 0, 1, 2)]
+                                         + [Fraction(1, 2), Fraction(-1, 2)]),
+                         min_size=3, max_size=3), max_size=12))
+def test_rows_deduped_up_to_sign(rows):
+    want = dense_oracles.distinct_up_to_sign(rows)
+    assert list(simplex._distinct_up_to_sign(rows)) == want
+    assert simplex._dedup_rows(rows) == [row for _, row in want]
