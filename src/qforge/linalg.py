@@ -9,6 +9,7 @@ step behind rank, inverses, kernels, solves and the simplex.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -31,6 +32,32 @@ def frac(x) -> Fraction:
         return Fraction(x)
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise ParameterError("not a rational number: %r" % (x,)) from e
+
+
+# "p" or "p/q" in ASCII digits.  int() refuses a string of more digits
+# than a limit that is 4300 by default and can be set no lower than 640,
+# so a longer string goes to frac, which decides it under that limit.
+_RATIO = re.compile(r"(-?[0-9]{1,640})(?:/([0-9]{1,640}))?")
+
+
+def ratio(x) -> tuple:
+    """x as integers (p, q), q > 0, with x = p / q, not necessarily
+    reduced.  An int, a Fraction or a string "p" or "p/q" of digits is
+    read directly; every other value goes through `frac`, so each value
+    is accepted or refused exactly as `frac` does."""
+    if type(x) is str:
+        m = _RATIO.fullmatch(x)
+        if m:
+            p, q = m.groups()
+            q = int(q) if q else 1
+            if q:
+                return int(p), q
+    elif type(x) is int:
+        return x, 1
+    elif isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    x = frac(x)
+    return x.numerator, x.denominator
 
 
 def check_int(x, what: str):
@@ -234,8 +261,9 @@ class RMatrix:
     no zero entry and no empty row.  Two matrices are therefore equal
     exactly when their windows and row dicts are.  Every entry a caller
     reads (`get`, `to_dense`, `items`) is a Fraction.  The constructor
-    checks the windows and coerces every entry through `frac`; the
-    operations build their results from canonical rows without either.
+    checks the windows and reads every entry through `ratio`, straight
+    into an integer row over the lcm of its denominators; the operations
+    build their results from canonical rows without either.
     Instances are never mutated.
     """
 
@@ -249,15 +277,18 @@ class RMatrix:
         for i, row in (rows or {}).items():
             if not (row_lo <= check_int(i, "row index") < row_hi):
                 raise ParameterError("row index %d outside window" % i)
-            r = {}
+            nums, dens = {}, []
             for j, v in row.items():
                 if not (col_lo <= check_int(j, "col index") < col_hi):
                     raise ParameterError("col index %d outside window" % j)
-                v = frac(v)
-                if v != 0:
-                    r[j] = v
+                nums[j], q = ratio(v)
+                dens.append(q)
+            den = lcm(*dens)
+            if den != 1:
+                nums = {j: p * (den // q) for (j, p), q in zip(nums.items(), dens)}
+            r = _canonical(nums, den)
             if r:
-                clean[i] = _int_entries(r)
+                clean[i] = r
         self._init(row_lo, row_hi, col_lo, col_hi, clean)
 
     def _init(self, row_lo, row_hi, col_lo, col_hi, rows):
@@ -294,20 +325,11 @@ class RMatrix:
         entries = [list(r) for r in entries]
         n = len(entries)
         m = len(entries[0]) if entries else 0
-        _check_window(row_lo, row_lo + n)
-        _check_window(col_lo, col_lo + m)
-        rows = {}
-        for i, r in enumerate(entries):
-            if len(r) != m:
-                raise ParameterError("ragged rows")
-            nz = {}
-            for j, v in enumerate(r):
-                v = frac(v)
-                if v:
-                    nz[col_lo + j] = v
-            if nz:
-                rows[row_lo + i] = _int_entries(nz)
-        return _matrix(row_lo, row_lo + n, col_lo, col_lo + m, rows)
+        if any(len(r) != m for r in entries):
+            raise ParameterError("ragged rows")
+        return RMatrix(row_lo, row_lo + n, col_lo, col_lo + m,
+                       {row_lo + i: {col_lo + j: v for j, v in enumerate(r)}
+                        for i, r in enumerate(entries)})
 
     @staticmethod
     def identity(lo: int, hi: int) -> "RMatrix":

@@ -36,6 +36,11 @@ per window index, zero and repeated columns included, solved here on the
 row was keyed by its sign-normalized form: each kept row and its negation
 go into the seen set.
 
+The `RMatrix` constructor is kept as it was before it read each entry as
+an integer pair: every entry coerced to a reduced Fraction through
+`frac`, its zeros dropped, and the rest put over the lcm of their
+denominators.
+
 The dot product of two vectors is a loop over every index their windows
 share; the library has none, and the tests check the interpolation
 conditions of Hahn-Banach extensions with it.
@@ -59,7 +64,7 @@ from qforge.errors import (
     UnboundedError,
 )
 from qforge.geometry import Subspace
-from qforge.linalg import ONE, ZERO, RMatrix, WindowVector, coordinate_rows, frac
+from qforge.linalg import ONE, ZERO, RMatrix, WindowVector, coordinate_rows, frac, int_row
 from qforge.simplex import _dedup_rows
 
 
@@ -106,6 +111,23 @@ def invert(m):
 
 
 # -- RMatrix operations on dense Fraction lists --------------------------
+
+def matrix_rows(rows):
+    """The canonical rows {i: ({col: int}, den)} of the {i: {j: value}}
+    entries: each value through `frac`, the zeros dropped, and each row
+    over the lcm of its denominators."""
+    out = {}
+    for i, row in rows.items():
+        nz = {}
+        for j, v in row.items():
+            v = frac(v)
+            if v:
+                nz[j] = v
+        if nz:
+            ints, den = int_row(list(nz.values()))
+            out[i] = dict(zip(nz, ints)), den
+    return out
+
 
 def matrix_product(a, b):
     return [[sum((x * b[k][j] for k, x in enumerate(row)), ZERO)

@@ -261,6 +261,39 @@ def test_index_that_is_not_an_int(build):
         build()
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    d = tmp_path_factory.mktemp("small-run")
+    write_json(d / "pair.json", {"f": {"kind": "branch", "count": 2},
+                                 "g": {"kind": "progression", "count": 2}})
+    assert main(["forge-matrix", "--families", str(d / "pair.json"),
+                 "--horizon", "8", "--out", str(d / "run.json")]) == 0
+    return json.loads((d / "run.json").read_text()), d / "bad.json"
+
+
+NOT_RATIONAL = "not a rational number: %r"
+NOT_A_STRING = "%r: floats are not allowed, nor bools; pass 'p/q' strings"
+
+
+# a matrix entry is refused with frac's line, also one of 5000 digits,
+# past the 4300 that int() reads by default
+@pytest.mark.parametrize("value, reason", [
+    ("1/0", NOT_RATIONAL), ("3/-4", NOT_RATIONAL), ("", NOT_RATIONAL),
+    ("abc", NOT_RATIONAL), ("7" * 5000, NOT_RATIONAL),
+    ("1/" + "7" * 5000, NOT_RATIONAL), (True, NOT_A_STRING), (1.5, NOT_A_STRING),
+], ids=["zero-denominator", "negative-denominator", "empty", "word",
+        "long-numerator", "long-denominator", "true", "float"])
+def test_matrix_entry_that_is_not_a_rational(capsys, small_run, value, reason):
+    run, path = small_run
+    obj = copy.deepcopy(run)
+    obj["matrix"]["entries"][0][2] = value
+    # a float is not canonical JSON, so the file is written by json
+    path.write_text(json.dumps(obj))
+    err = assert_one_line_exit_2(capsys, ["verify-run", str(path)])
+    assert err == "error: malformed run file %s: ParameterError: %s\n" % (
+        path, reason % (value,))
+
+
 @pytest.mark.parametrize("argv, obj", [
     (["forge-matrix", "--families"],
      {"indices": [0], "f": [{"prefix": [], "period": [1.0]}],

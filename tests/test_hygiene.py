@@ -93,10 +93,12 @@ def test_tails_are_aligned_only_by_aligned():
 def test_no_int_truncates_input():
     # int(1.9) is 1 and int(True) is 1: numbers read from input go through
     # linalg.check_int, which refuses them.  int is called only with a base
-    # (_branch_sets' int(word, 2)) and on argv text (cli._parse_ordinal)
+    # (_branch_sets' int(word, 2)), on argv text (cli._parse_ordinal) and,
+    # base 10, on the digits that linalg.ratio's pattern has matched
     calls = {(p.name, where) for p in sorted((ROOT / "src/qforge").rglob("*.py"))
              for where in calls_by_function(p, "int")}
-    assert calls == {("families.py", "_branch_sets"), ("cli.py", "_parse_ordinal")}
+    assert calls == {("families.py", "_branch_sets"), ("cli.py", "_parse_ordinal"),
+                     ("linalg.py", "ratio")}
 
 
 def names(path):

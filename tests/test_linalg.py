@@ -24,6 +24,7 @@ from qforge.linalg import (
     nullspace,
     op_norm_inf,
     rank,
+    ratio,
     solve_exact,
 )
 
@@ -43,6 +44,58 @@ class TestFrac:
     def test_rejects_floats(self):
         with pytest.raises(ParameterError):
             frac(0.5)
+
+
+def digit_runs(lo, hi):
+    return st.builds(lambda d, n: d * n, st.sampled_from("0123456789"),
+                     st.integers(lo, hi))
+
+
+# numerals of every length around the 640 digits that ratio reads and the
+# 4300 that int() reads by default, zero-padded ones, and zero
+numerals = st.one_of(st.integers(0, 10 ** 12).map(str),
+                     st.integers(0, 999).map(lambda n: "00" + str(n)),
+                     digit_runs(1, 30), digit_runs(600, 700),
+                     digit_runs(3990, 4400))
+numeral_strings = st.builds(
+    lambda sign, p, q: sign + p + ("" if q is None else "/" + q),
+    st.sampled_from(["", "-", "+"]), numerals, st.none() | numerals)
+odd_strings = st.sampled_from([
+    "6/4", "-0", "007", "+3", "1_0", " 3/4 ", "1.5", "1e3", "1/0", "0/0",
+    "3/-4", "-3/4", "", "abc", "-", "/", "1/", "/2", "1/2/3", "3\n",
+    "\u0663", "1 /2", "--1", "-0/5"]) | st.text("0123456789-+/._e ", max_size=8)
+anything = st.one_of(numeral_strings, odd_strings, st.integers(), st.booleans(),
+                     st.floats(), st.fractions(), st.none(), st.just([1]))
+
+
+def outcome(read, x):
+    try:
+        return read(x)
+    except ParameterError as e:
+        return "ParameterError: %s" % e
+
+
+@settings(max_examples=500, deadline=None)
+@given(anything)
+def test_ratio_agrees_with_frac(x):
+    def pair(x):
+        p, q = ratio(x)
+        assert type(p) is int and type(q) is int and q > 0
+        return Fraction(p, q)
+    assert outcome(pair, x) == outcome(frac, x)
+
+
+# entries as a run file, a caller or an operation gives them: "p/q"
+# strings, reduced or not, ints and Fractions, zeros among them
+entries = st.one_of(
+    st.builds(lambda p, q: "%d/%d" % (p, q), st.integers(-12, 12), st.integers(1, 12)),
+    st.integers(-12, 12).map(str), st.integers(-12, 12), rationals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 5), st.dictionaries(st.integers(0, 5), entries)))
+def test_rows_read_as_the_frac_constructor_read_them(rows):
+    assert RMatrix(0, 6, 0, 6, rows)._rows == dense_oracles.matrix_rows(rows)
 
 
 class TestWindowVector:
@@ -295,15 +348,15 @@ def test_operations_on_canonical_rows_skip_frac():
 
     def counted(x):
         calls.append(x)
-        return frac(x)
+        return ratio(x)
 
-    with mock.patch.object(linalg, "frac", counted):
+    with mock.patch.object(linalg, "ratio", counted):
         product = m.matmul(inv)
         total = m.add(inv)
         eye = RMatrix.identity(0, m.n_rows)
         whole = m.block(0, lo).merged(m.block(lo, hi))
         assert calls == []
-        RMatrix(0, 1, 0, 1, {0: {0: "1/2"}})
-        assert calls == ["1/2"]
+        RMatrix(0, 2, 0, 2, {0: {0: "1/2", 1: 3}, 1: {1: Fraction(1, 3)}})
+        assert calls == ["1/2", 3, Fraction(1, 3)]
     assert product.equals(eye) and whole.equals(m)
     assert total.equals(inv.add(m))
