@@ -187,18 +187,24 @@ def max_linear(objective, constraint_rows):
     return -val, witness
 
 
+def sign_normalized(row: tuple):
+    """The one of row and -row whose first nonzero entry is positive; None
+    for a zero row."""
+    lead = next((v for v in row if v), None)
+    if lead is None:
+        return None
+    return row if lead > 0 else tuple(-v for v in row)
+
+
 def _distinct_up_to_sign(rows):
     """(index, row as a tuple) for each nonzero row that is neither an
     earlier row nor its negative, in order.  A row is keyed by its sign-
-    normalized form, whose first nonzero entry is positive."""
+    normalized form."""
     seen = set()
     for i, row in enumerate(rows):
         row = tuple(row)
-        lead = next((v for v in row if v), None)
-        if lead is None:
-            continue
-        key = row if lead > 0 else tuple(-v for v in row)
-        if key not in seen:
+        key = sign_normalized(row)
+        if key is not None and key not in seen:
             seen.add(key)
             yield i, row
 

@@ -12,8 +12,12 @@ finite computations.
 Each norm is a polyhedral max over coefficient rows of a `Span`, proved
 pi-injective once by `check_pi_injective` (one aligned period of rows has
 full rank); `Span.sub` gives a subfamily's span, aligned on its own prefix
-and period and not proved again.  Every reader of a tail's values over a
-window goes through `TailVector.window`.
+and period and not proved again.  A span carries its period rows as
+classes up to sign, with the class of each period position, so a norm
+reads a window's period positions as a set of classes, in integer work,
+and builds rows only for the prefix; a window past the prefix that hits
+every class has restriction-inverse norm 1 with no LP.  Every reader of
+a tail's values over a window goes through `TailVector.window`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from math import lcm
 
 from .errors import NotInjectiveError, NotInvertibleError, ParameterError, UnboundedError
 from .linalg import ONE, ZERO, WindowVector, coordinate_rows, frac, nullspace, rank
-from .simplex import polyhedral_max
+from .simplex import polyhedral_max, sign_normalized
 
 MAX_TAIL = 1 << 16
 
@@ -111,7 +115,9 @@ class TailVector:
         return self.prefix[lo:hi] + (self.period * ((n + r) // p + 1))[r:r + n]
 
     def restrict(self, lo: int, hi: int) -> WindowVector:
-        return WindowVector(lo, hi, self.window(lo, hi))
+        """The values on [lo, hi), built from the window's nonzeros."""
+        return WindowVector.sparse(
+            lo, hi, {i: c for i, c in enumerate(self.window(lo, hi), lo) if c})
 
     def scale(self, s) -> "TailVector":
         s = frac(s)
@@ -188,6 +194,16 @@ class Span:
     def rows(self) -> list:
         return coordinate_rows(self.tails, self.m, self.m + self.p)
 
+    @cached_property
+    def classes(self) -> tuple:
+        """(class rows, class of each period position): the period rows
+        distinct up to sign, each sign-normalized, and for position m + j
+        the index of its row's class, None for a zero row."""
+        index = {}
+        cls = tuple(None if key is None else index.setdefault(key, len(index))
+                    for key in map(sign_normalized, self.rows))
+        return list(index), cls
+
     def sub(self, ks) -> "Span":
         tails = tuple(self.tails[k] for k in ks)
         return Span(tails, *_aligned(tails))
@@ -250,18 +266,37 @@ def pi_section_norm(span: Span, n: int) -> Fraction:
         # past every prefix the objective rows coincide with the
         # constraint rows, so the sup over the unit ball is exactly 1
         return ONE
-    objectives = coordinate_rows(span.tails, n, span.m) + span.rows
-    val, _, _ = polyhedral_max(objectives, span.rows)
+    rows, _ = span.classes
+    val, _, _ = polyhedral_max(coordinate_rows(span.tails, n, span.m) + rows, rows)
     return val
 
 
 def r_operator_inverse_norm(span: Span, n: int, n_prime: int) -> Fraction:
     """max quotient norm over {|y| <= 1 on [n, n')}; NotInvertible when the
-    restriction window is too short to pin down coefficients."""
-    # a row past one period beyond n and every prefix repeats one already read
-    end = min(n_prime, max(n, span.m) + span.p)
+    restriction window is too short to pin down coefficients.
+
+    The quotient norm of sum c_k tails_k is max |r . c| over the span's
+    class rows r.  Past the prefix, position i reads the row of class
+    cls[(i - m) mod p], and neither a repeated row nor a row's negative
+    changes the constraint set or its rank.  So the constraints are the
+    window's prefix rows and the class rows its period positions hit, at
+    most one period of positions.  When n >= m and every class is hit,
+    the constraint set is the quotient-norm ball {c : max |r . c| <= 1}:
+    each c in it has quotient norm at most 1, and any c != 0 over its
+    quotient norm, positive as the class rows have full rank, lies in it
+    with quotient norm 1.  The value is then exactly 1, and no LP runs.
+    """
+    rows, cls = span.classes
+    lo = max(n, span.m)
+    end = min(n_prime, lo + span.p)
+    r, k = (lo - span.m) % span.p, max(0, end - lo)
+    hit = set(cls[r:r + k]) | set(cls[:max(0, r + k - span.p)])
+    hit.discard(None)
+    if n >= span.m and len(hit) == len(rows):
+        return ONE
+    prefix = coordinate_rows(span.tails, n, min(end, span.m)) if n < span.m else []
     try:
-        val, _, _ = polyhedral_max(span.rows, coordinate_rows(span.tails, n, end))
+        val, _, _ = polyhedral_max(rows, prefix + [rows[c] for c in sorted(hit)])
     except UnboundedError:
         raise NotInvertibleError(
             "restriction to [%d, %d) is not injective on the span"

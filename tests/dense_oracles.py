@@ -25,6 +25,13 @@ The canonical form of a tail vector is kept as it was before one
 prefix-function pass found its period: a scan over every divisor of the
 period's length, and one rotation per absorbed prefix entry.
 
+The two tails norms are kept as they were before a span carried its
+period rows as classes up to sign: `pi_section_norm` with every period
+row as a constraint and an objective, and `r_operator_inverse_norm`
+with every period row as an objective and every row of the window, to
+one period past its start and the prefix, as a constraint, always
+through the LP.
+
 Eventual equality of two tail vectors is kept as it is defined: their
 values compared one index at a time past the larger prefix, over the lcm
 of the periods, where both repeat.
@@ -58,6 +65,7 @@ from qforge import linalg
 from qforge.errors import (
     InfeasibleError,
     NotAlmostDisjointError,
+    NotInvertibleError,
     ParameterError,
     QForgeError,
     SingularMatrixError,
@@ -65,7 +73,7 @@ from qforge.errors import (
 )
 from qforge.geometry import Subspace
 from qforge.linalg import ONE, ZERO, RMatrix, WindowVector, coordinate_rows, frac, int_row
-from qforge.simplex import _dedup_rows
+from qforge.simplex import _dedup_rows, polyhedral_max
 
 
 class DimensionCapError(QForgeError):
@@ -467,6 +475,30 @@ def tails_eq_star(f, g):
     if not tails_agree_from(f, g, m):
         return False, None
     return True, [i for i in range(m) if f.value(i) != g.value(i)]
+
+
+def pi_section_norm(span, n):
+    """The section norm with every period row of the span as a constraint
+    and as an objective, and the prefix rows of [n, m) as objectives."""
+    if n >= span.m:
+        return ONE
+    objectives = coordinate_rows(span.tails, n, span.m) + span.rows
+    val, _, _ = polyhedral_max(objectives, span.rows)
+    return val
+
+
+def r_operator_inverse_norm(span, n, n_prime):
+    """The restriction-inverse norm with every period row of the span as
+    an objective and every row of the window, to one period past n and
+    the prefix, as a constraint."""
+    end = min(n_prime, max(n, span.m) + span.p)
+    try:
+        val, _, _ = polyhedral_max(span.rows, coordinate_rows(span.tails, n, end))
+    except UnboundedError:
+        raise NotInvertibleError(
+            "restriction to [%d, %d) is not injective on the span"
+            % (n, n_prime)) from None
+    return val
 
 
 DEFAULT_DIM_CAP = 6

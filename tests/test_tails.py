@@ -306,6 +306,94 @@ class TestROperator:
         assert vals[-1] >= 1
 
 
+def _same_as_oracle(norm, oracle, *args):
+    """norm(*args) gives the oracle's value, or its NotInvertibleError."""
+    try:
+        want = oracle(*args)
+    except NotInvertibleError as e:
+        with pytest.raises(NotInvertibleError, match=re.escape(str(e))):
+            norm(*args)
+        return
+    assert norm(*args) == want
+
+
+class TestPeriodRowClasses:
+    """The norms read the span's period rows as classes up to sign; the
+    all-rows versions in dense_oracles are the reference."""
+
+    @given(st.lists(small_tails, min_size=1, max_size=3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_norms_match_the_all_rows_oracles(self, fs, data):
+        try:
+            span = check_pi_injective(fs)
+        except NotInjectiveError:
+            return
+        if data.draw(st.booleans()):
+            span = span.sub(data.draw(st.permutations(range(len(fs))).flatmap(
+                lambda ks: st.integers(1, len(ks)).map(lambda k: ks[:k]))))
+        m, p = span.m, span.p
+        # windows that start inside the prefix or past it, and cover part
+        # of a period, one period or several
+        n = data.draw(st.one_of(st.integers(0, max(0, m - 1)),
+                                st.integers(m, m + p)))
+        width = data.draw(st.one_of(st.integers(0, max(0, p - 1)), st.just(p),
+                                    st.integers(2, 3).map(lambda k: k * p),
+                                    st.integers(0, 3 * p + 2)))
+        _same_as_oracle(r_operator_inverse_norm,
+                        dense_oracles.r_operator_inverse_norm, span, n, n + width)
+        _same_as_oracle(pi_section_norm, dense_oracles.pi_section_norm,
+                        span, data.draw(st.integers(0, m + 1)))
+
+    def test_a_window_hitting_every_class_past_the_prefix_runs_no_lp(
+            self, monkeypatch):
+        # period rows (1, 1), (0, 1), (1, 0) at positions 1, 2, 3
+        span = check_pi_injective([tv([3], [1, 0, 1]), tv([], [0, 1, 1])])
+        assert (span.m, span.p) == (1, 3)
+        monkeypatch.setattr(tails, "polyhedral_max", None)
+        # one period from the prefix on, one that wraps, and several
+        for n, n_prime in ((1, 4), (2, 5), (1, 100)):
+            assert r_operator_inverse_norm(span, n, n_prime) == 1
+        # rows (1,) and (-1,) are one class, which one position hits
+        flip = check_pi_injective([tv([], [1, -1])])
+        assert flip.classes == ([(1,)], (0, 0))
+        assert r_operator_inverse_norm(flip, 1, 2) == 1
+        calls = []
+
+        def recorded(objectives, constraints):
+            calls.append(len(constraints))
+            return polyhedral_max(objectives, constraints)
+
+        monkeypatch.setattr(tails, "polyhedral_max", recorded)
+        # one position short misses the class (1, 0), or (1, 1): the LP
+        # finds |c_1| = 2 on the rest of the ball
+        assert r_operator_inverse_norm(span, 1, 3) == 2
+        assert r_operator_inverse_norm(span, 2, 4) == 2
+        assert calls == [2, 2]
+
+    def test_classes_are_built_once_per_span(self, monkeypatch):
+        span = check_pi_injective([tv([3], [0, 1]), ODDS, tv([], [0, 0, 1])])
+        sub = span.sub([2, 0])
+        built = []
+
+        def counted(vectors, lo, hi):
+            built.append((lo, hi))
+            return coordinate_rows(vectors, lo, hi)
+
+        monkeypatch.setattr(tails, "coordinate_rows", counted)
+        assert r_operator_inverse_norm(sub, 1, 7) == 1
+        classes = vars(sub)["classes"]
+        # period rows (0, 0), (1, 1), (0, 0), (0, 1), (1, 0), (0, 1)
+        assert classes == ([(1, 1), (0, 1), (1, 0)], (None, 0, None, 1, 2, 1))
+        assert r_operator_inverse_norm(sub, 2, 9) == r_operator_inverse_norm(
+            sub, 3, 40) == 1
+        with pytest.raises(NotInvertibleError):
+            r_operator_inverse_norm(sub, 1, 3)
+        assert pi_section_norm(sub, 0) == 3
+        assert vars(sub)["classes"] is classes
+        # the period rows once, then the prefix row of the section norm
+        assert built == [(1, 7), (0, 1)]
+
+
 def _ball_vertices(fs, lo, hi):
     """Vertices of {c : |sum c_k f_k(i)| <= 1 for i in [lo, hi)}."""
     return dense_oracles.vertex_enumerate(
@@ -355,7 +443,7 @@ class TestSubSpanNorms:
         monkeypatch.setattr(tails, "coordinate_rows", None)
         assert (sub.m, sub.p) == (1, 6)
         assert pi_section_norm(sub, 1) == pi_section_norm(sub, 5) == 1
-        assert "rows" not in vars(sub)
+        assert "rows" not in vars(sub) and "classes" not in vars(sub)
 
 
 # a repeated base pattern, so that short periods occur, with a stray tail
