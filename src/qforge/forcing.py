@@ -71,6 +71,7 @@ class PairedFamilies:
             check_pi_injective(vs) for vs in (self.fs, self.gs) if vs))
         object.__setattr__(self, "_by_index",
                            {i: k for k, i in enumerate(self.indices)})
+        object.__setattr__(self, "_subspans", {})
 
     def f(self, xi) -> TailVector:
         return self.fs[self._by_index[xi]]
@@ -79,9 +80,19 @@ class PairedFamilies:
         return self.gs[self._by_index[xi]]
 
     def spans(self, a) -> tuple:
-        """F- and G-subspans of a's indices in the families, or () if none."""
-        ks = [self._by_index[xi] for xi in a if xi in self._by_index]
-        return tuple(span.sub(ks) for span in self._spans) if ks else ()
+        """F- and G-subspans of a's indices in the families, or () if none.
+
+        The families never change, so the subspans of one tuple of family
+        positions are built on first use and kept: every later call with
+        that tuple returns the same objects, whose `Span` cached rows and
+        classes are then built once."""
+        ks = tuple(self._by_index[xi] for xi in a if xi in self._by_index)
+        if not ks:
+            return ()
+        spans = self._subspans.get(ks)
+        if spans is None:
+            spans = self._subspans[ks] = tuple(span.sub(ks) for span in self._spans)
+        return spans
 
     def to_json_obj(self):
         return {"indices": list(self.indices),

@@ -6,13 +6,15 @@ vertex, and we reach that vertex with one exact LP per (deduped)
 objective row instead of enumerating all vertices.  Every pipeline
 output is verified before it is returned; no bound is claimed unchecked.
 A `Subspace` keeps the private pivots that prove its basis independent,
-and its coefficient extractor reads them instead of eliminating.
+and its coefficient extractor reads them instead of eliminating; it also
+carries the column layout of its Hahn-Banach LP, built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from .config import RunConfig
@@ -37,7 +39,7 @@ from .linalg import (
     row_kernel,
     solve_exact,
 )
-from .simplex import lp_min_l1, polyhedral_max
+from .simplex import L1Layout, lp_min_l1, polyhedral_max
 
 
 def _private_pivots(basis):
@@ -106,6 +108,13 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def l1_layout(self) -> L1Layout:
+        """The column layout of the Hahn-Banach LP on the basis, built
+        once: every extension of a functional on this subspace solves
+        against it (needs dim > 0)."""
+        return L1Layout(self.basis)
 
     def basis_matrix(self) -> RMatrix:
         """Columns are the basis vectors: coefficient space -> ambient."""
@@ -242,14 +251,16 @@ def hahn_banach_extend(y: Subspace, phi_values):
 
     Returns (u, value): the l1 representer u on the ambient window with
     <u, v_k> = phi(v_k) exactly and |u|_1 equal to the dual norm of phi
-    on y (LP duality for the l1-minimal interpolant).
+    on y (LP duality for the l1-minimal interpolant).  The LP's column
+    layout is y's, built once per subspace, so the h extensions of a
+    projection group y's columns once and each solves only for its phi.
     """
     phi_values = [frac(p) for p in phi_values]
     if len(phi_values) != y.dim:
         raise ParameterError("one value per basis vector required")
     if y.dim == 0:
         return WindowVector.zero(y.lo, y.hi), ZERO
-    return lp_min_l1(y.basis, phi_values)
+    return lp_min_l1(y.l1_layout, phi_values)
 
 
 def build_projection(y: Subspace) -> RMatrix:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ParameterError, QForgeError
-from .linalg import RMatrix, WindowVector, check_int
+from .linalg import RMatrix, WindowVector
 
 
 def canonical_dumps(obj) -> str:
@@ -93,14 +93,8 @@ def rmatrix_to_json(m: RMatrix):
 
 
 def rmatrix_from_json(obj) -> RMatrix:
-    rows = {}
-    for i, j, v in obj["entries"]:
-        row = rows.setdefault(check_int(i, "row index"), {})
-        if check_int(j, "col index") in row:
-            raise ParameterError("matrix entry (%r, %r) is listed twice" % (i, j))
-        row[j] = v
-    return RMatrix(obj["row_lo"], obj["row_hi"],
-                   obj["col_lo"], obj["col_hi"], rows)
+    return RMatrix.from_entries(obj["row_lo"], obj["row_hi"],
+                                obj["col_lo"], obj["col_hi"], obj["entries"])
 
 
 def window_vector_to_json(v: WindowVector):

@@ -271,15 +271,40 @@ class RMatrix:
 
     def __init__(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int,
                  rows: dict | None = None):
+        self._read(row_lo, row_hi, col_lo, col_hi, rows or {}, True)
+
+    @staticmethod
+    def from_entries(row_lo: int, row_hi: int, col_lo: int, col_hi: int,
+                     entries) -> "RMatrix":
+        """The matrix of the (i, j, value) triples, each (i, j) listed at
+        most once.  Each index is checked once, as it is read and before
+        the repeat test, since True or 1.0 would find the row or entry of
+        1; the windows, the index ranges and the values are then checked
+        as the constructor checks them."""
+        rows = {}
+        for i, j, v in entries:
+            row = rows.setdefault(check_int(i, "row index"), {})
+            if check_int(j, "col index") in row:
+                raise ParameterError("matrix entry (%r, %r) is listed twice" % (i, j))
+            row[j] = v
+        m = object.__new__(RMatrix)
+        m._read(row_lo, row_hi, col_lo, col_hi, rows, False)
+        return m
+
+    def _read(self, row_lo, row_hi, col_lo, col_hi, rows, check_indices):
         _check_window(row_lo, row_hi)
         _check_window(col_lo, col_hi)
         clean = {}
-        for i, row in (rows or {}).items():
-            if not (row_lo <= check_int(i, "row index") < row_hi):
+        for i, row in rows.items():
+            if check_indices:
+                check_int(i, "row index")
+            if not (row_lo <= i < row_hi):
                 raise ParameterError("row index %d outside window" % i)
             nums, dens = {}, []
             for j, v in row.items():
-                if not (col_lo <= check_int(j, "col index") < col_hi):
+                if check_indices:
+                    check_int(j, "col index")
+                if not (col_lo <= j < col_hi):
                     raise ParameterError("col index %d outside window" % j)
                 nums[j], q = ratio(v)
                 dens.append(q)

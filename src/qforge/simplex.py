@@ -13,12 +13,14 @@ rhs_r / a_r across rows by cross-multiplying, since a row's denominator
 cancels from its own ratio.  So every decision, and every value, is the
 one a Fraction tableau makes.  Inputs become integer rows once, on the
 way in; the solution and the objective become Fractions once, on the way
-out.
+out.  The constraint rows of `lp_min_l1` are laid out and read once per
+`L1Layout`, which every right-hand side on the same vectors shares.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import InfeasibleError, ParameterError, UnboundedError
@@ -76,18 +78,44 @@ def _basic_values(tab, basis, ncols):
     return x
 
 
+class EqualityRows(tuple):
+    """Equality-constraint rows read once into integer rows (ints, den),
+    so that `simplex_min` can solve them for many right-hand sides without
+    reading them again."""
+
+    __slots__ = ()
+
+    def __new__(cls, a_rows):
+        return super().__new__(cls, [linalg.int_row(list(row)) for row in a_rows])
+
+
+def _with_rhs(ints, den, rhs):
+    """The integer row (ints, den) with the rational rhs appended, over
+    lcm(den, rhs's denominator): the row that `linalg.int_row` makes of
+    the rationals with rhs appended, since lcm is associative."""
+    q = rhs.denominator
+    full = lcm(den, q)
+    if full != den:
+        s = full // den
+        ints = [x * s for x in ints]
+    return ints + [rhs.numerator * (full // q)], full
+
+
 def simplex_min(cost, a_rows, b):
     """Minimize cost.x subject to (a_rows)x = b, x >= 0.
 
-    Entries are exact rationals (ints or Fractions).  Returns (x, value)
-    in Fractions.  Raises InfeasibleError / UnboundedError.
+    Entries are exact rationals (ints or Fractions); a_rows may also come
+    as `EqualityRows`, read already.  Returns (x, value) in Fractions.
+    Raises InfeasibleError / UnboundedError.
     """
+    if not isinstance(a_rows, EqualityRows):
+        a_rows = EqualityRows(a_rows)
     m = len(a_rows)
     n = len(cost)
     tab = []
     # phase 1: artificial variables n .. n+m-1
-    for r, (row, rhs) in enumerate(zip(a_rows, b)):
-        ints, den = linalg.int_row(list(row) + [rhs])
+    for r, ((ints, den), rhs) in enumerate(zip(a_rows, b)):
+        ints, den = _with_rhs(ints, den, rhs)
         if rhs < 0:
             ints = [-x for x in ints]
         artificial = [0] * m
@@ -115,45 +143,65 @@ def simplex_min(cost, a_rows, b):
     return _basic_values(tab, basis, n), val
 
 
-def lp_min_l1(vectors, rhs):
-    """Minimize ||u||_1 subject to <u, v_k> = rhs_k for each vector v_k,
-    exactly.
+class L1Layout:
+    """The constraint side of `lp_min_l1` for vectors v_1, ..., v_h on one
+    window, laid out once for any number of right-hand sides.
+
+    The column of index i is (v_1(i), ..., v_h(i)).  `kept` holds the
+    first index of each distinct nonzero column, in index order, and
+    `rows` the rows [v_k | -v_k] over the kept columns as `EqualityRows`.
+    Under Bland's rule the LP over the kept columns makes the pivots of
+    the LP over every index, mapped to the kept ones: a later copy of a
+    column has the reduced cost of its first copy, so it never enters
+    before it, and has reduced cost 0 while the first copy is basic; a
+    zero column has reduced cost 1 (0 in phase 1); the drive-out of
+    artificials takes the first nonzero entry of a row, a first copy; and
+    the ratio test breaks ties by basis index, whose order the kept
+    columns keep.  Columns equal up to sign are not merged, since the u-
+    half already holds each column's negated copy.
+    """
+
+    __slots__ = ("lo", "hi", "kept", "rows")
+
+    def __init__(self, vectors):
+        if not vectors:
+            raise ParameterError("at least one constraint vector required")
+        lo, hi = vectors[0].lo, vectors[0].hi
+        if any((v.lo, v.hi) != (lo, hi) for v in vectors):
+            raise ParameterError("constraint vector windows differ")
+        columns = {}
+        for k, v in enumerate(vectors):
+            for i, c in v.items():
+                columns.setdefault(i, []).append((k, c))
+        first = {}
+        for i in sorted(columns):
+            first.setdefault(tuple(columns[i]), i)
+        n = len(first)
+        rows = [[0] * (2 * n) for _ in vectors]
+        for j, column in enumerate(first):
+            for k, c in column:
+                rows[k][j], rows[k][n + j] = c, -c
+        self.lo, self.hi = lo, hi
+        self.kept = tuple(first.values())
+        self.rows = EqualityRows(rows)
+
+
+def lp_min_l1(layout: L1Layout, rhs):
+    """Minimize ||u||_1 subject to <u, v_k> = rhs_k for each vector v_k of
+    the layout, exactly.
 
     u lives on the vectors' common window; the split u = u+ - u- turns
-    the problem into a standard-form LP with unit costs, whose row k is
-    [v_k | -v_k] over the distinct columns of the vectors: the column of
-    index i is (v_1(i), ..., v_h(i)), and only the first index of each
-    distinct nonzero column is laid out, in index order.  Under Bland's
-    rule this makes the pivots of the LP over every index, mapped to the
-    kept ones: a later copy of a column has the reduced cost of its first
-    copy, so it never enters before it, and has reduced cost 0 while the
-    first copy is basic; a zero column has reduced cost 1 (0 in phase 1);
-    the drive-out of artificials takes the first nonzero entry of a row,
-    a first copy; and the ratio test breaks ties by basis index, whose
-    order the kept columns keep.  Columns equal up to sign are not
-    merged, since the u- half already holds each column's negated copy.
+    the problem into a standard-form LP with unit costs over the layout's
+    kept columns, whose integer rows each solve shares: phase 1 appends
+    rhs to them.
     """
-    if not vectors or len(vectors) != len(rhs):
+    if len(layout.rows) != len(rhs):
         raise ParameterError("one right-hand side per constraint vector required")
-    lo, hi = vectors[0].lo, vectors[0].hi
-    if any((v.lo, v.hi) != (lo, hi) for v in vectors):
-        raise ParameterError("constraint vector windows differ")
-    columns = {}
-    for k, v in enumerate(vectors):
-        for i, c in v.items():
-            columns.setdefault(i, []).append((k, c))
-    first = {}
-    for i in sorted(columns):
-        first.setdefault(tuple(columns[i]), i)
-    n = len(first)
-    rows = [[0] * (2 * n) for _ in vectors]
-    for j, column in enumerate(first):
-        for k, c in column:
-            rows[k][j], rows[k][n + j] = c, -c
-    x, val = simplex_min([1] * (2 * n), rows, rhs)
+    n = len(layout.kept)
+    x, val = simplex_min([1] * (2 * n), layout.rows, rhs)
     # a basic solution has no more nonzeros than there are constraints
-    u = {i: p - q for i, p, q in zip(first.values(), x, x[n:]) if p != q}
-    return WindowVector.sparse(lo, hi, u), val
+    u = {i: p - q for i, p, q in zip(layout.kept, x, x[n:]) if p != q}
+    return WindowVector.sparse(layout.lo, layout.hi, u), val
 
 
 def max_linear(objective, constraint_rows):

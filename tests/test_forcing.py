@@ -3,6 +3,7 @@ amalgamation, dense-set hitting, and full generic runs."""
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +266,33 @@ class TestCarriedProof:
         assert run.failure is None and len(run.chain) > 2
         assert verify_run(run, families)["failures"] == []
         assert len(ranks) == 2
+
+    def test_subspans_are_built_once_per_index_tuple(self, monkeypatch):
+        # spans(a) keeps the subspans of each tuple of family positions,
+        # so one forge builds a span's classes once per distinct tuple
+        families = paired(4)
+        assert families.spans((2, 0)) is families.spans([2, 99, 0])
+        assert families.spans((0, 2)) != families.spans((2, 0))
+        assert families.spans(()) == families.spans((99,)) == ()
+        built, calls = [], []
+        classes = tails.Span.classes
+
+        def counted(span):
+            built.append((span.tails, span.m, span.p))
+            return classes.func(span)
+        prop = cached_property(counted)
+        prop.__set_name__(tails.Span, "classes")
+        monkeypatch.setattr(tails.Span, "classes", prop)
+        spans = PairedFamilies.spans
+
+        def counted_spans(self, a):
+            calls.append(tuple(a))
+            return spans(self, a)
+        monkeypatch.setattr(PairedFamilies, "spans", counted_spans)
+        run = run_generic(families, config=replace(CFG, horizon=16))
+        assert run.failure is None and len(run.chain) > 2
+        assert built and len(set(built)) == len(built)
+        assert len(calls) > len(set(calls))
 
     def test_rebuilt_condition_is_validated_again(self):
         r = self.amalgamated()

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracles import dot, dual_norm, kernel_subspace
-from qforge import geometry
+from qforge import geometry, simplex
 from qforge.config import RunConfig
 from qforge.errors import (
     NormBudgetError,
@@ -181,6 +181,32 @@ class TestBuildProjection:
         y = Subspace(0, 4, (wv(1, 1, 0, 0), wv(0, 0, 1, -1)))
         with pytest.raises(NormBudgetError, match="does not fix"):
             build_projection(y)
+
+
+    def test_layout_is_built_once_per_subspace(self, monkeypatch):
+        # the h extensions of a projection solve on one column layout,
+        # each through hahn_banach_extend, and a second projection of the
+        # same subspace lays out nothing
+        built, extended = [], []
+
+        class Counted(simplex.L1Layout):
+            def __init__(self, vectors):
+                built.append(len(vectors))
+                super().__init__(vectors)
+        extend = geometry.hahn_banach_extend
+
+        def counted(y, phi):
+            extended.append(tuple(phi))
+            return extend(y, phi)
+        monkeypatch.setattr(geometry, "L1Layout", Counted)
+        monkeypatch.setattr(geometry, "hahn_banach_extend", counted)
+        y = Subspace(0, 6, (wv(1, 1, 0, 0, 1, 1), wv(0, 1, 1, 0, 0, 1),
+                            wv(1, 0, 0, -1, 1, 0)))
+        p = build_projection(y)
+        assert p.matmul(p).equals(p)
+        assert built == [3] and len(extended) == 3
+        assert build_projection(y).equals(p)
+        assert built == [3] and len(extended) == 6
 
 
 class TestComplementIso:

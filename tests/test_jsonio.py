@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qforge import linalg
 from qforge.errors import ParameterError
 from qforge.jsonio import canonical_dumps, rmatrix_from_json, rmatrix_to_json
 from qforge.linalg import RMatrix
@@ -131,3 +132,20 @@ def test_matrix_json_is_the_sorted_triples(m):
     assert obj == sorted_triples_json(m)
     assert canonical_dumps(obj) == canonical_dumps(sorted_triples_json(m))
     assert rmatrix_from_json(obj) == m
+
+
+def test_a_read_checks_each_index_once(monkeypatch):
+    # the repeat test needs each index checked as it is read, and the
+    # matrix is then built without checking the indices again
+    want = RMatrix.from_dense([[1, Fraction(2, 3)], [0, 3]])
+    seen = []
+    check_int = linalg.check_int
+
+    def counted(x, what):
+        seen.append(what)
+        return check_int(x, what)
+    monkeypatch.setattr(linalg, "check_int", counted)
+    m = rmatrix_from_json({"row_lo": 0, "row_hi": 2, "col_lo": 0, "col_hi": 2,
+                           "entries": [[0, 0, "1"], [0, 1, "2/3"], [1, 1, "3"]]})
+    assert sorted(seen) == ["col index"] * 3 + ["row index"] * 3 + ["window bound"] * 4
+    assert m == want

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dense_oracles import vertex_enumerate
 from qforge.errors import InfeasibleError, ParameterError, UnboundedError
 from qforge.linalg import RMatrix, WindowVector, frac, rank
-from qforge.simplex import lp_min_l1, max_linear, polyhedral_max, simplex_min
+from qforge.simplex import L1Layout, lp_min_l1, max_linear, polyhedral_max, simplex_min
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
@@ -86,7 +86,7 @@ def row_vectors(a):
 class TestLpMinL1:
     def test_unit_sum(self):
         a = RMatrix.from_dense([[1, 1]])
-        u, val = lp_min_l1(row_vectors(a), [1])
+        u, val = lp_min_l1(L1Layout(row_vectors(a)), [1])
         assert val == 1
         assert u.l1_norm() == 1
         assert a.apply(u).coords == (1,)
@@ -94,26 +94,26 @@ class TestLpMinL1:
     def test_infeasible(self):
         a = RMatrix.from_dense([[1], [1]])
         with pytest.raises(InfeasibleError):
-            lp_min_l1(row_vectors(a), [0, 1])
+            lp_min_l1(L1Layout(row_vectors(a)), [0, 1])
 
     def test_prefers_cheap_column(self):
         # hitting b via the second column alone costs 1/2
         a = RMatrix.from_dense([[1, 2]])
-        u, val = lp_min_l1(row_vectors(a), [1])
+        u, val = lp_min_l1(L1Layout(row_vectors(a)), [1])
         assert val == Fraction(1, 2)
         assert u.coords == (0, Fraction(1, 2))
 
     def test_empty_window_and_bad_input(self):
         # no variables: simplex_min itself answers the LP
-        u, val = lp_min_l1([WindowVector(2, 2, ())], [0])
+        u, val = lp_min_l1(L1Layout([WindowVector(2, 2, ())]), [0])
         assert (u.lo, u.hi, val) == (2, 2, 0)
         with pytest.raises(InfeasibleError):
-            lp_min_l1([WindowVector(2, 2, ())], [1])
+            lp_min_l1(L1Layout([WindowVector(2, 2, ())]), [1])
         v = WindowVector(0, 2, (1, 1))
         for vectors, rhs in (([], []), ([v], [1, 2]),
                              ([v, WindowVector(0, 3, (1, 0, 1))], [1, 1])):
             with pytest.raises(ParameterError):
-                lp_min_l1(vectors, rhs)
+                lp_min_l1(L1Layout(vectors), rhs)
 
     @given(st.lists(st.lists(st.integers(-3, 3).map(frac), min_size=3, max_size=3),
                     min_size=2, max_size=2),
@@ -123,7 +123,7 @@ class TestLpMinL1:
         # by construction b = A(seed) is feasible, so the optimum is <= |seed|_1
         a = RMatrix.from_dense(rows)
         b = a.apply(WindowVector(0, 3, tuple(seed)))
-        u, val = lp_min_l1(row_vectors(a), b.coords)
+        u, val = lp_min_l1(L1Layout(row_vectors(a)), b.coords)
         assert a.apply(u).coords == b.coords
         assert val == u.l1_norm() <= sum(abs(s) for s in seed)
 

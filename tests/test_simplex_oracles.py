@@ -8,11 +8,13 @@ the forge and amalgamate workloads: up to 8 rows, 16 to 64 columns,
 entries mostly -1, 0 and 1 with an occasional p/q, and often the l1 form
 [A | -A] with unit costs that `lp_min_l1` builds.
 
-`lp_min_l1` lays out only the distinct nonzero columns of its vectors;
-`dense_oracles` keeps it with one column per window index.  On vectors
-with repeated columns, zero columns and columns equal up to sign, both
-must give the same u, the same value and the same pivots, once each
-merged column is mapped back to the first window index that holds it.
+`lp_min_l1` solves on an `L1Layout`, which lays out only the distinct
+nonzero columns of its vectors; `dense_oracles` keeps it with one column
+per window index.  On vectors with repeated columns, zero columns and
+columns equal up to sign, both must give the same u, the same value and
+the same pivots, once each merged column is mapped back to the first
+window index that holds it, also when one layout serves several
+right-hand sides, as it does for the h extensions of a projection.
 The sign-normalized dedup of rows is held to the seen set of each row
 and its negation that it replaced.
 """
@@ -99,18 +101,20 @@ def test_max_linear_pivots_are_recorded():
     assert pivots
 
 
-def lp_outcome(module, vectors, rhs):
+def lp_outcome(module, solve):
+    """solve()'s result, or its error's type and message, and the pivots
+    that module's simplex made."""
     with recorded_pivots(module) as pivots:
         try:
-            result = module.lp_min_l1(vectors, rhs)
+            result = solve()
         except QForgeError as e:
             result = (type(e), str(e))
     return result, pivots
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_lp_min_l1_on_distinct_columns(data):
+def draw_l1_vectors(data):
+    """(vectors, their columns) on one window, with repeated columns, zero
+    columns and columns equal up to sign."""
     h = data.draw(st.integers(1, 4))
     column = st.lists(workload_entries, min_size=h, max_size=h)
     pool = data.draw(st.lists(column, min_size=1, max_size=4))
@@ -122,15 +126,25 @@ def test_lp_min_l1_on_distinct_columns(data):
     columns = [tuple(pool[p]) for p in picks]
     vectors = [WindowVector(lo, lo + n, tuple(col[k] for col in columns))
                for k in range(h)]
+    return vectors, columns
+
+
+def draw_rhs(data, columns, h):
     if data.draw(st.booleans()):
         # a right-hand side the vectors reach: <seed, v_k>
-        seed = data.draw(st.lists(workload_entries, min_size=n, max_size=n))
-        rhs = [sum((s * col[k] for s, col in zip(seed, columns)), Fraction(0))
-               for k in range(h)]
-    else:
-        rhs = data.draw(st.lists(workload_entries, min_size=h, max_size=h))
-    # the merged LP's column j is the first index holding the j-th
-    # distinct nonzero column; artificials follow both halves
+        seed = data.draw(st.lists(workload_entries, min_size=len(columns),
+                                  max_size=len(columns)))
+        return [sum((s * col[k] for s, col in zip(seed, columns)), Fraction(0))
+                for k in range(h)]
+    return data.draw(st.lists(workload_entries, min_size=h, max_size=h))
+
+
+def assert_same_lp(got, want, columns):
+    """got, from the layout's LP, is want, from the LP over every window
+    index, once each pivot column is mapped back: the merged LP's column
+    j is the first index holding the j-th distinct nonzero column, and
+    artificials follow both halves."""
+    n = len(columns)
     kept = [t for t, col in enumerate(columns) if any(col) and col not in columns[:t]]
     w = len(kept)
 
@@ -141,8 +155,7 @@ def test_lp_min_l1_on_distinct_columns(data):
             return n + kept[c - w]
         return 2 * n + c - 2 * w
 
-    got, got_pivots = lp_outcome(simplex, vectors, rhs)
-    want, want_pivots = lp_outcome(dense_oracles, vectors, rhs)
+    (got, got_pivots), (want, want_pivots) = got, want
     assert [(r, window_column(c)) for r, c in got_pivots] == want_pivots
     if isinstance(got[0], type):
         assert got == want
@@ -151,6 +164,35 @@ def test_lp_min_l1_on_distinct_columns(data):
     assert u.coords == want_u.coords
     assert value == want_value
     assert type(value) is Fraction
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lp_min_l1_on_distinct_columns(data):
+    vectors, columns = draw_l1_vectors(data)
+    rhs = draw_rhs(data, columns, len(vectors))
+    got = lp_outcome(simplex, lambda: simplex.lp_min_l1(simplex.L1Layout(vectors), rhs))
+    want = lp_outcome(dense_oracles, lambda: dense_oracles.lp_min_l1(vectors, rhs))
+    assert_same_lp(got, want, columns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_layout_solves_every_right_hand_side(data):
+    # a projection solves h LPs on one layout: each must be the LP the
+    # oracle solves afresh, and no solve may change the shared rows
+    vectors, columns = draw_l1_vectors(data)
+    h = len(vectors)
+    layout = simplex.L1Layout(vectors)
+    for _ in range(data.draw(st.integers(1, 4))):
+        rhs = draw_rhs(data, columns, h)
+        if data.draw(st.integers(0, 9)) == 0:
+            rhs = rhs + [Fraction(1)]  # one too many
+        got = lp_outcome(simplex, lambda: simplex.lp_min_l1(layout, rhs))
+        want = lp_outcome(dense_oracles, lambda: dense_oracles.lp_min_l1(vectors, rhs))
+        assert_same_lp(got, want, columns)
+    fresh = simplex.L1Layout(vectors)
+    assert (layout.kept, layout.rows) == (fresh.kept, fresh.rows)
 
 
 def test_lp_min_l1_merges_columns():
@@ -167,7 +209,7 @@ def test_lp_min_l1_merges_columns():
         return original(cost, a_rows, b)
 
     with mock.patch.object(simplex, "simplex_min", simplex_min):
-        u, value = simplex.lp_min_l1([v], [Fraction(2)])
+        u, value = simplex.lp_min_l1(simplex.L1Layout([v]), [Fraction(2)])
     assert widths == [4]
     assert (u.coords, value) == ((2, 0, 0, 0, 0), 2)
 
