@@ -26,10 +26,6 @@ class OrdinalIdx:
     def nat(n: int) -> "OrdinalIdx":
         return OrdinalIdx(0, 0, n)
 
-    @staticmethod
-    def omega(k: int = 1) -> "OrdinalIdx":
-        return OrdinalIdx(0, k, 0)
-
     def key(self):
         return (self.c2, self.c1, self.c0)
 

@@ -47,6 +47,7 @@ from .jsonio import (
     rmatrix_to_json,
     window_vector_from_json,
     window_vector_to_json,
+    write_json,
 )
 from .linalg import RMatrix, frac, op_norm_inf
 
@@ -54,10 +55,8 @@ DEFAULT_CAP_Q = 2  # build-coherent runs to w * min(2, blocks) without --cap
 
 
 def _emit(obj, out_path=None):
-    text = canonical_dumps(obj)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+    # the text is serialized once, whether or not it is also written
+    text = write_json(out_path, obj) if out_path else canonical_dumps(obj)
     sys.stdout.write(text)
     return 0 if not obj.get("failures") else 1
 

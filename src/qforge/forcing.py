@@ -84,8 +84,8 @@ class PairedFamilies:
 
         The families never change, so the subspans of one tuple of family
         positions are built on first use and kept: every later call with
-        that tuple returns the same objects, whose `Span` cached rows and
-        classes are then built once."""
+        that tuple returns the same objects, whose `Span` cached classes
+        are then built once."""
         ks = tuple(self._by_index[xi] for xi in a if xi in self._by_index)
         if not ks:
             return ()

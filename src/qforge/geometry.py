@@ -172,16 +172,6 @@ class LinMap:
     def identity(space: Subspace) -> "LinMap":
         return LinMap(space, tuple(space.basis))
 
-    def apply_coeffs(self, coeffs) -> WindowVector:
-        lo, hi = (self.images[0].lo, self.images[0].hi) if self.images else (0, 0)
-        return _combination(coeffs, self.images, lo, hi)
-
-    def apply(self, v: WindowVector) -> WindowVector:
-        coeffs = self.domain.coefficients(v)
-        if coeffs is None:
-            raise ParameterError("vector is outside the map's domain span")
-        return self.apply_coeffs(coeffs)
-
     def scale(self, s) -> "LinMap":
         if frac(s) == 1:
             return self
@@ -263,23 +253,14 @@ def hahn_banach_extend(y: Subspace, phi_values):
     return lp_min_l1(y.l1_layout, phi_values)
 
 
-def build_projection(y: Subspace) -> RMatrix:
-    """Projection of the ambient l_infty^n onto y, as an n x n matrix.
-
-    Built from norm-preserving extensions of the coefficient functionals
-    v_k -> e_k, and certified by Psi . B = I before it is returned (see
-    `_projection_parts`).
-    """
-    return _projection_parts(y)[0]
-
-
 def _projection_parts(y: Subspace):
     """(projection matrix P, h x n functional matrix Psi) with P = B . Psi
-    for the basis matrix B.  The one certificate is Psi . B = I_h: B has
-    independent columns, so it holds exactly when P fixes every basis
-    vector, and then P^2 = B (Psi B) Psi = P.  The kernel of P is the
-    joint kernel of the h rows of Psi, far cheaper to compute than a
-    dense nullspace of the full n x n matrix."""
+    for the basis matrix B, P the projection of the ambient l_infty^n
+    onto y.  The one certificate is Psi . B = I_h: B has independent
+    columns, so it holds exactly when P fixes every basis vector, and
+    then P^2 = B (Psi B) Psi = P.  The kernel of P is the joint kernel
+    of the h rows of Psi, far cheaper to compute than a dense nullspace
+    of the full n x n matrix."""
     h = y.dim
     if h == 0:
         return (RMatrix(y.lo, y.hi, y.lo, y.hi, {}),

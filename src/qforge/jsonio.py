@@ -62,9 +62,12 @@ def _dumps(obj, nl):
                          % type(obj).__name__)
 
 
-def write_json(path, obj):
+def write_json(path, obj) -> str:
+    """Write obj to path as canonical JSON; the text written."""
+    text = canonical_dumps(obj)
     with open(path, "w") as fh:
-        fh.write(canonical_dumps(obj))
+        fh.write(text)
+    return text
 
 
 def read_json(path):

@@ -260,10 +260,10 @@ class RMatrix:
     ints[j] / den, in one canonical form: den > 0, gcd(den, entries) = 1,
     no zero entry and no empty row.  Two matrices are therefore equal
     exactly when their windows and row dicts are.  Every entry a caller
-    reads (`get`, `to_dense`, `items`) is a Fraction.  The constructor
-    checks the windows and reads every entry through `ratio`, straight
-    into an integer row over the lcm of its denominators; the operations
-    build their results from canonical rows without either.
+    reads (`get`, `items`) is a Fraction.  The constructor checks the
+    windows and reads every entry through `ratio`, straight into an
+    integer row over the lcm of its denominators; the operations build
+    their results from canonical rows without either.
     Instances are never mutated.
     """
 
@@ -346,17 +346,6 @@ class RMatrix:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def from_dense(entries: Sequence[Sequence], row_lo=0, col_lo=0) -> "RMatrix":
-        entries = [list(r) for r in entries]
-        n = len(entries)
-        m = len(entries[0]) if entries else 0
-        if any(len(r) != m for r in entries):
-            raise ParameterError("ragged rows")
-        return RMatrix(row_lo, row_lo + n, col_lo, col_lo + m,
-                       {row_lo + i: {col_lo + j: v for j, v in enumerate(r)}
-                        for i, r in enumerate(entries)})
-
-    @staticmethod
     def identity(lo: int, hi: int) -> "RMatrix":
         _check_window(lo, hi)
         return _matrix(lo, hi, lo, hi, {i: ({i: 1}, 1) for i in range(lo, hi)})
@@ -409,16 +398,6 @@ class RMatrix:
         row, den = self._rows.get(i, _NO_ROW)
         x = row.get(j)
         return Fraction(x, den) if x else ZERO
-
-    def to_dense(self):
-        out = []
-        for i in range(self.row_lo, self.row_hi):
-            dense = [ZERO] * (self.col_hi - self.col_lo)
-            row, den = self._rows.get(i, _NO_ROW)
-            for j, x in row.items():
-                dense[j - self.col_lo] = Fraction(x, den)
-            out.append(dense)
-        return out
 
     def is_square(self) -> bool:
         return (self.row_lo, self.row_hi) == (self.col_lo, self.col_hi)
@@ -709,7 +688,7 @@ def kernel_basis(rows: list, lo: int, hi: int) -> list:
 
 def row_kernel(m: RMatrix) -> list:
     """Basis of the joint kernel of m's rows on its column window, the
-    vectors `kernel_basis(m.to_dense(), ...)` gives, from the columns
+    vectors `kernel_basis` gives on m's dense rows, from the columns
     that hold an entry alone."""
     cols = sorted({j for row, _ in m._rows.values() for j in row})
     tab = [([row.get(j, 0) for j in cols], den) for row, den in m._rows.values()]

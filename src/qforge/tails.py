@@ -191,17 +191,16 @@ class Span:
     p: int
 
     @cached_property
-    def rows(self) -> list:
-        return coordinate_rows(self.tails, self.m, self.m + self.p)
-
-    @cached_property
     def classes(self) -> tuple:
         """(class rows, class of each period position): the period rows
         distinct up to sign, each sign-normalized, and for position m + j
-        the index of its row's class, None for a zero row."""
+        the index of its row's class, None for a zero row.  The period
+        rows are dropped once classed: a span that a `PairedFamilies`
+        keeps would otherwise hold up to MAX_TAIL of them."""
         index = {}
+        rows = coordinate_rows(self.tails, self.m, self.m + self.p)
         cls = tuple(None if key is None else index.setdefault(key, len(index))
-                    for key in map(sign_normalized, self.rows))
+                    for key in map(sign_normalized, rows))
         return list(index), cls
 
     def sub(self, ks) -> "Span":
@@ -213,8 +212,9 @@ def check_pi_injective(fs) -> Span:
     """The span of fs, once its period rows have rank len(fs); else
     NotInjectiveError with a combination that vanishes at infinity."""
     span = Span(tuple(fs), *_aligned(fs))
-    if rank(span.rows) < len(fs):
-        witness = nullspace(span.rows, len(fs))[0]
+    rows = coordinate_rows(span.tails, span.m, span.m + span.p)
+    if rank(rows) < len(fs):
+        witness = nullspace(rows, len(fs))[0]
         raise NotInjectiveError(
             "combination with coefficients %s lies in the vanishing ideal"
             % (tuple(witness),))

@@ -50,7 +50,13 @@ denominators.
 
 The dot product of two vectors is a loop over every index their windows
 share; the library has none, and the tests check the interpolation
-conditions of Hahn-Banach extensions with it.
+conditions of Hahn-Banach extensions with it.  The image of a vector
+under a `LinMap` is its coefficients in the domain basis combined with
+the images, one index at a time; the library never needs it, and the
+tests check the witnesses of `op_norm` and `lower_bound` with it.
+`from_dense` and `to_dense` build a matrix from dense rows through the
+checked constructor and read it back through `get`, for the tests that
+state a matrix densely.
 
 Vertex enumeration of a symmetric polytope, the dual norm it gives, and
 the kernel of a dense idempotent matrix are independent oracles for the
@@ -86,6 +92,17 @@ def dot(v, w):
                 for i in range(max(v.lo, w.lo), min(v.hi, w.hi))), ZERO)
 
 
+def image(t, v):
+    """T v for the map t: v's coefficients in t's domain basis, combined
+    with t's images one index at a time."""
+    coeffs = t.domain.coefficients(v)
+    assert coeffs is not None, "v lies outside the domain span"
+    lo, hi = t.images[0].lo, t.images[0].hi
+    return WindowVector(lo, hi, tuple(
+        sum((c * w.value(i) for c, w in zip(coeffs, t.images)), ZERO)
+        for i in range(lo, hi)))
+
+
 def rref(rows):
     rows = [list(r) for r in rows]
     if not rows:
@@ -114,11 +131,24 @@ def rref(rows):
 def invert(m):
     if not m.is_square():
         raise ParameterError("invert requires a square window matrix")
-    return RMatrix.from_dense(matrix_inverse(m.to_dense()),
-                              row_lo=m.row_lo, col_lo=m.col_lo)
+    return from_dense(matrix_inverse(to_dense(m)), m.row_lo, m.col_lo)
 
 
 # -- RMatrix operations on dense Fraction lists --------------------------
+
+def from_dense(entries, row_lo=0, col_lo=0):
+    """The RMatrix of dense rows, through the checked constructor."""
+    return RMatrix(row_lo, row_lo + len(entries),
+                   col_lo, col_lo + (len(entries[0]) if entries else 0),
+                   {row_lo + i: {col_lo + j: v for j, v in enumerate(r)}
+                    for i, r in enumerate(entries)})
+
+
+def to_dense(m):
+    """m's entries as dense rows of Fractions, read through `get`."""
+    return [[m.get(i, j) for j in range(m.col_lo, m.col_hi)]
+            for i in range(m.row_lo, m.row_hi)]
+
 
 def matrix_rows(rows):
     """The canonical rows {i: ({col: int}, den)} of the {i: {j: value}}
@@ -482,8 +512,8 @@ def pi_section_norm(span, n):
     and as an objective, and the prefix rows of [n, m) as objectives."""
     if n >= span.m:
         return ONE
-    objectives = coordinate_rows(span.tails, n, span.m) + span.rows
-    val, _, _ = polyhedral_max(objectives, span.rows)
+    rows = coordinate_rows(span.tails, span.m, span.m + span.p)
+    val, _, _ = polyhedral_max(coordinate_rows(span.tails, n, span.m) + rows, rows)
     return val
 
 
@@ -493,7 +523,9 @@ def r_operator_inverse_norm(span, n, n_prime):
     the prefix, as a constraint."""
     end = min(n_prime, max(n, span.m) + span.p)
     try:
-        val, _, _ = polyhedral_max(span.rows, coordinate_rows(span.tails, n, end))
+        val, _, _ = polyhedral_max(
+            coordinate_rows(span.tails, span.m, span.m + span.p),
+            coordinate_rows(span.tails, n, end))
     except UnboundedError:
         raise NotInvertibleError(
             "restriction to [%d, %d) is not injective on the span"

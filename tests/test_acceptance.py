@@ -9,7 +9,7 @@ from itertools import combinations, product
 
 import pytest
 
-from dense_oracles import dot, dual_norm
+from dense_oracles import dot, dual_norm, from_dense
 from qforge.adf.certset import CertSet
 from qforge.adf.coherent import (
     CoherentFamily,
@@ -72,7 +72,7 @@ def test_criterion_1_operator_norm_oracle():
     for _ in range(200):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         dense = [[rand_fraction(rng) for _ in range(nc)] for _ in range(nr)]
-        m = RMatrix.from_dense(dense)
+        m = from_dense(dense)
         brute = max(
             max(abs(sum(row[j] * s[j] for j in range(nc))) for row in dense)
             for s in product((1, -1), repeat=nc))

@@ -243,7 +243,6 @@ NOT_AN_INDEX = {
     "matrix-bound": lambda: RMatrix(0, 2.5, 0, 2, {}),
     "matrix-row": lambda: RMatrix(0, 2, 0, 2, {0.5: {0: 1}}),
     "matrix-col": lambda: RMatrix(0, 2, 0, 2, {0: {True: 1}}),
-    "dense-offset": lambda: RMatrix.from_dense([[1]], row_lo=0.5),
     "identity-bound": lambda: RMatrix.identity(0, 2.0),
     "identity-inverted": lambda: RMatrix.identity(3, 1),
     "repeated-entry": lambda: rmatrix_from_json({

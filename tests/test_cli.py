@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from qforge import cli, jsonio
 from qforge.adf.families import MAX_BLOCKS, MAX_COUNT, MAX_DEPTH
 from qforge.cli import main
 from qforge.jsonio import write_json
@@ -330,3 +331,78 @@ class TestMalformedInput:
         code = main(["mad-census", "--family", str(path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: malformed family file")
+
+
+def _pair_file(tmp_path):
+    path = tmp_path / "pf.json"
+    write_json(path, {"f": {"kind": "progression", "count": 2},
+                      "g": {"kind": "progression", "count": 2}})
+    return str(path)
+
+
+def _matrix_file(tmp_path):
+    path = tmp_path / "m.json"
+    write_json(path, {"matrix": {
+        "row_lo": 0, "row_hi": 2, "col_lo": 0, "col_hi": 2,
+        "entries": [[0, 0, "1"], [0, 1, "-1/2"], [1, 1, "3"]]}})
+    return str(path)
+
+
+def _run_file(tmp_path):
+    path = tmp_path / "run.json"
+    assert main(["forge-matrix", "--families", _pair_file(tmp_path),
+                 "--horizon", "16", "--out", str(path)]) == 0
+    return str(path)
+
+
+# the argv of each command that takes --out, after its input files are made
+OUT_COMMANDS = {
+    "build-adf": lambda tmp: ["build-adf", "--kind", "branch", "--count", "4",
+                              "--depth", "3"],
+    "build-coherent": lambda tmp: ["build-coherent", "--cells", "4"],
+    "compute-op-norm": lambda tmp: ["compute", "op-norm", "--in",
+                                    _matrix_file(tmp)],
+    "forge-matrix": lambda tmp: ["forge-matrix", "--families", _pair_file(tmp),
+                                 "--horizon", "16"],
+    "verify-run": lambda tmp: ["verify-run", _run_file(tmp)],
+}
+
+
+class TestOneWriter:
+    """--out writes the printed bytes through jsonio.write_json, from the
+    one serialization that stdout prints."""
+
+    @pytest.mark.parametrize("argv", OUT_COMMANDS.values(), ids=OUT_COMMANDS)
+    def test_out_file_holds_the_printed_bytes(self, capsys, tmp_path,
+                                              monkeypatch, argv):
+        argv = argv(tmp_path)
+        capsys.readouterr()
+        dumps, write = jsonio.canonical_dumps, jsonio.write_json
+        dumped, written = [], []
+
+        def counted_dumps(obj):
+            dumped.append(obj)
+            return dumps(obj)
+
+        def counted_write(path, obj):
+            written.append(path)
+            return write(path, obj)
+        monkeypatch.setattr(jsonio, "canonical_dumps", counted_dumps)
+        monkeypatch.setattr(cli, "canonical_dumps", counted_dumps)
+        monkeypatch.setattr(cli, "write_json", counted_write)
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert printed and out.read_bytes() == printed.encode()
+        assert len(dumped) == 1 and written == [str(out)]
+
+    @pytest.mark.parametrize("argv", OUT_COMMANDS.values(), ids=OUT_COMMANDS)
+    def test_unwritable_out_is_one_io_error(self, capsys, tmp_path, argv):
+        argv = argv(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "no-such-dir" / "out.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("io error: ")
+        assert captured.err.count("\n") == 1

@@ -13,8 +13,12 @@ from qforge.adf.families import OrdinalProgressionFamily
 from qforge.adf.ordinals import OrdinalIdx
 from qforge.errors import HypothesisViolationError, ParameterError
 
-W = OrdinalIdx.omega
 N = OrdinalIdx.nat
+
+
+def W(k):
+    """omega * k."""
+    return OrdinalIdx(0, k, 0)
 
 
 def pos(q, r, j):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracles import from_dense
 from qforge import forcing, tails
 from qforge.adf.certset import CertSet
 from qforge.adf.families import FamilyGenerator, make_family
@@ -85,19 +86,19 @@ class TestValidateCondition:
 
     def test_singular_matrix_flagged(self):
         # no inverse a singular block could carry passes M * inv = I
-        p = one_block(RMatrix.from_dense([[1, 1], [1, 1]]))
+        p = one_block(from_dense([[1, 1], [1, 1]]))
         viol = validate_condition(p, PF2, CFG)
         assert any("carried inverse fails" in v for v in viol)
 
     def test_norm_violation_flagged(self):
-        p = one_block(RMatrix.from_dense([[1000]]),
-                      inv=RMatrix.from_dense([["1/1000"]]))
+        p = one_block(from_dense([[1000]]),
+                      inv=from_dense([["1/1000"]]))
         viol = validate_condition(p, PF2, CFG)
         assert any("exceeds c2" in v for v in viol)
 
     def test_bad_carried_inverse_flagged(self):
         p = one_block(RMatrix.identity(0, 2),
-                      inv=RMatrix.from_dense([[2, 0], [0, 2]]))
+                      inv=from_dense([[2, 0], [0, 2]]))
         viol = validate_condition(p, PF2, CFG)
         assert any("M * inv" in v for v in viol)
 
@@ -125,28 +126,28 @@ class TestCondLeq:
         assert ok
 
     def test_changed_stem_entry_fails(self):
-        q = one_block(RMatrix.from_dense([[1]]))
-        p = one_block(RMatrix.from_dense([[2, 0], [0, 1]]),
-                      inv=RMatrix.from_dense([["1/2", 0], [0, 1]]))
+        q = one_block(from_dense([[1]]))
+        p = one_block(from_dense([[2, 0], [0, 1]]),
+                      inv=from_dense([["1/2", 0], [0, 1]]))
         ok, wit = cond_leq(p, q, PF2)
         assert not ok and any("(ii)" in w for w in wit)
 
     def test_off_block_entry_fails(self):
-        q = one_block(RMatrix.from_dense([[1]]))
-        p = one_block(RMatrix.from_dense([[1, 1], [0, 1]]),
-                      inv=RMatrix.from_dense([[1, -1], [0, 1]]))
+        q = one_block(from_dense([[1]]))
+        p = one_block(from_dense([[1, 1], [0, 1]]),
+                      inv=from_dense([[1, -1], [0, 1]]))
         ok, wit = cond_leq(p, q, PF2)
         assert not ok and any("outside the block form" in w for w in wit)
 
     def test_dropped_index_fails(self):
-        q = one_block(RMatrix.from_dense([[1]]), (0,))
-        p = one_block(RMatrix.from_dense([[1]]))
+        q = one_block(from_dense([[1]]), (0,))
+        p = one_block(from_dense([[1]]))
         ok, wit = cond_leq(p, q, PF2)
         assert not ok and any("(iii)" in w for w in wit)
 
     def test_interpolation_failure_reports_coordinate(self):
         q = one_block(EMPTY, (0,))
-        p = one_block(RMatrix.from_dense([[1]]), (0,))
+        p = one_block(from_dense([[1]]), (0,))
         # the identity block almost never maps f_0 onto g_0 exactly
         f, g = PF1.f(0), PF1.g(0)
         expect_ok = f.value(0) == g.value(0)
@@ -158,9 +159,9 @@ class TestCondLeq:
 
 class TestAmalgamate:
     def test_distinct_stems_rejected(self):
-        p = one_block(RMatrix.from_dense([[1]]))
-        q = one_block(RMatrix.from_dense([[2]]),
-                      inv=RMatrix.from_dense([["1/2"]]))
+        p = one_block(from_dense([[1]]))
+        q = one_block(from_dense([[2]]),
+                      inv=from_dense([["1/2"]]))
         with pytest.raises(ParameterError):
             amalgamate(p, q, 0, PF2, CFG)
 

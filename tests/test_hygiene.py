@@ -1,9 +1,11 @@
 """Source hygiene: no module of the package, the tests or the scripts
-imports a name it never uses, no module of the package imports a private
-name from another, and only `linalg` reads the integer rows of a matrix
-or the nonzeros of a vector, or names `invert`: a condition carries its
-inverse, so nothing else inverts a matrix.  In `tails`, only `_aligned`
-takes the lcm of periods.  Every source file parses as Python 3.10."""
+imports a name it never uses, no module of the package, the scripts or
+the benchmark imports a private name of the package, and only `linalg`
+reads the integer rows of a matrix or the nonzeros of a vector, or names
+`invert`: a condition carries its inverse, so nothing else inverts a
+matrix.  In `tails`, only `_aligned` takes the lcm of periods.  Every
+public name of the package has a reader in the program or is on one
+list of the paper's claims.  Every source file parses as Python 3.10."""
 
 import ast
 from pathlib import Path
@@ -42,7 +44,10 @@ def private_imports(path):
 
 
 def test_no_private_imports_across_package_modules():
-    paths = sorted((ROOT / "src/qforge").rglob("*.py"))
+    # the scripts and the benchmark read the package from outside, and
+    # count as readers of its public names below
+    paths = [p for d in ("src/qforge", "scripts", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
     assert paths
     assert [u for p in paths for u in private_imports(p)] == []
 
@@ -132,3 +137,79 @@ def test_sources_parse_as_python_3_10():
     assert paths
     for p in paths:
         ast.parse(p.read_text(), str(p), feature_version=(3, 10))
+
+
+# the public names that nothing in the program reads, each a claim of the
+# paper that the tests check, or a test oracle's subject
+UNREAD_PUBLIC_NAMES = {
+    "tails.lifting_index",  # criterion 4
+    "tails.restriction_index",  # criterion 4
+    "tails.TailVector.tail_sup",  # criterion 4
+    "adf.injections.nice_ext",  # criterion 5
+    "adf.injections.verify_nice_ext",  # criterion 5
+    "adf.coherent.separator_from_embedding",  # criterion 6
+    "adf.coherent.CoherentFamily.derived_set",  # criterion 6
+    "adf.certset.CertSet.eq_star",  # criterion 6
+    "tails.eq_star",  # held by dense_oracles.tails_eq_star
+    "adf.certset.CertSet.from_progressions",  # ROADMAP item 3 decides
+}
+
+
+def public_names():
+    """{module.name: is a method} of every public function and class of
+    the package, a method named module.Class.name."""
+    out = {}
+    package = ROOT / "src/qforge"
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            out["%s.%s" % (module, node.name)] = False
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    out["%s.%s.%s" % (module, node.name, item.name)] = True
+    return out
+
+
+def benchmark_targets():
+    """module.path of every name that perfbench/tracing.py's TARGETS
+    wraps: the benchmark reads those by string."""
+    path = ROOT / "perfbench/tracing.py"
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "TARGETS"):
+            return {"%s.%s" % (t.elts[0].value, t.elts[1].value)
+                    for t in node.value.elts}
+    raise AssertionError("no TARGETS in perfbench/tracing.py")
+
+
+def unread_public_names():
+    """The public names with no reader in the program: a function or class
+    is read by a name, an attribute or an import of its name, a method by
+    an attribute of its name, and either by a benchmark target."""
+    read, attrs = set(), set()
+    for d in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    attrs.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    read.add(node.asname or node.name)
+    targets = benchmark_targets()
+    return sorted(name for name, is_method in public_names().items()
+                  if name not in targets
+                  and name.rpartition(".")[2] not in (
+                      attrs if is_method else attrs | read))
+
+
+def test_every_public_name_has_a_reader():
+    names = public_names()
+    assert "linalg.RMatrix.matmul" in names and "cli.main" in names
+    assert "linalg.invert" in benchmark_targets()
+    # a listed name that gains a reader leaves the list
+    assert unread_public_names() == sorted(UNREAD_PUBLIC_NAMES)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracles
+from dense_oracles import from_dense, to_dense
 from qforge import linalg, simplex
 from qforge.errors import QForgeError, SingularMatrixError
 from qforge.geometry import Subspace, kernel_of_functionals
@@ -52,7 +53,7 @@ def test_solve_exact(data):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: matrices(rows=n, cols=n)), st.integers(-3, 3))
 def test_invert(rows, lo):
-    m = RMatrix.from_dense(rows, row_lo=lo, col_lo=lo)
+    m = from_dense(rows, row_lo=lo, col_lo=lo)
     try:
         want = dense_oracles.invert(m)
     except SingularMatrixError as e:
@@ -117,7 +118,7 @@ def test_one_gauss_jordan_step():
     with mock.patch.object(linalg, "pivot", pivot):
         two = Fraction(2)
         for run in (lambda: rank([[two, Fraction(1)]]),
-                    lambda: invert(RMatrix.from_dense([[two]])),
+                    lambda: invert(from_dense([[two]])),
                     lambda: simplex.simplex_min([Fraction(1), Fraction(1)],
                                                 [[Fraction(1), two]], [two])):
             seen.clear()
@@ -133,13 +134,13 @@ def test_kernels_match_dense_nullspace(data):
     hi = lo + len(funcs[0])
     want = [WindowVector(lo, hi, tuple(v))
             for v in dense_oracles.nullspace(funcs, hi - lo)]
-    psi = RMatrix.from_dense(funcs, col_lo=lo)
+    psi = from_dense(funcs, col_lo=lo)
     assert list(kernel_of_functionals(psi).basis) == want
     square = funcs + [[Fraction(0)] * (hi - lo)] * (hi - lo - len(funcs))
-    p = RMatrix.from_dense(square[:hi - lo], row_lo=lo, col_lo=lo)
+    p = from_dense(square[:hi - lo], row_lo=lo, col_lo=lo)
     assert list(dense_oracles.kernel_subspace(p, lo, hi).basis) == [
         WindowVector(lo, hi, tuple(v))
-        for v in dense_oracles.nullspace(p.to_dense(), hi - lo)]
+        for v in dense_oracles.nullspace(to_dense(p), hi - lo)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -154,7 +155,7 @@ def test_kernel_of_sparse_functionals(data):
     rows = {k: {j: data.draw(entries) for j in support} for k in range(h)}
     psi = RMatrix(0, h, lo, lo + n, rows)
     want = [WindowVector(lo, lo + n, tuple(v))
-            for v in dense_oracles.nullspace(psi.to_dense(), n)]
+            for v in dense_oracles.nullspace(to_dense(psi), n)]
     basis = kernel_of_functionals(psi).basis
     assert list(basis) == want
     for v in basis:
@@ -169,7 +170,7 @@ def test_kernel_bases_have_private_pivots(data):
     # and rescaled, from their private pivots, with no elimination
     lo = data.draw(st.integers(0, 4))
     funcs = data.draw(matrices(max_rows=3, max_cols=7))
-    kernel = kernel_of_functionals(RMatrix.from_dense(funcs, col_lo=lo))
+    kernel = kernel_of_functionals(from_dense(funcs, col_lo=lo))
     if kernel.dim == 0:
         return
     order = data.draw(st.permutations(range(kernel.dim)))

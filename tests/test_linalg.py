@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracles
+from dense_oracles import from_dense, to_dense
 from qforge import linalg
 from qforge.adf.families import FamilyGenerator, make_family
 from qforge.config import RunConfig
@@ -29,10 +30,6 @@ from qforge.linalg import (
 )
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=9)
-
-
-def dense(entries, row_lo=0, col_lo=0):
-    return RMatrix.from_dense(entries, row_lo=row_lo, col_lo=col_lo)
 
 
 class TestFrac:
@@ -129,12 +126,12 @@ class TestWindowVector:
 
 class TestRMatrix:
     def test_apply_matches_dense(self):
-        m = dense([[1, 2], [0, "1/3"]])
+        m = from_dense([[1, 2], [0, "1/3"]])
         v = WindowVector(0, 2, (3, -6))
         assert m.apply(v).coords == (-9, -2)
 
     def test_matmul_identity(self):
-        m = dense([[2, 1], [5, 3]])
+        m = from_dense([[2, 1], [5, 3]])
         assert m.matmul(RMatrix.identity(0, 2)).equals(m)
         assert RMatrix.identity(0, 2).matmul(m).equals(m)
 
@@ -142,17 +139,17 @@ class TestRMatrix:
         cols = [WindowVector(1, 4, (1, 0, 2)), WindowVector(1, 4, (0, 5, 0))]
         m = RMatrix.from_columns(cols)
         assert m.window == (1, 4, 0, 2)
-        assert m.to_dense() == [[1, 0], [0, 5], [2, 0]]
+        assert to_dense(m) == [[1, 0], [0, 5], [2, 0]]
 
     def test_window_mismatch_raises(self):
         with pytest.raises(ParameterError):
-            dense([[1]]).matmul(dense([[1]], row_lo=3))
+            from_dense([[1]]).matmul(from_dense([[1]], row_lo=3))
 
     @given(st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=2, max_size=2),
            st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=2, max_size=2),
            st.lists(rationals, min_size=2, max_size=2))
     def test_matmul_associates_with_apply(self, a, b, v):
-        ma, mb = dense(a), dense(b)
+        ma, mb = from_dense(a), from_dense(b)
         w = WindowVector(0, 2, tuple(v))
         assert ma.matmul(mb).apply(w).coords == ma.apply(mb.apply(w)).coords
 
@@ -162,13 +159,13 @@ class TestOpNormInf:
         assert op_norm_inf(RMatrix.identity(0, 3)) == 1
 
     def test_row_l1_example(self):
-        assert op_norm_inf(dense([[1, -2], [0, 3]])) == 3
+        assert op_norm_inf(from_dense([[1, -2], [0, 3]])) == 3
 
     @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=4, max_size=4))
     @settings(max_examples=40)
     def test_matches_sign_vector_search(self, entries):
         # independent oracle: sup over the 2^4 extreme points of the cube
-        m = dense(entries)
+        m = from_dense(entries)
         best = max(
             max(abs(sum(r * s for r, s in zip(row, signs))) for row in entries)
             for signs in itertools.product((1, -1), repeat=4)
@@ -176,49 +173,49 @@ class TestOpNormInf:
         assert op_norm_inf(m) == best
 
     def test_submultiplicative(self):
-        a = dense([[1, 2], ["1/2", -1]])
-        b = dense([["2/3", 0], [4, 1]])
+        a = from_dense([[1, 2], ["1/2", -1]])
+        b = from_dense([["2/3", 0], [4, 1]])
         assert op_norm_inf(a.matmul(b)) <= op_norm_inf(a) * op_norm_inf(b)
 
 
 class TestInvert:
     def test_diagonal(self):
-        inv = invert(dense([[2, 0], [0, "1/3"]]))
-        assert inv.to_dense() == [[Fraction(1, 2), 0], [0, 3]]
+        inv = invert(from_dense([[2, 0], [0, "1/3"]]))
+        assert to_dense(inv) == [[Fraction(1, 2), 0], [0, 3]]
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
-            invert(dense([[1, 2], [2, 4]]))
+            invert(from_dense([[1, 2], [2, 4]]))
 
     @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3))
     @settings(max_examples=40)
     def test_product_is_identity(self, entries):
-        m = dense(entries)
+        m = from_dense(entries)
         try:
             inv = invert(m)
         except SingularMatrixError:
-            assert rank(m.to_dense()) < 3
+            assert rank(to_dense(m)) < 3
             return
         eye = RMatrix.identity(0, 3)
         assert m.matmul(inv).equals(eye)
         assert inv.matmul(m).equals(eye)
 
     def test_preserves_window(self):
-        m = dense([[5]], row_lo=10, col_lo=10)
+        m = from_dense([[5]], row_lo=10, col_lo=10)
         assert invert(m).get(10, 10) == Fraction(1, 5)
 
 
 class TestBlockCompose:
     def test_two_blocks(self):
         layout = BlockLayout((0, 2, 3))
-        a = dense([[1, 2], [3, 4]])
-        b = dense([[7]], row_lo=2, col_lo=2)
+        a = from_dense([[1, 2], [3, 4]])
+        b = from_dense([[7]], row_lo=2, col_lo=2)
         m = block_compose([a, b], layout)
-        assert m.to_dense() == [[1, 2, 0], [3, 4, 0], [0, 0, 7]]
+        assert to_dense(m) == [[1, 2, 0], [3, 4, 0], [0, 0, 7]]
 
     def test_window_mismatch(self):
         with pytest.raises(ParameterError):
-            block_compose([dense([[1]])], BlockLayout((5, 6)))
+            block_compose([from_dense([[1]])], BlockLayout((5, 6)))
 
 
 class TestDenseHelpers:
@@ -262,14 +259,14 @@ def assert_holds(m, dense, row_lo, col_lo):
     assert_canonical(m)
     assert m.window == (row_lo, row_lo + len(dense),
                         col_lo, col_lo + len(dense[0]))
-    assert m.to_dense() == dense
-    assert all(type(v) is Fraction for row in m.to_dense() for v in row)
+    assert to_dense(m) == dense
+    assert all(type(v) is Fraction for row in to_dense(m) for v in row)
     assert all(m.get(row_lo + i, col_lo + j) == v
                for i, row in enumerate(dense) for j, v in enumerate(row))
     assert list(m.items()) == [(row_lo + i, col_lo + j, v)
                                for i, row in enumerate(dense)
                                for j, v in enumerate(row) if v]
-    assert m.equals(RMatrix.from_dense(dense, row_lo=row_lo, col_lo=col_lo))
+    assert m.equals(from_dense(dense, row_lo=row_lo, col_lo=col_lo))
 
 
 class TestIntegerRowsAgainstDenseOracle:
@@ -284,9 +281,9 @@ class TestIntegerRowsAgainstDenseOracle:
         c = data.draw(dense_lists(k, p))
         s = data.draw(mixed)
         x = data.draw(st.lists(mixed, min_size=k, max_size=k))
-        ma = RMatrix.from_dense(a, row_lo=lo_r, col_lo=lo_k)
-        mb = RMatrix.from_dense(b, row_lo=lo_r, col_lo=lo_k)
-        mc = RMatrix.from_dense(c, row_lo=lo_k, col_lo=lo_c)
+        ma = from_dense(a, row_lo=lo_r, col_lo=lo_k)
+        mb = from_dense(b, row_lo=lo_r, col_lo=lo_k)
+        mc = from_dense(c, row_lo=lo_k, col_lo=lo_c)
         assert_holds(ma, a, lo_r, lo_k)
         assert_holds(ma.add(mb), dense_oracles.matrix_sum(a, b), lo_r, lo_k)
         assert_holds(ma.sub(mb), dense_oracles.matrix_sum(
@@ -305,7 +302,7 @@ class TestIntegerRowsAgainstDenseOracle:
     @given(st.integers(1, 4).flatmap(lambda n: dense_lists(n, n)),
            st.integers(-3, 3))
     def test_invert(self, a, lo):
-        m = RMatrix.from_dense(a, row_lo=lo, col_lo=lo)
+        m = from_dense(a, row_lo=lo, col_lo=lo)
         try:
             want = dense_oracles.matrix_inverse(a)
         except SingularMatrixError:
@@ -315,9 +312,9 @@ class TestIntegerRowsAgainstDenseOracle:
         assert_holds(invert(m), want, lo, lo)
 
     def test_sums_that_cancel(self):
-        half_third = dense([["1/2", "1/3"]])
-        assert_holds(half_third.matmul(dense([["2/3"], [-1]])), [[0]], 0, 0)
-        got = dense([["1/2", "1/6"]]).add(dense([["-1/2", "1/3"]]))
+        half_third = from_dense([["1/2", "1/3"]])
+        assert_holds(half_third.matmul(from_dense([["2/3"], [-1]])), [[0]], 0, 0)
+        got = from_dense([["1/2", "1/6"]]).add(from_dense([["-1/2", "1/3"]]))
         assert_holds(got, [[0, Fraction(1, 2)]], 0, 0)
         assert got._rows == {0: ({1: 1}, 2)}
         assert_holds(half_third.sub(half_third), [[0, 0]], 0, 0)
@@ -327,7 +324,7 @@ class TestIntegerRowsAgainstDenseOracle:
     @given(st.integers(1, 4).flatmap(lambda n: dense_lists(n, 3)),
            st.integers(-3, 3))
     def test_json_round_trip(self, a, lo):
-        m = RMatrix.from_dense(a, row_lo=lo, col_lo=lo + 1)
+        m = from_dense(a, row_lo=lo, col_lo=lo + 1)
         obj = rmatrix_to_json(m)
         back = rmatrix_from_json(obj)
         assert back.equals(m) and back == m

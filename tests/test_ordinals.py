@@ -11,8 +11,8 @@ ordinals = st.builds(OrdinalIdx, coeffs, coeffs, coeffs)
 
 class TestOrder:
     def test_basic_comparisons(self):
-        w = OrdinalIdx.omega()
-        assert OrdinalIdx.nat(1000) < w < w.successor() < OrdinalIdx.omega(2)
+        w = OrdinalIdx(0, 1, 0)
+        assert OrdinalIdx.nat(1000) < w < w.successor() < OrdinalIdx(0, 2, 0)
         assert OrdinalIdx(1, 0, 0) > OrdinalIdx(0, 5, 5)
 
     @given(ordinals, ordinals, ordinals)
@@ -23,13 +23,13 @@ class TestOrder:
 
 class TestStructure:
     def test_limit_and_successor(self):
-        assert OrdinalIdx.omega().is_limit()
+        assert OrdinalIdx(0, 1, 0).is_limit()
         assert OrdinalIdx(1, 0, 0).is_limit()
         assert not OrdinalIdx.nat(3).is_limit()
         assert OrdinalIdx.nat(3).is_successor()
         assert OrdinalIdx.nat(3).predecessor() == OrdinalIdx.nat(2)
         with pytest.raises(ParameterError):
-            OrdinalIdx.omega().predecessor()
+            OrdinalIdx(0, 1, 0).predecessor()
         assert not OrdinalIdx.nat(0).is_limit()
 
     @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 9))
@@ -41,7 +41,7 @@ class TestStructure:
 
 class TestFundamental:
     def test_omega_times_k(self):
-        lam = OrdinalIdx.omega(3)
+        lam = OrdinalIdx(0, 3, 0)
         seq = [lam.fundamental(n) for n in range(4)]
         assert seq == [OrdinalIdx(0, 2, n) for n in range(4)]
         assert all(a < b for a, b in zip(seq, seq[1:]))

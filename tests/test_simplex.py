@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import vertex_enumerate
+from dense_oracles import from_dense, to_dense, vertex_enumerate
 from qforge.errors import InfeasibleError, ParameterError, UnboundedError
-from qforge.linalg import RMatrix, WindowVector, frac, rank
+from qforge.linalg import WindowVector, frac, rank
 from qforge.simplex import L1Layout, lp_min_l1, max_linear, polyhedral_max, simplex_min
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -80,25 +80,25 @@ class TestSimplexMin:
 
 def row_vectors(a):
     """The rows of a as vectors on its column window."""
-    return [WindowVector(a.col_lo, a.col_hi, tuple(r)) for r in a.to_dense()]
+    return [WindowVector(a.col_lo, a.col_hi, tuple(r)) for r in to_dense(a)]
 
 
 class TestLpMinL1:
     def test_unit_sum(self):
-        a = RMatrix.from_dense([[1, 1]])
+        a = from_dense([[1, 1]])
         u, val = lp_min_l1(L1Layout(row_vectors(a)), [1])
         assert val == 1
         assert u.l1_norm() == 1
         assert a.apply(u).coords == (1,)
 
     def test_infeasible(self):
-        a = RMatrix.from_dense([[1], [1]])
+        a = from_dense([[1], [1]])
         with pytest.raises(InfeasibleError):
             lp_min_l1(L1Layout(row_vectors(a)), [0, 1])
 
     def test_prefers_cheap_column(self):
         # hitting b via the second column alone costs 1/2
-        a = RMatrix.from_dense([[1, 2]])
+        a = from_dense([[1, 2]])
         u, val = lp_min_l1(L1Layout(row_vectors(a)), [1])
         assert val == Fraction(1, 2)
         assert u.coords == (0, Fraction(1, 2))
@@ -121,7 +121,7 @@ class TestLpMinL1:
     @settings(max_examples=40, deadline=None)
     def test_achieves_target_and_beats_seed(self, rows, seed):
         # by construction b = A(seed) is feasible, so the optimum is <= |seed|_1
-        a = RMatrix.from_dense(rows)
+        a = from_dense(rows)
         b = a.apply(WindowVector(0, 3, tuple(seed)))
         u, val = lp_min_l1(L1Layout(row_vectors(a)), b.coords)
         assert a.apply(u).coords == b.coords
