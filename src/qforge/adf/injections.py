@@ -133,13 +133,6 @@ class NInjection:
                if self.value(x) != other.value(x)]
         return True, exc
 
-    def to_json_obj(self):
-        return {
-            "domain": self.domain.to_json_obj(),
-            "pieces": [[p.to_json_obj(), [m, b]] for p, (m, b) in self.pieces],
-            "patch": [[k, v] for k, v in self.patch],
-        }
-
 
 def _require(cond, number, message):
     if not cond:

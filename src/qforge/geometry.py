@@ -8,6 +8,14 @@ output is verified before it is returned; no bound is claimed unchecked.
 A `Subspace` keeps the private pivots that prove its basis independent,
 and its coefficient extractor reads them instead of eliminating; it also
 carries the column layout of its Hahn-Banach LP, built on first use.
+
+`extend_isomorphism` builds w = (B_2 - R B_1) Psi_1 + R from the
+projection functionals Psi_1 and a complement map R, one formula for
+every R.  When each Psi has exactly h nonzero columns, as in every block
+of the benchmark workloads, the complements are coordinate subspaces
+and R is the partial permutation that `complement_iso` would give, found
+without it.  Soundness rests on neither: the returned w and w^-1 are
+checked exactly, whichever R built them.
 """
 
 from __future__ import annotations
@@ -280,6 +288,11 @@ def kernel_of_functionals(psi: RMatrix) -> Subspace:
     return Subspace(psi.col_lo, psi.col_hi, tuple(row_kernel(psi)))
 
 
+def _nonzero_columns(m: RMatrix) -> set:
+    """The columns in which some row of m is nonzero."""
+    return {j for i in range(m.row_lo, m.row_hi) for j in m.columns(i)}
+
+
 def _lex_key(v: WindowVector):
     """Sort key that orders vectors on one window as their dense
     coordinate tuples compare, computed from the nonzeros alone.
@@ -378,11 +391,15 @@ def complement_iso(z1: Subspace, z2: Subspace, budget):
 
 
 def rational_sqrt_upper(x: Fraction, delta: Fraction) -> Fraction:
-    """A rational s with sqrt(x) <= s <= (1 + delta) sqrt(x), verified."""
+    """A rational s with sqrt(x) <= s <= (1 + delta) sqrt(x), verified;
+    delta > 0, since for delta <= 0 no such s exists unless sqrt(x) is
+    rational."""
     x = frac(x)
     delta = frac(delta)
     if x < 0:
         raise ParameterError("negative argument")
+    if delta <= 0:
+        raise ParameterError("delta must be positive")
     if x == 0:
         return ZERO
     p, q = x.numerator, x.denominator
@@ -417,13 +434,6 @@ def balanced_rescale(q: LinMap, delta=Fraction(1, 100)):
     return r
 
 
-def _partial_matrix(image_cols, coeff_rows, lo, hi) -> RMatrix:
-    """(columns of images) . (coefficient rows), as an n x n matrix."""
-    if not image_cols:
-        return RMatrix(lo, hi, lo, hi, {})
-    return RMatrix.from_columns(list(image_cols)).matmul(coeff_rows)
-
-
 @dataclass(frozen=True)
 class ExtensionResult:
     w: RMatrix
@@ -438,15 +448,27 @@ def extend_isomorphism(t: LinMap,
     """Extend the isomorphism t: y1 -> y2 to a verified automorphism of
     the ambient space: w = t on y1, |w|, |w^-1| <= c2, all entries
     rational, inverse returned alongside and checked by w . w^-1 = I.
+
+    w = t P_1 + R (I - P_1) for the projection P_k = B_k Psi_k onto y_k
+    and an n x n matrix R that maps ker Psi_1 isomorphically onto
+    ker Psi_2 (R' likewise back).  When Psi_1 and Psi_2 each have h
+    nonzero columns S_1, S_2, the kernels are spanned by the unit vectors
+    off them, and R sends the k-th index outside S_1 to the k-th outside
+    S_2: the isometry that complement_iso returns on those bases, which
+    balanced_rescale keeps (s = 1), so distortion_Q is 1.  Otherwise R is
+    complement_iso's map, rescaled, read through the kernel basis's
+    coefficient extractor.  The checks below run on the returned w and
+    w^-1 on either path.
     """
     config = config or RunConfig()
     y1 = t.domain
     h = y1.dim
-    n = y1.hi - y1.lo
-    if any(not (y1.lo <= i < y1.hi) for w in t.images for i in w.support()):
+    lo, hi = y1.lo, y1.hi
+    n = hi - lo
+    if any(not (lo <= i < hi) for w in t.images for i in w.support()):
         raise ParameterError("domain and image must share the ambient window")
-    t = LinMap(y1, tuple(w.restrict(y1.lo, y1.hi) for w in t.images))
-    y2 = Subspace(y1.lo, y1.hi, t.images)  # raises if images are dependent
+    t = LinMap(y1, tuple(w.restrict(lo, hi) for w in t.images))
+    y2 = Subspace(lo, hi, t.images)  # raises if images are dependent
     if h * h > config.c1 * config.c1 * n:
         raise ParameterError("subspace dimension exceeds c1 * sqrt(n)")
     report = {}
@@ -462,35 +484,42 @@ def extend_isomorphism(t: LinMap,
     p2, psi2 = _projection_parts(y2)
     report["norm_P1"] = op_norm_inf(p1)
     report["norm_P2"] = op_norm_inf(p2)
-    eye = RMatrix.identity(y1.lo, y1.hi)
-    # ker P = ker(B Psi) = ker Psi: h functionals instead of an n x n
-    # elimination
-    z1 = kernel_of_functionals(psi1)
-    z2 = kernel_of_functionals(psi2)
-    if z1.dim == 0:
-        r = LinMap(z1, ())
+    # R is n x n and agrees on ker Psi_1 with an isomorphism onto
+    # ker Psi_2, R' with its inverse; both are 0 on the other side
+    cols1, cols2 = _nonzero_columns(psi1), _nonzero_columns(psi2)
+    if len(cols1) == len(cols2) == h:
+        # Psi has rank h, so ker Psi is spanned by the unit vectors off its
+        # h columns: R matches them in index order, as complement_iso would
+        free1 = [f for f in range(lo, hi) if f not in cols1]
+        free2 = [f for f in range(lo, hi) if f not in cols2]
+        if free1:
+            report["distortion_Q"] = ONE
+        r_mat = RMatrix(lo, hi, lo, hi, {g: {f: 1} for f, g in zip(free1, free2)})
+        r_inv = RMatrix(lo, hi, lo, hi, {f: {g: 1} for f, g in zip(free1, free2)})
     else:
+        # ker P = ker(B Psi) = ker Psi: h functionals instead of an n x n
+        # elimination
+        z1 = kernel_of_functionals(psi1)
+        z2 = kernel_of_functionals(psi2)
         q = complement_iso(z1, z2, config.rho)
         report["distortion_Q"] = q.norm() / q.lower()
         r = balanced_rescale(q, config.delta)
+        r_mat = RMatrix.from_columns(list(r.images)).matmul(
+            r.domain.coefficient_extractor())
+        r_inv = RMatrix.from_columns(list(r.domain.basis)).matmul(
+            Subspace(lo, hi, tuple(r.images)).coefficient_extractor())
 
-    # w = t . P_{y1} + r . P_{z1} with P_{z1} = I - P_{y1}; y1's
-    # coefficient extractor E has E B = I, so E P_{y1} = E B Psi_1 = Psi_1
-    extz1 = r.domain.coefficient_extractor()
-    w = _partial_matrix(t.images, psi1, y1.lo, y1.hi).add(
-        _partial_matrix(r.images, extz1.matmul(eye.sub(p1)), y1.lo, y1.hi))
-
-    # w^-1 = t^-1 . P_{y2} + r^-1 . P_{z2}, built symbolically
-    ext_rz = Subspace(y1.lo, y1.hi, tuple(r.images)).coefficient_extractor()
-    w_inv = _partial_matrix(y1.basis, psi2, y1.lo, y1.hi).add(
-        _partial_matrix(r.domain.basis, ext_rz.matmul(eye.sub(p2)),
-                        y1.lo, y1.hi))
+    # w = t P_1 + R (I - P_1) with P_1 = B_1 Psi_1 and t = B_2 on
+    # coefficients, so w = (B_2 - R B_1) Psi_1 + R; w^-1 the same way
+    b1, b2 = y1.basis_matrix(), y2.basis_matrix()
+    w = b2.sub(r_mat.matmul(b1)).matmul(psi1).add(r_mat)
+    w_inv = b1.sub(r_inv.matmul(b2)).matmul(psi2).add(r_inv)
 
     # w and w^-1 are square exact matrices, so w w^-1 = I gives w^-1 w = I
-    if not w.matmul(w_inv).equals(eye):
+    if not w.matmul(w_inv).equals(RMatrix.identity(lo, hi)):
         raise NormBudgetError("extension inverse verification failed")
     for v, img in zip(y1.basis, t.images):
-        if w.apply(v) != img.restrict(y1.lo, y1.hi):
+        if w.apply(v) != img:
             raise NormBudgetError("extension does not agree with t on the basis")
     norm_w = op_norm_inf(w)
     norm_w_inv = op_norm_inf(w_inv)

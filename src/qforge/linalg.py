@@ -198,9 +198,6 @@ class WindowVector:
         return _vector(min(self.lo, other.lo), max(self.hi, other.hi),
                        dict(sorted(nz.items())))
 
-    def sub(self, other: "WindowVector") -> "WindowVector":
-        return self.add(other.scale(-1))
-
     def is_zero(self) -> bool:
         return not self._nz
 

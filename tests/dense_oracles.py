@@ -58,6 +58,13 @@ tests check the witnesses of `op_norm` and `lower_bound` with it.
 checked constructor and read it back through `get`, for the tests that
 state a matrix densely.
 
+`extend_isomorphism` is kept as it was before it read coordinate
+complements off the projection functionals and built w by one factored
+formula: both kernels through `kernel_of_functionals`, matched by
+`complement_iso` and rescaled by `balanced_rescale`, then
+w = T Psi_1 + Q E_1 (I - P_1) and w^-1 = B_1 Psi_2 + Q' E_2 (I - P_2) with
+the n x n matrices I - P_k formed.
+
 Vertex enumeration of a symmetric polytope, the dual norm it gives, and
 the kernel of a dense idempotent matrix are independent oracles for the
 simplex-based norms and the functional kernels of `geometry`; the
@@ -70,6 +77,7 @@ from math import lcm
 from qforge import linalg
 from qforge.errors import (
     InfeasibleError,
+    NormBudgetError,
     NotAlmostDisjointError,
     NotInvertibleError,
     ParameterError,
@@ -77,8 +85,25 @@ from qforge.errors import (
     SingularMatrixError,
     UnboundedError,
 )
-from qforge.geometry import Subspace
-from qforge.linalg import ONE, ZERO, RMatrix, WindowVector, coordinate_rows, frac, int_row
+from qforge.geometry import (
+    ExtensionResult,
+    LinMap,
+    Subspace,
+    _projection_parts,
+    balanced_rescale,
+    complement_iso,
+    kernel_of_functionals,
+)
+from qforge.linalg import (
+    ONE,
+    ZERO,
+    RMatrix,
+    WindowVector,
+    coordinate_rows,
+    frac,
+    int_row,
+    op_norm_inf,
+)
 from qforge.simplex import _dedup_rows, polyhedral_max
 
 
@@ -589,3 +614,62 @@ def kernel_subspace(p, lo, hi):
     """Kernel of an idempotent matrix p on [lo, hi), as a Subspace."""
     rows = [[p.get(i, j) for j in range(lo, hi)] for i in range(lo, hi)]
     return Subspace(lo, hi, tuple(linalg.kernel_basis(rows, lo, hi)))
+
+
+def _partial_matrix(image_cols, coeff_rows, lo, hi):
+    """(columns of images) . (coefficient rows), as an n x n matrix."""
+    if not image_cols:
+        return RMatrix(lo, hi, lo, hi, {})
+    return RMatrix.from_columns(list(image_cols)).matmul(coeff_rows)
+
+
+def extend_isomorphism(t, config):
+    """`geometry.extend_isomorphism` through the complement search on
+    every instance, with I - P_1 and I - P_2 formed."""
+    y1 = t.domain
+    h = y1.dim
+    n = y1.hi - y1.lo
+    if any(not (y1.lo <= i < y1.hi) for w in t.images for i in w.support()):
+        raise ParameterError("domain and image must share the ambient window")
+    t = LinMap(y1, tuple(w.restrict(y1.lo, y1.hi) for w in t.images))
+    y2 = Subspace(y1.lo, y1.hi, t.images)
+    if h * h > config.c1 * config.c1 * n:
+        raise ParameterError("subspace dimension exceeds c1 * sqrt(n)")
+    report = {}
+    up, low = t.norm(), t.lower()
+    if low == 0:
+        raise SingularMatrixError("map has a kernel; distortion is infinite")
+    report["distortion_T"] = up / low
+    if up >= config.rho or ONE / low >= config.rho:
+        raise NormBudgetError("T norms must stay below rho", measured=(up, ONE / low))
+    p1, psi1 = _projection_parts(y1)
+    p2, psi2 = _projection_parts(y2)
+    report["norm_P1"] = op_norm_inf(p1)
+    report["norm_P2"] = op_norm_inf(p2)
+    eye = RMatrix.identity(y1.lo, y1.hi)
+    z1 = kernel_of_functionals(psi1)
+    z2 = kernel_of_functionals(psi2)
+    if z1.dim == 0:
+        r = LinMap(z1, ())
+    else:
+        q = complement_iso(z1, z2, config.rho)
+        report["distortion_Q"] = q.norm() / q.lower()
+        r = balanced_rescale(q, config.delta)
+    extz1 = r.domain.coefficient_extractor()
+    w = _partial_matrix(t.images, psi1, y1.lo, y1.hi).add(
+        _partial_matrix(r.images, extz1.matmul(eye.sub(p1)), y1.lo, y1.hi))
+    ext_rz = Subspace(y1.lo, y1.hi, tuple(r.images)).coefficient_extractor()
+    w_inv = _partial_matrix(y1.basis, psi2, y1.lo, y1.hi).add(
+        _partial_matrix(r.domain.basis, ext_rz.matmul(eye.sub(p2)),
+                        y1.lo, y1.hi))
+    if not w.matmul(w_inv).equals(eye):
+        raise NormBudgetError("extension inverse verification failed")
+    for v, img in zip(y1.basis, t.images):
+        if w.apply(v) != img:
+            raise NormBudgetError("extension does not agree with t on the basis")
+    norm_w = op_norm_inf(w)
+    norm_w_inv = op_norm_inf(w_inv)
+    if norm_w > config.c2 or norm_w_inv > config.c2:
+        raise NormBudgetError("extension norm exceeds c2",
+                              measured=(norm_w, norm_w_inv))
+    return ExtensionResult(w, w_inv, norm_w, norm_w_inv, report)

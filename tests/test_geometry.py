@@ -242,6 +242,17 @@ class TestBalancedRescale:
             assert s * s >= x
             assert s * s <= (1 + d) ** 2 * x
 
+    def test_delta_must_be_positive(self):
+        # for delta <= 0 only sqrt(x) itself would do, and the search for
+        # it never ends when sqrt(x) is irrational
+        for d in (Fraction(0), Fraction(-1, 100)):
+            with pytest.raises(ParameterError, match="delta"):
+                rational_sqrt_upper(Fraction(2), d)
+        z = Subspace(0, 2, (wv(1, 0), wv(0, 1)))
+        q = LinMap(z, (wv(2, 0), wv(0, 1)))  # s^2 = 1/2
+        with pytest.raises(ParameterError, match="delta"):
+            balanced_rescale(q, delta=0)
+
     def test_scalar_case(self):
         z = Subspace(0, 2, (wv(1, 0), wv(0, 1)))
         q = LinMap(z, (wv(4, 0), wv(0, 4)))

@@ -48,9 +48,6 @@ class DenseVector:
         return DenseVector(lo, hi, tuple(self.value(i) + other.value(i)
                                          for i in range(lo, hi)))
 
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
     def is_zero(self):
         return all(c == 0 for c in self.coords)
 
@@ -96,7 +93,6 @@ def test_operations_match_dense(a, b, window, s):
     assert same(v.scale(s), dv.scale(s))
     assert same(v.scale(0), dv.scale(0)) and v.scale(0).is_zero()
     assert same(v.add(w), dv.add(dw))
-    assert same(v.sub(w), dv.sub(dw))
     assert dot(v, w) == dot(dv, dw) == dot(w, v)
 
 
@@ -110,8 +106,8 @@ def test_equality_and_hash_match_dense(a, b):
     twin = WindowVector.sparse(v.lo, v.hi, {i: c for i, c in v.items()})
     assert twin == v and hash(twin) == hash(v)
     assert v.add(WindowVector.zero(v.lo, v.hi)) == v
-    assert v.sub(v) == WindowVector.zero(v.lo, v.hi)
-    assert hash(v.sub(v)) == hash(WindowVector.zero(v.lo, v.hi))
+    assert v.add(v.scale(-1)) == WindowVector.zero(v.lo, v.hi)
+    assert hash(v.add(v.scale(-1))) == hash(WindowVector.zero(v.lo, v.hi))
     assert v != dv
 
 
