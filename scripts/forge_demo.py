@@ -25,9 +25,10 @@ def main():
     run = run_generic(families, config=config)
     report = verify_run(run, families, config)
 
-    print("committed indices :", list(run.final.a))
-    print("chain stages      :", [c.n for c in run.chain])
-    print("block layout      :", run.final.cuts)
+    stages = [n for n, _ in run.stages]
+    print("committed indices :", list(run.stages[-1][1]))
+    print("chain stages      :", stages)
+    print("block layout      :", tuple(stages))
     print("matrix norm       :", report["details"]["matrix_norm"])
     print("verifier failures :", report["failures"] or "none")
 

@@ -119,6 +119,11 @@ def paired_from_certsets(f_sets, g_sets) -> PairedFamilies:
         tuple(s.indicator_tail() for s in g_sets))
 
 
+def _committed(a) -> tuple:
+    """Committed indices as a condition holds them: ints, sorted, once each."""
+    return tuple(sorted(set(check_int(xi, "index") for xi in a)))
+
+
 @dataclass(frozen=True)
 class Condition:
     n: int
@@ -133,8 +138,7 @@ class Condition:
                                  compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(sorted(set(
-            check_int(xi, "index") for xi in self.a))))
+        object.__setattr__(self, "a", _committed(self.a))
         object.__setattr__(self, "cuts", tuple(self.cuts))
 
     @staticmethod
@@ -358,65 +362,65 @@ def default_schedule(families: PairedFamilies, horizon: int):
 
 @dataclass(frozen=True)
 class GenericRun:
-    chain: tuple               # decreasing sequence of conditions
+    """A run as its file stores it: the stage n and committed indices a of
+    each condition of the chain, and the final matrix with its inverse,
+    whose restriction to [0, n)^2 is the matrix of the condition at n."""
+
+    stages: tuple              # (n, a) per condition, n increasing
     hit_log: tuple             # (kind, param, chain index after the hit)
     config: RunConfig          # its horizon is the run's one horizon
+    m: RMatrix                 # the final matrix on [0, n_K)^2
+    inv: RMatrix               # its inverse, block by block
     failure: str | None = None
-
-    @property
-    def final(self) -> Condition:
-        return self.chain[-1]
 
     def to_json_obj(self):
         """The final matrix once; per condition, what its block adds."""
-        lows = [0] + [c.n for c in self.chain]
+        lows = [0] + [n for n, _ in self.stages]
         return {
-            "chain": [{"n": c.n, "a": list(c.a),
-                       "inv": rmatrix_to_json(c.inv.block(lo, c.n))}
-                for lo, c in zip(lows, self.chain)],
+            "chain": [{"n": n, "a": list(a),
+                       "inv": rmatrix_to_json(self.inv.block(lo, n))}
+                      for lo, (n, a) in zip(lows, self.stages)],
             "hit_log": [[k, v, i] for k, v, i in self.hit_log],
             "config": self.config.to_json_obj(),
             "failure": self.failure,
-            "matrix": rmatrix_to_json(self.final.m),
+            "matrix": rmatrix_to_json(self.m),
         }
 
     @staticmethod
     def from_json_obj(obj) -> "GenericRun":
-        """Condition k: the matrix on [0, n_k)^2 and block inverses 0..k.
+        """The stages, the matrix on [0, n_K)^2 and its inverse composed
+        from the block inverses; each a read as a Condition reads it.
         No run passes horizon + search_cap <= 9 * MAX_HORIZON, so a file
         outside these bounds, or whose config is not a RunConfig, is
         rejected before any matrix is built."""
         config = RunConfig.from_json_obj(obj["config"])
         if not obj["chain"]:
             raise ParameterError("a run's chain holds at least one condition")
-        stages = tuple(check_int(c["n"], "chain stage") for c in obj["chain"])
-        if max(stages) > 9 * MAX_HORIZON:
+        ns = tuple(check_int(c["n"], "chain stage") for c in obj["chain"])
+        if max(ns) > 9 * MAX_HORIZON:
             raise ParameterError("chain stage %d exceeds 9 * %d"
-                                 % (max(stages), MAX_HORIZON))
+                                 % (max(ns), MAX_HORIZON))
         binvs = [rmatrix_from_json(c["inv"]) for c in obj["chain"]]
-        if stages[0] != 0 or binvs[0].window != (0, 0, 0, 0):
+        if ns[0] != 0 or binvs[0].window != (0, 0, 0, 0):
             raise ParameterError("a run's chain starts at the empty stage 0")
         matrix = rmatrix_from_json(obj["matrix"])
-        if matrix.window != (0, stages[-1], 0, stages[-1]):
-            raise ParameterError("matrix window is not [0, %d)^2" % stages[-1])
-        inv = block_compose(binvs[1:], BlockLayout(stages))
-        chain = tuple(
-            Condition(n, matrix.block(0, n), tuple(c["a"]), stages[:k + 1],
-                      inv.block(0, n))
-            for k, (n, c) in enumerate(zip(stages, obj["chain"])))
+        if matrix.window != (0, ns[-1], 0, ns[-1]):
+            raise ParameterError("matrix window is not [0, %d)^2" % ns[-1])
+        inv = block_compose(binvs[1:], BlockLayout(ns))
+        stages = tuple((n, _committed(c["a"])) for n, c in zip(ns, obj["chain"]))
         return GenericRun(
-            chain, tuple((k, check_int(v, "hit parameter"), check_int(i, "chain index"))
-                         for k, v, i in obj["hit_log"]), config,
-            obj["failure"])
+            stages, tuple((k, check_int(v, "hit parameter"), check_int(i, "chain index"))
+                          for k, v, i in obj["hit_log"]), config,
+            matrix, inv, obj["failure"])
 
 
-def _entry_stages(chain) -> dict:
+def _entry_stages(stages) -> dict:
     """xi -> the stage of the condition before the first committing xi."""
     entry, prev = {}, 0
-    for c in chain:
-        for xi in c.a:
+    for n, a in stages:
+        for xi in a:
             entry.setdefault(xi, prev)
-        prev = c.n
+        prev = n
     return entry
 
 
@@ -443,7 +447,9 @@ def run_generic(families: PairedFamilies,
         if r is not p:
             chain.append(r)
         log.append((kind, param, len(chain) - 1))
-    return GenericRun(tuple(chain), tuple(log), config, failure)
+    final = chain[-1]
+    return GenericRun(tuple((c.n, c.a) for c in chain), tuple(log), config,
+                      final.m, final.inv, failure)
 
 
 def _hit_log_failures(run: GenericRun, families: PairedFamilies,
@@ -457,8 +463,8 @@ def _hit_log_failures(run: GenericRun, families: PairedFamilies,
         if schedule[k:k + 1] != ((kind, param),):
             return out + ["hit %d: (%s, %s) where the schedule has %s"
                           % (k, kind, param, list(schedule[k:k + 1]))]
-        c = run.chain[i] if 0 <= i < len(run.chain) else None
-        if c is None or (param not in c.a if kind == "E" else c.n < param):
+        n, a = run.stages[i] if 0 <= i < len(run.stages) else (None, None)
+        if n is None or (param not in a if kind == "E" else n < param):
             out.append("hit %d: chain condition %s misses (%s, %s)"
                        % (k, i, kind, param))
     if len(run.hit_log) < len(schedule) and not run.failure:
@@ -478,31 +484,30 @@ def verify_run(run: GenericRun, families: PairedFamilies,
         failures.append("run aborted: %s" % run.failure)
 
     # (1) condition k adds the block [n_{k-1}, n_k) and commits a_k there
-    final = run.final
     matrix_norm = Fraction(0)
     lo, prev_a = 0, ()
-    for c in run.chain:
-        if not set(prev_a) <= set(c.a):
+    for n, a in run.stages:
+        if not set(prev_a) <= set(a):
             failures.append("block [%d, %d): (iii) committed indices were "
-                            "dropped" % (lo, c.n))
-        found, norm, inv_norm = _check_block(final.m, final.inv, lo, c.n,
-                                             c.a, families, config.c2)
+                            "dropped" % (lo, n))
+        found, norm, inv_norm = _check_block(run.m, run.inv, lo, n, a,
+                                             families, config.c2)
         failures += found
         matrix_norm = max(matrix_norm, norm)
         # the first condition adds the empty block
-        if c.n > lo:
-            details["blocks"].append({"lo": lo, "hi": c.n, "norm": str(norm),
+        if n > lo:
+            details["blocks"].append({"lo": lo, "hi": n, "norm": str(norm),
                                       "inv_norm": str(inv_norm)})
-        lo, prev_a = c.n, c.a
+        lo, prev_a = n, a
     details["matrix_norm"] = str(matrix_norm)
 
     # (2) every index is committed, so by (1) it interpolates from its
     # entry stage, derived from the chain, to the final stage
-    n_end = final.n
+    n_end = run.stages[-1][0]
     if n_end < config.horizon:
         failures.append("final stage %d below the horizon %d"
                         % (n_end, config.horizon))
-    entry = _entry_stages(run.chain)
+    entry = _entry_stages(run.stages)
     for xi in families.indices:
         if xi not in entry:
             failures.append("index %s never committed" % (xi,))
@@ -521,4 +526,4 @@ def verify_run(run: GenericRun, families: PairedFamilies,
 
     return {"failures": failures, "details": details,
             "config": config.to_json_obj(),
-            "stages": [c.n for c in run.chain]}
+            "stages": [n for n, _ in run.stages]}

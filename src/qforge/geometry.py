@@ -7,7 +7,8 @@ objective row instead of enumerating all vertices.  Every pipeline
 output is verified before it is returned; no bound is claimed unchecked.
 A `Subspace` keeps the private pivots that prove its basis independent,
 and its coefficient extractor reads them instead of eliminating; it also
-carries the column layout of its Hahn-Banach LP, built on first use.
+carries its basis matrix and the column layout of its Hahn-Banach LP,
+each built on first use.
 
 `extend_isomorphism` builds w = (B_2 - R B_1) Psi_1 + R from the
 projection functionals Psi_1 and a complement map R, one formula for
@@ -15,7 +16,8 @@ every R.  When each Psi has exactly h nonzero columns, as in every block
 of the benchmark workloads, the complements are coordinate subspaces
 and R is the partial permutation that `complement_iso` would give, found
 without it.  Soundness rests on neither: the returned w and w^-1 are
-checked exactly, whichever R built them.
+checked exactly, whichever R built them, and w = t on the basis as the
+one product w B_1 = B_2.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .linalg import (
     op_norm_inf,
     rank,
     row_kernel,
-    solve_exact,
 )
 from .simplex import L1Layout, lp_min_l1, polyhedral_max
 
@@ -124,22 +125,15 @@ class Subspace:
         against it (needs dim > 0)."""
         return L1Layout(self.basis)
 
+    @cached_property
     def basis_matrix(self) -> RMatrix:
-        """Columns are the basis vectors: coefficient space -> ambient."""
+        """Columns are the basis vectors: coefficient space -> ambient,
+        built once: the projection's certificate and the extension
+        formula read the same matrix (needs dim > 0)."""
         return RMatrix.from_columns(list(self.basis))
 
     def combine(self, coeffs) -> WindowVector:
         return _combination(coeffs, self.basis, self.lo, self.hi)
-
-    def coefficients(self, v: WindowVector):
-        """Coefficients of v in the basis, or None if v is outside the span."""
-        if any(not self.lo <= i < self.hi for i, _ in v.items()):
-            return None
-        return solve_exact(coordinate_rows(self.basis, self.lo, self.hi),
-                           v.window(self.lo, self.hi))
-
-    def contains(self, v: WindowVector) -> bool:
-        return self.coefficients(v) is not None
 
     def coefficient_extractor(self) -> RMatrix:
         """A dim x n matrix E with E v = coefficients for every v in the
@@ -175,10 +169,6 @@ class LinMap:
             if len(lohi) > 1:
                 raise ParameterError("image windows differ")
         object.__setattr__(self, "images", images)
-
-    @staticmethod
-    def identity(space: Subspace) -> "LinMap":
-        return LinMap(space, tuple(space.basis))
 
     def scale(self, s) -> "LinMap":
         if frac(s) == 1:
@@ -277,7 +267,7 @@ def _projection_parts(y: Subspace):
     psi = RMatrix.from_rows_vectors([
         hahn_banach_extend(y, [ONE if k == j else ZERO for k in range(h)])[0]
         for j in range(h)])
-    b = y.basis_matrix()
+    b = y.basis_matrix
     if not psi.matmul(b).equals(RMatrix.identity(0, h)):
         raise NormBudgetError("projection does not fix the subspace")
     return b.matmul(psi), psi
@@ -320,24 +310,20 @@ def _verified(q: LinMap, budget):
 def complement_iso(z1: Subspace, z2: Subspace, budget):
     """A verified isomorphism q: z1 -> z2 with |q| |q^-1| <= budget^2.
 
-    Deterministic staged search: (0) equal spans -> identity; (1)
+    Deterministic staged search on the bases in canonical order: (1)
     disjointly supported bases -> sup-ratio matching, an exact isometry;
     (2) greedy sign-pattern matching of normalized bases; (3) exhaustive
     scaled bijections at small dimension.  Every candidate is verified
-    exactly before acceptance.
+    exactly before acceptance.  Equal spans need no stage of their own:
+    `extend_isomorphism` passes kernel bases read off a unique rref, so
+    equal kernels come as equal bases, on which stage 1 or stage 2 (each
+    vector matches itself first) returns the identity.
     """
     budget = frac(budget)
     if z1.dim != z2.dim:
         raise ParameterError("complement dimensions differ")
     if z1.dim == 0:
         return LinMap(z1, ())
-
-    # stage 0: identical spans (containment solves a dense system per
-    # vector, so only attempt it at small dimension)
-    if z1.dim <= 12 and all(z2.contains(v) for v in z1.basis):
-        q = _verified(LinMap.identity(z1), budget)
-        if q is not None:
-            return q
 
     b1 = _canonical_basis_order(z1.basis)
     b2 = _canonical_basis_order(z2.basis)
@@ -511,16 +497,17 @@ def extend_isomorphism(t: LinMap,
 
     # w = t P_1 + R (I - P_1) with P_1 = B_1 Psi_1 and t = B_2 on
     # coefficients, so w = (B_2 - R B_1) Psi_1 + R; w^-1 the same way
-    b1, b2 = y1.basis_matrix(), y2.basis_matrix()
+    b1, b2 = y1.basis_matrix, y2.basis_matrix
     w = b2.sub(r_mat.matmul(b1)).matmul(psi1).add(r_mat)
     w_inv = b1.sub(r_inv.matmul(b2)).matmul(psi2).add(r_inv)
 
     # w and w^-1 are square exact matrices, so w w^-1 = I gives w^-1 w = I
     if not w.matmul(w_inv).equals(RMatrix.identity(lo, hi)):
         raise NormBudgetError("extension inverse verification failed")
-    for v, img in zip(y1.basis, t.images):
-        if w.apply(v) != img:
-            raise NormBudgetError("extension does not agree with t on the basis")
+    # column k of w B_1 is w v_k and column k of B_2 is t(v_k); rows are
+    # canonical, so equals is exact
+    if not w.matmul(b1).equals(b2):
+        raise NormBudgetError("extension does not agree with t on the basis")
     norm_w = op_norm_inf(w)
     norm_w_inv = op_norm_inf(w_inv)
     if norm_w > config.c2 or norm_w_inv > config.c2:

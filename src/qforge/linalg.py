@@ -641,14 +641,8 @@ def _echelon(tab) -> list:
     return pivots
 
 
-def _reduce(rows) -> tuple:
-    """(integer rows of the rref of rows, pivot columns)."""
-    tab = [int_row(row) for row in rows]
-    return tab, _echelon(tab)
-
-
 def rank(rows) -> int:
-    return len(_reduce(rows)[1])
+    return len(_echelon([int_row(row) for row in rows]))
 
 
 def _kernel(tab, cols, lo: int, hi: int) -> list:
@@ -695,17 +689,3 @@ def row_kernel(m: RMatrix) -> list:
 def nullspace(rows: list, ncols: int) -> list:
     """Basis (list of Fraction lists) of the nullspace of the row system."""
     return [list(v.coords) for v in kernel_basis(rows, 0, ncols)]
-
-
-def solve_exact(rows: list, rhs: list):
-    """One exact solution of the row system (rows)x = rhs, or None."""
-    if not rows:
-        return [] if all(v == 0 for v in rhs) else None
-    ncols = len(rows[0])
-    tab, pivots = _reduce([list(r) + [b] for r, b in zip(rows, rhs)])
-    if ncols in pivots:  # a row reads 0 = nonzero
-        return None
-    sol = [ZERO] * ncols
-    for (row, den), p in zip(tab, pivots):
-        sol[p] = Fraction(row[ncols], den)
-    return sol

@@ -50,10 +50,13 @@ denominators.
 
 The dot product of two vectors is a loop over every index their windows
 share; the library has none, and the tests check the interpolation
-conditions of Hahn-Banach extensions with it.  The image of a vector
-under a `LinMap` is its coefficients in the domain basis combined with
-the images, one index at a time; the library never needs it, and the
-tests check the witnesses of `op_norm` and `lower_bound` with it.
+conditions of Hahn-Banach extensions with it.  The coefficients of a
+vector in a subspace's basis come from one dense solve, None outside the
+span, as `Subspace.coefficients` gave them before the library dropped
+them.  The image of a vector under a `LinMap` is its coefficients in the
+domain basis combined with the images, one index at a time; the library
+never needs it, and the tests check the witnesses of `op_norm` and
+`lower_bound` with it.
 `from_dense` and `to_dense` build a matrix from dense rows through the
 checked constructor and read it back through `get`, for the tests that
 state a matrix densely.
@@ -63,7 +66,10 @@ complements off the projection functionals and built w by one factored
 formula: both kernels through `kernel_of_functionals`, matched by
 `complement_iso` and rescaled by `balanced_rescale`, then
 w = T Psi_1 + Q E_1 (I - P_1) and w^-1 = B_1 Psi_2 + Q' E_2 (I - P_2) with
-the n x n matrices I - P_k formed.
+the n x n matrices I - P_k formed, and w = t checked one basis vector at
+a time.  Its `complement_iso` keeps the stage the library dropped in
+front of the library's: equal spans, found by one containment solve per
+basis vector, give the identity.
 
 Vertex enumeration of a symmetric polytope, the dual norm it gives, and
 the kernel of a dense idempotent matrix are independent oracles for the
@@ -74,7 +80,7 @@ library itself never enumerates vertices.
 from itertools import combinations, product
 from math import lcm
 
-from qforge import linalg
+from qforge import geometry, linalg
 from qforge.errors import (
     InfeasibleError,
     NormBudgetError,
@@ -91,7 +97,6 @@ from qforge.geometry import (
     Subspace,
     _projection_parts,
     balanced_rescale,
-    complement_iso,
     kernel_of_functionals,
 )
 from qforge.linalg import (
@@ -117,10 +122,17 @@ def dot(v, w):
                 for i in range(max(v.lo, w.lo), min(v.hi, w.hi))), ZERO)
 
 
+def coefficients(y, v):
+    """The coefficients of v in y's basis, or None if v is outside the span."""
+    if any(not y.lo <= i < y.hi for i, _ in v.items()):
+        return None
+    return solve_exact(coordinate_rows(y.basis, y.lo, y.hi), v.window(y.lo, y.hi))
+
+
 def image(t, v):
     """T v for the map t: v's coefficients in t's domain basis, combined
     with t's images one index at a time."""
-    coeffs = t.domain.coefficients(v)
+    coeffs = coefficients(t.domain, v)
     assert coeffs is not None, "v lies outside the domain span"
     lo, hi = t.images[0].lo, t.images[0].hi
     return WindowVector(lo, hi, tuple(
@@ -589,7 +601,7 @@ def vertex_enumerate(constraint_rows, dim=None, cap=DEFAULT_DIM_CAP):
         # fixing the first active level to +1 halves the search; -x is
         # added alongside x below since the polytope is symmetric
         for signs in product((ONE, -ONE), repeat=dim - 1):
-            sol = linalg.solve_exact(sub, [ONE] + list(signs))
+            sol = solve_exact(sub, [ONE] + list(signs))
             if sol is None:
                 continue
             x = tuple(sol)
@@ -621,6 +633,18 @@ def _partial_matrix(image_cols, coeff_rows, lo, hi):
     if not image_cols:
         return RMatrix(lo, hi, lo, hi, {})
     return RMatrix.from_columns(list(image_cols)).matmul(coeff_rows)
+
+
+def complement_iso(z1, z2, budget):
+    """`geometry.complement_iso` behind its earlier stage 0: when every
+    basis vector of z1 lies in z2 (at dimension at most 12), the identity
+    on z1, if the budget admits it."""
+    if 0 < z1.dim <= 12 and z1.dim == z2.dim and all(
+            coefficients(z2, v) is not None for v in z1.basis):
+        q = LinMap(z1, z1.basis)
+        if q.lower() > 0 and q.norm() / q.lower() <= frac(budget) ** 2:
+            return q
+    return geometry.complement_iso(z1, z2, budget)
 
 
 def extend_isomorphism(t, config):

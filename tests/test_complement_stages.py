@@ -1,8 +1,10 @@
 """`complement_iso` stages 2 and 3, pinned on small inputs.
 
 Stage 2 matches sign patterns of the sup-normalized bases; stage 3 tries
-every scaled bijection at small dimension.  Neither input below has equal
-spans (stage 0) or disjointly supported bases on both sides (stage 1).
+every scaled bijection at small dimension.  Neither input below has
+disjointly supported bases on both sides (stage 1).  There is no stage 0:
+equal spans reach the search from `extend_isomorphism` as equal kernel
+bases, and stage 1 or 2 returns the identity on them.
 """
 
 from fractions import Fraction

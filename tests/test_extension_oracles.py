@@ -9,6 +9,12 @@ dense random instances both must give the same bytes (w, w^-1, their
 norms and the report, in its key order) or raise the same error type.
 The pinned dense instance below has functionals with more than h nonzero
 columns, so the complement search runs on it.
+
+The oracle's complement search keeps the stage the library dropped:
+equal kernels give the identity at once.  A dense basis mapped onto
+itself, in its own or another order, has equal kernels whenever both
+projections are the same, and the library must reach the same bytes
+through its stages 1 and 2.
 """
 
 from collections import Counter
@@ -21,10 +27,10 @@ import dense_oracles
 from qforge import forcing, geometry
 from qforge.config import RunConfig
 from qforge.errors import ParameterError, QForgeError
-from qforge.forcing import run_generic
+from qforge.forcing import GenericRun, run_generic
 from qforge.geometry import LinMap, Subspace, extend_isomorphism
 from qforge.jsonio import canonical_dumps, rmatrix_to_json
-from qforge.linalg import WindowVector
+from qforge.linalg import RMatrix, WindowVector
 from qforge.tails import TailVector
 from test_acceptance import _forge_families
 
@@ -57,6 +63,7 @@ def check(basis, images):
     except ParameterError:  # a dependent basis is no instance
         assume(False)
     assert outcome(extend_isomorphism, t) == outcome(dense_oracles.extend_isomorphism, t)
+    return t
 
 
 @st.composite
@@ -102,6 +109,42 @@ def dense_maps(draw):
     return [vec() for _ in range(h)], [vec() for _ in range(h)]
 
 
+@st.composite
+def permuted_bases(draw):
+    """A dense basis and the same vectors in a drawn order: t maps y1 onto
+    itself, so y2 = y1 as spans."""
+    basis = draw(dense_maps())[0]
+    return basis, [basis[k] for k in draw(st.permutations(range(len(basis))))]
+
+
+def equal_kernels_off_coordinates(t):
+    """Do ker Psi_1 and ker Psi_2 have the same basis, with Psi_1 on more
+    than h columns, so that the complement search runs on equal kernels?"""
+    y1 = t.domain
+    try:
+        psi1 = geometry._projection_parts(y1)[1]
+        psi2 = geometry._projection_parts(Subspace(y1.lo, y1.hi, t.images))[1]
+    except QForgeError:
+        return False
+    return (len(geometry._nonzero_columns(psi1)) > y1.dim
+            and geometry.kernel_of_functionals(psi1).basis
+            == geometry.kernel_of_functionals(psi2).basis)
+
+
+def test_equal_kernel_extensions():
+    seen = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(permuted_bases())
+    @example((DENSE[0], DENSE[0]))
+    def run(instance):
+        t = check(*instance)
+        if equal_kernels_off_coordinates(t):
+            seen.append(instance)
+    run()
+    assert seen  # at least the pinned instance gave the oracle's bytes
+
+
 @settings(max_examples=40, deadline=None)
 @given(near_indicators())
 def test_near_indicator_extensions(instance):
@@ -141,3 +184,40 @@ def test_complement_search_runs_only_off_coordinate_complements(monkeypatch):
     basis, images = DENSE
     extend_isomorphism(LinMap(Subspace(0, 4, basis), images), config=CONFIG)
     assert calls == {"complement_iso": 1, "kernel_of_functionals": 2}
+
+
+def test_forge_builds_each_held_fact_once(monkeypatch):
+    # each extension of the criterion-7 forge builds its two basis matrices
+    # once and checks w = t on them as one product, with no RMatrix.apply;
+    # loading the run file copies no block out of its matrices
+    counts, inside = Counter(), []
+    extend = forcing.extend_isomorphism
+
+    def counted_extend(*args, **kwargs):
+        counts["extend_isomorphism"] += 1
+        inside.append(True)
+        try:
+            return extend(*args, **kwargs)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(forcing, "extend_isomorphism", counted_extend)
+
+    def counted(name, wrap=lambda f: f):
+        real = getattr(RMatrix, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name, bool(inside)] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(RMatrix, name, wrap(wrapper))
+    counted("apply")
+    counted("block")
+    counted("from_columns", staticmethod)
+    run = run_generic(_forge_families(), config=RunConfig(
+        rho=Fraction(4), c2=Fraction(64), horizon=512))
+    assert counts["extend_isomorphism"] == 9
+    assert counts["apply", True] == 0
+    assert counts["from_columns", True] == 2 * 9
+    obj = run.to_json_obj()
+    counts.clear()
+    GenericRun.from_json_obj(obj)
+    assert counts["block", False] == 0

@@ -238,7 +238,7 @@ class TestCarriedProof:
     def test_run_validates_only_the_trivial_condition(self, monkeypatch):
         seen = self.count_validations(monkeypatch)
         run = run_generic(PF8, config=CFG)
-        assert run.failure is None and len(run.chain) > 2
+        assert run.failure is None and len(run.stages) > 2
         assert seen == [Condition.trivial()]
 
     def test_proof_is_bound_to_families_and_c2(self, monkeypatch):
@@ -264,7 +264,7 @@ class TestCarriedProof:
         families = paired(4)
         assert len(ranks) == 2
         run = run_generic(families, config=replace(CFG, horizon=16))
-        assert run.failure is None and len(run.chain) > 2
+        assert run.failure is None and len(run.stages) > 2
         assert verify_run(run, families)["failures"] == []
         assert len(ranks) == 2
 
@@ -291,7 +291,7 @@ class TestCarriedProof:
             return spans(self, a)
         monkeypatch.setattr(PairedFamilies, "spans", counted_spans)
         run = run_generic(families, config=replace(CFG, horizon=16))
-        assert run.failure is None and len(run.chain) > 2
+        assert run.failure is None and len(run.stages) > 2
         assert built and len(set(built)) == len(built)
         assert len(calls) > len(set(calls))
 
@@ -339,11 +339,11 @@ class TestGenericRun:
 
     def test_run_completes(self):
         assert self.run.failure is None
-        assert self.run.final.n >= 64
-        assert self.run.final.a == (0, 1)
+        assert self.run.stages[-1][0] >= 64
+        assert self.run.stages[-1][1] == (0, 1)
 
     def test_chain_strictly_grows(self):
-        stages = [c.n for c in self.run.chain]
+        stages = [n for n, _ in self.run.stages]
         assert stages == sorted(stages)
 
     def test_verify_clean(self):
@@ -353,29 +353,25 @@ class TestGenericRun:
             assert info["symbolic_tail"] is False
 
     def test_verify_catches_corrupted_entry(self):
-        final = self.run.final
+        m = self.run.m
         rows = {}
-        for i, j, v in final.m.items():
+        for i, j, v in m.items():
             rows.setdefault(i, {})[j] = v
         rows.setdefault(0, {})[0] = rows.get(0, {}).get(0, Fraction(0)) + 1
-        bad = Condition(final.n, RMatrix(0, final.n, 0, final.n, rows),
-                        final.a, final.cuts, final.inv)
-        broken = GenericRun(self.run.chain[:-1] + (bad,), self.run.hit_log, CFG)
+        broken = replace(self.run, m=RMatrix(*m.window, rows))
         rep = verify_run(broken, PF2)
         assert rep["failures"]
 
     def test_verify_catches_missing_index(self):
-        chain = tuple(replace(c, a=tuple(set(c.a) - {1}))
-                      for c in self.run.chain)
-        partial = GenericRun(chain, self.run.hit_log, CFG)
+        stages = tuple((n, tuple(set(a) - {1})) for n, a in self.run.stages)
+        partial = replace(self.run, stages=stages)
         rep = verify_run(partial, PF2)
         assert any("never committed" in f for f in rep["failures"])
 
     def test_verify_flags_short_run(self):
-        short = GenericRun(self.run.chain, self.run.hit_log,
-                           replace(CFG, horizon=4096))
+        short = replace(self.run, config=replace(CFG, horizon=4096))
         rep = verify_run(short, PF2)
-        assert ("final stage %d below the horizon 4096" % self.run.final.n
+        assert ("final stage %d below the horizon 4096" % self.run.stages[-1][0]
                 in rep["failures"])
 
     def test_json_roundtrip_and_determinism(self):

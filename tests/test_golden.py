@@ -83,11 +83,9 @@ def test_forge_content_is_pinned():
     config = RunConfig(rho=Fraction(4), c2=Fraction(64), horizon=512)
     run = run_generic(_forge_families(), config=config)
     back = GenericRun.from_json_obj(run.to_json_obj())
-    assert len(back.chain) == len(run.chain)
-    for got, want in zip(back.chain, run.chain):
-        assert (got.n, got.a, got.cuts) == (want.n, want.a, want.cuts)
-        assert got.m.equals(want.m)
-        assert got.inv.equals(want.inv)
+    assert back.stages == run.stages
+    assert back.m.equals(run.m)
+    assert back.inv.equals(run.inv)
 
 
 def test_extension_suite_bytes_are_pinned():

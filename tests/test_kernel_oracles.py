@@ -19,7 +19,7 @@ from dense_oracles import from_dense, to_dense
 from qforge import linalg, simplex
 from qforge.errors import QForgeError, SingularMatrixError
 from qforge.geometry import Subspace, kernel_of_functionals
-from qforge.linalg import RMatrix, WindowVector, invert, nullspace, rank, solve_exact
+from qforge.linalg import RMatrix, WindowVector, invert, nullspace, rank
 
 # mostly zeros and ones, so that the zero and unit-pivot shortcuts are taken
 entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(1)),
@@ -40,14 +40,6 @@ def test_rref_and_nullspace(rows):
     assert rank(rows) == len(dense_oracles.rref(rows)[1])
     ncols = len(rows[0])
     assert nullspace(rows, ncols) == dense_oracles.nullspace(rows, ncols)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_solve_exact(data):
-    rows = data.draw(matrices())
-    rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
-    assert solve_exact(rows, rhs) == dense_oracles.solve_exact(rows, rhs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -180,4 +172,4 @@ def test_kernel_bases_have_private_pivots(data):
                      tuple(kernel.basis[k].scale(c) for k, c in zip(order, scales)))
     for y in (kernel, moved):
         e = y.coefficient_extractor()
-        assert e.matmul(y.basis_matrix()).equals(RMatrix.identity(0, y.dim))
+        assert e.matmul(y.basis_matrix).equals(RMatrix.identity(0, y.dim))

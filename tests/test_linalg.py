@@ -26,7 +26,6 @@ from qforge.linalg import (
     op_norm_inf,
     rank,
     ratio,
-    solve_exact,
 )
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=9)
@@ -228,11 +227,6 @@ class TestDenseHelpers:
             assert sum(a * b for a, b in zip(rows[0], vec)) == 0
         assert len(nullspace(rows, 3)) == 2
 
-    def test_solve_exact(self):
-        sol = solve_exact([[frac(2), frac(0)], [frac(0), frac(4)]], [frac(1), frac(1)])
-        assert sol == [Fraction(1, 2), Fraction(1, 4)]
-        assert solve_exact([[frac(1)], [frac(1)]], [frac(0), frac(1)]) is None
-
 
 # mixed denominators, from which sums and products often cancel to zero
 mixed = st.sampled_from([Fraction(v) for v in (
@@ -339,8 +333,8 @@ def test_operations_on_canonical_rows_skip_frac():
     g = make_family(FamilyGenerator("progression", count=4))
     run = run_generic(paired_from_certsets(f.sets, g.sets),
                       config=RunConfig(horizon=64))
-    m, inv = run.final.m, run.final.inv
-    lo, hi = run.final.cuts[-2], run.final.cuts[-1]
+    m, inv = run.m, run.inv
+    lo, hi = run.stages[-2][0], run.stages[-1][0]
     calls = []
 
     def counted(x):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qforge.errors import UnboundedError
-from qforge.linalg import frac, rank, solve_exact
-from dense_oracles import DimensionCapError, vertex_enumerate
+from qforge.linalg import frac, rank
+from dense_oracles import DimensionCapError, solve_exact, vertex_enumerate
 
 
 def brute_vertices(rows, dim):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import from_dense, to_dense, vertex_enumerate
+from dense_oracles import from_dense, solve_exact, to_dense, vertex_enumerate
 from qforge.errors import InfeasibleError, ParameterError, UnboundedError
 from qforge.linalg import WindowVector, frac, rank
 from qforge.simplex import L1Layout, lp_min_l1, max_linear, polyhedral_max, simplex_min
@@ -23,7 +23,6 @@ def basic_solution_oracle(a_rows, b, cost):
         sub = [[row[c] for c in cols] for row in a_rows]
         if rank(sub) < len(cols):
             continue
-        from qforge.linalg import solve_exact
         sol = solve_exact(sub, b)
         if sol is None or any(v < 0 for v in sol):
             continue
