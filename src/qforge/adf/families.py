@@ -1,19 +1,21 @@
 """Almost-disjoint family constructors and certified family-level queries.
 
-Costs.  make_family certifies the exact finite intersection of every
-pair of its sets in one pass and builds no intersection CertSet: one
-check of the periodic rules per pair of distinct moduli, then one
-membership test per set and point of the union of the below parts, plus
-one append per element of the certificates.  A family of n sets with
-one modulus therefore costs n times the number of distinct explicit
-points plus its output, not n^2 / 2 CertSet operations.
-separation_find and mad_census still make one CertSet operation per
-member.
+Costs.  make_family checks the periodic rules once per pair of
+distinct moduli.  A family lists the exact finite intersection of every
+pair of its sets on first use of `Family.intersections`, in one pass
+that builds no intersection CertSet: one membership test per set and
+point of the union of the below parts, plus one append per element of
+the certificates.  A family of n sets with one modulus therefore costs n
+times the number of distinct explicit points plus its output, not
+n^2 / 2 CertSet operations, and a reader of its sets alone, such as
+mad-census, pays none of it.  separation_find and mad_census still make
+one CertSet operation per member.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from ..errors import NotAlmostDisjointError, ParameterError
@@ -55,10 +57,18 @@ class FamilyGenerator:
 
 @dataclass(frozen=True)
 class Family:
+    """Infinite sets whose periodic rules are pairwise disjoint, so any
+    two meet in a finite set."""
+
     kind: str
     sets: tuple
-    intersections: dict = field(default_factory=dict)  # (i, j) -> finite list
     luzin_bound: tuple = ()  # (check_horizon, L) with L(n) = n
+
+    @cached_property
+    def intersections(self) -> dict:
+        """(i, j) -> the exact finite intersection of sets i < j as a
+        sorted list, listed on first use."""
+        return _pairwise_certificates(self.sets)
 
     def __len__(self):
         return len(self.sets)
@@ -92,6 +102,16 @@ def _rules_meet(sets):
     return False
 
 
+def _check_rules(sets):
+    """Raise the NotAlmostDisjointError of CertSet.almost_disjoint for the
+    first pair (i, j), i < j, whose periodic rules meet, if any does."""
+    if _rules_meet(sets):
+        for i in range(len(sets)):
+            for j in range(i + 1, len(sets)):
+                if _rules_meet([sets[i], sets[j]]):
+                    sets[i].almost_disjoint(sets[j])
+
+
 def _pairwise_certificates(sets):
     """The exact finite intersection of every pair (i, j), i < j, as a
     sorted list, in one pass over the family.
@@ -105,11 +125,7 @@ def _pairwise_certificates(sets):
     raises the NotAlmostDisjointError of CertSet.almost_disjoint.
     """
     n = len(sets)
-    if _rules_meet(sets):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if _rules_meet([sets[i], sets[j]]):
-                    sets[i].almost_disjoint(sets[j])
+    _check_rules(sets)
     # rows[i][j] is the certificate of the pair (i, j)
     rows = [[[] for _ in range(n)] for _ in range(n)]
     for x in sorted(set().union(*(s.below for s in sets))):
@@ -175,12 +191,12 @@ def make_family(gen: FamilyGenerator) -> Family:
     for s in sets:
         if not s.is_infinite():
             raise ParameterError("family members must be infinite")
-    certs = _pairwise_certificates(sets)
-    bound = ()
-    if gen.kind == "luzin":
-        verify_luzin_bound(sets, certs, LUZIN_CHECK_HORIZON)
-        bound = (LUZIN_CHECK_HORIZON, "L(n) = n")
-    return Family(gen.kind, tuple(sets), certs, bound)
+    _check_rules(sets)
+    if gen.kind != "luzin":
+        return Family(gen.kind, tuple(sets))
+    fam = Family(gen.kind, tuple(sets), (LUZIN_CHECK_HORIZON, "L(n) = n"))
+    verify_luzin_bound(sets, fam.intersections, LUZIN_CHECK_HORIZON)
+    return fam
 
 
 def verify_luzin_bound(sets, certs, horizon):

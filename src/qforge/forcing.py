@@ -6,6 +6,16 @@ one block that maps each committed f-tail restriction exactly onto the
 matching g-tail restriction while keeping all norms within budget.  The
 greedy generic run hits a schedule of dense sets and assembles a fully
 verified block-diagonal matrix.
+
+The matrix is block-diagonal and the l_inf operator norm is the largest
+row l1 sum, so every fact of a condition is checked on the block that
+introduced it.  `linalg.block_facts` decides a block's facts in one pass
+over its stored integer rows: the block form of the matrix and of the
+carried inverse, B B^-1 = I, B f = g on the integer tail windows of
+each committed index, and both norms.  Each fact is an equation between
+integers, so a passing block needs no Fraction but its two norms; the
+failure messages are built from the first failing row that the pass
+returns.
 """
 
 from __future__ import annotations
@@ -30,8 +40,8 @@ from .linalg import (
     BlockLayout,
     RMatrix,
     block_compose,
+    block_facts,
     check_int,
-    op_norm_inf,
 )
 from .tails import (
     TailVector,
@@ -152,46 +162,34 @@ class Condition:
                 "inv": rmatrix_to_json(self.inv)}
 
 
-# -- the block checker: the l_inf operator norm is the largest row l1 sum,
-# so each fact of a block-diagonal matrix is checked on its own block
+# -- the block checker: each fact of a block-diagonal matrix is checked
+# on its own block, by one `block_facts` pass over its integer rows
 
-def _form_failures(m: RMatrix, lo: int, hi: int) -> list:
-    """Entries of rows [lo, hi) outside the columns [lo, hi)."""
-    return ["(ii) entry (%d, %d) outside the block form" % (i, j)
-            for i in range(lo, hi) for j in m.columns(i) if not lo <= j < hi]
-
-
-def _algebra_failures(b: RMatrix, inv: RMatrix, lo: int, hi: int, c2):
-    """(b) on the block b on [lo, hi): the carried B^-1 is block-diagonal
-    there and B * B^-1 = I, which on a square block proves B invertible,
-    and both norms are at most c2.  Returns the failures and the two norms."""
-    norm, out = op_norm_inf(b), []
-    binv = inv.block(lo, hi)
-    if _form_failures(inv, lo, hi) or not (
-            b.matmul(binv).equals(RMatrix.identity(lo, hi))):
-        out.append("(b) carried inverse fails M * inv = I")
-    inv_norm = op_norm_inf(binv)
-    for name, value in (("matrix", norm), ("inverse", inv_norm)):
-        if value > c2:
-            out.append("(b) %s norm %s exceeds c2 = %s" % (name, value, c2))
-    return out, norm, inv_norm
+def _form_failures(outside) -> list:
+    """(ii) from block_facts' entries outside the block."""
+    return ["(ii) entry (%d, %d) outside the block form" % ij for ij in outside]
 
 
-def _interpolation_failures(b: RMatrix, a, families: PairedFamilies) -> list:
-    """(iv): the block b on [lo, hi) sends the f-tail of each committed
-    index to its g-tail; the first failing row of each."""
-    lo, hi = b.row_lo, b.row_hi
+def _windows(a, families: PairedFamilies, lo: int, hi: int) -> list:
+    """The integer f- and g-windows on [lo, hi) of a's indices that lie
+    in the families, in a's order."""
+    return [(families.f(xi).int_window(lo, hi), families.g(xi).int_window(lo, hi))
+            for xi in a if xi in families._by_index]
+
+
+def _interpolation_failures(a, families: PairedFamilies, misses) -> list:
+    """(iv) from block_facts' misses on _windows(a, ...): each index
+    outside the families, and the first failing row of each other."""
+    misses = iter(misses)
     out = []
     for xi in a:
         if xi not in families._by_index:
             out.append("(iv) index %s outside the families" % (xi,))
             continue
-        got = b.apply(families.f(xi).restrict(lo, hi))
-        want = families.g(xi).restrict(lo, hi)
-        if got != want:
-            i = next(i for i in range(lo, hi) if got.value(i) != want.value(i))
+        miss = next(misses)
+        if miss is not None:
             out.append("(iv) xi = %s fails at coordinate %d: %s != %s"
-                       % (xi, i, got.value(i), want.value(i)))
+                       % ((xi,) + miss))
     return out
 
 
@@ -205,13 +203,22 @@ def _section_failures(spans, n: int) -> list:
 def _check_block(m: RMatrix, inv: RMatrix, lo: int, hi: int, a,
                  families: PairedFamilies, c2):
     """Every fact block [lo, hi) of m introduces, with a committed there:
-    its form, its algebra, the interpolation of a on its rows and clause
-    (c) at hi.  Returns the failures and the block's two norms."""
-    b = m.block(lo, hi)
-    algebra, norm, inv_norm = _algebra_failures(b, inv, lo, hi, c2)
-    failures = (_form_failures(m, lo, hi) + algebra
-                + _interpolation_failures(b, a, families)
-                + _section_failures(families.spans(a), hi))
+    (ii) its form; (b) the carried inverse is block-diagonal there and
+    B B^-1 = I, which on a square block proves B invertible, and both
+    norms are at most c2; (iv) B sends the f-tail of each index of a to
+    its g-tail on [lo, hi); and clause (c) at hi.  All but (c) come from
+    one `block_facts` pass, whose only Fractions on a passing block are
+    the two norms.  Returns the failures and the block's two norms."""
+    outside, inverse, norm, inv_norm, misses = block_facts(
+        m, lo, hi, inv, _windows(a, families, lo, hi))
+    failures = _form_failures(outside)
+    if not inverse:
+        failures.append("(b) carried inverse fails M * inv = I")
+    for name, value in (("matrix", norm), ("inverse", inv_norm)):
+        if value > c2:
+            failures.append("(b) %s norm %s exceeds c2 = %s" % (name, value, c2))
+    failures += (_interpolation_failures(a, families, misses)
+                 + _section_failures(families.spans(a), hi))
     return ["block [%d, %d): %s" % (lo, hi, f) for f in failures], norm, inv_norm
 
 
@@ -238,10 +245,12 @@ def cond_leq(p: Condition, q: Condition, families: PairedFamilies):
         return False, ["(i) stage %d below %d" % (p.n, q.n)]
     out = ["(ii) entry (%d, %d) differs from the stem" % ij
            for ij in p.m.differences(q.m, 0, q.n)]
-    out += _form_failures(p.m, 0, q.n) + _form_failures(p.m, q.n, p.n)
+    outside, _, _, _, misses = block_facts(p.m, q.n, p.n, None,
+                                           _windows(q.a, families, q.n, p.n))
+    out += _form_failures(block_facts(p.m, 0, q.n)[0]) + _form_failures(outside)
     if not set(q.a) <= set(p.a):
         out.append("(iii) committed indices were dropped")
-    out += _interpolation_failures(p.m.block(q.n, p.n), q.a, families)
+    out += _interpolation_failures(q.a, families, misses)
     return not out, out
 
 

@@ -43,6 +43,7 @@ from .linalg import (
     check_int,
     coordinate_rows,
     frac,
+    is_right_inverse,
     nullspace,
     op_norm_inf,
     rank,
@@ -268,9 +269,16 @@ def _projection_parts(y: Subspace):
         hahn_banach_extend(y, [ONE if k == j else ZERO for k in range(h)])[0]
         for j in range(h)])
     b = y.basis_matrix
-    if not psi.matmul(b).equals(RMatrix.identity(0, h)):
+    if not is_right_inverse(psi, b):
         raise NormBudgetError("projection does not fix the subspace")
     return b.matmul(psi), psi
+
+
+def _projection_norm(y: Subspace):
+    """(|P|, Psi) of _projection_parts(y): P is read for its norm alone,
+    so no caller holds it; on a wide block it has a row per coordinate."""
+    p, psi = _projection_parts(y)
+    return op_norm_inf(p), psi
 
 
 def kernel_of_functionals(psi: RMatrix) -> Subspace:
@@ -466,10 +474,8 @@ def extend_isomorphism(t: LinMap,
     if up >= config.rho or ONE / low >= config.rho:
         raise NormBudgetError("T norms must stay below rho", measured=(up, ONE / low))
 
-    p1, psi1 = _projection_parts(y1)
-    p2, psi2 = _projection_parts(y2)
-    report["norm_P1"] = op_norm_inf(p1)
-    report["norm_P2"] = op_norm_inf(p2)
+    report["norm_P1"], psi1 = _projection_norm(y1)
+    report["norm_P2"], psi2 = _projection_norm(y2)
     # R is n x n and agrees on ker Psi_1 with an isomorphism onto
     # ker Psi_2, R' with its inverse; both are 0 on the other side
     cols1, cols2 = _nonzero_columns(psi1), _nonzero_columns(psi2)
@@ -502,7 +508,7 @@ def extend_isomorphism(t: LinMap,
     w_inv = b1.sub(r_inv.matmul(b2)).matmul(psi2).add(r_inv)
 
     # w and w^-1 are square exact matrices, so w w^-1 = I gives w^-1 w = I
-    if not w.matmul(w_inv).equals(RMatrix.identity(lo, hi)):
+    if not is_right_inverse(w, w_inv):
         raise NormBudgetError("extension inverse verification failed")
     # column k of w B_1 is w v_k and column k of B_2 is t(v_k); rows are
     # canonical, so equals is exact

@@ -4,7 +4,9 @@ Everything is a pure function over immutable values; scalars are
 `fractions.Fraction` at every interface and no operation ever rounds.
 Inside, numbers are integer rows (ints, den): an RMatrix stores each row
 so, and elimination runs on them through `pivot`, the one Gauss-Jordan
-step behind rank, inverses, kernels, solves and the simplex.
+step behind rank, inverses, kernels, solves and the simplex.  Checks
+read the stored rows too: `is_right_inverse` decides M N = I, and
+`block_facts` every fact of a block, with no product matrix built.
 """
 
 from __future__ import annotations
@@ -419,33 +421,13 @@ class RMatrix:
         return self.window == other.window and self._rows == other._rows
 
     # -- algebra ------------------------------------------------------
-    def apply(self, v: WindowVector) -> WindowVector:
-        x, xden = _int_entries(v._nz)
-        nz = {}
-        for i in sorted(self._rows):
-            row, den = self._rows[i]
-            s = sum(a * x[j] for j, a in row.items() if j in x)
-            if s:
-                nz[i] = Fraction(s, den * xden)
-        return _vector(self.row_lo, self.row_hi, nz)
-
     def matmul(self, other: "RMatrix") -> "RMatrix":
         if (self.col_lo, self.col_hi) != (other.row_lo, other.row_hi):
             raise ParameterError("inner windows do not match")
         orows = other._rows
         rows = {}
         for i, (row, den) in self._rows.items():
-            terms = [(a, orows[j]) for j, a in row.items() if j in orows]
-            # row i of the product is sum_j a_j * (row j of other) / den,
-            # over the lcm of the denominators of the rows it sums
-            common = lcm(*[d for _, (_, d) in terms])
-            acc = {}
-            get = acc.get
-            for a, (orow, d) in terms:
-                if d != common:
-                    a *= common // d
-                for k, b in orow.items():
-                    acc[k] = get(k, 0) + a * b
+            acc, common = _row_times(row, orows)
             r = _canonical(acc, den * common)
             if r:
                 rows[i] = r
@@ -509,14 +491,116 @@ class RMatrix:
                        {**self._rows, **other._rows})
 
 
-def op_norm_inf(m: RMatrix) -> Fraction:
-    """l_inf -> l_inf operator norm: the max l1-norm over rows."""
+def _row_times(row: dict, orows: dict) -> tuple:
+    """(acc, common): sum_j row[j] * (row j of orows) as integer entries
+    over the lcm common of the denominators of the rows it sums, so that
+    row i of a product with row i = row / den is acc / (den * common)."""
+    terms = [(a, orows[j]) for j, a in row.items() if j in orows]
+    common = lcm(*[d for _, (_, d) in terms])
+    acc = {}
+    get = acc.get
+    for a, (orow, d) in terms:
+        if d != common:
+            a *= common // d
+        for k, b in orow.items():
+            acc[k] = get(k, 0) + a * b
+    return acc, common
+
+
+def _is_unit_row(i: int, row: dict, den: int, orows: dict) -> bool:
+    """Is (row / den) times the rows orows the unit row e_i?  A row of one
+    entry a at j needs row j of orows to be its one entry at i, with
+    a * that entry = den * its denominator; otherwise the sum is formed
+    on the integer rows and compared with den * common at i, zero
+    elsewhere.  No row is reduced and no Fraction is built."""
+    if len(row) == 1:
+        (j, a), = row.items()
+        orow, d = orows.get(j, _NO_ROW)
+        return len(orow) == 1 and a * orow.get(i, 0) == den * d
+    acc, common = _row_times(row, orows)
+    return acc.pop(i, 0) == den * common and not any(acc.values())
+
+
+def is_right_inverse(m: RMatrix, n: RMatrix) -> bool:
+    """m . n = I, decided row by row on the integer rows, with no product
+    and no identity matrix built: n's row window is m's column window,
+    and the product is the identity on m's row window exactly when n's
+    column window is that window and each row i of m times n is e_i."""
+    if (m.col_lo, m.col_hi) != (n.row_lo, n.row_hi):
+        raise ParameterError("inner windows do not match")
+    if (n.col_lo, n.col_hi) != (m.row_lo, m.row_hi):
+        return False
+    rows, orows = m._rows, n._rows
+    return all(i in rows and _is_unit_row(i, *rows[i], orows)
+               for i in range(m.row_lo, m.row_hi))
+
+
+def _max_l1(rows) -> Fraction:
+    """The largest l1 norm of the integer rows (row, den), 0 for none."""
     best, best_den = 0, 1
-    for row, den in m._rows.values():
+    for row, den in rows:
         s = sum(map(abs, row.values()))
         if s * best_den > best * den:
             best, best_den = s, den
     return Fraction(best, best_den)
+
+
+def op_norm_inf(m: RMatrix) -> Fraction:
+    """l_inf -> l_inf operator norm: the max l1-norm over rows."""
+    return _max_l1(m._rows.values())
+
+
+def block_facts(m: RMatrix, lo: int, hi: int, inv: RMatrix | None = None,
+                windows=()) -> tuple:
+    """The facts of the square block [lo, hi)^2 of m, decided in one pass
+    over the stored integer rows [lo, hi) of inv and one over those of m.
+    m_b and inv_b are the blocks as `block` would copy them, entries
+    outside [lo, hi)^2 dropped.  Returns (outside, inverse, norm,
+    inv_norm, misses):
+
+    - outside: the (i, j) of m's entries in rows [lo, hi) outside the
+      columns [lo, hi), in row-major order;
+    - inverse: whether inv has no such entry and m_b inv_b = I, each row
+      decided as `is_right_inverse` decides it; None without inv;
+    - norm, inv_norm: the operator norms of m_b and inv_b, inv_norm None
+      without inv;
+    - misses: for each ((f, f_den), (g, g_den)) of windows, integer rows
+      over [lo, hi), None when m_b f = g, else (i, (m_b f)_i, g_i) as
+      Fractions at the first row i where they differ.
+
+    No block, product or identity matrix is built, and no Fraction but
+    the two norms and the values of a miss."""
+    inverse = inv_norm = None
+    if inv is not None:
+        orows, inv_rows, inverse = inv._rows, [], True
+        for i in range(lo, hi):
+            r = orows.get(i)
+            if r is None:
+                continue
+            row, den = r
+            if lo > min(row) or max(row) >= hi:
+                inverse = False
+                row = {j: x for j, x in row.items() if lo <= j < hi}
+            inv_rows.append((row, den))
+        inv_norm = _max_l1(inv_rows)
+    rows, m_rows, outside = m._rows, [], []
+    misses = [None] * len(windows)
+    for i in range(lo, hi):
+        row, den = rows.get(i, _NO_ROW)
+        if row:
+            if lo > min(row) or max(row) >= hi:
+                outside += [(i, j) for j in sorted(row) if not lo <= j < hi]
+                row = {j: x for j, x in row.items() if lo <= j < hi}
+            m_rows.append((row, den))
+        if inverse and not (row and _is_unit_row(i, row, den, orows)):
+            inverse = False
+        for k, ((f, f_den), (g, g_den)) in enumerate(windows):
+            if misses[k] is None:
+                s = sum([a * f[j - lo] for j, a in row.items()])
+                if s * g_den != g[i - lo] * den * f_den:
+                    misses[k] = (i, Fraction(s, den * f_den),
+                                 Fraction(g[i - lo], g_den))
+    return outside, inverse, _max_l1(m_rows), inv_norm, misses
 
 
 def invert(m: RMatrix) -> RMatrix:

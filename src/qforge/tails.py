@@ -17,7 +17,11 @@ classes up to sign, with the class of each period position, so a norm
 reads a window's period positions as a set of classes, in integer work,
 and builds rows only for the prefix; a window past the prefix that hits
 every class has restriction-inverse norm 1 with no LP.  Every reader of
-a tail's values over a window goes through `TailVector.window`.
+a tail's values over a window goes through `TailVector.window`, or
+through its integer twin `TailVector.int_window`, which slices, as
+`window` does, the one integer row over one denominator that each tail
+holds from its construction; the block checks of `forcing` read their
+windows so.
 """
 
 from __future__ import annotations
@@ -28,7 +32,16 @@ from functools import cached_property
 from math import lcm
 
 from .errors import NotInjectiveError, NotInvertibleError, ParameterError, UnboundedError
-from .linalg import ONE, ZERO, WindowVector, coordinate_rows, frac, nullspace, rank
+from .linalg import (
+    ONE,
+    ZERO,
+    WindowVector,
+    coordinate_rows,
+    frac,
+    int_row,
+    nullspace,
+    rank,
+)
 from .simplex import polyhedral_max, sign_normalized
 
 MAX_TAIL = 1 << 16
@@ -51,13 +64,25 @@ def _minimal_period(pattern):
     return pattern[:p] if n % p == 0 else pattern
 
 
+def _slice(prefix: tuple, period: tuple, lo: int, hi: int) -> tuple:
+    """The entries at lo, ..., hi - 1 of prefix followed by period
+    repeated forever: a prefix slice, then repeated periods."""
+    if lo < 0 and hi > lo:
+        raise ParameterError("negative index")
+    m, p = len(prefix), len(period)
+    n, r = max(0, hi - max(lo, m)), (max(lo, m) - m) % p
+    return prefix[lo:hi] + (period * ((n + r) // p + 1))[r:r + n]
+
+
 @dataclass(frozen=True)
 class TailVector:
     """prefix on [0, m), then the period pattern repeated forever.
 
     Canonical form: minimal period, shortest prefix (trailing prefix
     entries that already match the rotated pattern are absorbed), so
-    structural equality coincides with pointwise equality.
+    structural equality coincides with pointwise equality.  The values
+    are held once more as integers over one denominator, (prefix ints,
+    period ints, den), which only `int_window` reads.
     """
 
     prefix: tuple
@@ -75,8 +100,13 @@ class TailVector:
         while k < len(prefix) and prefix[-1 - k] == period[(-1 - k) % p]:
             k += 1
         s = k % p
-        object.__setattr__(self, "prefix", tuple(prefix[:len(prefix) - k]))
-        object.__setattr__(self, "period", period[p - s:] + period[:p - s])
+        prefix = tuple(prefix[:len(prefix) - k])
+        period = period[p - s:] + period[:p - s]
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "period", period)
+        ints, den = int_row(prefix + period)
+        object.__setattr__(self, "_ints", (tuple(ints[:len(prefix)]),
+                                           tuple(ints[len(prefix):]), den))
 
     @staticmethod
     def from_window(v: WindowVector) -> "TailVector":
@@ -108,11 +138,14 @@ class TailVector:
 
     def window(self, lo: int, hi: int) -> tuple:
         """Values at lo, ..., hi - 1: a prefix slice, then repeated periods."""
-        if lo < 0 and hi > lo:
-            raise ParameterError("negative index")
-        m, p = len(self.prefix), len(self.period)
-        n, r = max(0, hi - max(lo, m)), (max(lo, m) - m) % p
-        return self.prefix[lo:hi] + (self.period * ((n + r) // p + 1))[r:r + n]
+        return _slice(self.prefix, self.period, lo, hi)
+
+    def int_window(self, lo: int, hi: int) -> tuple:
+        """(ints, den): the values at lo, ..., hi - 1 as ints[k] / den,
+        sliced as `window` slices them from the integer form the tail
+        holds, so no Fraction is read or built."""
+        prefix, period, den = self._ints
+        return _slice(prefix, period, lo, hi), den
 
     def restrict(self, lo: int, hi: int) -> WindowVector:
         """The values on [lo, hi), built from the window's nonzeros."""

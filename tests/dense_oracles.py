@@ -61,6 +61,13 @@ never needs it, and the tests check the witnesses of `op_norm` and
 checked constructor and read it back through `get`, for the tests that
 state a matrix densely.
 
+The block checker of `forcing` is kept as it was before one pass over
+the integer rows decided a block: `check_block` copies the block and
+its inverse out with `RMatrix.block`, compares their product with a
+fresh identity, and applies each committed f-window densely, through
+`matrix_apply`, to compare it with the g-window coordinate by
+coordinate.
+
 `extend_isomorphism` is kept as it was before it read coordinate
 complements off the projection functionals and built w by one factored
 formula: both kernels through `kernel_of_functionals`, matched by
@@ -80,7 +87,7 @@ library itself never enumerates vertices.
 from itertools import combinations, product
 from math import lcm
 
-from qforge import geometry, linalg
+from qforge import forcing, geometry, linalg
 from qforge.errors import (
     InfeasibleError,
     NormBudgetError,
@@ -217,8 +224,13 @@ def matrix_scale(a, s):
     return [[s * x for x in row] for row in a]
 
 
-def matrix_apply(a, x):
-    return [sum((y * z for y, z in zip(row, x)), ZERO) for row in a]
+def matrix_apply(m, v):
+    """m v on m's row window: each coordinate a sum over m's column window
+    of m's entries, read through `get`, times v's values, one index at a
+    time (v is zero off its window)."""
+    return WindowVector(m.row_lo, m.row_hi, tuple(
+        sum((m.get(i, j) * v.value(j) for j in range(m.col_lo, m.col_hi)), ZERO)
+        for i in range(m.row_lo, m.row_hi)))
 
 
 def matrix_norm_inf(a):
@@ -647,6 +659,35 @@ def complement_iso(z1, z2, budget):
     return geometry.complement_iso(z1, z2, budget)
 
 
+def check_block(m, inv, lo, hi, a, families, c2):
+    """`forcing._check_block` through block copies, a product against the
+    identity and a dense apply per committed index: (failures, the
+    block's norm, its inverse's norm)."""
+    def form(mat):
+        return ["(ii) entry (%d, %d) outside the block form" % (i, j)
+                for i in range(lo, hi) for j in mat.columns(i) if not lo <= j < hi]
+    b, binv = m.block(lo, hi), inv.block(lo, hi)
+    norm, inv_norm = op_norm_inf(b), op_norm_inf(binv)
+    out = form(m)
+    if form(inv) or not b.matmul(binv).equals(RMatrix.identity(lo, hi)):
+        out.append("(b) carried inverse fails M * inv = I")
+    for name, value in (("matrix", norm), ("inverse", inv_norm)):
+        if value > c2:
+            out.append("(b) %s norm %s exceeds c2 = %s" % (name, value, c2))
+    for xi in a:
+        if xi not in families.indices:
+            out.append("(iv) index %s outside the families" % (xi,))
+            continue
+        got = matrix_apply(b, families.f(xi).restrict(lo, hi))
+        want = families.g(xi).restrict(lo, hi)
+        if got != want:
+            i = next(i for i in range(lo, hi) if got.value(i) != want.value(i))
+            out.append("(iv) xi = %s fails at coordinate %d: %s != %s"
+                       % (xi, i, got.value(i), want.value(i)))
+    out += forcing._section_failures(families.spans(a), hi)
+    return ["block [%d, %d): %s" % (lo, hi, f) for f in out], norm, inv_norm
+
+
 def extend_isomorphism(t, config):
     """`geometry.extend_isomorphism` through the complement search on
     every instance, with I - P_1 and I - P_2 formed."""
@@ -689,7 +730,7 @@ def extend_isomorphism(t, config):
     if not w.matmul(w_inv).equals(eye):
         raise NormBudgetError("extension inverse verification failed")
     for v, img in zip(y1.basis, t.images):
-        if w.apply(v) != img:
+        if matrix_apply(w, v) != img:
             raise NormBudgetError("extension does not agree with t on the basis")
     norm_w = op_norm_inf(w)
     norm_w_inv = op_norm_inf(w_inv)

@@ -9,7 +9,7 @@ from itertools import combinations, product
 
 import pytest
 
-from dense_oracles import dot, dual_norm, from_dense
+from dense_oracles import dot, dual_norm, from_dense, matrix_apply
 from qforge.adf.certset import CertSet
 from qforge.adf.coherent import (
     CoherentFamily,
@@ -133,7 +133,7 @@ def build_extension_suite(seed):
         ext = extend_isomorphism(t, config=cfg)
         n = t.domain.hi
         for v, w in zip(t.domain.basis, t.images):
-            if ext.w.apply(v).coords != w.coords:
+            if matrix_apply(ext.w, v).coords != w.coords:
                 failures.append("instance %d: disagreement on the basis" % k)
         if not ext.w.matmul(ext.w_inv).equals(RMatrix.identity(0, n)):
             failures.append("instance %d: inverse product" % k)

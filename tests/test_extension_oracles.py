@@ -186,10 +186,28 @@ def test_complement_search_runs_only_off_coordinate_complements(monkeypatch):
     assert calls == {"complement_iso": 1, "kernel_of_functionals": 2}
 
 
+def count_calls(monkeypatch, counts, inside=()):
+    """Count the calls of RMatrix.block, RMatrix.matmul and
+    RMatrix.from_columns, keyed (name, whether inside is nonempty), and
+    of TailVector.restrict, keyed ("restrict", ...)."""
+    def counted(cls, name, wrap=lambda f: f):
+        real = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name, bool(inside)] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrap(wrapper))
+    counted(RMatrix, "block")
+    counted(RMatrix, "matmul")
+    counted(RMatrix, "from_columns", staticmethod)
+    counted(TailVector, "restrict")
+
+
 def test_forge_builds_each_held_fact_once(monkeypatch):
     # each extension of the criterion-7 forge builds its two basis matrices
-    # once and checks w = t on them as one product, with no RMatrix.apply;
-    # loading the run file copies no block out of its matrices
+    # once; loading the run file copies no block out of its matrices, and
+    # its replay decides every block fact on the integer rows, with no
+    # block copied, no product formed and no tail window restricted
     counts, inside = Counter(), []
     extend = forcing.extend_isomorphism
 
@@ -201,23 +219,34 @@ def test_forge_builds_each_held_fact_once(monkeypatch):
         finally:
             inside.pop()
     monkeypatch.setattr(forcing, "extend_isomorphism", counted_extend)
-
-    def counted(name, wrap=lambda f: f):
-        real = getattr(RMatrix, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name, bool(inside)] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(RMatrix, name, wrap(wrapper))
-    counted("apply")
-    counted("block")
-    counted("from_columns", staticmethod)
-    run = run_generic(_forge_families(), config=RunConfig(
+    count_calls(monkeypatch, counts, inside)
+    families = _forge_families()
+    run = run_generic(families, config=RunConfig(
         rho=Fraction(4), c2=Fraction(64), horizon=512))
     assert counts["extend_isomorphism"] == 9
-    assert counts["apply", True] == 0
     assert counts["from_columns", True] == 2 * 9
     obj = run.to_json_obj()
     counts.clear()
     GenericRun.from_json_obj(obj)
     assert counts["block", False] == 0
+    counts.clear()
+    assert forcing.verify_run(run, families)["failures"] == []
+    assert +counts == Counter()
+
+
+def test_amalgamation_checks_copy_no_block(monkeypatch):
+    # validate_condition and cond_leq on an amalgamation of the criterion-8
+    # batch read its blocks and the tail windows as integer rows
+    families = _forge_families()
+    config = RunConfig(horizon=512)
+    stem = forcing.dense_hit_D(forcing.Condition.trivial(), 16, families, config)
+    p = forcing.Condition(stem.n, stem.m, (0, 7), stem.cuts, stem.inv)
+    q = forcing.Condition(stem.n, stem.m, (3,), stem.cuts, stem.inv)
+    r = forcing.amalgamate(p, q, stem.n, families, config)
+    assert r.n > stem.n and r.a == (0, 3, 7)
+    counts = Counter()
+    count_calls(monkeypatch, counts)
+    assert forcing.validate_condition(r, families, config) == []
+    assert +counts == Counter()
+    assert forcing.cond_leq(r, p, families) == (True, [])
+    assert +counts == Counter()

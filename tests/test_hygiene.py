@@ -3,10 +3,11 @@ imports a name it never uses, no module of the package, the scripts or
 the benchmark imports a private name of the package, and only `linalg`
 reads the integer rows of a matrix or the nonzeros of a vector, or names
 `invert`: a condition carries its inverse, so nothing else inverts a
-matrix.  In `tails`, only `_aligned` takes the lcm of periods.  Every
-public name of the package has a reader in the program or is on one
-list of the paper's claims; a method whose name another class's method
-shares has its reader named in a table checked by hand.  Every source
+matrix.  Only `tails` reads the integer form of a tail.  In `tails`,
+only `_aligned` takes the lcm of periods.  Every public name of the
+package has a reader in the program or is on one list of the paper's
+claims; a method whose name another class's method shares has its
+reader named in a table checked by hand.  Every source
 file parses as Python 3.10."""
 
 import ast
@@ -58,11 +59,11 @@ def test_no_private_imports_across_package_modules():
 PRIVATE_ROWS = ("_rows", "_nz")
 
 
-def private_row_reads(path):
+def private_row_reads(path, attrs=PRIVATE_ROWS):
     tree = ast.parse(path.read_text(), str(path))
     return ["%s:%d %s" % (path.relative_to(ROOT), node.lineno, node.attr)
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in PRIVATE_ROWS]
+            if isinstance(node, ast.Attribute) and node.attr in attrs]
 
 
 def test_integer_rows_are_read_only_in_linalg():
@@ -72,6 +73,17 @@ def test_integer_rows_are_read_only_in_linalg():
              for p in sorted((ROOT / d).rglob("*.py")) if p != linalg]
     assert paths
     assert [u for p in paths for u in private_row_reads(p)] == []
+
+
+def test_tail_integer_form_is_read_only_in_tails():
+    # TailVector holds its values once more as (prefix ints, period ints,
+    # den); other modules read it through TailVector.int_window
+    tails = ROOT / "src/qforge/tails.py"
+    assert private_row_reads(tails, ("_ints",))  # the check sees the reads it allows
+    paths = [p for d in ("src/qforge", "scripts", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py")) if p != tails]
+    assert paths
+    assert [u for p in paths for u in private_row_reads(p, ("_ints",))] == []
 
 
 def calls_by_function(path, name):

@@ -124,11 +124,6 @@ class TestWindowVector:
 
 
 class TestRMatrix:
-    def test_apply_matches_dense(self):
-        m = from_dense([[1, 2], [0, "1/3"]])
-        v = WindowVector(0, 2, (3, -6))
-        assert m.apply(v).coords == (-9, -2)
-
     def test_matmul_identity(self):
         m = from_dense([[2, 1], [5, 3]])
         assert m.matmul(RMatrix.identity(0, 2)).equals(m)
@@ -150,7 +145,8 @@ class TestRMatrix:
     def test_matmul_associates_with_apply(self, a, b, v):
         ma, mb = from_dense(a), from_dense(b)
         w = WindowVector(0, 2, tuple(v))
-        assert ma.matmul(mb).apply(w).coords == ma.apply(mb.apply(w)).coords
+        apply = dense_oracles.matrix_apply
+        assert apply(ma.matmul(mb), w) == apply(ma, apply(mb, w))
 
 
 class TestOpNormInf:
@@ -198,6 +194,22 @@ class TestInvert:
         eye = RMatrix.identity(0, 3)
         assert m.matmul(inv).equals(eye)
         assert inv.matmul(m).equals(eye)
+        # the integer-row predicate agrees, and refuses a wrong inverse
+        assert linalg.is_right_inverse(m, inv) and linalg.is_right_inverse(inv, m)
+        assert not linalg.is_right_inverse(m, inv.scale(2))
+        assert not linalg.is_right_inverse(m, m.matmul(inv).add(inv))
+        with pytest.raises(ParameterError):
+            linalg.is_right_inverse(m, from_dense(entries, row_lo=1))
+
+    def test_right_inverse_reads_every_entry(self):
+        # each product row has its diagonal entry 1: a one-entry row of m
+        # (row 0 of the first pair) and a longer one (row 0 of the second)
+        # fail on an entry off the diagonal alone
+        m, n = from_dense([[2, 0], [0, 1]]), from_dense([["1/2", 1], [0, 1]])
+        assert not linalg.is_right_inverse(m, n)
+        m, n = from_dense([[1, 1], [0, 1]]), from_dense([[1, 0], [0, 1]])
+        assert not linalg.is_right_inverse(m, n)
+        assert linalg.is_right_inverse(m, from_dense([[1, -1], [0, 1]]))
 
     def test_preserves_window(self):
         m = from_dense([[5]], row_lo=10, col_lo=10)
@@ -274,7 +286,6 @@ class TestIntegerRowsAgainstDenseOracle:
         b = [[data.draw(st.one_of(st.just(-x), mixed)) for x in row] for row in a]
         c = data.draw(dense_lists(k, p))
         s = data.draw(mixed)
-        x = data.draw(st.lists(mixed, min_size=k, max_size=k))
         ma = from_dense(a, row_lo=lo_r, col_lo=lo_k)
         mb = from_dense(b, row_lo=lo_r, col_lo=lo_k)
         mc = from_dense(c, row_lo=lo_k, col_lo=lo_c)
@@ -285,9 +296,6 @@ class TestIntegerRowsAgainstDenseOracle:
         assert_holds(ma.scale(s), dense_oracles.matrix_scale(a, s), lo_r, lo_k)
         assert_holds(ma.matmul(mc), dense_oracles.matrix_product(a, c),
                      lo_r, lo_c)
-        v = ma.apply(WindowVector(lo_k, lo_k + k, x))
-        assert (v.lo, v.hi) == (lo_r, lo_r + n)
-        assert list(v.coords) == dense_oracles.matrix_apply(a, x)
         assert op_norm_inf(ma) == dense_oracles.matrix_norm_inf(a)
         assert ma.equals(mb) == (a == b) == (ma == mb)
         assert ma.add(mb).equals(mb.add(ma))
