@@ -227,6 +227,8 @@ def validate_condition(p: Condition, families: PairedFamilies,
     """List of violations (empty means the condition is valid)."""
     if p.m.window != (0, p.n, 0, p.n):
         return ["(a) matrix window is not [0, %d)^2" % p.n]
+    if p.inv.window != (0, p.n, 0, p.n):
+        return ["(a) inverse window is not [0, %d)^2" % p.n]
     cuts = list(p.cuts)
     if cuts[0] != 0 or cuts[-1] != p.n or cuts != sorted(set(cuts)):
         return ["(a) block cuts %s do not rise from 0 to %d" % (cuts, p.n)]

@@ -11,13 +11,15 @@ carries its basis matrix and the column layout of its Hahn-Banach LP,
 each built on first use.
 
 `extend_isomorphism` builds w = (B_2 - R B_1) Psi_1 + R from the
-projection functionals Psi_1 and a complement map R, one formula for
-every R.  When each Psi has exactly h nonzero columns, as in every block
-of the benchmark workloads, the complements are coordinate subspaces
-and R is the partial permutation that `complement_iso` would give, found
-without it.  Soundness rests on neither: the returned w and w^-1 are
-checked exactly, whichever R built them, and w = t on the basis as the
-one product w B_1 = B_2.
+projection functionals Psi_1 and a complement map R by one kernel,
+`linalg.extension_block`, for w and w^-1 and every R: row by row, each
+distinct row of B_2 - R B_1 multiplied by Psi_1 once.  When each Psi has
+exactly h nonzero columns, as in every block of the benchmark workloads,
+the complements are coordinate subspaces and R is the partial
+permutation that `complement_iso` would give, found without it.
+Soundness rests on neither: the returned w and w^-1 are checked exactly,
+whichever R built them, and w = t on the basis as w B_1 = B_2, decided
+row by row.
 """
 
 from __future__ import annotations
@@ -42,10 +44,13 @@ from .linalg import (
     WindowVector,
     check_int,
     coordinate_rows,
+    extension_block,
     frac,
+    is_product,
     is_right_inverse,
     nullspace,
     op_norm_inf,
+    product_norm,
     rank,
     row_kernel,
 )
@@ -193,13 +198,12 @@ def _ratio_extreme(t: LinMap, want_max: bool):
     """When both the basis and the images have pairwise disjoint supports
     the sup norm of any combination splits per basis vector, so the norm
     (resp. lower bound) is exactly the max (min) image/domain sup ratio."""
-    best = None
-    witness = None
+    best = witness = None
     for v, w in zip(t.domain.basis, t.images):
         r = w.sup_norm() / v.sup_norm()
         if best is None or (r > best if want_max else r < best):
-            best, witness = r, v.scale(ONE / v.sup_norm())
-    return best, witness
+            best, witness = r, v
+    return best, witness.scale(ONE / witness.sup_norm())
 
 
 def op_norm(t: LinMap):
@@ -252,18 +256,16 @@ def hahn_banach_extend(y: Subspace, phi_values):
     return lp_min_l1(y.l1_layout, phi_values)
 
 
-def _projection_parts(y: Subspace):
-    """(projection matrix P, h x n functional matrix Psi) with P = B . Psi
-    for the basis matrix B, P the projection of the ambient l_infty^n
-    onto y.  The one certificate is Psi . B = I_h: B has independent
-    columns, so it holds exactly when P fixes every basis vector, and
-    then P^2 = B (Psi B) Psi = P.  The kernel of P is the joint kernel
-    of the h rows of Psi, far cheaper to compute than a dense nullspace
-    of the full n x n matrix."""
+def _projection_norm(y: Subspace):
+    """(|P|, Psi) for the projection P = B . Psi of l_infty^n onto y, B
+    the basis matrix.  The one certificate is Psi . B = I_h: B has
+    independent columns, so it holds exactly when P fixes every basis
+    vector, and then P^2 = B (Psi B) Psi = P.  |P| is read off B and Psi,
+    each distinct row of B once; P, a row per coordinate, is never built.
+    Its kernel is the joint kernel of the h rows of Psi."""
     h = y.dim
     if h == 0:
-        return (RMatrix(y.lo, y.hi, y.lo, y.hi, {}),
-                RMatrix(0, 0, y.lo, y.hi, {}))
+        return ZERO, RMatrix(0, 0, y.lo, y.hi, {})
     # row j of psi is the l1-minimal extension of the j-th coefficient
     psi = RMatrix.from_rows_vectors([
         hahn_banach_extend(y, [ONE if k == j else ZERO for k in range(h)])[0]
@@ -271,14 +273,7 @@ def _projection_parts(y: Subspace):
     b = y.basis_matrix
     if not is_right_inverse(psi, b):
         raise NormBudgetError("projection does not fix the subspace")
-    return b.matmul(psi), psi
-
-
-def _projection_norm(y: Subspace):
-    """(|P|, Psi) of _projection_parts(y): P is read for its norm alone,
-    so no caller holds it; on a wide block it has a row per coordinate."""
-    p, psi = _projection_parts(y)
-    return op_norm_inf(p), psi
+    return product_norm(b, psi), psi
 
 
 def kernel_of_functionals(psi: RMatrix) -> Subspace:
@@ -486,8 +481,8 @@ def extend_isomorphism(t: LinMap,
         free2 = [f for f in range(lo, hi) if f not in cols2]
         if free1:
             report["distortion_Q"] = ONE
-        r_mat = RMatrix(lo, hi, lo, hi, {g: {f: 1} for f, g in zip(free1, free2)})
-        r_inv = RMatrix(lo, hi, lo, hi, {f: {g: 1} for f, g in zip(free1, free2)})
+        r_mat = RMatrix.pairing(lo, hi, free2, free1)
+        r_inv = RMatrix.pairing(lo, hi, free1, free2)
     else:
         # ker P = ker(B Psi) = ker Psi: h functionals instead of an n x n
         # elimination
@@ -504,15 +499,14 @@ def extend_isomorphism(t: LinMap,
     # w = t P_1 + R (I - P_1) with P_1 = B_1 Psi_1 and t = B_2 on
     # coefficients, so w = (B_2 - R B_1) Psi_1 + R; w^-1 the same way
     b1, b2 = y1.basis_matrix, y2.basis_matrix
-    w = b2.sub(r_mat.matmul(b1)).matmul(psi1).add(r_mat)
-    w_inv = b1.sub(r_inv.matmul(b2)).matmul(psi2).add(r_inv)
+    w = extension_block(b2, r_mat, b1, psi1)
+    w_inv = extension_block(b1, r_inv, b2, psi2)
 
     # w and w^-1 are square exact matrices, so w w^-1 = I gives w^-1 w = I
     if not is_right_inverse(w, w_inv):
         raise NormBudgetError("extension inverse verification failed")
-    # column k of w B_1 is w v_k and column k of B_2 is t(v_k); rows are
-    # canonical, so equals is exact
-    if not w.matmul(b1).equals(b2):
+    # column k of w B_1 is w v_k and column k of B_2 is t(v_k)
+    if not is_product(w, b1, b2):
         raise NormBudgetError("extension does not agree with t on the basis")
     norm_w = op_norm_inf(w)
     norm_w_inv = op_norm_inf(w_inv)

@@ -92,7 +92,7 @@ def load_json(path, parse, what):
 def rmatrix_to_json(m: RMatrix):
     return {"row_lo": m.row_lo, "row_hi": m.row_hi,
             "col_lo": m.col_lo, "col_hi": m.col_hi,
-            "entries": [[i, j, str(v)] for i, j, v in m.items()]}
+            "entries": m.entry_texts()}
 
 
 def rmatrix_from_json(obj) -> RMatrix:

@@ -5,8 +5,10 @@ Everything is a pure function over immutable values; scalars are
 Inside, numbers are integer rows (ints, den): an RMatrix stores each row
 so, and elimination runs on them through `pivot`, the one Gauss-Jordan
 step behind rank, inverses, kernels, solves and the simplex.  Checks
-read the stored rows too: `is_right_inverse` decides M N = I, and
-`block_facts` every fact of a block, with no product matrix built.
+read the stored rows too: `is_product` decides M N = P, and
+`block_facts` every fact of a block, with no product matrix built; so do
+`extension_block`, which builds (B_to - R B_from) Psi + R row by row,
+each distinct row times Psi once, and `product_norm`, |B Psi|.
 """
 
 from __future__ import annotations
@@ -350,6 +352,16 @@ class RMatrix:
         return _matrix(lo, hi, lo, hi, {i: ({i: 1}, 1) for i in range(lo, hi)})
 
     @staticmethod
+    def pairing(lo: int, hi: int, rows: Sequence[int], cols: Sequence[int]) -> "RMatrix":
+        """The 0/1 matrix on [lo, hi)^2 with a 1 at (rows[k], cols[k]) for
+        each k, no row twice: the indices are checked, no value is read."""
+        _check_window(lo, hi)
+        out = {i: ({j: 1}, 1) for i, j in zip(rows, cols) if lo <= i < hi and lo <= j < hi}
+        if not len(out) == len(rows) == len(cols):
+            raise ParameterError("a pair repeats a row or lies outside [%d, %d)" % (lo, hi))
+        return _matrix(lo, hi, lo, hi, out)
+
+    @staticmethod
     def from_columns(cols: Sequence[WindowVector]) -> "RMatrix":
         if not cols:
             raise ParameterError("no columns")
@@ -393,6 +405,18 @@ class RMatrix:
             for j in sorted(row):
                 yield i, j, Fraction(row[j], den)
 
+    def entry_texts(self) -> list:
+        """[row, col, text] of the nonzero entries in row-major order, each
+        text the str of its Fraction ("p/q", or "p" over 1), written from
+        the integer row over its gcd with the denominator."""
+        out = []
+        for i in sorted(self._rows):
+            row, den = self._rows[i]
+            for j, x in sorted(row.items()):
+                g = gcd(x, den)
+                out.append([i, j, str(x // g) if g == den else "%d/%d" % (x // g, den // g)])
+        return out
+
     def get(self, i: int, j: int) -> Fraction:
         row, den = self._rows.get(i, _NO_ROW)
         x = row.get(j)
@@ -427,47 +451,10 @@ class RMatrix:
         orows = other._rows
         rows = {}
         for i, (row, den) in self._rows.items():
-            acc, common = _row_times(row, orows)
-            r = _canonical(acc, den * common)
+            r = _canonical(*_row_times(row, den, orows))
             if r:
                 rows[i] = r
         return _matrix(self.row_lo, self.row_hi, other.col_lo, other.col_hi, rows)
-
-    def add(self, other: "RMatrix") -> "RMatrix":
-        if self.window != other.window:
-            raise ParameterError("windows do not match")
-        rows = dict(self._rows)
-        for i, (orow, oden) in other._rows.items():
-            if i not in rows:
-                rows[i] = orow, oden
-                continue
-            row, den = rows.pop(i)
-            common = lcm(den, oden)
-            s, t = common // den, common // oden
-            acc = {j: x * s for j, x in row.items()} if s != 1 else dict(row)
-            get = acc.get
-            for j, y in orow.items():
-                acc[j] = get(j, 0) + y * t
-            r = _canonical(acc, common)
-            if r:
-                rows[i] = r
-        return _matrix(self.row_lo, self.row_hi, self.col_lo, self.col_hi, rows)
-
-    def scale(self, s) -> "RMatrix":
-        s = frac(s)
-        p, q = s.numerator, s.denominator
-        if q == 1 and p in (1, -1):
-            rows = {i: ({j: p * x for j, x in row.items()}, den)
-                    for i, (row, den) in self._rows.items()}
-        elif p:
-            rows = {i: _canonical({j: p * x for j, x in row.items()}, den * q)
-                    for i, (row, den) in self._rows.items()}
-        else:
-            rows = {}
-        return _matrix(self.row_lo, self.row_hi, self.col_lo, self.col_hi, rows)
-
-    def sub(self, other: "RMatrix") -> "RMatrix":
-        return self.add(other.scale(-1))
 
     def block(self, lo: int, hi: int) -> "RMatrix":
         """The square block on [lo, hi)^2; entries outside are dropped."""
@@ -491,10 +478,10 @@ class RMatrix:
                        {**self._rows, **other._rows})
 
 
-def _row_times(row: dict, orows: dict) -> tuple:
-    """(acc, common): sum_j row[j] * (row j of orows) as integer entries
-    over the lcm common of the denominators of the rows it sums, so that
-    row i of a product with row i = row / den is acc / (den * common)."""
+def _row_times(row: dict, den: int, orows: dict) -> tuple:
+    """(acc, d) with (row / den) times the rows orows equal to acc / d:
+    sum_j row[j] * (row j of orows) as integer entries over the lcm common
+    of the denominators of the rows it sums, and d = den * common."""
     terms = [(a, orows[j]) for j, a in row.items() if j in orows]
     common = lcm(*[d for _, (_, d) in terms])
     acc = {}
@@ -504,7 +491,7 @@ def _row_times(row: dict, orows: dict) -> tuple:
             a *= common // d
         for k, b in orow.items():
             acc[k] = get(k, 0) + a * b
-    return acc, common
+    return acc, den * common
 
 
 def _is_unit_row(i: int, row: dict, den: int, orows: dict) -> bool:
@@ -517,22 +504,79 @@ def _is_unit_row(i: int, row: dict, den: int, orows: dict) -> bool:
         (j, a), = row.items()
         orow, d = orows.get(j, _NO_ROW)
         return len(orow) == 1 and a * orow.get(i, 0) == den * d
-    acc, common = _row_times(row, orows)
-    return acc.pop(i, 0) == den * common and not any(acc.values())
+    acc, d = _row_times(row, den, orows)
+    return acc.pop(i, 0) == d and not any(acc.values())
+
+
+def is_product(m: RMatrix, n: RMatrix, p: RMatrix) -> bool:
+    """m . n = p, as `m.matmul(n).equals(p)` decides it, row by row on
+    the integer rows with no product built: each row of m times n, made
+    canonical, is p's row, and p has no row where m has none."""
+    if (m.col_lo, m.col_hi) != (n.row_lo, n.row_hi):
+        raise ParameterError("inner windows do not match")
+    if p.window != (m.row_lo, m.row_hi, n.col_lo, n.col_hi):
+        return False
+    rows, orows, prows = m._rows, n._rows, p._rows
+    return prows.keys() <= rows.keys() and all(
+        _canonical(*_row_times(row, den, orows)) == prows.get(i)
+        for i, (row, den) in rows.items())
 
 
 def is_right_inverse(m: RMatrix, n: RMatrix) -> bool:
-    """m . n = I, decided row by row on the integer rows, with no product
-    and no identity matrix built: n's row window is m's column window,
-    and the product is the identity on m's row window exactly when n's
-    column window is that window and each row i of m times n is e_i."""
+    """m . n = I on m's row window, as `is_product` decides it, each row
+    tested by `_is_unit_row`, with no identity matrix built."""
     if (m.col_lo, m.col_hi) != (n.row_lo, n.row_hi):
         raise ParameterError("inner windows do not match")
-    if (n.col_lo, n.col_hi) != (m.row_lo, m.row_hi):
-        return False
     rows, orows = m._rows, n._rows
-    return all(i in rows and _is_unit_row(i, *rows[i], orows)
-               for i in range(m.row_lo, m.row_hi))
+    return (n.col_lo, n.col_hi) == (m.row_lo, m.row_hi) and all(
+        i in rows and _is_unit_row(i, *rows[i], orows) for i in range(m.row_lo, m.row_hi))
+
+
+def extension_block(b_to: RMatrix, r: RMatrix, b_from: RMatrix,
+                    psi: RMatrix) -> RMatrix:
+    """(b_to - r . b_from) . psi + r on r's window, built row by row on
+    the integer rows: within the call, row i of b_to - r b_from is formed
+    once per distinct (row i of b_to, r's row i, the rows of b_from it
+    names) and multiplied by psi once per distinct value; r's row i is
+    then added, with no reduction where it fills new columns over 1."""
+    if not (r.window[:2] == b_to.window[:2] and r.window[2:] == b_from.window[:2]
+            == psi.window[2:] and b_to.window[2:] == b_from.window[2:] == psi.window[:2]):
+        raise ParameterError("windows do not match")
+    to_rows, from_rows, r_rows, psi_rows = b_to._rows, b_from._rows, r._rows, psi._rows
+    ids = {}  # one id per distinct row of b_to and b_from
+    to_ids, from_ids = ({i: ids.setdefault((frozenset(row.items()), den), len(ids))
+                         for i, (row, den) in rows.items()} for rows in (to_rows, from_rows))
+    diffs, products, rows = {}, {}, {}
+    for i in range(r.row_lo, r.row_hi):
+        ri, rden = r_rows.get(i, _NO_ROW)
+        key = to_ids.get(i), rden, *[(a, from_ids.get(j)) for j, a in ri.items()]
+        p = diffs.get(key)
+        if p is None:
+            # b_to's row less r's row times b_from, a sum of two rows
+            c = _canonical(*_row_times({0: 1, 1: -1}, 1, {
+                0: to_rows.get(i, _NO_ROW), 1: _row_times(ri, rden, from_rows)})) or _NO_ROW
+            c_key = frozenset(c[0].items()), c[1]
+            if c_key not in products:
+                products[c_key] = _canonical(*_row_times(*c, psi_rows)) or _NO_ROW
+            p = diffs[key] = products[c_key]
+        prow, pden = p
+        if rden == 1 and ri.keys().isdisjoint(prow):
+            # p is canonical, so gcd(pden, its entries) = 1 already
+            row = {**prow, **(ri if pden == 1 else {j: a * pden for j, a in ri.items()})}, pden
+        else:
+            row = _canonical(*_row_times({0: 1, 1: 1}, 1, {0: p, 1: (ri, rden)}))
+        if row and row[0]:
+            rows[i] = row
+    return _matrix(r.row_lo, r.row_hi, r.col_lo, r.col_hi, rows)
+
+
+def product_norm(b: RMatrix, psi: RMatrix) -> Fraction:
+    """op_norm_inf(b . psi) with no product built: the largest l1 norm of
+    a row of b times psi, each distinct row of b taken once."""
+    if (b.col_lo, b.col_hi) != (psi.row_lo, psi.row_hi):
+        raise ParameterError("inner windows do not match")
+    distinct = {(frozenset(row.items()), den): (row, den) for row, den in b._rows.values()}
+    return _max_l1([_row_times(row, den, psi._rows) for row, den in distinct.values()])
 
 
 def _max_l1(rows) -> Fraction:

@@ -68,6 +68,13 @@ fresh identity, and applies each committed f-window densely, through
 `matrix_apply`, to compare it with the g-window coordinate by
 coordinate.
 
+`rmatrix_add`, `rmatrix_sub` and `rmatrix_scale` are the `RMatrix`
+sums as the library had them, on the integer rows, before
+`linalg.extension_block` built each extension block row by row and
+nothing else read them; `extension_formula` is that block through them
+and `matmul`, and `projection_parts` forms the projection P = B Psi that
+the library now reads only for its norm.
+
 `extend_isomorphism` is kept as it was before it read coordinate
 complements off the projection functionals and built w by one factored
 formula: both kernels through `kernel_of_functionals`, matched by
@@ -102,7 +109,6 @@ from qforge.geometry import (
     ExtensionResult,
     LinMap,
     Subspace,
-    _projection_parts,
     balanced_rescale,
     kernel_of_functionals,
 )
@@ -209,6 +215,65 @@ def matrix_rows(rows):
             ints, den = int_row(list(nz.values()))
             out[i] = dict(zip(nz, ints)), den
     return out
+
+
+def rmatrix_add(a, b):
+    """a + b for RMatrices on one window, on the integer rows, as
+    `RMatrix.add` did before `linalg.extension_block` built the extension
+    without it."""
+    if a.window != b.window:
+        raise ParameterError("windows do not match")
+    rows = dict(a._rows)
+    for i, (orow, oden) in b._rows.items():
+        if i not in rows:
+            rows[i] = orow, oden
+            continue
+        row, den = rows.pop(i)
+        common = lcm(den, oden)
+        s, t = common // den, common // oden
+        acc = {j: x * s for j, x in row.items()} if s != 1 else dict(row)
+        get = acc.get
+        for j, y in orow.items():
+            acc[j] = get(j, 0) + y * t
+        r = linalg._canonical(acc, common)
+        if r:
+            rows[i] = r
+    return linalg._matrix(*a.window, rows)
+
+
+def rmatrix_scale(a, s):
+    """s a for an RMatrix a, on the integer rows, as `RMatrix.scale` did."""
+    s = frac(s)
+    p, q = s.numerator, s.denominator
+    if q == 1 and p in (1, -1):
+        rows = {i: ({j: p * x for j, x in row.items()}, den)
+                for i, (row, den) in a._rows.items()}
+    elif p:
+        rows = {i: linalg._canonical({j: p * x for j, x in row.items()}, den * q)
+                for i, (row, den) in a._rows.items()}
+    else:
+        rows = {}
+    return linalg._matrix(*a.window, rows)
+
+
+def rmatrix_sub(a, b):
+    return rmatrix_add(a, rmatrix_scale(b, -1))
+
+
+def extension_formula(b_to, r, b_from, psi):
+    """(b_to - r b_from) psi + r through `matmul` and the sums above: the
+    generic algebra that `linalg.extension_block` replaced."""
+    return rmatrix_add(rmatrix_sub(b_to, r.matmul(b_from)).matmul(psi), r)
+
+
+def projection_parts(y):
+    """(P, Psi) for the projection P = B Psi onto y: Psi from
+    `geometry._projection_norm`, and P formed by `matmul`, as the library
+    formed it before it read |P| off B and Psi."""
+    psi = geometry._projection_norm(y)[1]
+    if y.dim == 0:
+        return RMatrix(y.lo, y.hi, y.lo, y.hi, {}), psi
+    return y.basis_matrix.matmul(psi), psi
 
 
 def matrix_product(a, b):
@@ -707,8 +772,8 @@ def extend_isomorphism(t, config):
     report["distortion_T"] = up / low
     if up >= config.rho or ONE / low >= config.rho:
         raise NormBudgetError("T norms must stay below rho", measured=(up, ONE / low))
-    p1, psi1 = _projection_parts(y1)
-    p2, psi2 = _projection_parts(y2)
+    p1, psi1 = projection_parts(y1)
+    p2, psi2 = projection_parts(y2)
     report["norm_P1"] = op_norm_inf(p1)
     report["norm_P2"] = op_norm_inf(p2)
     eye = RMatrix.identity(y1.lo, y1.hi)
@@ -721,12 +786,13 @@ def extend_isomorphism(t, config):
         report["distortion_Q"] = q.norm() / q.lower()
         r = balanced_rescale(q, config.delta)
     extz1 = r.domain.coefficient_extractor()
-    w = _partial_matrix(t.images, psi1, y1.lo, y1.hi).add(
-        _partial_matrix(r.images, extz1.matmul(eye.sub(p1)), y1.lo, y1.hi))
+    w = rmatrix_add(_partial_matrix(t.images, psi1, y1.lo, y1.hi),
+                    _partial_matrix(r.images, extz1.matmul(rmatrix_sub(eye, p1)),
+                                    y1.lo, y1.hi))
     ext_rz = Subspace(y1.lo, y1.hi, tuple(r.images)).coefficient_extractor()
-    w_inv = _partial_matrix(y1.basis, psi2, y1.lo, y1.hi).add(
-        _partial_matrix(r.domain.basis, ext_rz.matmul(eye.sub(p2)),
-                        y1.lo, y1.hi))
+    w_inv = rmatrix_add(_partial_matrix(y1.basis, psi2, y1.lo, y1.hi),
+                        _partial_matrix(r.domain.basis, ext_rz.matmul(rmatrix_sub(eye, p2)),
+                                        y1.lo, y1.hi))
     if not w.matmul(w_inv).equals(eye):
         raise NormBudgetError("extension inverse verification failed")
     for v, img in zip(y1.basis, t.images):

@@ -41,8 +41,8 @@ def wv(*coords):
     return WindowVector(0, len(coords), coords)
 
 
-# ker Psi_1 is not spanned by unit vectors here: Psi_1 has 3 nonzero
-# columns for h = 2
+# ker Psi_2 is not spanned by unit vectors here: Psi_2, of the images,
+# has 3 nonzero columns for h = 2 (Psi_1 has 2)
 DENSE = ((wv(0, 2, 0, -1), wv(2, 0, 0, 0)), (wv(0, 0, 1, 2), wv(0, 1, 1, -1)))
 
 
@@ -122,8 +122,8 @@ def equal_kernels_off_coordinates(t):
     than h columns, so that the complement search runs on equal kernels?"""
     y1 = t.domain
     try:
-        psi1 = geometry._projection_parts(y1)[1]
-        psi2 = geometry._projection_parts(Subspace(y1.lo, y1.hi, t.images))[1]
+        psi1 = geometry._projection_norm(y1)[1]
+        psi2 = geometry._projection_norm(Subspace(y1.lo, y1.hi, t.images))[1]
     except QForgeError:
         return False
     return (len(geometry._nonzero_columns(psi1)) > y1.dim
@@ -134,15 +134,19 @@ def equal_kernels_off_coordinates(t):
 def test_equal_kernel_extensions():
     seen = []
 
+    # DENSE's second basis has functionals on 3 columns for h = 2, so the
+    # complement search runs on its equal kernels in either order; its
+    # first has functionals on 2 columns and would not count here
     @settings(max_examples=40, deadline=None)
     @given(permuted_bases())
-    @example((DENSE[0], DENSE[0]))
+    @example((DENSE[1], DENSE[1]))
+    @example((DENSE[1], DENSE[1][::-1]))
     def run(instance):
         t = check(*instance)
         if equal_kernels_off_coordinates(t):
             seen.append(instance)
     run()
-    assert seen  # at least the pinned instance gave the oracle's bytes
+    assert len(seen) >= 2  # at least the pinned instances gave the oracle's bytes
 
 
 @settings(max_examples=40, deadline=None)

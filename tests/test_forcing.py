@@ -102,6 +102,13 @@ class TestValidateCondition:
         viol = validate_condition(p, PF2, CFG)
         assert any("M * inv" in v for v in viol)
 
+    def test_inverse_window_flagged(self):
+        # the blocks read the inverse's rows [0, n) alone, so a stray entry
+        # past n went unseen while only the matrix's window was checked
+        inv = RMatrix(0, 5, 0, 5, {0: {0: 1}, 1: {1: 1}, 4: {3: 7}})
+        p = Condition(2, RMatrix.identity(0, 2), (), (0, 2), inv)
+        assert validate_condition(p, PF2, CFG) == ["(a) inverse window is not [0, 2)^2"]
+
     def test_unknown_index_flagged(self):
         p = one_block(EMPTY, (99,))
         viol = validate_condition(p, PF2, CFG)

@@ -11,6 +11,7 @@ from dense_oracles import (
     image,
     kernel_subspace,
     matrix_apply,
+    projection_parts,
     to_dense,
 )
 from qforge import geometry, simplex
@@ -22,7 +23,6 @@ from qforge.errors import (
 from qforge.geometry import (
     LinMap,
     Subspace,
-    _projection_parts,
     balanced_rescale,
     complement_iso,
     extend_isomorphism,
@@ -105,6 +105,15 @@ class TestOpNormAndLowerBound:
         low, w_low = lower_bound(t)
         assert image(t, w_low).sup_norm() == low * w_low.sup_norm()
 
+    def test_disjoint_witness_is_the_first_extreme(self):
+        # disjoint supports on both sides: each ratio of sup norms is
+        # attained by its basis vector, and the witness is the first vector
+        # of the extreme ratio (3 twice, 1 once), scaled to sup norm 1
+        t = make_map([wv(2, 0, 0, 0, 0, 0), wv(0, 4, 0, 0, 0, 0), wv(0, 0, -1, 0, 0, 0)],
+                     [wv(0, 0, 0, 6, 0, 0), wv(0, 0, 0, 0, 12, 0), wv(0, 0, 0, 0, 0, 1)])
+        assert op_norm(t) == (3, wv(1, 0, 0, 0, 0, 0))
+        assert lower_bound(t) == (1, wv(0, 0, -1, 0, 0, 0))
+
     @given(st.lists(rationals, min_size=4, max_size=4),
            st.lists(rationals, min_size=4, max_size=4),
            st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=4),
@@ -153,13 +162,13 @@ class TestHahnBanach:
 class TestBuildProjection:
     def test_coordinate_projection(self):
         y = Subspace(0, 3, (wv(1, 0, 0),))
-        p = _projection_parts(y)[0]
+        p = projection_parts(y)[0]
         assert op_norm_inf(p) == 1
         assert p.matmul(p).equals(p)
 
     def test_disjoint_indicator_span_norm_one(self):
         y = Subspace(0, 4, (wv(1, 1, 0, 0), wv(0, 0, 1, -1)))
-        p = _projection_parts(y)[0]
+        p = projection_parts(y)[0]
         assert p.matmul(p).equals(p)
         assert op_norm_inf(p) == 1
         for v in y.basis:
@@ -167,7 +176,7 @@ class TestBuildProjection:
 
     def test_kernel_complements(self):
         y = Subspace(0, 4, (wv(1, 1, 0, 0),))
-        p = _projection_parts(y)[0]
+        p = projection_parts(y)[0]
         z = kernel_subspace(p, 0, 4)
         assert z.dim == 3
         for v in z.basis:
@@ -184,7 +193,7 @@ class TestBuildProjection:
         monkeypatch.setattr(geometry, "hahn_banach_extend", doubled)
         y = Subspace(0, 4, (wv(1, 1, 0, 0), wv(0, 0, 1, -1)))
         with pytest.raises(NormBudgetError, match="does not fix"):
-            _projection_parts(y)
+            projection_parts(y)
 
 
     def test_layout_is_built_once_per_subspace(self, monkeypatch):
@@ -206,10 +215,10 @@ class TestBuildProjection:
         monkeypatch.setattr(geometry, "hahn_banach_extend", counted)
         y = Subspace(0, 6, (wv(1, 1, 0, 0, 1, 1), wv(0, 1, 1, 0, 0, 1),
                             wv(1, 0, 0, -1, 1, 0)))
-        p = _projection_parts(y)[0]
+        p = projection_parts(y)[0]
         assert p.matmul(p).equals(p)
         assert built == [3] and len(extended) == 3
-        assert _projection_parts(y)[0].equals(p)
+        assert projection_parts(y)[0].equals(p)
         assert built == [3] and len(extended) == 6
 
 
@@ -236,8 +245,8 @@ class TestComplementIso:
     def test_projection_kernels_in_dim8(self):
         y1 = Subspace(0, 8, (wv(1, 1, 0, 0, 0, 0, 0, 0),))
         y2 = Subspace(0, 8, (wv(0, 0, 0, 0, 0, 0, 1, 1),))
-        z1 = kernel_subspace(_projection_parts(y1)[0], 0, 8)
-        z2 = kernel_subspace(_projection_parts(y2)[0], 0, 8)
+        z1 = kernel_subspace(projection_parts(y1)[0], 0, 8)
+        z2 = kernel_subspace(projection_parts(y2)[0], 0, 8)
         q = complement_iso(z1, z2, budget=frac(4))
         assert op_norm(q)[0] / lower_bound(q)[0] <= 16
 

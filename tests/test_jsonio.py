@@ -9,7 +9,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracles import from_dense, to_dense
@@ -133,6 +133,17 @@ def test_matrix_json_is_the_sorted_triples(m):
     assert obj == sorted_triples_json(m)
     assert canonical_dumps(obj) == canonical_dumps(sorted_triples_json(m))
     assert rmatrix_from_json(obj) == m
+
+
+@given(st.lists(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                        max_size=5), max_size=4))
+@example([[Fraction(1, 2), Fraction(-1, 3), Fraction(-5, 6), Fraction(-4), 0]])
+@settings(max_examples=150, deadline=None)
+def test_entry_texts_are_the_fraction_strings(rows):
+    # a row is stored over the lcm of its denominators, so 1/2 beside 1/3
+    # is 3/6 there and its text must be reduced back to "1/2"
+    m = RMatrix(0, len(rows), 0, 5, {i: dict(enumerate(row)) for i, row in enumerate(rows)})
+    assert m.entry_texts() == [[i, j, str(v)] for i, j, v in m.items()]
 
 
 def test_a_read_checks_each_index_once(monkeypatch):

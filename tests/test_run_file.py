@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_oracles import rmatrix_add, rmatrix_scale
 from qforge import forcing
 from qforge.adf.families import FamilyGenerator, make_family
 from qforge.cli import main
@@ -361,8 +362,8 @@ def test_forge_replay_catches_a_wrong_carried_inverse(monkeypatch, capsys,
                                                       tmp_path):
     def off_by_one(ext, config):
         lo, hi = ext.w_inv.row_lo, ext.w_inv.row_hi
-        return replace(ext, w_inv=ext.w_inv.add(
-            RMatrix(lo, hi, lo, hi, {lo: {lo: 1}})))
+        return replace(ext, w_inv=rmatrix_add(
+            ext.w_inv, RMatrix(lo, hi, lo, hi, {lo: {lo: 1}})))
     failures = forge_with_blocks(monkeypatch, capsys, tmp_path, off_by_one)
     assert any(f.startswith("block [") and "(b) carried inverse fails" in f
                for f in failures)
@@ -371,7 +372,7 @@ def test_forge_replay_catches_a_wrong_carried_inverse(monkeypatch, capsys,
 def test_forge_replay_catches_a_norm_above_c2(monkeypatch, capsys, tmp_path):
     def too_large(ext, config):
         s = (config.c2 + 1) / ext.norm_w  # w w^-1 = I still holds
-        return replace(ext, w=ext.w.scale(s), w_inv=ext.w_inv.scale(1 / s),
+        return replace(ext, w=rmatrix_scale(ext.w, s), w_inv=rmatrix_scale(ext.w_inv, 1 / s),
                        norm_w=config.c2 + 1, norm_w_inv=ext.norm_w_inv / s)
     failures = forge_with_blocks(monkeypatch, capsys, tmp_path, too_large)
     assert any(f.startswith("block [") and "(b) matrix norm 65 exceeds c2"

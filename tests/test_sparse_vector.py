@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import dot, matrix_apply, to_dense
+from dense_oracles import dot, matrix_apply, rmatrix_scale, to_dense
 from qforge.geometry import _canonical_basis_order, _lex_key
 from qforge.linalg import ZERO, RMatrix, WindowVector
 
@@ -133,7 +133,7 @@ def test_immutable_and_copyable():
 @pytest.mark.parametrize("m", [
     RMatrix(3, 5, 7, 7, {}),
     RMatrix(-2, 1, 4, 7, {0: {5: "1/2", 4: -1}, -2: {6: "2/3"}}),
-    RMatrix.identity(0, 3).scale("5/7"),
+    rmatrix_scale(RMatrix.identity(0, 3), "5/7"),
 ], ids=["empty-offset", "sparse", "scaled-identity"])
 def test_matrix_immutable_and_copyable(m):
     with pytest.raises(AttributeError):
