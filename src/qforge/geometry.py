@@ -8,7 +8,8 @@ output is verified before it is returned; no bound is claimed unchecked.
 A `Subspace` keeps the private pivots that prove its basis independent,
 and its coefficient extractor reads them instead of eliminating; it also
 carries its basis matrix and the column layout of its Hahn-Banach LP,
-each built on first use.
+each built on first use.  When the disjoint windows of an almost-disjoint
+family make that layout diagonal, the LP is answered in closed form.
 
 `extend_isomorphism` builds w = (B_2 - R B_1) Psi_1 + R from the
 projection functionals Psi_1 and a complement map R by one kernel,

@@ -14,7 +14,8 @@ cancels from its own ratio.  So every decision, and every value, is the
 one a Fraction tableau makes.  Inputs become integer rows once, on the
 way in; the solution and the objective become Fractions once, on the way
 out.  The constraint rows of `lp_min_l1` are laid out and read once per
-`L1Layout`, which every right-hand side on the same vectors shares.
+`L1Layout`, which every right-hand side on the same vectors shares; on a
+diagonal layout `lp_min_l1` writes its one optimum down, with no simplex.
 """
 
 from __future__ import annotations
@@ -159,9 +160,15 @@ class L1Layout:
     the ratio test breaks ties by basis index, whose order the kept
     columns keep.  Columns equal up to sign are not merged, since the u-
     half already holds each column's negated copy.
+
+    The layout is diagonal when each kept column has one nonzero entry
+    c_k and each vector v_k owns one kept column i_k; `diagonal` then
+    holds (i_k, c_k) per vector, else None.  The LP over the kept columns
+    then reads c_k (p_k - q_k) = rhs_k, and min sum(p_k + q_k) has the
+    one optimum p_k - q_k = rhs_k / c_k, which `lp_min_l1` writes down.
     """
 
-    __slots__ = ("lo", "hi", "kept", "rows")
+    __slots__ = ("lo", "hi", "kept", "rows", "diagonal")
 
     def __init__(self, vectors):
         if not vectors:
@@ -184,6 +191,9 @@ class L1Layout:
         self.lo, self.hi = lo, hi
         self.kept = tuple(first.values())
         self.rows = EqualityRows(rows)
+        owned = {col[0][0]: (i, col[0][1]) for col, i in first.items() if len(col) == 1}
+        self.diagonal = (tuple(owned[k] for k in range(len(vectors)))
+                         if len(owned) == n == len(vectors) else None)
 
 
 def lp_min_l1(layout: L1Layout, rhs):
@@ -194,9 +204,18 @@ def lp_min_l1(layout: L1Layout, rhs):
     the problem into a standard-form LP with unit costs over the layout's
     kept columns, whose integer rows each solve shares: phase 1 appends
     rhs to them.
+
+    On a diagonal layout u = sum_k (rhs_k / c_k) e_{i_k}, its nonzero
+    terms, with value sum_k |rhs_k / c_k|, and no simplex runs: after the
+    split the LP reads p_k - q_k = rhs_k / c_k, whose one optimum of
+    min sum(p_k + q_k) any correct simplex returns, on the same kept
+    index with the same value.
     """
     if len(layout.rows) != len(rhs):
         raise ParameterError("one right-hand side per constraint vector required")
+    if layout.diagonal is not None:
+        u = {i: r / c for (i, c), r in zip(layout.diagonal, rhs) if r}
+        return WindowVector.sparse(layout.lo, layout.hi, u), sum(map(abs, u.values()), ZERO)
     n = len(layout.kept)
     x, val = simplex_min([1] * (2 * n), layout.rows, rhs)
     # a basic solution has no more nonzeros than there are constraints

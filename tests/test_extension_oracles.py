@@ -24,7 +24,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracles
-from qforge import forcing, geometry
+from qforge import forcing, geometry, simplex
 from qforge.config import RunConfig
 from qforge.errors import ParameterError, QForgeError
 from qforge.forcing import GenericRun, run_generic
@@ -236,6 +236,36 @@ def test_forge_builds_each_held_fact_once(monkeypatch):
     counts.clear()
     assert forcing.verify_run(run, families)["failures"] == []
     assert +counts == Counter()
+
+
+def test_forced_lps_run_no_simplex(monkeypatch):
+    # past their finite intersections the windows are disjoint multiples
+    # of indicators, so the Hahn-Banach LPs of a criterion-8 amalgamation
+    # all have diagonal layouts and run no simplex; of the criterion-7
+    # forge's 88, exactly 2 do not
+    counts = Counter()
+    solve, simplex_min = geometry.lp_min_l1, simplex.simplex_min
+
+    def counted_solve(*args):
+        counts["lp_min_l1"] += 1
+        return solve(*args)
+
+    def counted_simplex(*args):
+        counts["simplex_min"] += 1
+        return simplex_min(*args)
+    monkeypatch.setattr(geometry, "lp_min_l1", counted_solve)
+    monkeypatch.setattr(simplex, "simplex_min", counted_simplex)
+    families = _forge_families()
+    config = RunConfig(horizon=512)
+    stem = forcing.dense_hit_D(forcing.Condition.trivial(), 16, families, config)
+    p = forcing.Condition(stem.n, stem.m, (0, 7), stem.cuts, stem.inv)
+    q = forcing.Condition(stem.n, stem.m, (3,), stem.cuts, stem.inv)
+    counts.clear()
+    forcing.amalgamate(p, q, stem.n, families, config)
+    assert counts == Counter(lp_min_l1=6)
+    counts.clear()
+    run_generic(families, config=RunConfig(rho=Fraction(4), c2=Fraction(64), horizon=512))
+    assert counts == Counter(lp_min_l1=88, simplex_min=2)
 
 
 def test_amalgamation_checks_copy_no_block(monkeypatch):

@@ -15,13 +15,18 @@ columns equal up to sign, both must give the same u, the same value and
 the same pivots, once each merged column is mapped back to the first
 window index that holds it, also when one layout serves several
 right-hand sides, as it does for the h extensions of a projection.
+A diagonal layout, where each vector is a multiple of the indicator of
+its own disjoint support, is answered in closed form: the same u and
+value, with no pivots.
 The sign-normalized dedup of rows is held to the seen set of each row
 and its negation that it replaced.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,6 +117,20 @@ def lp_outcome(module, solve):
     return result, pivots
 
 
+@contextmanager
+def counted_simplex():
+    """The width of each `simplex_min` call made inside the block."""
+    calls = []
+    original = simplex.simplex_min
+
+    def simplex_min(cost, a_rows, b):
+        calls.append(len(cost))
+        return original(cost, a_rows, b)
+
+    with mock.patch.object(simplex, "simplex_min", simplex_min):
+        yield calls
+
+
 def draw_l1_vectors(data):
     """(vectors, their columns) on one window, with repeated columns, zero
     columns and columns equal up to sign."""
@@ -139,11 +158,20 @@ def draw_rhs(data, columns, h):
     return data.draw(st.lists(workload_entries, min_size=h, max_size=h))
 
 
+def is_diagonal(columns):
+    """Whether every distinct nonzero column has exactly one nonzero entry
+    and every vector owns exactly one of them."""
+    distinct = {col for col in columns if any(col)}
+    owners = [k for col in distinct for k, c in enumerate(col) if c]
+    return len(owners) == len(distinct) and sorted(owners) == list(range(len(columns[0])))
+
+
 def assert_same_lp(got, want, columns):
     """got, from the layout's LP, is want, from the LP over every window
-    index, once each pivot column is mapped back: the merged LP's column
-    j is the first index holding the j-th distinct nonzero column, and
-    artificials follow both halves."""
+    index.  On a diagonal layout got makes no pivots; otherwise its pivots
+    are want's, once each pivot column is mapped back: the merged LP's
+    column j is the first index holding the j-th distinct nonzero column,
+    and artificials follow both halves."""
     n = len(columns)
     kept = [t for t, col in enumerate(columns) if any(col) and col not in columns[:t]]
     w = len(kept)
@@ -156,12 +184,16 @@ def assert_same_lp(got, want, columns):
         return 2 * n + c - 2 * w
 
     (got, got_pivots), (want, want_pivots) = got, want
-    assert [(r, window_column(c)) for r, c in got_pivots] == want_pivots
+    if is_diagonal(columns):
+        assert got_pivots == []
+    else:
+        assert [(r, window_column(c)) for r, c in got_pivots] == want_pivots
     if isinstance(got[0], type):
         assert got == want
         return
     (u, value), (want_u, want_value) = got, want
     assert u.coords == want_u.coords
+    assert all(type(c) is Fraction for c in u.coords)
     assert value == want_value
     assert type(value) is Fraction
 
@@ -201,17 +233,55 @@ def test_lp_min_l1_merges_columns():
     # negated, which stays a column of its own
     one, zero = Fraction(1), Fraction(0)
     v = WindowVector(0, 5, (one, one, zero, one, -one))
-    widths = []
-    original = simplex.simplex_min
-
-    def simplex_min(cost, a_rows, b):
-        widths.append(len(cost))
-        return original(cost, a_rows, b)
-
-    with mock.patch.object(simplex, "simplex_min", simplex_min):
+    with counted_simplex() as widths:
         u, value = simplex.lp_min_l1(simplex.L1Layout([v]), [Fraction(2)])
     assert widths == [4]
     assert (u.coords, value) == ((2, 0, 0, 0, 0), 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lp_min_l1_on_diagonal_layouts(data):
+    # v_k = c_k on its own support, repeated indices and zero columns
+    # between them, c_k negative or p/q, rhs often zero
+    h = data.draw(st.integers(1, 4))
+    scales = data.draw(st.lists(workload_entries.filter(bool), min_size=h, max_size=h))
+    # owners[t] is the vector nonzero at index lo + t; h marks a zero column
+    owners = data.draw(st.lists(st.integers(0, h), min_size=h, max_size=16)) + list(range(h))
+    owners = data.draw(st.permutations(owners))
+    lo = data.draw(st.integers(-3, 3))
+    columns = [tuple(scales[k] if k == j else Fraction(0) for k in range(h))
+               for j in owners]
+    vectors = [WindowVector(lo, lo + len(columns), tuple(col[k] for col in columns))
+               for k in range(h)]
+    rhs = draw_rhs(data, columns, h)
+    layout = simplex.L1Layout(vectors)
+    assert is_diagonal(columns)
+    assert layout.diagonal == tuple((lo + owners.index(k), scales[k]) for k in range(h))
+    with counted_simplex() as calls:
+        got = lp_outcome(simplex, lambda: simplex.lp_min_l1(layout, rhs))
+    want = lp_outcome(dense_oracles, lambda: dense_oracles.lp_min_l1(vectors, rhs))
+    assert calls == []
+    assert_same_lp(got, want, columns)
+
+
+@pytest.mark.parametrize("coords", [
+    [(1, -1, 0)],               # one vector owns c and -c
+    [(1, 2, 0)],                # one vector owns two columns
+    [(1, 0, 1), (0, 1, 1)],     # a column with two nonzeros
+    [(1, 1, 0), (0, 0, 0)],     # a vector that owns no column
+])
+def test_lp_min_l1_off_diagonal_solves_by_simplex(coords):
+    vectors = [WindowVector(0, 3, tuple(Fraction(c) for c in v)) for v in coords]
+    columns = list(zip(*(v.coords for v in vectors)))
+    rhs = [Fraction(1)] * len(vectors)
+    layout = simplex.L1Layout(vectors)
+    assert layout.diagonal is None and not is_diagonal(columns)
+    with counted_simplex() as calls:
+        got = lp_outcome(simplex, lambda: simplex.lp_min_l1(layout, rhs))
+    want = lp_outcome(dense_oracles, lambda: dense_oracles.lp_min_l1(vectors, rhs))
+    assert len(calls) == 1
+    assert_same_lp(got, want, columns)
 
 
 @settings(max_examples=300, deadline=None)
