@@ -34,8 +34,9 @@ per side.
   and the residues, whatever the size of the element.
 
 A family's pairwise certificates do not go through almost_disjoint:
-families.make_family finds them in one pass over the below parts, once
-it has checked that no two rules meet.
+once families.make_family has checked that no two rules meet, each
+certificate is the intersection of two sets' bit masks over the points
+of the below parts, and equal certificates are one shared list.
 
 The lift still grows with lcm // modulus, so a union of many sets with
 unrelated moduli costs the lcm.  An operation whose lift would pass

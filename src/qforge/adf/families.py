@@ -2,12 +2,14 @@
 
 Costs.  make_family checks the periodic rules once per pair of
 distinct moduli.  A family lists the exact finite intersection of every
-pair of its sets on first use of `Family.intersections`, in one pass
-that builds no intersection CertSet: one membership test per set and
-point of the union of the below parts, plus one append per element of
-the certificates.  A family of n sets with one modulus therefore costs n
-times the number of distinct explicit points plus its output, not
-n^2 / 2 CertSet operations, and a reader of its sets alone, such as
+pair of its sets on first use of `Family.intersections`, and builds no
+intersection CertSet: each set is a bit mask over the points of the
+union of the below parts, found with one lookup per point and distinct
+modulus, and a pair's certificate is the intersection of two masks.
+Equal certificates are one shared list, decoded once, and the JSON
+writer writes it once per dict.  A family of n sets therefore costs
+n^2 / 2 mask intersections plus one decode per distinct certificate,
+not n^2 / 2 CertSet operations, and a reader of its sets alone, such as
 mad-census, pays none of it.  separation_find and mad_census still make
 one CertSet operation per member.
 """
@@ -23,11 +25,12 @@ from ..linalg import check_int
 from .certset import CertSet
 from .ordinals import OrdinalIdx
 
-# the largest count of each kind: build-adf at each takes at most 2 s on
-# a 2-vCPU machine (tests/test_cli.py holds it to a budget)
+# the largest count of each kind: build-adf at each takes at most 0.25 s
+# as a whole process on a 2-vCPU machine (tests/test_cli.py holds it to a
+# budget)
 MAX_COUNT = {"progression": 256, "branch": 256, "luzin": 160}
 # a branch set stores depth prefix codes below 2^(depth + 1), so the output
-# grows with count * depth^2: 256 branch sets of depth 16 take about 1 s
+# grows with count * depth^2: 256 branch sets of depth 16 take about 0.17 s
 MAX_DEPTH = 16
 # the largest block count of an ordinal family: build-coherent with
 # --cells, --blocks and --cap w*b all at b = 32 takes about 1 s on a
@@ -118,23 +121,42 @@ def _pairwise_certificates(sets):
 
     When no two rules meet, a common point x of a pair lies below the
     larger threshold of the two, so it is in that set's below part.  So
-    the pass lists, for each x in the union of the below parts, the sets
-    holding x and appends x to the certificate of every pair of them.
-    It costs one membership test per set and such x, plus one append per
-    element of the output.  When some rules meet, the first such pair
-    raises the NotAlmostDisjointError of CertSet.almost_disjoint.
+    each set gets one bit mask over the points of the union of the below
+    parts: below its threshold from its below part, at or above it from
+    its rule, and at most one set's rule holds a given point.  The
+    certificate of (i, j) is masks[i] & masks[j]; a mask met for the
+    first time is decoded once, by its set bits, and every pair with that
+    mask shares the one list, so the lists are read-only.  When some
+    rules meet, the first such pair raises the NotAlmostDisjointError of
+    CertSet.almost_disjoint.
     """
     n = len(sets)
     _check_rules(sets)
-    # rows[i][j] is the certificate of the pair (i, j)
-    rows = [[[] for _ in range(n)] for _ in range(n)]
-    for x in sorted(set().union(*(s.below for s in sets))):
-        holders = [k for k, s in enumerate(sets) if x in s]
-        for a, i in enumerate(holders):
-            row = rows[i]
-            for j in holders[a + 1:]:
-                row[j].append(x)
-    return {(i, j): rows[i][j] for i in range(n) for j in range(i + 1, n)}
+    points = sorted(set().union(*(s.below for s in sets)))
+    index = {x: b for b, x in enumerate(points)}
+    masks = [sum(1 << index[x] for x in s.below) for s in sets]
+    # modulus -> residue -> the one set whose rule holds that class
+    rules = {}
+    for k, s in enumerate(sets):
+        rules.setdefault(s.modulus, {}).update(dict.fromkeys(s.residues, k))
+    for b, x in enumerate(points):
+        for m, owners in rules.items():
+            k = owners.get(x % m)
+            if k is not None and x >= sets[k].threshold:
+                masks[k] |= 1 << b
+    shared, certs = {}, {}
+    for i, mask in enumerate(masks):
+        for j in range(i + 1, n):
+            both = mask & masks[j]
+            cert = shared.get(both)
+            if cert is None:
+                cert = shared[both] = []
+                while both:
+                    low = both & -both
+                    cert.append(points[low.bit_length() - 1])
+                    both ^= low
+            certs[(i, j)] = cert
+    return certs
 
 
 def _progression_sets(count):
@@ -205,7 +227,7 @@ def verify_luzin_bound(sets, certs, horizon):
     from bisect import bisect_left
 
     for alpha in range(len(sets)):
-        tops = sorted(max(certs[(beta, alpha)], default=-1)
+        tops = sorted((certs[(beta, alpha)] or [-1])[-1]
                       for beta in range(alpha))
         for n in range(horizon + 1):
             if bisect_left(tops, n) > n:

@@ -67,8 +67,7 @@ def _family_json(fam, gen):
         "count": len(fam.sets),
         "params": {"depth": gen.depth},
         "sets": [s.to_json_obj() for s in fam.sets],
-        "intersections": {"%d,%d" % k: list(v)
-                          for k, v in sorted(fam.intersections.items())},
+        "intersections": {"%d,%d" % k: v for k, v in fam.intersections.items()},
         "luzin_bound": list(fam.luzin_bound),
         "failures": [],
     }

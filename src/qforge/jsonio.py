@@ -7,7 +7,9 @@ recursive walk instead of that encoder's pure-Python path.  The walk
 is where a `Fraction` becomes its "p/q" string (or "p" when the
 denominator is 1) and a tuple becomes a list; a float, a dict key that
 is not a string, or any other object is refused with a ParameterError,
-so no floating point reaches an output.
+so no floating point reaches an output.  Values of one dict that are one
+object, such as the equal pairwise certificates of a family, which share
+one list, are written once and their text is reused.
 """
 
 from __future__ import annotations
@@ -44,10 +46,19 @@ def _dumps(obj, nl):
             if not isinstance(k, str):
                 raise ParameterError("canonical JSON keys are strings, not %s"
                                      % type(k).__name__)
+        # values that are one object share one text; every node stays
+        # alive and unchanged during the walk, so an id names one value
         inner = nl + "  "
-        return "{" + inner + ("," + inner).join([
-            _quote(k) + ": " + _dumps(obj[k], inner)
-            for k in sorted(obj)]) + nl + "}"
+        texts, parts, sep = {}, [], "{" + inner
+        for k in sorted(obj):
+            v = obj[k]
+            text = texts.get(id(v))
+            if text is None:
+                text = texts[id(v)] = _dumps(v, inner)
+            parts += (sep, _quote(k), ": ", text)
+            sep = "," + inner
+        parts.append(nl + "}")
+        return "".join(parts)
     if obj is None:
         return "null"
     if obj is True:

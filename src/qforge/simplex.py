@@ -149,8 +149,9 @@ class L1Layout:
     window, laid out once for any number of right-hand sides.
 
     The column of index i is (v_1(i), ..., v_h(i)).  `kept` holds the
-    first index of each distinct nonzero column, in index order, and
-    `rows` the rows [v_k | -v_k] over the kept columns as `EqualityRows`.
+    first index of each distinct nonzero column, in index order, `count`
+    the number of vectors, and `rows` the rows [v_k | -v_k] over the kept
+    columns as `EqualityRows`, built only when the layout is not diagonal.
     Under Bland's rule the LP over the kept columns makes the pivots of
     the LP over every index, mapped to the kept ones: a later copy of a
     column has the reduced cost of its first copy, so it never enters
@@ -168,7 +169,7 @@ class L1Layout:
     one optimum p_k - q_k = rhs_k / c_k, which `lp_min_l1` writes down.
     """
 
-    __slots__ = ("lo", "hi", "kept", "rows", "diagonal")
+    __slots__ = ("lo", "hi", "kept", "count", "rows", "diagonal")
 
     def __init__(self, vectors):
         if not vectors:
@@ -184,16 +185,19 @@ class L1Layout:
         for i in sorted(columns):
             first.setdefault(tuple(columns[i]), i)
         n = len(first)
-        rows = [[0] * (2 * n) for _ in vectors]
-        for j, column in enumerate(first):
-            for k, c in column:
-                rows[k][j], rows[k][n + j] = c, -c
         self.lo, self.hi = lo, hi
         self.kept = tuple(first.values())
-        self.rows = EqualityRows(rows)
+        self.count = len(vectors)
         owned = {col[0][0]: (i, col[0][1]) for col, i in first.items() if len(col) == 1}
         self.diagonal = (tuple(owned[k] for k in range(len(vectors)))
                          if len(owned) == n == len(vectors) else None)
+        self.rows = None
+        if self.diagonal is None:
+            rows = [[0] * (2 * n) for _ in vectors]
+            for j, column in enumerate(first):
+                for k, c in column:
+                    rows[k][j], rows[k][n + j] = c, -c
+            self.rows = EqualityRows(rows)
 
 
 def lp_min_l1(layout: L1Layout, rhs):
@@ -211,7 +215,7 @@ def lp_min_l1(layout: L1Layout, rhs):
     min sum(p_k + q_k) any correct simplex returns, on the same kept
     index with the same value.
     """
-    if len(layout.rows) != len(rhs):
+    if layout.count != len(rhs):
         raise ParameterError("one right-hand side per constraint vector required")
     if layout.diagonal is not None:
         u = {i: r / c for (i, c), r in zip(layout.diagonal, rhs) if r}

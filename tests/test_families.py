@@ -60,6 +60,16 @@ class TestGenerators:
             make_family(FamilyGenerator("branch", count=40, depth=4))
 
 
+@pytest.mark.parametrize("gen", [FamilyGenerator("luzin", count=20),
+                                 FamilyGenerator("branch", count=16, depth=4)])
+def test_equal_certificates_are_one_object(gen):
+    certs = list(make_family(gen).intersections.values())
+    first = {}
+    for cert in certs:
+        assert first.setdefault(tuple(cert), cert) is cert
+    assert len(first) < len(certs)
+
+
 class TestAlmostDisjointCheck:
     def test_valuation_classes(self):
         a = CertSet.ap(2, 4)

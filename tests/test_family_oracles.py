@@ -10,6 +10,7 @@ difference: a pair whose intersection the loop refuses to lift (above
 intersection.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,6 +113,23 @@ def test_the_raising_pair_is_the_first_in_order():
         assert str(e) == "intersection contains the progression {1 + 4 k}"
     else:
         raise AssertionError("the family is not almost disjoint")
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2), (2, 1, 0)])
+def test_points_held_by_one_rule_and_another_below_part(order):
+    # 4 and 8 are at or above the threshold 2 of the first set, which
+    # holds them by its rule {0 mod 4}; the second holds them in its below
+    # part, under its threshold 10, and the third meets neither
+    sets = [CertSet(3, 4, [0], [1]), CertSet(10, 4, [1], [4, 8]),
+            CertSet.ap(2, 4)]
+    assert (sets[0].threshold, sets[1].threshold) == (2, 10)
+    assert sets[0].below == {1} and sets[1].below == {4, 8}
+    sets = [sets[k] for k in order]
+    certs = _pairwise_certificates(sets)
+    pair = tuple(sorted((order.index(0), order.index(1))))
+    assert certs[pair] == [4, 8]
+    assert outcome(_pairwise_certificates, sets) == outcome(
+        dense_oracles.pairwise_certificates, sets)
 
 
 # odd and even residues modulo 2p and 2q for coprime odd p, q above

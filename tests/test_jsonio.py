@@ -68,6 +68,22 @@ def test_fractions_are_written_as_their_strings(obj):
     assert canonical_dumps(obj) == oracle(_as_strings(obj))
 
 
+@given(st.lists(st.integers()), st.dictionaries(strings, scalars, max_size=3),
+       st.lists(st.fractions(), max_size=4),
+       st.lists(strings, min_size=4, max_size=8, unique=True), st.data())
+@settings(max_examples=100, deadline=None)
+def test_values_that_are_one_object_are_written_at_their_own_depth(
+        ints, nested, fracs, keys, data):
+    # a dict writes one text per distinct value object; four keys over
+    # three objects repeat one, and the int list is placed deeper again,
+    # where its text has a wider indent
+    shared = [ints, nested, fracs]
+    repeats = {k: shared[data.draw(st.integers(0, 2))] for k in keys}
+    obj = {"repeats": repeats, "deeper": [{"ints": ints, "again": repeats}, ints]}
+    assert canonical_dumps(obj) == oracle(_as_strings(obj))
+    assert canonical_dumps(repeats) == oracle(_as_strings(repeats))
+
+
 def test_fraction_strings():
     assert canonical_dumps([Fraction(6, 2), Fraction(-1, 2)]) == (
         '[\n  "3",\n  "-1/2"\n]\n')
