@@ -15,17 +15,20 @@ whichever algorithm reduced them, so a change of the kernels below
 cannot move output bytes.
 
 Costs.  A side's lifted residues are its residues written modulo the
-lcm of both moduli: len(residues) * lcm // modulus of them.  Its
-explicit elements are its below part and its rule members between its
-threshold and the larger one.  Each candidate costs one membership test
-per side.
+lcm of the moduli: len(residues) * lcm // modulus of them.  Its
+explicit members are its below part and its rule members between its
+threshold and the largest one.  Each candidate costs one membership
+test per side.
 
 - Normal form: trial division of the modulus (up to its second-largest
   prime factor or the square root of its largest, whichever is larger),
   one pass over the residues per prime divided out, and len(below) + 1
   steps for the threshold.
-- union and eq_star: the lifted residues and explicit elements of both
+- union and eq_star: the lifted residues and explicit members of both
   sides.
+- union_all: those of every set, lifted once to the lcm of all the
+  moduli, where a fold of union would lift and reduce the growing union
+  once per set.
 - diff and subset_star: those of self.
 - intersect and almost_disjoint: the lifted residues of the side with
   fewer of them, and the below part of the side with the larger
@@ -39,28 +42,32 @@ certificate is the intersection of two sets' bit masks over the points
 of the below parts, and equal certificates are one shared list.
 
 The lift still grows with lcm // modulus, so a union of many sets with
-unrelated moduli costs the lcm.  An operation whose lift would pass
-MAX_LIFT raises ParameterError before it enumerates anything.  A form of
-disjoint residue classes plus a finite patch, intersected by the Chinese
-remainder theorem, would remove the growth; it is not built yet (ROADMAP
-item 3, step 2).
+unrelated moduli costs the lcm, and the explicit members grow with the
+gap between the thresholds.  An operation that would lift more
+residues, or enumerate more explicit members, than MAX_LIFT raises
+ParameterError before it enumerates anything; each count costs one
+step per residue.  A form of disjoint residue classes plus a finite
+patch, intersected by the Chinese remainder theorem, would remove the
+growth of the lift; it is not built yet (ROADMAP item 3, step 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 
 from ..errors import NotAlmostDisjointError, ParameterError
 from ..linalg import check_int
 
 
-# The most lifted residues one Boolean operation may enumerate.  A lift
-# costs lcm / modulus residues per residue, so a union across a
-# progression family (set i has modulus 2^(i+1)) doubles it per set; the
-# bound stops such a chain after about 17 sets, in well under a second,
-# and sits above every lift that the tests and the certify workload make
-# (at most 114 687).
+# The most lifted residues, and the most explicit members, that one
+# Boolean operation may enumerate.  A lift costs lcm / modulus residues
+# per residue, so a union across a progression family (set i has modulus
+# 2^(i+1)) doubles it per set; the bound stops such a chain after about
+# 17 sets, in well under a second.  The tests, the certify workload and
+# build-coherent --cells 2 --sample-offsets 17 lift at most 131 071
+# residues and enumerate at most 768 explicit members in one operation.
 MAX_LIFT = 1 << 17
 
 
@@ -119,6 +126,34 @@ def _minimize(threshold, modulus, residues, below):
     return t, modulus, residues, frozenset(x for x in below if x < t)
 
 
+def _check(count, what, top):
+    if count > MAX_LIFT:
+        raise ParameterError("combining these sets %s, above the bound of %d"
+                             % (what % (count, top), MAX_LIFT))
+
+
+def _lifted(sides, m):
+    """The residues of every side's rule modulo m, a multiple of each
+    modulus, counted before any is enumerated."""
+    _check(sum(s._lift_size(m) for s in sides),
+           "lifts %d residues modulo %d", m)
+    return (r + k for s in sides for r in s.residues
+            for k in range(0, m, s.modulus))
+
+
+def _explicit(sides, t):
+    """The members below t, at or above every threshold, of every side:
+    its below part, then its rule members in [threshold, t), one range
+    per residue, counted by the bounds (len() fails past sys.maxsize)
+    before any is enumerated."""
+    ranges = [range(s.threshold + (r - s.threshold) % s.modulus, t, s.modulus)
+              for s in sides for r in s.residues]
+    _check(sum(len(s.below) for s in sides)
+           + sum(max(0, -((p.start - t) // p.step)) for p in ranges),
+           "enumerates %d members below %d", t)
+    return chain(*(s.below for s in sides), *ranges)
+
+
 @dataclass(frozen=True)
 class CertSet:
     """Canonical form: n >= threshold belongs iff n % modulus in residues;
@@ -164,10 +199,9 @@ class CertSet:
 
     @staticmethod
     def from_progressions(progressions, add=(), remove=()) -> "CertSet":
-        s = CertSet.empty()
-        for a, d in progressions:
-            s = s.union(CertSet.ap(a, d))
-        return s.union(CertSet.finite(add)).diff(CertSet.finite(remove))
+        s = CertSet.union_all([CertSet.ap(a, d) for a, d in progressions]
+                              + [CertSet.finite(add)])
+        return s.diff(CertSet.finite(remove))
 
     # -- queries -------------------------------------------------------
     def __contains__(self, n: int) -> bool:
@@ -227,19 +261,6 @@ class CertSet:
     def _lift_size(self, m):
         return len(self.residues) * (m // self.modulus)
 
-    def _lift(self, m):
-        """The residues of the rule modulo a multiple m of the modulus."""
-        return (r + k for r in self.residues
-                for k in range(0, m, self.modulus))
-
-    def _members_below(self, t):
-        """The members below t >= threshold: the explicit part, then the
-        rule members in [threshold, t)."""
-        yield from self.below
-        for r in self.residues:
-            yield from range(self.threshold + (r - self.threshold) % self.modulus,
-                             t, self.modulus)
-
     def _combine(self, other: "CertSet", op) -> "CertSet":
         # op(False, False) is False, so every member of the result is a
         # member of a side that op keeps on its own; when op keeps neither
@@ -249,23 +270,26 @@ class CertSet:
         keep = [s for s, kept in ((self, op(True, False)),
                                   (other, op(False, True))) if kept]
         rule_sides = keep or [min(self, other, key=lambda s: s._lift_size(m))]
-        # a side lifts at most m residues, so only a large lcm needs a count
-        if len(rule_sides) * m > MAX_LIFT:
-            lift = sum(s._lift_size(m) for s in rule_sides)
-            if lift > MAX_LIFT:
-                raise ParameterError(
-                    "combining these sets lifts %d residues modulo %d, above "
-                    "the bound of %d" % (lift, m, MAX_LIFT))
         below_sides = keep or [max(self, other, key=lambda s: s.threshold)]
-        residues = frozenset(r for s in rule_sides for r in s._lift(m)
+        lifted, explicit = _lifted(rule_sides, m), _explicit(below_sides, t)
+        residues = frozenset(r for r in lifted
                              if op(r % self.modulus in self.residues,
                                    r % other.modulus in other.residues))
-        below = frozenset(x for s in below_sides for x in s._members_below(t)
-                          if op(x in self, x in other))
+        below = frozenset(x for x in explicit if op(x in self, x in other))
         return CertSet(t, m, residues, below)
 
     def union(self, other: "CertSet") -> "CertSet":
         return self._combine(other, lambda a, b: a or b)
+
+    @staticmethod
+    def union_all(sets) -> "CertSet":
+        """The union of the sets, each lifted once to the lcm of all the
+        moduli; the normal form is unique, so it stores what a fold of
+        union stores."""
+        sets = list(sets)
+        t = max((s.threshold for s in sets), default=0)
+        m = lcm(*(s.modulus for s in sets))
+        return CertSet(t, m, _lifted(sets, m), _explicit(sets, t))
 
     def intersect(self, other: "CertSet") -> "CertSet":
         return self._combine(other, lambda a, b: a and b)

@@ -10,14 +10,19 @@ Equal certificates are one shared list, decoded once, and the JSON
 writer writes it once per dict.  A family of n sets therefore costs
 n^2 / 2 mask intersections plus one decode per distinct certificate,
 not n^2 / 2 CertSet operations, and a reader of its sets alone, such as
-mad-census, pays none of it.  separation_find and mad_census still make
-one CertSet operation per member.
+mad-census, pays none of it.  Each generated set is one CertSet call.
+separation_find unites the inside sets with one CertSet.union_all and
+makes one almost_disjoint per outside set; mad_census makes one
+intersect per member and decides the rest by densities, and lifts the
+union of the family only to list a finite residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
 
 from ..errors import NotAlmostDisjointError, ParameterError
@@ -175,8 +180,9 @@ def _branch_sets(count, depth):
     for i in range(count):
         word = format(i, "0%db" % depth)
         prefixes = {2 ** (k + 1) + int(word[: k + 1], 2) for k in range(depth)}
-        continuation = CertSet.ap(2 ** (depth + 1) + i, 2 ** depth)
-        sets.append(continuation.union(CertSet.finite(prefixes)))
+        # every prefix code lies below 2^(depth + 1), where the
+        # continuation starts
+        sets.append(CertSet(2 ** (depth + 1) + i, 2 ** depth, {i}, prefixes))
     return sets
 
 
@@ -195,8 +201,9 @@ def _luzin_sets(count):
             x = lo + ((beta - lo) % count)
             picks.append(x)
             prev = x
-        base = CertSet.ap(alpha, count)
-        sets.append(base.union(CertSet.finite(picks)))
+        # above the last pick the set is its base class alone
+        base = range(alpha, prev + 1, count)
+        sets.append(CertSet(prev + 1, count, {alpha}, picks + list(base)))
     return sets
 
 
@@ -245,13 +252,9 @@ class Separation:
 def separation_find(b_family, c_family) -> Separation:
     """A set almost containing every member of b_family and almost disjoint
     from every member of c_family, with both certificate directions."""
-    v = CertSet.empty()
-    for b in b_family:
-        v = v.union(b)
-    stray = CertSet.empty()
-    for c in c_family:
-        stray = stray.union(CertSet.finite(v.almost_disjoint(c)))
-    v = v.diff(stray)
+    v = CertSet.union_all(b_family)
+    v = v.diff(CertSet.finite([x for c in c_family
+                               for x in v.almost_disjoint(c)]))
     inside = []
     for b in b_family:
         ok, exc = b.subset_star(v)
@@ -274,30 +277,36 @@ class MadCensus:
 
 
 def mad_census(family: Family, x: CertSet) -> MadCensus:
-    infinite, finite = [], {}
+    """Which members meet x infinitely, and does the family almost cover x?
+
+    One intersect per member decides its meet.  An infinite meet agrees,
+    from some point on, with the periodic set rule(a) & rule(x), whose
+    density is its share len(residues) / modulus.  make_family has
+    proved the members' rules pairwise disjoint, so the rules of any
+    subfamily meet rule(x) in disjoint periodic sets whose densities add
+    up.  Their union lies inside rule(x), and a periodic set of density 0
+    is empty, so the subfamily almost covers x exactly when its shares
+    add up to the density of x.  Hence x minus the union is finite when
+    all shares add up to that density, and the greedy cover is the
+    shortest prefix of the infinite meets whose shares reach it.  The
+    union of the family is built only to list a finite residual.
+    """
+    infinite, finite, shares = [], {}, []
     for i, a in enumerate(family.sets):
-        try:
-            finite[i] = tuple(a.almost_disjoint(x))
-        except NotAlmostDisjointError:
+        meet = a.intersect(x)
+        if meet.is_infinite():
             infinite.append(i)
-    union = CertSet.empty()
-    for a in family.sets:
-        union = union.union(a)
-    residual = x.diff(union)
-    res_fin = not residual.is_infinite()
-    # greedy scan: which members are needed to almost cover x
-    covering = []
-    rest = x
-    for i in infinite:
-        covering.append(i)
-        rest = rest.diff(family.sets[i])
-        if not rest.is_infinite():
-            break
-    if rest.is_infinite():
-        covering = ()
-    return MadCensus(tuple(infinite), finite, res_fin,
-                     tuple(residual.finite_elements()) if res_fin else (),
-                     tuple(covering))
+            shares.append(Fraction(len(meet.residues), meet.modulus))
+        else:
+            finite[i] = tuple(meet.finite_elements())
+    density = Fraction(len(x.residues), x.modulus)
+    covered = list(accumulate(shares, initial=0))
+    if covered[-1] != density:
+        return MadCensus(tuple(infinite), finite, False, (), ())
+    residual = x.diff(CertSet.union_all(family.sets))
+    return MadCensus(tuple(infinite), finite, True,
+                     tuple(residual.finite_elements()),
+                     tuple(infinite[:covered.index(density)]))
 
 
 class OrdinalProgressionFamily:
@@ -339,13 +348,9 @@ class OrdinalProgressionFamily:
         """The residue blocks qq < q, each from start + qq on, united with
         the first r valuation fibers of block q."""
         q, r = self._split(alpha, boundary=True)
-        k = self.cells
-        out = CertSet.empty()
-        for qq in range(q):
-            out = out.union(CertSet.ap(start + qq, k))
-        for i in range(r):
-            out = out.union(self.member(OrdinalIdx(0, q, i)))
-        return out
+        return CertSet.union_all(
+            [CertSet.ap(start + qq, self.cells) for qq in range(q)]
+            + [self.member(OrdinalIdx(0, q, i)) for i in range(r)])
 
     def w_set(self, alpha: OrdinalIdx) -> CertSet:
         """Exact range of the coherent injection at stage alpha:

@@ -19,7 +19,12 @@ and every point below the larger threshold.  The tests require
 
 The pairwise certificates of a family are kept as the loop that made
 them before they were found in one pass: one `CertSet.almost_disjoint`
-per pair, in (i, j) order.
+per pair, in (i, j) order.  The union of many sets is kept as the fold
+`union_fold`, one `CertSet.union` per set from the empty set, as it was
+before `CertSet.union_all` lifted every set once; `mad_census` is the
+census as it was before it was decided by densities: one
+`almost_disjoint` per member, the residual from the folded union, and
+the greedy cover by one `diff` per infinite meet.
 
 The canonical form of a tail vector is kept as it was before one
 prefix-function pass found its period: a scan over every divisor of the
@@ -95,6 +100,8 @@ from itertools import combinations, product
 from math import lcm
 
 from qforge import forcing, geometry, linalg
+from qforge.adf.certset import CertSet
+from qforge.adf.families import MadCensus
 from qforge.errors import (
     InfeasibleError,
     NormBudgetError,
@@ -584,6 +591,39 @@ def pairwise_certificates(sets):
         for j in range(i + 1, len(sets)):
             certs[(i, j)] = sets[i].almost_disjoint(sets[j])
     return certs
+
+
+def union_fold(sets):
+    """The union of the sets, one CertSet.union per set."""
+    out = CertSet.empty()
+    for s in sets:
+        out = out.union(s)
+    return out
+
+
+def mad_census(family, x):
+    """The MadCensus of x over the family, by CertSet operations only."""
+    infinite, finite = [], {}
+    for i, a in enumerate(family.sets):
+        try:
+            finite[i] = tuple(a.almost_disjoint(x))
+        except NotAlmostDisjointError:
+            infinite.append(i)
+    residual = x.diff(union_fold(family.sets))
+    res_fin = not residual.is_infinite()
+    # greedy scan: which members are needed to almost cover x
+    covering = []
+    rest = x
+    for i in infinite:
+        covering.append(i)
+        rest = rest.diff(family.sets[i])
+        if not rest.is_infinite():
+            break
+    if rest.is_infinite():
+        covering = ()
+    return MadCensus(tuple(infinite), finite, res_fin,
+                     tuple(residual.finite_elements()) if res_fin else (),
+                     tuple(covering))
 
 
 def minimal_period(pattern):

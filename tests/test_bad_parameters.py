@@ -154,6 +154,27 @@ def test_separation_whose_union_lifts_too_far(capsys, tmp_path):
     assert time.monotonic() - t0 < 1
 
 
+@pytest.mark.parametrize("top", [10 ** 9, 10 ** 30])
+@pytest.mark.parametrize("argv", [
+    ["mad-census"],
+    # the separator is the union of both sets
+    ["check-separation", "--inside", "0", "1", "--outside", "1"]])
+def test_union_that_enumerates_too_many_members(capsys, tmp_path, argv, top):
+    # the even numbers from top on and the odd numbers: their union lists
+    # the odd numbers below top - 1, the even set's least threshold; it is
+    # refused before any is listed, where at 10^9 it used to run past
+    # 10 s, and a count past sys.maxsize is still a count
+    path = tmp_path / "f.json"
+    write_json(path, {"sets": [
+        {"threshold": top, "modulus": 2, "residues": [0], "below": []},
+        {"threshold": 0, "modulus": 2, "residues": [1], "below": []}]})
+    t0 = time.monotonic()
+    err = assert_one_line_exit_2(capsys, argv[:1] + ["--family", str(path)]
+                                 + argv[1:])
+    assert time.monotonic() - t0 < 1
+    assert "enumerates %d members below %d," % ((top - 1) // 2, top - 1) in err
+
+
 def test_config_schedule_is_not_read(capsys, tmp_path):
     # RunConfig has no schedule field, and unknown keys are ignored, so a
     # scheduled D-hit at 100000 neither runs nor reaches the output

@@ -6,12 +6,14 @@ the integer rows.  `dense_oracles.check_block` is the checker it
 replaced: block copies, a product against the identity and a dense
 apply per index.  On small rational blocks with tails whose values have
 denominators other than 1, clean or with one mutant, both must give the
-same failure list, in the same order, and the same two norms.
+same failure list, in the same order, and the same two norms.  The test
+runs once clean and once per mutant, so each mutant is checked by
+construction, not by the draw, and a failure names its mutant.
 """
 
-from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -36,14 +38,15 @@ def small(lo, hi, max_denominator=4):
 
 
 @st.composite
-def blocks(draw):
-    """(m, inv, lo, hi, a, families, c2, mutant): m on [0, hi + 1)^2 is the
-    identity but for an invertible block B on [lo, hi), dense or a scaled
-    permutation, and inv is its inverse.  f-tails take values in [-1, 1]
-    on [0, hi + 1) and g-tails equal B f there, so |B f| <= 4 * 2 * 1
-    stays within TOP; each period has TOP on its diagonal, so the spans
-    are pi-injective.  c2 bounds both norms, unless the mutant is "norm",
-    which sets it just below the norm of B."""
+def blocks(draw, mutant):
+    """(m, inv, lo, hi, a, families, c2) with the mutant: m on
+    [0, hi + 1)^2 is the identity but for an invertible block B on
+    [lo, hi), dense or a scaled permutation, and inv is its inverse.
+    f-tails take values in [-1, 1] on [0, hi + 1) and g-tails equal B f
+    there, so |B f| <= 4 * 2 * 1 stays within TOP; each period has TOP
+    on its diagonal, so the spans are pi-injective.  c2 bounds both
+    norms, unless the mutant is "norm", which sets it just below the
+    norm of B."""
     count = draw(st.integers(1, 4))
     lo = draw(st.integers(0, 3))
     hi = lo + draw(st.integers(1, 4))
@@ -79,7 +82,6 @@ def blocks(draw):
         g_prefixes.append(g)
     a = tuple(sorted(draw(st.sets(st.integers(0, count - 1), min_size=1,
                                   max_size=min(3, count)))))
-    mutant = draw(st.sampled_from((None,) + MUTANTS))
     norm = dense_oracles.op_norm_inf(block)
     c2 = max(Fraction(64), norm, dense_oracles.op_norm_inf(block_inv))
     i = draw(st.integers(lo, hi - 1))
@@ -105,7 +107,7 @@ def blocks(draw):
                                     for k, p in enumerate(f_prefixes)),
                               tuple(TailVector(tuple(p), period(k))
                                     for k, p in enumerate(g_prefixes)))
-    return m, inv, lo, hi, a, families, c2, mutant
+    return m, inv, lo, hi, a, families, c2
 
 
 def _row(m, i):
@@ -119,14 +121,12 @@ def _with_row(m, i, row):
     return RMatrix(*m.window, {**rows, i: row})
 
 
-def test_block_checker_matches_the_dense_checker():
-    drawn = Counter()
-
-    @settings(max_examples=200, deadline=None)
-    @given(blocks())
+@pytest.mark.parametrize("mutant", (None,) + MUTANTS)
+def test_block_checker_matches_the_dense_checker(mutant):
+    @settings(max_examples=200 // (len(MUTANTS) + 1), deadline=None)
+    @given(blocks(mutant))
     def check(instance):
-        m, inv, lo, hi, a, families, c2, mutant = instance
-        drawn[mutant] += 1
+        m, inv, lo, hi, a, families, c2 = instance
         want = dense_oracles.check_block(m, inv, lo, hi, a, families, c2)
         assert forcing._check_block(m, inv, lo, hi, a, families, c2) == want
         caught = [f for f in want[0] if "): (c)" not in f]
@@ -135,4 +135,3 @@ def test_block_checker_matches_the_dense_checker():
         else:
             assert any("): " + CAUGHT[mutant] in f for f in caught), (mutant, caught)
     check()
-    assert set(MUTANTS) <= set(drawn)

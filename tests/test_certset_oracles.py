@@ -22,7 +22,7 @@ moduli = st.one_of(st.integers(1, 16),
                    st.sampled_from([12, 30, 32, 45, 49, 60, 64]))
 
 
-def raw_forms(below=st.integers(0, 90)):
+def raw_forms(below=st.integers(0, 90), moduli=moduli):
     """Constructor arguments: residues may be negative or above the
     modulus, and below elements may lie at or above the threshold."""
     return st.tuples(st.integers(0, 80), moduli,
@@ -71,6 +71,28 @@ def test_boolean_operations_give_the_oracle_normal_form(a, b):
     assert form(a.intersect(b)) == combine(a, b, lambda x, y: x and y)
     assert form(a.diff(b)) == combine(a, b, lambda x, y: x and not y)
     assert form(b.diff(a)) == combine(b, a, lambda x, y: x and not y)
+
+
+# moduli that divide 120, so that no union of them lifts past MAX_LIFT
+divisor_sets = raw_forms(moduli=st.sampled_from(
+    [1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40, 60, 120])).map(
+    lambda raw: CertSet(*raw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(divisor_sets, max_size=5), st.data())
+def test_union_all_gives_the_fold(sets, data):
+    # the sets again, some of them repeated, in any order
+    if sets:
+        sets = data.draw(st.permutations(
+            sets + data.draw(st.lists(st.sampled_from(sets), max_size=3))))
+    assert form(CertSet.union_all(sets)) == form(
+        dense_oracles.union_fold(sets))
+
+
+def test_union_all_of_no_set_is_empty():
+    assert form(CertSet.union_all([])) == form(dense_oracles.union_fold([]))
+    assert CertSet.union_all([]) == CertSet.empty()
 
 
 @settings(max_examples=300, deadline=None)

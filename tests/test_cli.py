@@ -116,6 +116,38 @@ class TestSeparationAndCensus:
         code, _ = run_cli(capsys, "mad-census", "--family", "/no/such.json")
         assert code == 2
 
+    def test_census_over_coprime_moduli(self, capsys, tmp_path):
+        # the rules 1 mod 2 * 131073 and 0 mod 2 * 131075 never meet, and
+        # their union would lift past MAX_LIFT; the residual is infinite,
+        # so the census lifts no union
+        path = tmp_path / "f.json"
+        write_json(path, {"sets": [
+            {"threshold": 0, "modulus": 2 * 131073, "residues": [1],
+             "below": []},
+            {"threshold": 0, "modulus": 2 * 131075, "residues": [0],
+             "below": []}]})
+        t0 = time.monotonic()
+        code, obj = run_cli(capsys, "mad-census", "--family", str(path))
+        assert time.monotonic() - t0 < 1
+        assert code == 0
+        assert obj["infinite_meet"] == [0, 1]
+        assert obj["residual_finite"] is False
+
+    def test_census_on_a_long_progression_family(self, capsys, tmp_path):
+        # set i has modulus 2^(i+1), so the union of the family would lift
+        # 2^64 residues; the shares 2^-(i+1) leave a share 2^-64 uncovered
+        path = tmp_path / "f.json"
+        assert main(["build-adf", "--kind", "progression", "--count", "64",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        t0 = time.monotonic()
+        code, obj = run_cli(capsys, "mad-census", "--family", str(path))
+        assert time.monotonic() - t0 < 1
+        assert code == 0
+        assert obj["infinite_meet"] == list(range(64))
+        assert obj["residual_finite"] is False
+        assert obj["covering_indices"] == []
+
 
 class TestBuildCoherent:
     @pytest.mark.parametrize("cells, blocks", [

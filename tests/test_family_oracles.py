@@ -1,4 +1,4 @@
-"""The pairwise certificates of a family against the per-pair loop.
+"""The pairwise certificates and the census of a family against loops.
 
 `families._pairwise_certificates` certifies every pair of a family in
 one pass.  `dense_oracles.pairwise_certificates` is the loop it replaced:
@@ -8,6 +8,11 @@ same witness for the first pair that is not almost disjoint.  The one
 difference: a pair whose intersection the loop refuses to lift (above
 `MAX_LIFT` residues) is certified by the pass, with its exact
 intersection.
+
+`families.mad_census` decides the census by densities.
+`dense_oracles.mad_census` is the census it replaced, by `CertSet`
+operations only; both must give the same `MadCensus`, with the finite
+meets in the same order.
 """
 
 import pytest
@@ -16,7 +21,12 @@ from hypothesis import strategies as st
 
 import dense_oracles
 from qforge.adf.certset import CertSet
-from qforge.adf.families import _pairwise_certificates
+from qforge.adf.families import (
+    FamilyGenerator,
+    _pairwise_certificates,
+    mad_census,
+    make_family,
+)
 from qforge.errors import NotAlmostDisjointError, ParameterError
 
 patches = st.tuples(st.integers(0, 60), st.lists(st.integers(0, 80),
@@ -158,3 +168,30 @@ def test_pairs_the_loop_refuses_to_lift_are_certified(order, odd, even,
         s, t = sets[i], sets[j]
         top = max(s.threshold, t.threshold)
         assert cert == [x for x in range(top) if x in s and x in t]
+
+
+@st.composite
+def census_cases(draw):
+    """An explicit family of the infinite sets of ad_families, and an x
+    that is drawn on its own or is a union of members with a finite
+    patch added and removed, so that the family often covers it."""
+    sets = tuple(s for s in draw(ad_families()) if s.is_infinite())
+    family = make_family(FamilyGenerator("explicit", sets=sets))
+    if sets and draw(st.booleans()):
+        add, remove = draw(st.lists(st.integers(0, 80), max_size=4)), \
+            draw(st.lists(st.integers(0, 80), max_size=4))
+        x = dense_oracles.union_fold(
+            draw(st.lists(st.sampled_from(sets), max_size=4))
+            + [CertSet.finite(add)]).diff(CertSet.finite(remove))
+    else:
+        x = draw(raw_sets)
+    return family, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(census_cases())
+def test_census_gives_the_oracle_census(case):
+    family, x = case
+    got, want = mad_census(family, x), dense_oracles.mad_census(family, x)
+    assert got == want
+    assert list(got.finite_meet) == list(want.finite_meet)
