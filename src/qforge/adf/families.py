@@ -288,12 +288,12 @@ def mad_census(family: Family, x: CertSet) -> MadCensus:
     is empty, so the subfamily almost covers x exactly when its shares
     add up to the density of x.  Hence x minus the union is finite when
     all shares add up to that density, and the greedy cover is the
-    shortest prefix of the infinite meets whose shares reach it.  The
-    union of the family is built only to list a finite residual.
+    shortest prefix of the infinite meets whose shares reach it.  A
+    finite residual is x minus the union of the meets, which lie in x.
     """
+    meets = [a.intersect(x) for a in family.sets]
     infinite, finite, shares = [], {}, []
-    for i, a in enumerate(family.sets):
-        meet = a.intersect(x)
+    for i, meet in enumerate(meets):
         if meet.is_infinite():
             infinite.append(i)
             shares.append(Fraction(len(meet.residues), meet.modulus))
@@ -303,7 +303,7 @@ def mad_census(family: Family, x: CertSet) -> MadCensus:
     covered = list(accumulate(shares, initial=0))
     if covered[-1] != density:
         return MadCensus(tuple(infinite), finite, False, (), ())
-    residual = x.diff(CertSet.union_all(family.sets))
+    residual = x.diff(CertSet.union_all(meets))
     return MadCensus(tuple(infinite), finite, True,
                      tuple(residual.finite_elements()),
                      tuple(infinite[:covered.index(density)]))

@@ -36,7 +36,6 @@ from .errors import (
 from .geometry import LinMap, Subspace, extend_isomorphism
 from .jsonio import rmatrix_from_json, rmatrix_to_json
 from .linalg import (
-    ZERO,
     BlockLayout,
     RMatrix,
     block_compose,
@@ -72,7 +71,7 @@ class PairedFamilies:
         if len(set(self.indices)) != len(self.indices):
             raise ParameterError("duplicate indices")
         for v in self.fs + self.gs:
-            if max(map(abs, v.prefix), default=ZERO) > quotient_norm(v):
+            if v.tail_sup(0) > quotient_norm(v):
                 raise ParameterError(
                     "family vectors must be normalized: sup norm equal to "
                     "quotient norm")

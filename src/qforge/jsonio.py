@@ -23,25 +23,26 @@ from .linalg import RMatrix, WindowVector
 
 
 def canonical_dumps(obj) -> str:
-    return _dumps(obj, "\n") + "\n"
+    return _dumps(obj, "\n", "\n")
 
 
-def _dumps(obj, nl):
-    """obj as canonical JSON text, its nested lines starting with nl plus
-    two spaces; the exact-int test in the list case spares the call
-    for the ints that make up most of a certificate."""
+def _dumps(obj, nl, end=""):
+    """obj as canonical JSON text followed by end, its nested lines
+    starting with nl plus two spaces; a container joins end into its own
+    text, so ending an output copies none of it.  The exact-int test in
+    the list case spares the call for the ints of a certificate."""
     if isinstance(obj, str):
-        return _quote(obj)
+        return _quote(obj) + end
     if isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            return "[]" + end
         inner = nl + "  "
-        return "[" + inner + ("," + inner).join([
+        return "".join(("[", inner, ("," + inner).join([
             repr(v) if type(v) is int else _dumps(v, inner)
-            for v in obj]) + nl + "]"
+            for v in obj]), nl, "]", end))
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
+            return "{}" + end
         for k in obj:
             if not isinstance(k, str):
                 raise ParameterError("canonical JSON keys are strings, not %s"
@@ -57,18 +58,18 @@ def _dumps(obj, nl):
                 text = texts[id(v)] = _dumps(v, inner)
             parts += (sep, _quote(k), ": ", text)
             sep = "," + inner
-        parts.append(nl + "}")
+        parts += (nl, "}", end)
         return "".join(parts)
     if obj is None:
-        return "null"
+        return "null" + end
     if obj is True:
-        return "true"
+        return "true" + end
     if obj is False:
-        return "false"
+        return "false" + end
     if isinstance(obj, int):
-        return int.__repr__(obj)
+        return int.__repr__(obj) + end
     if isinstance(obj, Fraction):
-        return _quote(str(obj))
+        return _quote(str(obj)) + end
     raise ParameterError("cannot write a %s as canonical JSON"
                          % type(obj).__name__)
 

@@ -10,18 +10,15 @@ eventual-equality classes and the window searches below are all exact
 finite computations.
 
 Each norm is a polyhedral max over coefficient rows of a `Span`, proved
-pi-injective once by `check_pi_injective` (one aligned period of rows has
-full rank); `Span.sub` gives a subfamily's span, aligned on its own prefix
-and period and not proved again.  A span carries its period rows as
-classes up to sign, with the class of each period position, so a norm
-reads a window's period positions as a set of classes, in integer work,
-and builds rows only for the prefix; a window past the prefix that hits
-every class has restriction-inverse norm 1 with no LP.  Every reader of
-a tail's values over a window goes through `TailVector.window`, or
-through its integer twin `TailVector.int_window`, which slices, as
-`window` does, the one integer row over one denominator that each tail
-holds from its construction; the block checks of `forcing` read their
-windows so.
+pi-injective once by `check_pi_injective` on the span's period rows
+taken as classes up to sign, with the class of each period position;
+`Span.sub` gives a subfamily's span, aligned on its own prefix and
+period and not proved again.  A norm reads a window's period positions
+as a set of classes and builds rows only for the prefix; a window past
+the prefix that hits every class has restriction-inverse norm 1 with no
+LP.  A tail holds its values once, as integers over one denominator:
+`TailVector.int_window` slices them, as the classes and the block checks
+of `forcing` read them, and `window` builds their Fractions.
 """
 
 from __future__ import annotations
@@ -74,23 +71,27 @@ def _slice(prefix: tuple, period: tuple, lo: int, hi: int) -> tuple:
     return prefix[lo:hi] + (period * ((n + r) // p + 1))[r:r + n]
 
 
-@dataclass(frozen=True)
+def _fractions(ints, den) -> dict:
+    """a -> the Fraction a / den, built once for each distinct a of ints."""
+    return {a: Fraction(a, den) for a in set(ints)}
+
+
+@dataclass(frozen=True, init=False)
 class TailVector:
     """prefix on [0, m), then the period pattern repeated forever.
 
     Canonical form: minimal period, shortest prefix (trailing prefix
     entries that already match the rotated pattern are absorbed), so
-    structural equality coincides with pointwise equality.  The values
-    are held once more as integers over one denominator, (prefix ints,
-    period ints, den), which only `int_window` reads.
+    structural equality coincides with pointwise equality.  It is held
+    once, as integers over the least common denominator of its values,
+    (prefix ints, period ints, den); a value read is built as a Fraction.
     """
 
-    prefix: tuple
-    period: tuple
+    _ints: tuple
 
-    def __post_init__(self):
-        prefix = [frac(c) for c in self.prefix]
-        period = [frac(c) for c in self.period]
+    def __init__(self, prefix, period):
+        prefix = [frac(c) for c in prefix]
+        period = [frac(c) for c in period]
         if not period:
             raise ParameterError("period pattern must be nonempty")
         period = _minimal_period(tuple(period))
@@ -99,58 +100,57 @@ class TailVector:
         p, k = len(period), 0
         while k < len(prefix) and prefix[-1 - k] == period[(-1 - k) % p]:
             k += 1
-        s = k % p
-        prefix = tuple(prefix[:len(prefix) - k])
-        period = period[p - s:] + period[:p - s]
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "period", period)
-        ints, den = int_row(prefix + period)
-        object.__setattr__(self, "_ints", (tuple(ints[:len(prefix)]),
-                                           tuple(ints[len(prefix):]), den))
+        m, s = len(prefix) - k, k % p
+        ints, den = int_row(prefix[:m] + list(period[p - s:] + period[:p - s]))
+        object.__setattr__(self, "_ints", (tuple(ints[:m]), tuple(ints[m:]), den))
 
     @staticmethod
     def from_window(v: WindowVector) -> "TailVector":
         """Finitely supported vector: v on [0, hi), then zeros."""
         if v.lo < 0:
             raise ParameterError("window must start at a nonnegative index")
-        coords = [ZERO] * v.lo + list(v.coords)
-        return TailVector(tuple(coords), (ZERO,))
+        return TailVector((ZERO,) * v.lo + v.coords, (ZERO,))
+
+    @property
+    def prefix(self) -> tuple:
+        return self.window(0, self.prefix_len)
+
+    @property
+    def period(self) -> tuple:
+        return self.window(self.prefix_len, self.prefix_len + self.period_len)
 
     @property
     def prefix_len(self) -> int:
-        return len(self.prefix)
+        return len(self._ints[0])
 
     @property
     def period_len(self) -> int:
-        return len(self.period)
+        return len(self._ints[1])
 
     def value(self, i: int) -> Fraction:
-        if i < 0:
-            raise ParameterError("negative index")
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.period[(i - len(self.prefix)) % len(self.period)]
+        return self.window(i, i + 1)[0]
 
     def tail_sup(self, k: int) -> Fraction:
         """sup of |values| on [k, infinity)."""
-        vals = [abs(c) for c in self.prefix[k:]] + [abs(c) for c in self.period]
-        return max(vals)
+        prefix, period, den = self._ints
+        return Fraction(max(map(abs, prefix[k:] + period)), den)
 
     def window(self, lo: int, hi: int) -> tuple:
         """Values at lo, ..., hi - 1: a prefix slice, then repeated periods."""
-        return _slice(self.prefix, self.period, lo, hi)
+        ints, den = self.int_window(lo, hi)
+        return tuple(map(_fractions(ints, den).__getitem__, ints))
 
     def int_window(self, lo: int, hi: int) -> tuple:
         """(ints, den): the values at lo, ..., hi - 1 as ints[k] / den,
-        sliced as `window` slices them from the integer form the tail
-        holds, so no Fraction is read or built."""
+        sliced from the integer form, so no Fraction is built."""
         prefix, period, den = self._ints
         return _slice(prefix, period, lo, hi), den
 
     def restrict(self, lo: int, hi: int) -> WindowVector:
         """The values on [lo, hi), built from the window's nonzeros."""
-        return WindowVector.sparse(
-            lo, hi, {i: c for i, c in enumerate(self.window(lo, hi), lo) if c})
+        ints, den = self.int_window(lo, hi)
+        value = _fractions(ints, den)
+        return WindowVector.sparse(lo, hi, {i: value[a] for i, a in enumerate(ints, lo) if a})
 
     def scale(self, s) -> "TailVector":
         s = frac(s)
@@ -174,7 +174,7 @@ class TailVector:
 
 def quotient_norm(f: TailVector) -> Fraction:
     """limsup |f| = the largest |value| over one tail period."""
-    return max(abs(c) for c in f.period)
+    return f.tail_sup(f.prefix_len)
 
 
 def agree_from(f: TailVector, g: TailVector, n: int) -> bool:
@@ -227,14 +227,14 @@ class Span:
     def classes(self) -> tuple:
         """(class rows, class of each period position): the period rows
         distinct up to sign, each sign-normalized, and for position m + j
-        the index of its row's class, None for a zero row.  The period
-        rows are dropped once classed: a span that a `PairedFamilies`
-        keeps would otherwise hold up to MAX_TAIL of them."""
+        the index of its row's class, None for a zero row.  A position is
+        keyed by the tails' integers there: each tail has one positive
+        denominator, so equal keys are equal rows, of the same sign."""
+        ints, dens = zip(*[f.int_window(self.m, self.m + self.p) for f in self.tails])
         index = {}
-        rows = coordinate_rows(self.tails, self.m, self.m + self.p)
         cls = tuple(None if key is None else index.setdefault(key, len(index))
-                    for key in map(sign_normalized, rows))
-        return list(index), cls
+                    for key in map(sign_normalized, zip(*ints)))
+        return [tuple(map(Fraction, key, dens)) for key in index], cls
 
     def sub(self, ks) -> "Span":
         tails = tuple(self.tails[k] for k in ks)
@@ -243,9 +243,10 @@ class Span:
 
 def check_pi_injective(fs) -> Span:
     """The span of fs, once its period rows have rank len(fs); else
-    NotInjectiveError with a combination that vanishes at infinity."""
+    NotInjectiveError with a combination that vanishes at infinity.  The
+    class rows have the period rows' row space, so the same echelon form."""
     span = Span(tuple(fs), *_aligned(fs))
-    rows = coordinate_rows(span.tails, span.m, span.m + span.p)
+    rows, _ = span.classes
     if rank(rows) < len(fs):
         witness = nullspace(rows, len(fs))[0]
         raise NotInjectiveError(

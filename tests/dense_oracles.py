@@ -35,7 +35,9 @@ period rows as classes up to sign: `pi_section_norm` with every period
 row as a constraint and an objective, and `r_operator_inverse_norm`
 with every period row as an objective and every row of the window, to
 one period past its start and the prefix, as a constraint, always
-through the LP.
+through the LP.  The pi-injectivity check of a span is kept as it was
+before it read the span's class rows: `pi_injective_witness` ranks every
+period row and takes the first nullspace vector of them all.
 
 Eventual equality of two tail vectors is kept as it is defined: their
 values compared one index at a time past the larger prefix, over the lcm
@@ -669,6 +671,17 @@ def pi_section_norm(span, n):
     rows = coordinate_rows(span.tails, span.m, span.m + span.p)
     val, _, _ = polyhedral_max(coordinate_rows(span.tails, n, span.m) + rows, rows)
     return val
+
+
+def pi_injective_witness(fs):
+    """None when one aligned period of the rows of fs has rank len(fs);
+    else the first nullspace vector of those period rows."""
+    m = max(f.prefix_len for f in fs)
+    p = lcm(*[f.period_len for f in fs])
+    rows = coordinate_rows(fs, m, m + p)
+    if linalg.rank(rows) == len(fs):
+        return None
+    return linalg.nullspace(rows, len(fs))[0]
 
 
 def r_operator_inverse_norm(span, n, n_prime):

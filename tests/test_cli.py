@@ -148,6 +148,28 @@ class TestSeparationAndCensus:
         assert obj["residual_finite"] is False
         assert obj["covering_indices"] == []
 
+    @pytest.mark.parametrize("below, residual", [([], []), ([0], [0])])
+    def test_census_of_odd_numbers_on_a_long_progression_family(
+            self, capsys, tmp_path, below, residual):
+        # x = the odd numbers, and 0 or not, meets set 0 (the odd numbers)
+        # alone infinitely; the union of the whole family would lift to
+        # modulus 2^64, the union of the meets lifts to modulus 2
+        path, x = tmp_path / "f.json", tmp_path / "x.json"
+        assert main(["build-adf", "--kind", "progression", "--count", "64",
+                     "--out", str(path)]) == 0
+        write_json(x, {"threshold": len(below), "modulus": 2, "residues": [1],
+                       "below": below})
+        capsys.readouterr()
+        t0 = time.monotonic()
+        code, obj = run_cli(capsys, "mad-census", "--family", str(path),
+                            "--x", str(x))
+        assert time.monotonic() - t0 < 1
+        assert code == 0
+        assert obj["infinite_meet"] == [0]
+        assert obj["residual_finite"] is True
+        assert obj["residual"] == residual
+        assert obj["covering_indices"] == [0]
+
 
 class TestBuildCoherent:
     @pytest.mark.parametrize("cells, blocks", [

@@ -195,3 +195,19 @@ def test_census_gives_the_oracle_census(case):
     got, want = mad_census(family, x), dense_oracles.mad_census(family, x)
     assert got == want
     assert list(got.finite_meet) == list(want.finite_meet)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ad_families(), raw_sets, st.data())
+def test_census_of_a_set_inside_a_few_members(sets, cut, data):
+    # x is a part of a few members plus a finite patch, so the other
+    # members meet it finitely and only the meets cover the residual
+    sets = tuple(s for s in sets if s.is_infinite())
+    family = make_family(FamilyGenerator("explicit", sets=sets))
+    inside = data.draw(st.lists(st.sampled_from(sets), max_size=2)) if sets else []
+    patch = data.draw(st.lists(st.integers(0, 80), max_size=4))
+    x = dense_oracles.union_fold(inside).intersect(cut).union(
+        CertSet.finite(patch))
+    got, want = mad_census(family, x), dense_oracles.mad_census(family, x)
+    assert got == want
+    assert list(got.finite_meet) == list(want.finite_meet)

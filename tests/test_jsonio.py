@@ -38,7 +38,14 @@ def oracle(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-@given(values(scalars))
+# every kind of top-level value, whose text the final newline follows
+@given(scalars | st.just([]) | st.just({}) | st.lists(values(scalars), min_size=1)
+       | st.dictionaries(strings, values(scalars), min_size=1))
+@example(7)
+@example([])
+@example({})
+@example([[1, 2], "a"])
+@example({"a": [1, {}], "b": None})
 @settings(max_examples=100, deadline=None)
 def test_same_bytes_as_json_dumps(obj):
     assert canonical_dumps(obj) == oracle(obj)

@@ -15,7 +15,7 @@ from qforge.errors import (
     ParameterError,
     UnboundedError,
 )
-from qforge.linalg import WindowVector, coordinate_rows, frac
+from qforge.linalg import WindowVector, coordinate_rows, frac, int_row
 from qforge.simplex import polyhedral_max
 from qforge.tails import (
     MAX_TAIL,
@@ -344,6 +344,28 @@ class TestPeriodRowClasses:
         _same_as_oracle(pi_section_norm, dense_oracles.pi_section_norm,
                         span, data.draw(st.integers(0, m + 1)))
 
+    @given(st.lists(small_tails, min_size=1, max_size=3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_injectivity_matches_the_all_rows_oracle(self, fs, data):
+        # often one more tail: a combination of the others, shifted by a
+        # finite prefix, so that the check fails and names its witness
+        if data.draw(st.booleans()):
+            extra = TailVector(tuple(data.draw(st.lists(
+                st.sampled_from([0, 1, Fraction(-2, 3)]), max_size=3))), (0,))
+            for f in fs:
+                extra = extra.add(f.scale(data.draw(
+                    st.sampled_from([0, 1, -1, Fraction(1, 3)]))))
+            fs.insert(data.draw(st.integers(0, len(fs))), extra)
+        witness = dense_oracles.pi_injective_witness(fs)
+        if witness is None:
+            assert check_pi_injective(fs).tails == tuple(fs)
+            return
+        with pytest.raises(NotInjectiveError) as e:
+            check_pi_injective(fs)
+        assert str(e.value) == (
+            "combination with coefficients %s lies in the vanishing ideal"
+            % (tuple(witness),))
+
     def test_a_window_hitting_every_class_past_the_prefix_runs_no_lp(
             self, monkeypatch):
         # period rows (1, 1), (0, 1), (1, 0) at positions 1, 2, 3
@@ -373,13 +395,14 @@ class TestPeriodRowClasses:
     def test_classes_are_built_once_per_span(self, monkeypatch):
         span = check_pi_injective([tv([3], [0, 1]), ODDS, tv([], [0, 0, 1])])
         sub = span.sub([2, 0])
-        built = []
+        reads = []
+        int_window = TailVector.int_window
 
-        def counted(vectors, lo, hi):
-            built.append((lo, hi))
-            return coordinate_rows(vectors, lo, hi)
+        def counted(tail, lo, hi):
+            reads.append((lo, hi))
+            return int_window(tail, lo, hi)
 
-        monkeypatch.setattr(tails, "coordinate_rows", counted)
+        monkeypatch.setattr(TailVector, "int_window", counted)
         assert r_operator_inverse_norm(sub, 1, 7) == 1
         classes = vars(sub)["classes"]
         # period rows (0, 0), (1, 1), (0, 0), (0, 1), (1, 0), (0, 1)
@@ -390,8 +413,9 @@ class TestPeriodRowClasses:
             r_operator_inverse_norm(sub, 1, 3)
         assert pi_section_norm(sub, 0) == 3
         assert vars(sub)["classes"] is classes
-        # the period rows once, then the prefix row of the section norm
-        assert built == [(1, 7), (0, 1)]
+        # each tail's period once, then its value in the section norm's
+        # prefix row
+        assert reads == [(1, 7), (1, 7), (0, 1), (0, 1)]
 
 
 def _ball_vertices(fs, lo, hi):
@@ -446,6 +470,12 @@ class TestSubSpanNorms:
         assert "rows" not in vars(sub) and "classes" not in vars(sub)
 
 
+def _int_form(prefix, period):
+    """(prefix ints, period ints, den) over the least common denominator."""
+    ints, den = int_row(prefix + period)
+    return tuple(ints[:len(prefix)]), tuple(ints[len(prefix):]), den
+
+
 # a repeated base pattern, so that short periods occur, with a stray tail
 symbols = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2)])
 patterns = st.builds(lambda base, reps, extra: tuple(base * reps + extra),
@@ -463,8 +493,25 @@ class TestCanonicalForm:
     @given(st.lists(symbols, max_size=8).map(tuple), patterns)
     def test_stored_form_matches_the_rotation_loop(self, prefix, period):
         t = TailVector(prefix, period)
-        assert (t.prefix, t.period) == dense_oracles.tail_canonical_form(
-            prefix, period)
+        want = dense_oracles.tail_canonical_form(prefix, period)
+        assert (t.prefix, t.period) == want
+        assert t._ints == _int_form(*want)
+
+    @pytest.mark.parametrize("prefix, period, ints", [
+        # "3/6" is absorbed: it matches the period rotated by one, and its
+        # written denominator 6 leaves with it
+        (("-2/4", "7", "3/6"), ("-1/2", "5/10"), ((-1, 14), (1, -1), 2)),
+        (("4/2",), ("2",), ((), (2,), 1)),
+        (("-1/3", "0"), ("0", "0"), ((-1,), (0,), 3)),
+        ((), ("-6/4", "2/3", "-6/4", "2/3"), ((), (-9, 4), 6)),
+    ])
+    def test_integer_form_is_over_the_least_denominator(
+            self, prefix, period, ints):
+        t = TailVector(prefix, period)
+        assert t._ints == ints == _int_form(*dense_oracles.tail_canonical_form(
+            tuple(map(frac, prefix)), tuple(map(frac, period))))
+        assert t == TailVector(t.prefix, t.period)
+        assert hash(t) == hash(TailVector(t.prefix, t.period))
 
     def test_long_period_with_a_late_member_within_budget(self):
         # one member at the end of a 2^16 period: the divisor scan
