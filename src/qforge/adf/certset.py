@@ -20,10 +20,10 @@ explicit members are its below part and its rule members between its
 threshold and the largest one.  Each candidate costs one membership
 test per side.
 
-- Normal form: trial division of the modulus (up to its second-largest
-  prime factor or the square root of its largest, whichever is larger),
-  one pass over the residues per prime divided out, and len(below) + 1
-  steps for the threshold.
+- Normal form: trial division of gcd(modulus, len(residues)), which is
+  at most len(residues), whatever the size of the modulus; one pass over
+  the residues per prime divided out; and len(below) + 1 steps for the
+  threshold.
 - union and eq_star: the lifted residues and explicit members of both
   sides.
 - union_all: those of every set, lifted once to the lcm of all the
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
 from ..errors import NotAlmostDisjointError, ParameterError
 from ..linalg import check_int
@@ -107,10 +107,12 @@ def _minimize(threshold, modulus, residues, below):
     # least period: the periods that divide the modulus are closed under
     # gcd, so dividing out one prime at a time while the residues stay
     # invariant under the shorter shift reaches the least one; the empty
-    # rule has period 1
+    # rule has period 1.  The residues are a union of cosets of the
+    # shifts that fix them, a group of order modulus / least period, so
+    # only primes of gcd(modulus, len(residues)) can shorten the period
     if not residues:
         modulus = 1
-    for p in _prime_factors(modulus):
+    for p in _prime_factors(gcd(modulus, len(residues))):
         while modulus % p == 0:
             step = modulus // p
             if not all((r + step) % modulus in residues for r in residues):

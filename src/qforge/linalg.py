@@ -4,11 +4,13 @@ Everything is a pure function over immutable values; scalars are
 `fractions.Fraction` at every interface and no operation ever rounds.
 Inside, numbers are integer rows (ints, den): an RMatrix stores each row
 so, and elimination runs on them through `pivot`, the one Gauss-Jordan
-step behind rank, inverses, kernels, solves and the simplex.  Checks
-read the stored rows too: `is_product` decides M N = P, and
-`block_facts` every fact of a block, with no product matrix built; so do
-`extension_block`, which builds (B_to - R B_from) Psi + R row by row,
-each distinct row times Psi once, and `product_norm`, |B Psi|.
+step behind rank, inverses, kernels, solves and the simplex.  Dense rows
+of ints or Fractions become integer rows in `int_row`, and `nullspace`
+is their one kernel.  Checks read the stored rows too: `is_product`
+decides M N = P, and `block_facts` every fact of a block, with no
+product matrix built; so do `extension_block`, which builds
+(B_to - R B_from) Psi + R row by row, each distinct row times Psi once,
+and `product_norm`, |B Psi|.
 """
 
 from __future__ import annotations
@@ -800,15 +802,10 @@ def _kernel(tab, cols, lo: int, hi: int) -> list:
     return basis
 
 
-def kernel_basis(rows: list, lo: int, hi: int) -> list:
-    """Basis of the nullspace of dense rows over the columns [lo, hi)."""
-    return _kernel([int_row(row) for row in rows], range(lo, hi), lo, hi)
-
-
 def row_kernel(m: RMatrix) -> list:
-    """Basis of the joint kernel of m's rows on its column window, the
-    vectors `kernel_basis` gives on m's dense rows, from the columns
-    that hold an entry alone."""
+    """Basis of the joint kernel of m's rows on its column window: the
+    basis `nullspace` gives of m's dense rows, as vectors on the window,
+    from the columns that hold an entry alone."""
     cols = sorted({j for row, _ in m._rows.values() for j in row})
     tab = [([row.get(j, 0) for j in cols], den) for row, den in m._rows.values()]
     return _kernel(tab, cols, m.col_lo, m.col_hi)
@@ -816,4 +813,5 @@ def row_kernel(m: RMatrix) -> list:
 
 def nullspace(rows: list, ncols: int) -> list:
     """Basis (list of Fraction lists) of the nullspace of the row system."""
-    return [list(v.coords) for v in kernel_basis(rows, 0, ncols)]
+    tab = [int_row(row) for row in rows]
+    return [list(v.coords) for v in _kernel(tab, range(ncols), 0, ncols)]

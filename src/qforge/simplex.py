@@ -12,8 +12,10 @@ the sign of an integer reduced cost, and the ratio test compares
 rhs_r / a_r across rows by cross-multiplying, since a row's denominator
 cancels from its own ratio.  So every decision, and every value, is the
 one a Fraction tableau makes.  Inputs become integer rows once, on the
-way in; the solution and the objective become Fractions once, on the way
-out.  The constraint rows of `lp_min_l1` are laid out and read once per
+way in, each constraint row with its right-hand side through one
+`linalg.int_row`; the solution and the objective become Fractions once,
+on the way out.  Callers pass the exact numbers they hold, ints or
+Fractions.  The constraint rows of `lp_min_l1` are laid out once per
 `L1Layout`, which every right-hand side on the same vectors shares; on a
 diagonal layout `lp_min_l1` writes its one optimum down, with no simplex.
 """
@@ -21,7 +23,6 @@ diagonal layout `lp_min_l1` writes its one optimum down, with no simplex.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .errors import InfeasibleError, ParameterError, UnboundedError
@@ -79,44 +80,19 @@ def _basic_values(tab, basis, ncols):
     return x
 
 
-class EqualityRows(tuple):
-    """Equality-constraint rows read once into integer rows (ints, den),
-    so that `simplex_min` can solve them for many right-hand sides without
-    reading them again."""
-
-    __slots__ = ()
-
-    def __new__(cls, a_rows):
-        return super().__new__(cls, [linalg.int_row(list(row)) for row in a_rows])
-
-
-def _with_rhs(ints, den, rhs):
-    """The integer row (ints, den) with the rational rhs appended, over
-    lcm(den, rhs's denominator): the row that `linalg.int_row` makes of
-    the rationals with rhs appended, since lcm is associative."""
-    q = rhs.denominator
-    full = lcm(den, q)
-    if full != den:
-        s = full // den
-        ints = [x * s for x in ints]
-    return ints + [rhs.numerator * (full // q)], full
-
-
 def simplex_min(cost, a_rows, b):
     """Minimize cost.x subject to (a_rows)x = b, x >= 0.
 
-    Entries are exact rationals (ints or Fractions); a_rows may also come
-    as `EqualityRows`, read already.  Returns (x, value) in Fractions.
-    Raises InfeasibleError / UnboundedError.
+    Entries are exact rationals (ints or Fractions); each row is read
+    with its right-hand side appended, as one integer row.  Returns
+    (x, value) in Fractions.  Raises InfeasibleError / UnboundedError.
     """
-    if not isinstance(a_rows, EqualityRows):
-        a_rows = EqualityRows(a_rows)
     m = len(a_rows)
     n = len(cost)
     tab = []
     # phase 1: artificial variables n .. n+m-1
-    for r, ((ints, den), rhs) in enumerate(zip(a_rows, b)):
-        ints, den = _with_rhs(ints, den, rhs)
+    for r, (row, rhs) in enumerate(zip(a_rows, b)):
+        ints, den = linalg.int_row(list(row) + [rhs])
         if rhs < 0:
             ints = [-x for x in ints]
         artificial = [0] * m
@@ -151,7 +127,7 @@ class L1Layout:
     The column of index i is (v_1(i), ..., v_h(i)).  `kept` holds the
     first index of each distinct nonzero column, in index order, `count`
     the number of vectors, and `rows` the rows [v_k | -v_k] over the kept
-    columns as `EqualityRows`, built only when the layout is not diagonal.
+    columns, built only when the layout is not diagonal.
     Under Bland's rule the LP over the kept columns makes the pivots of
     the LP over every index, mapped to the kept ones: a later copy of a
     column has the reduced cost of its first copy, so it never enters
@@ -197,7 +173,7 @@ class L1Layout:
             for j, column in enumerate(first):
                 for k, c in column:
                     rows[k][j], rows[k][n + j] = c, -c
-            self.rows = EqualityRows(rows)
+            self.rows = rows
 
 
 def lp_min_l1(layout: L1Layout, rhs):
@@ -206,8 +182,7 @@ def lp_min_l1(layout: L1Layout, rhs):
 
     u lives on the vectors' common window; the split u = u+ - u- turns
     the problem into a standard-form LP with unit costs over the layout's
-    kept columns, whose integer rows each solve shares: phase 1 appends
-    rhs to them.
+    kept columns, whose rows each solve shares.
 
     On a diagonal layout u = sum_k (rhs_k / c_k) e_{i_k}, its nonzero
     terms, with value sum_k |rhs_k / c_k|, and no simplex runs: after the

@@ -17,8 +17,9 @@ period and not proved again.  A norm reads a window's period positions
 as a set of classes and builds rows only for the prefix; a window past
 the prefix that hits every class has restriction-inverse norm 1 with no
 LP.  A tail holds its values once, as integers over one denominator:
-`TailVector.int_window` slices them, as the classes and the block checks
-of `forcing` read them, and `window` builds their Fractions.
+`TailVector.int_window` slices them, and the norms' rows, the classes,
+`agree_from`, `eq_star` and the block checks of `forcing` read them as
+they are; `window` builds their Fractions.
 """
 
 from __future__ import annotations
@@ -172,9 +173,21 @@ class TailVector:
         return TailVector(tuple(obj["prefix"]), tuple(obj["period"]))
 
 
+def _int_rows(tails, lo: int, hi: int) -> list:
+    """Row i -> the tails' integers at i, for i in [lo, hi) (`Span.classes`
+    says why a norm may read these rows)."""
+    return list(zip(*[f.int_window(lo, hi)[0] for f in tails]))
+
+
 def quotient_norm(f: TailVector) -> Fraction:
     """limsup |f| = the largest |value| over one tail period."""
     return f.tail_sup(f.prefix_len)
+
+
+def _differences(f: TailVector, g: TailVector, lo: int, hi: int):
+    """The indices of [lo, hi) where a / d_f != b / d_g, i.e. a d_g != b d_f."""
+    (a, df), (b, dg) = f.int_window(lo, hi), g.int_window(lo, hi)
+    return (i for i, x, y in zip(range(lo, hi), a, b) if x * dg != y * df)
 
 
 def agree_from(f: TailVector, g: TailVector, n: int) -> bool:
@@ -183,7 +196,7 @@ def agree_from(f: TailVector, g: TailVector, n: int) -> bool:
     if f.period_len != g.period_len:
         return False
     end = max(n, f.prefix_len, g.prefix_len) + f.period_len
-    return f.window(n, end) == g.window(n, end)
+    return next(_differences(f, g, n, end), None) is None
 
 
 def eq_star(f: TailVector, g: TailVector):
@@ -191,8 +204,7 @@ def eq_star(f: TailVector, g: TailVector):
     m = max(f.prefix_len, g.prefix_len)
     if not agree_from(f, g, m):
         return False, None
-    return True, [i for i, (x, y) in enumerate(zip(f.window(0, m), g.window(0, m)))
-                  if x != y]
+    return True, list(_differences(f, g, 0, m))
 
 
 @dataclass(frozen=True)
@@ -216,8 +228,8 @@ def _aligned(fs):
 @dataclass(frozen=True)
 class Span:
     """Tails proved pi-injective by check_pi_injective, or a subfamily of
-    them (pi-injective as well); max |row . c| is the quotient norm of
-    sum c_k tails_k."""
+    them (pi-injective as well); max |row . y| over the class rows is the
+    quotient norm of sum c_k tails_k, y_k = c_k / den_k."""
 
     tails: tuple
     m: int
@@ -227,14 +239,20 @@ class Span:
     def classes(self) -> tuple:
         """(class rows, class of each period position): the period rows
         distinct up to sign, each sign-normalized, and for position m + j
-        the index of its row's class, None for a zero row.  A position is
-        keyed by the tails' integers there: each tail has one positive
-        denominator, so equal keys are equal rows, of the same sign."""
-        ints, dens = zip(*[f.int_window(self.m, self.m + self.p) for f in self.tails])
+        the index of its row's class, None for a zero row.
+
+        A row, like every row of a norm, is the tails' integers at its
+        position.  Tail k is a_k / den_k with one den_k > 0, so the rows
+        read the coefficients y_k = c_k / den_k, a positive diagonal
+        rescaling of c.  It keeps which rows are equal up to sign, every
+        rank, every polyhedral max and UnboundedError, and every pivot of
+        Bland's rule: it scales each tableau column and its reduced cost
+        by a positive number, which moves no sign and no ratio test."""
+        rows = _int_rows(self.tails, self.m, self.m + self.p)
         index = {}
         cls = tuple(None if key is None else index.setdefault(key, len(index))
-                    for key in map(sign_normalized, zip(*ints)))
-        return [tuple(map(Fraction, key, dens)) for key in index], cls
+                    for key in map(sign_normalized, rows))
+        return list(index), cls
 
     def sub(self, ks) -> "Span":
         tails = tuple(self.tails[k] for k in ks)
@@ -243,12 +261,12 @@ class Span:
 
 def check_pi_injective(fs) -> Span:
     """The span of fs, once its period rows have rank len(fs); else
-    NotInjectiveError with a combination that vanishes at infinity.  The
-    class rows have the period rows' row space, so the same echelon form."""
+    NotInjectiveError with a combination that vanishes at infinity: the
+    first nullspace vector of the period rows, in the coefficients c."""
     span = Span(tuple(fs), *_aligned(fs))
     rows, _ = span.classes
     if rank(rows) < len(fs):
-        witness = nullspace(rows, len(fs))[0]
+        witness = nullspace(coordinate_rows(fs, span.m, span.m + span.p), len(fs))[0]
         raise NotInjectiveError(
             "combination with coefficients %s lies in the vanishing ideal"
             % (tuple(witness),))
@@ -281,7 +299,7 @@ def restriction_index(fs, epsilon=ZERO) -> LiftWindow:
         raise ParameterError("epsilon must lie in [0, 1)")
     fs = [f if isinstance(f, TailVector) else TailVector.from_window(f) for f in fs]
     m, p = _aligned(fs)
-    full = coordinate_rows(fs, 0, m + p)
+    full = _int_rows(fs, 0, m + p)
     budget = ONE / (1 - epsilon)
     for n in range(1, m + p + 1):
         try:
@@ -301,7 +319,7 @@ def pi_section_norm(span: Span, n: int) -> Fraction:
         # constraint rows, so the sup over the unit ball is exactly 1
         return ONE
     rows, _ = span.classes
-    val, _, _ = polyhedral_max(coordinate_rows(span.tails, n, span.m) + rows, rows)
+    val, _, _ = polyhedral_max(_int_rows(span.tails, n, span.m) + rows, rows)
     return val
 
 
@@ -309,14 +327,14 @@ def r_operator_inverse_norm(span: Span, n: int, n_prime: int) -> Fraction:
     """max quotient norm over {|y| <= 1 on [n, n')}; NotInvertible when the
     restriction window is too short to pin down coefficients.
 
-    The quotient norm of sum c_k tails_k is max |r . c| over the span's
-    class rows r.  Past the prefix, position i reads the row of class
+    The quotient norm of sum c_k tails_k is max |r . y| over the span's
+    class rows r, y_k = c_k / den_k.  Past the prefix, position i reads the row of class
     cls[(i - m) mod p], and neither a repeated row nor a row's negative
     changes the constraint set or its rank.  So the constraints are the
     window's prefix rows and the class rows its period positions hit, at
     most one period of positions.  When n >= m and every class is hit,
-    the constraint set is the quotient-norm ball {c : max |r . c| <= 1}:
-    each c in it has quotient norm at most 1, and any c != 0 over its
+    the constraint set is the quotient-norm ball {y : max |r . y| <= 1}:
+    each y in it has quotient norm at most 1, and any y != 0 over its
     quotient norm, positive as the class rows have full rank, lies in it
     with quotient norm 1.  The value is then exactly 1, and no LP runs.
     """
@@ -328,7 +346,7 @@ def r_operator_inverse_norm(span: Span, n: int, n_prime: int) -> Fraction:
     hit.discard(None)
     if n >= span.m and len(hit) == len(rows):
         return ONE
-    prefix = coordinate_rows(span.tails, n, min(end, span.m)) if n < span.m else []
+    prefix = _int_rows(span.tails, n, min(end, span.m)) if n < span.m else []
     try:
         val, _, _ = polyhedral_max(rows, prefix + [rows[c] for c in sorted(hit)])
     except UnboundedError:

@@ -755,7 +755,8 @@ def dual_norm(y, phi_values):
 def kernel_subspace(p, lo, hi):
     """Kernel of an idempotent matrix p on [lo, hi), as a Subspace."""
     rows = [[p.get(i, j) for j in range(lo, hi)] for i in range(lo, hi)]
-    return Subspace(lo, hi, tuple(linalg.kernel_basis(rows, lo, hi)))
+    return Subspace(lo, hi, tuple(WindowVector(lo, hi, v)
+                                  for v in linalg.nullspace(rows, hi - lo)))
 
 
 def _partial_matrix(image_cols, coeff_rows, lo, hi):

@@ -16,6 +16,10 @@ BUILD_ADF_BUDGET_S = 20
 # build-coherent with 10^9 cells, or with MAX_BLOCKS cells and blocks,
 # takes at most about 1 s on a 2-vCPU machine
 BUILD_COHERENT_BUDGET_S = 10
+# a set's normal form costs what its residues cost, whatever the size
+# of its modulus, so a prime modulus near 2^61 takes well under 1 s
+BIG_MODULUS_BUDGET_S = 2
+BIG_PRIME = 2 ** 61 - 1
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +174,35 @@ class TestSeparationAndCensus:
         assert obj["residual"] == residual
         assert obj["covering_indices"] == [0]
 
+    @pytest.mark.parametrize("command, want", [
+        (("mad-census", "--family", "{progressions}", "--x", "{multiples}"),
+         {"infinite_meet": [0, 1, 2], "residual_finite": False}),
+        (("mad-census", "--family", "{pair}"),
+         {"infinite_meet": [0, 1], "residual_finite": False}),
+        (("check-separation", "--family", "{pair}", "--inside", "0",
+          "--outside", "1"),
+         {"inside_exceptions": [[]], "outside_exceptions": [[]]}),
+    ])
+    def test_a_prime_modulus_near_2_61_within_budget(self, capsys, tmp_path,
+                                                     command, want):
+        # the pair holds the rules 0 and 1 mod 2^61 - 1, x the first
+        paths = {k: tmp_path / (k + ".json")
+                 for k in ("progressions", "multiples", "pair")}
+        assert main(["build-adf", "--kind", "progression", "--count", "3",
+                     "--out", str(paths["progressions"])]) == 0
+        capsys.readouterr()
+        rules = [{"threshold": 0, "modulus": BIG_PRIME, "residues": [r],
+                  "below": []} for r in (0, 1)]
+        write_json(paths["multiples"], rules[0])
+        write_json(paths["pair"], {"sets": rules})
+        t0 = time.monotonic()
+        code, obj = run_cli(capsys, *(a.format(**paths) for a in command))
+        elapsed = time.monotonic() - t0
+        assert code == 0
+        assert {k: obj[k] for k in want} == want
+        assert elapsed < BIG_MODULUS_BUDGET_S, (
+            "budget exceeded: %.2fs > %ds" % (elapsed, BIG_MODULUS_BUDGET_S))
+
 
 class TestBuildCoherent:
     @pytest.mark.parametrize("cells, blocks", [
@@ -185,6 +218,16 @@ class TestBuildCoherent:
         assert obj["cap"] == "w*%d" % blocks and obj["failures"] == []
         assert elapsed < BUILD_COHERENT_BUDGET_S, (
             "budget exceeded: %.2fs > %ds" % (elapsed, BUILD_COHERENT_BUDGET_S))
+
+    def test_a_prime_cell_count_near_2_61_within_budget(self, capsys):
+        t0 = time.monotonic()
+        code, obj = run_cli(capsys, "build-coherent", "--cells",
+                            str(BIG_PRIME), "--blocks", "2")
+        elapsed = time.monotonic() - t0
+        assert code == 0
+        assert obj["cells"] == BIG_PRIME and obj["failures"] == []
+        assert elapsed < BIG_MODULUS_BUDGET_S, (
+            "budget exceeded: %.2fs > %ds" % (elapsed, BIG_MODULUS_BUDGET_S))
 
     def test_report(self, capsys):
         code, obj = run_cli(capsys, "build-coherent", "--cells", "8",

@@ -210,7 +210,7 @@ SHARED_METHOD_READERS = {
     "linalg.WindowVector.value": "geometry.Subspace.coefficient_extractor",
     "linalg.WindowVector.window": "linalg.coordinate_rows",
     "linalg.RMatrix.window": "forcing.validate_condition",
-    "tails.TailVector.window": "tails.agree_from",
+    "tails.TailVector.window": "tails.TailVector.prefix",
 }
 
 

@@ -470,6 +470,56 @@ class TestSubSpanNorms:
         assert "rows" not in vars(sub) and "classes" not in vars(sub)
 
 
+@st.composite
+def rational_pairs(draw):
+    """(f, g) with rational values: g shares f's period, rotated, behind a
+    prefix of its own, or has a period of its own."""
+    f = draw(tail_vectors)
+    k = draw(st.integers(0, f.period_len - 1))
+    period = draw(st.one_of(st.just(f.period[k:] + f.period[:k]),
+                            st.lists(rationals, min_size=1, max_size=4).map(tuple)))
+    return f, TailVector(tuple(draw(st.lists(rationals, max_size=4))), period)
+
+
+def _norms(fs, n, lo, hi):
+    """Every norm of the span of fs, with NotInvertibleError as a value."""
+    span = check_pi_injective(fs)
+    try:
+        inverse = r_operator_inverse_norm(span, lo, hi)
+    except NotInvertibleError:
+        inverse = NotInvertibleError
+    return (span.tails, pi_section_norm(span, n), inverse,
+            lifting_index(fs), restriction_index(fs))
+
+
+class TestNormsReadIntegers:
+    """The norms, the injectivity proof and the window comparisons read
+    each tail's integers: with `TailVector.window` refused, they return
+    what they return otherwise."""
+
+    @given(st.lists(tail_vectors, min_size=1, max_size=3), rational_pairs(),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_no_window_is_read(self, fs, fg, data):
+        f, g = fg
+        n, lo, width = (data.draw(st.integers(0, k)) for k in (12, 6, 8))
+        try:
+            norms = _norms(fs, n % 6, lo, lo + width)
+        except NotInjectiveError:
+            norms = None
+        comparisons = (dense_oracles.tails_agree_from(f, g, n),
+                       dense_oracles.tails_eq_star(f, g))
+
+        def refused(tail, lo, hi):
+            raise AssertionError("TailVector.window read on [%d, %d)" % (lo, hi))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TailVector, "window", refused)
+            if norms is not None:
+                assert _norms(fs, n % 6, lo, lo + width) == norms
+            assert (agree_from(f, g, n), eq_star(f, g)) == comparisons
+
+
 def _int_form(prefix, period):
     """(prefix ints, period ints, den) over the least common denominator."""
     ints, den = int_row(prefix + period)
