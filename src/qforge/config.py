@@ -12,8 +12,8 @@ from .jsonio import load_json
 from .linalg import check_int, frac
 
 ENV_CONFIG = "QF_CONFIG"
-# the largest horizon: the stage search may reach 8 * horizon, and the
-# criterion-7 forge at 4096 takes about 5 s on a 2-vCPU machine
+# the largest horizon: a stage reaches at most horizon + search_cap =
+# 9 * horizon, and the criterion-7 forge at 4096 takes 0.4 s on 2 vCPUs
 MAX_HORIZON = 4096
 _RATIONAL = ("rho", "c1", "c2", "delta")
 
@@ -36,7 +36,8 @@ class RunConfig:
 
     @property
     def search_cap(self) -> int:
-        """Largest matrix stage the amalgamation search may reach."""
+        """The stage search tries max(n, big_n) + 2^k while n + 2^k <=
+        search_cap, so a D hit may reach the stage horizon + search_cap."""
         return 8 * self.horizon
 
     def to_json_obj(self):

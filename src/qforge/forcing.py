@@ -16,6 +16,9 @@ each committed index, and both norms.  Each fact is an equation between
 integers, so a passing block needs no Fraction but its two norms; the
 failure messages are built from the first failing row that the pass
 returns.
+
+A run holds one inverse per chain condition, on that condition's block,
+as its file stores it, and `verify_run` checks each block against it.
 """
 
 from __future__ import annotations
@@ -35,13 +38,7 @@ from .errors import (
 )
 from .geometry import LinMap, Subspace, extend_isomorphism
 from .jsonio import rmatrix_from_json, rmatrix_to_json
-from .linalg import (
-    BlockLayout,
-    RMatrix,
-    block_compose,
-    block_facts,
-    check_int,
-)
+from .linalg import RMatrix, block_facts, check_int
 from .tails import (
     TailVector,
     agree_from,
@@ -147,8 +144,10 @@ class Condition:
                                  compare=False)
 
     def __post_init__(self):
+        check_int(self.n, "stage")
         object.__setattr__(self, "a", _committed(self.a))
-        object.__setattr__(self, "cuts", tuple(self.cuts))
+        object.__setattr__(self, "cuts",
+                           tuple(check_int(c, "cut point") for c in self.cuts))
 
     @staticmethod
     def trivial() -> "Condition":
@@ -202,12 +201,13 @@ def _section_failures(spans, n: int) -> list:
 def _check_block(m: RMatrix, inv: RMatrix, lo: int, hi: int, a,
                  families: PairedFamilies, c2):
     """Every fact block [lo, hi) of m introduces, with a committed there:
-    (ii) its form; (b) the carried inverse is block-diagonal there and
-    B B^-1 = I, which on a square block proves B invertible, and both
-    norms are at most c2; (iv) B sends the f-tail of each index of a to
-    its g-tail on [lo, hi); and clause (c) at hi.  All but (c) come from
-    one `block_facts` pass, whose only Fractions on a passing block are
-    the two norms.  Returns the failures and the block's two norms."""
+    (ii) its form; (b) inv, a condition's or the block's own, is
+    block-diagonal there and B B^-1 = I, which on a square block proves B
+    invertible, and both norms are at most c2; (iv) B sends the f-tail of
+    each index of a to its g-tail on [lo, hi); and clause (c) at hi.  All
+    but (c) come from one `block_facts` pass, whose only Fractions on a
+    passing block are the two norms.  Returns the failures and the
+    block's two norms."""
     outside, inverse, norm, inv_norm, misses = block_facts(
         m, lo, hi, inv, _windows(a, families, lo, hi))
     failures = _form_failures(outside)
@@ -234,7 +234,7 @@ def validate_condition(p: Condition, families: PairedFamilies,
     # the form and algebra of each block, from which clause (b) for the
     # whole matrix follows; then p.a, checked on the empty block [n, n)
     out = []
-    for lo, hi in BlockLayout(p.cuts).blocks():
+    for lo, hi in zip(cuts, cuts[1:]):
         out += _check_block(p.m, p.inv, lo, hi, (), families, config.c2)[0]
     return out + _check_block(p.m, p.inv, p.n, p.n, p.a, families,
                               config.c2)[0]
@@ -372,24 +372,23 @@ def default_schedule(families: PairedFamilies, horizon: int):
 
 @dataclass(frozen=True)
 class GenericRun:
-    """A run as its file stores it: the stage n and committed indices a of
-    each condition of the chain, and the final matrix with its inverse,
-    whose restriction to [0, n)^2 is the matrix of the condition at n."""
+    """A run as its file stores it: the stage n_k, the committed indices
+    a_k and the inverse of the block [n_{k-1}, n_k) of each condition of
+    the chain, n_{-1} = 0, and the final matrix, whose restriction to
+    [0, n_k)^2 is the matrix of the condition at n_k."""
 
-    stages: tuple              # (n, a) per condition, n increasing
+    stages: tuple              # (n, a) per condition, n strictly rising
     hit_log: tuple             # (kind, param, chain index after the hit)
     config: RunConfig          # its horizon is the run's one horizon
     m: RMatrix                 # the final matrix on [0, n_K)^2
-    inv: RMatrix               # its inverse, block by block
+    invs: tuple                # per condition, its block's inverse
     failure: str | None = None
 
     def to_json_obj(self):
         """The final matrix once; per condition, what its block adds."""
-        lows = [0] + [n for n, _ in self.stages]
         return {
-            "chain": [{"n": n, "a": list(a),
-                       "inv": rmatrix_to_json(self.inv.block(lo, n))}
-                      for lo, (n, a) in zip(lows, self.stages)],
+            "chain": [{"n": n, "a": list(a), "inv": rmatrix_to_json(inv)}
+                      for (n, a), inv in zip(self.stages, self.invs)],
             "hit_log": [[k, v, i] for k, v, i in self.hit_log],
             "config": self.config.to_json_obj(),
             "failure": self.failure,
@@ -398,30 +397,34 @@ class GenericRun:
 
     @staticmethod
     def from_json_obj(obj) -> "GenericRun":
-        """The stages, the matrix on [0, n_K)^2 and its inverse composed
-        from the block inverses; each a read as a Condition reads it.
-        No run passes horizon + search_cap <= 9 * MAX_HORIZON, so a file
-        outside these bounds, or whose config is not a RunConfig, is
-        rejected before any matrix is built."""
+        """The stages, the block inverses, each on its block, and the
+        matrix on [0, n_K)^2; each a read as a Condition reads it.  No run
+        stage exceeds horizon + search_cap <= 9 * MAX_HORIZON, so a file
+        whose stages do not rise from 0 within it, or whose config is not
+        a RunConfig, is rejected before any matrix is read."""
         config = RunConfig.from_json_obj(obj["config"])
-        if not obj["chain"]:
+        chain = obj["chain"]
+        if not chain:
             raise ParameterError("a run's chain holds at least one condition")
-        ns = tuple(check_int(c["n"], "chain stage") for c in obj["chain"])
-        if max(ns) > 9 * MAX_HORIZON:
+        ns = tuple(check_int(c["n"], "chain stage") for c in chain)
+        if ns[0] != 0 or any(n <= lo for lo, n in zip(ns, ns[1:])):
+            raise ParameterError("a run's chain stages rise strictly from 0")
+        if ns[-1] > 9 * MAX_HORIZON:
             raise ParameterError("chain stage %d exceeds 9 * %d"
-                                 % (max(ns), MAX_HORIZON))
-        binvs = [rmatrix_from_json(c["inv"]) for c in obj["chain"]]
-        if ns[0] != 0 or binvs[0].window != (0, 0, 0, 0):
-            raise ParameterError("a run's chain starts at the empty stage 0")
+                                 % (ns[-1], MAX_HORIZON))
+        invs = tuple(rmatrix_from_json(c["inv"]) for c in chain)
+        for lo, n, inv in zip((0,) + ns, ns, invs):
+            if inv.window != (lo, n, lo, n):
+                raise ParameterError("block inverse window is not [%d, %d)^2"
+                                     % (lo, n))
         matrix = rmatrix_from_json(obj["matrix"])
         if matrix.window != (0, ns[-1], 0, ns[-1]):
             raise ParameterError("matrix window is not [0, %d)^2" % ns[-1])
-        inv = block_compose(binvs[1:], BlockLayout(ns))
-        stages = tuple((n, _committed(c["a"])) for n, c in zip(ns, obj["chain"]))
+        stages = tuple((n, _committed(c["a"])) for n, c in zip(ns, chain))
         return GenericRun(
             stages, tuple((k, check_int(v, "hit parameter"), check_int(i, "chain index"))
                           for k, v, i in obj["hit_log"]), config,
-            matrix, inv, obj["failure"])
+            matrix, invs, obj["failure"])
 
 
 def _entry_stages(stages) -> dict:
@@ -457,9 +460,10 @@ def run_generic(families: PairedFamilies,
         if r is not p:
             chain.append(r)
         log.append((kind, param, len(chain) - 1))
-    final = chain[-1]
-    return GenericRun(tuple((c.n, c.a) for c in chain), tuple(log), config,
-                      final.m, final.inv, failure)
+    final, ns = chain[-1], tuple(c.n for c in chain)
+    return GenericRun(tuple((c.n, c.a) for c in chain), tuple(log), config, final.m,
+                      tuple(final.inv.block(lo, n) for lo, n in zip((0,) + ns, ns)),
+                      failure)
 
 
 def _hit_log_failures(run: GenericRun, families: PairedFamilies,
@@ -496,11 +500,11 @@ def verify_run(run: GenericRun, families: PairedFamilies,
     # (1) condition k adds the block [n_{k-1}, n_k) and commits a_k there
     matrix_norm = Fraction(0)
     lo, prev_a = 0, ()
-    for n, a in run.stages:
+    for (n, a), inv in zip(run.stages, run.invs):
         if not set(prev_a) <= set(a):
             failures.append("block [%d, %d): (iii) committed indices were "
                             "dropped" % (lo, n))
-        found, norm, inv_norm = _check_block(run.m, run.inv, lo, n, a,
+        found, norm, inv_norm = _check_block(run.m, inv, lo, n, a,
                                              families, config.c2)
         failures += found
         matrix_norm = max(matrix_norm, norm)

@@ -16,7 +16,6 @@ and `product_norm`, |B Psi|.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -206,22 +205,6 @@ class WindowVector:
 
     def is_zero(self) -> bool:
         return not self._nz
-
-
-@dataclass(frozen=True)
-class BlockLayout:
-    """Strictly increasing cut points n_0 < ... < n_K."""
-
-    cuts: tuple
-
-    def __post_init__(self):
-        cuts = tuple(check_int(c, "cut point") for c in self.cuts)
-        if any(b <= a for a, b in zip(cuts, cuts[1:])):
-            raise ParameterError("cut points must be strictly increasing")
-        object.__setattr__(self, "cuts", cuts)
-
-    def blocks(self):
-        return list(zip(self.cuts, self.cuts[1:]))
 
 
 def _int_entries(nz: dict) -> tuple:
@@ -674,20 +657,6 @@ def invert(m: RMatrix) -> RMatrix:
     return _matrix(m.row_lo, m.row_hi, m.col_lo, m.col_hi, {
         m.row_lo + i: _canonical({m.col_lo + j: x for j, x in enumerate(row[n:])}, den)
         for i, (row, den) in enumerate(tab)})
-
-
-def block_compose(blocks: Sequence[RMatrix], layout: BlockLayout) -> RMatrix:
-    """Assemble a block-diagonal matrix from square blocks on layout intervals."""
-    intervals = layout.blocks()
-    if len(blocks) != len(intervals):
-        raise ParameterError("block count does not match layout")
-    rows = {}
-    for b, (lo, hi) in zip(blocks, intervals):
-        if b.window != (lo, hi, lo, hi):
-            raise ParameterError("block window does not match layout interval [%d, %d)" % (lo, hi))
-        rows.update(b._rows)
-    lo, hi = layout.cuts[0], layout.cuts[-1]
-    return _matrix(lo, hi, lo, hi, rows)
 
 
 # -- dense helpers on lists of Fraction lists -------------------------

@@ -15,6 +15,7 @@ from qforge.adf.families import MAX_BLOCKS, MAX_VALUATION
 from qforge.cli import main
 from qforge.config import ENV_CONFIG, MAX_HORIZON, RunConfig
 from qforge.errors import ParameterError
+from qforge.forcing import Condition
 from qforge.jsonio import rmatrix_from_json, write_json
 from qforge.linalg import RMatrix, WindowVector, frac
 from qforge.tails import MAX_TAIL, TailVector, check_pi_injective
@@ -253,9 +254,10 @@ def test_tail_of_period_at_the_bound_is_accepted():
         check_pi_injective(coprime_tails())
 
 
-# a window bound or an index must be an int: 0.5 and True compare as
-# inside a window; a window is not inverted, and a matrix entry is one
-# (i, j) listed once
+# a window bound, an index, a stage or a cut must be an int: 0.5 and True
+# compare as inside a window, and 2.0 as the stage 2; a window is not
+# inverted, and a matrix entry is one (i, j) listed once
+EYE = RMatrix.identity(0, 2)
 NOT_AN_INDEX = {
     "vector-bound": lambda: WindowVector(0.5, 2.5, (1, 0)),
     "vector-bool-bound": lambda: WindowVector(False, 1, (1,)),
@@ -272,6 +274,8 @@ NOT_AN_INDEX = {
     "bool-beside-its-int": lambda: rmatrix_from_json({
         "row_lo": 0, "row_hi": 2, "col_lo": 0, "col_hi": 2,
         "entries": [[1, 0, "1"], [True, 1, "1000"]]}),
+    "condition-stage": lambda: Condition(2.0, EYE, (), (0, 2), EYE),
+    "condition-cut": lambda: Condition(2, EYE, (), (0, 2.0), EYE),
 }
 
 

@@ -85,7 +85,8 @@ def test_forge_content_is_pinned():
     back = GenericRun.from_json_obj(run.to_json_obj())
     assert back.stages == run.stages
     assert back.m.equals(run.m)
-    assert back.inv.equals(run.inv)
+    assert len(back.invs) == len(run.invs)
+    assert all(b.equals(i) for b, i in zip(back.invs, run.invs))
 
 
 def test_extension_suite_bytes_are_pinned():

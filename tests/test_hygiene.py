@@ -6,8 +6,9 @@ reads the integer rows of a matrix or the nonzeros of a vector, or names
 matrix.  Only `tails` reads the integer form of a tail.  In `tails`,
 only `_aligned` takes the lcm of periods.  Every public name of the
 package has a reader in the program or is on one list of the paper's
-claims; a method whose name another class's method shares has its
-reader named in a table checked by hand.  Every source
+claims; a method whose name another class's method, or a method of a
+builtin container, str or int, shares has its reader named in a table
+checked by hand.  Every source
 file parses as Python 3.10."""
 
 import ast
@@ -161,6 +162,7 @@ UNREAD_PUBLIC_NAMES = {
     "tails.TailVector.add",  # criterion 4: the span's vectors
     "tails.TailVector.scale",  # criterion 4: the span's vectors
     "tails.TailVector.value",  # read by dense_oracles.tails_eq_star
+    "linalg.RMatrix.get",  # read by dense_oracles.to_dense
     "adf.injections.NInjection.identity",  # criterion 5's instances
     "adf.injections.NInjection.restrict",  # criterion 5's instances
     "adf.injections.nice_ext",  # criterion 5
@@ -178,9 +180,10 @@ UNREAD_PUBLIC_NAMES = {
 }
 
 
-# every public method whose name another class's public method shares,
-# with a reader of this class's method, checked by hand: the scan below
-# reads a method by its bare name, which does not tell the classes apart.
+# every public method whose name another class's public method or a
+# method of a builtin container, str or int shares, with a reader of this
+# class's method, checked by hand: the scan below reads a method by its
+# bare name, which does not tell the classes apart.
 # A reader that is a method of that name is itself in the table, and the
 # readers it leads to end outside that name: two methods that read only
 # each other have no reader
@@ -191,6 +194,8 @@ SHARED_METHOD_READERS = {
     "forcing.GenericRun.from_json_obj": "cli.cmd_verify_run",
     "tails.TailVector.from_json_obj": "forcing.PairedFamilies.json_parts",
     "linalg.RMatrix.identity": "forcing.amalgamate",
+    "adf.certset.CertSet.union": "adf.coherent.chain_set",
+    "geometry.LinMap.lower": "geometry.extend_isomorphism",
     "adf.ordinals.OrdinalIdx.is_zero": "adf.ordinals.OrdinalIdx.is_limit",
     "linalg.WindowVector.is_zero": "linalg.RMatrix.from_rows_vectors",
     "linalg.WindowVector.items": "geometry._lex_key",
@@ -245,13 +250,21 @@ def benchmark_targets():
     raise AssertionError("no TARGETS in perfbench/tracing.py")
 
 
+# the methods of builtin types: a read of dict.get, set.union or str.lower
+# looks to the scan like a read of the package's method of that name
+BUILTIN_METHODS = {name for t in (dict, set, frozenset, list, tuple, str, int)
+                   for name in dir(t) if not name.startswith("_")}
+
+
 def shared_method_names():
-    """The public methods whose name a public method of another class has."""
+    """The public methods whose name a public method of another class, or
+    a method of BUILTIN_METHODS, has."""
     classes = {}
     for name, is_method in public_names().items():
         if is_method:
             classes.setdefault(name.rpartition(".")[2], []).append(name)
-    return {name for names in classes.values() if len(names) > 1 for name in names}
+    return {name for method, names in classes.items()
+            if len(names) > 1 or method in BUILTIN_METHODS for name in names}
 
 
 def attribute_reads():
@@ -322,6 +335,7 @@ def first_reader_of_another_name(table, method):
 def test_each_shared_method_name_has_a_reader_per_class():
     shared = shared_method_names()
     assert "linalg.RMatrix.window" in shared and "tails.TailVector.window" in shared
+    assert "linalg.RMatrix.get" in shared  # the check sees dict.get's name
     # an entry whose method is gone or no longer shares its name leaves
     # the table, and every named reader reads an attribute of that name
     assert set(SHARED_METHOD_READERS) <= shared

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -16,10 +17,8 @@ from qforge.errors import ParameterError, SingularMatrixError
 from qforge.forcing import paired_from_certsets, run_generic
 from qforge.jsonio import canonical_dumps, rmatrix_from_json, rmatrix_to_json
 from qforge.linalg import (
-    BlockLayout,
     RMatrix,
     WindowVector,
-    block_compose,
     frac,
     invert,
     nullspace,
@@ -216,19 +215,6 @@ class TestInvert:
         assert invert(m).get(10, 10) == Fraction(1, 5)
 
 
-class TestBlockCompose:
-    def test_two_blocks(self):
-        layout = BlockLayout((0, 2, 3))
-        a = from_dense([[1, 2], [3, 4]])
-        b = from_dense([[7]], row_lo=2, col_lo=2)
-        m = block_compose([a, b], layout)
-        assert to_dense(m) == [[1, 2, 0], [3, 4, 0], [0, 0, 7]]
-
-    def test_window_mismatch(self):
-        with pytest.raises(ParameterError):
-            block_compose([from_dense([[1]])], BlockLayout((5, 6)))
-
-
 class TestDenseHelpers:
     def test_rank(self):
         assert rank([[frac(1), frac(2)], [frac(2), frac(4)]]) == 1
@@ -341,7 +327,7 @@ def test_operations_on_canonical_rows_skip_frac():
     g = make_family(FamilyGenerator("progression", count=4))
     run = run_generic(paired_from_certsets(f.sets, g.sets),
                       config=RunConfig(horizon=64))
-    m, inv = run.m, run.inv
+    m, inv = run.m, functools.reduce(RMatrix.merged, run.invs)
     lo, hi = run.stages[-2][0], run.stages[-1][0]
     calls = []
 

@@ -203,6 +203,25 @@ def test_chain_must_start_at_stage_0(capsys, tmp_path, run_obj):
     malformed(capsys, tmp_path, obj)
 
 
+@pytest.mark.parametrize("matrices", ["as written", "unparseable"])
+@pytest.mark.parametrize("edit", ["repeated", "falling"])
+def test_chain_stages_must_rise(capsys, tmp_path, run_obj, edit, matrices):
+    # stages 0, 4, 12, 18 become 0, 4, 12, 12, 18 or 0, 12, 4, 18; the
+    # file is refused on its stages before any matrix is read, so the
+    # same line comes when no matrix of the file parses
+    obj = copy.deepcopy(run_obj)
+    chain = obj["chain"]
+    if edit == "repeated":
+        chain.insert(2, copy.deepcopy(chain[2]))
+    else:
+        chain[1], chain[2] = chain[2], chain[1]
+    if matrices == "unparseable":
+        obj["matrix"] = "not a matrix"
+        for c in chain:
+            c["inv"] = "not a matrix"
+    assert "stages rise strictly from 0" in malformed(capsys, tmp_path, obj)
+
+
 def test_matrix_entry_at_a_fractional_index(capsys, tmp_path, run_obj):
     # 0.5 lies inside the window but names no entry
     obj = copy.deepcopy(run_obj)
