@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .config import MAX_HORIZON, RunConfig
+from .config import RunConfig
 from .errors import (
     ComplementNotFoundError,
     NormBudgetError,
@@ -229,7 +229,7 @@ def validate_condition(p: Condition, families: PairedFamilies,
     if p.inv.window != (0, p.n, 0, p.n):
         return ["(a) inverse window is not [0, %d)^2" % p.n]
     cuts = list(p.cuts)
-    if cuts[0] != 0 or cuts[-1] != p.n or cuts != sorted(set(cuts)):
+    if cuts[:1] != [0] or cuts[-1] != p.n or cuts != sorted(set(cuts)):
         return ["(a) block cuts %s do not rise from 0 to %d" % (cuts, p.n)]
     # the form and algebra of each block, from which clause (b) for the
     # whole matrix follows; then p.a, checked on the empty block [n, n)
@@ -398,10 +398,13 @@ class GenericRun:
     @staticmethod
     def from_json_obj(obj) -> "GenericRun":
         """The stages, the block inverses, each on its block, and the
-        matrix on [0, n_K)^2; each a read as a Condition reads it.  No run
-        stage exceeds horizon + search_cap <= 9 * MAX_HORIZON, so a file
-        whose stages do not rise from 0 within it, or whose config is not
-        a RunConfig, is rejected before any matrix is read."""
+        matrix on [0, n_K)^2; each a read as a Condition reads it.  No
+        stage of a run passes horizon + search_cap of its own config: an
+        E hit reaches n + 2^k <= search_cap, a D hit at most
+        big_n + search_cap - n <= horizon + search_cap, and an identity
+        block at most horizon + 1.  So a file whose stages do not rise
+        from 0 within that bound, or whose config is not a RunConfig, is
+        rejected before any matrix is read."""
         config = RunConfig.from_json_obj(obj["config"])
         chain = obj["chain"]
         if not chain:
@@ -409,9 +412,10 @@ class GenericRun:
         ns = tuple(check_int(c["n"], "chain stage") for c in chain)
         if ns[0] != 0 or any(n <= lo for lo, n in zip(ns, ns[1:])):
             raise ParameterError("a run's chain stages rise strictly from 0")
-        if ns[-1] > 9 * MAX_HORIZON:
-            raise ParameterError("chain stage %d exceeds 9 * %d"
-                                 % (ns[-1], MAX_HORIZON))
+        cap = config.horizon + config.search_cap
+        if ns[-1] > cap:
+            raise ParameterError("chain stage %d exceeds horizon + search_cap = %d"
+                                 % (ns[-1], cap))
         invs = tuple(rmatrix_from_json(c["inv"]) for c in chain)
         for lo, n, inv in zip((0,) + ns, ns, invs):
             if inv.window != (lo, n, lo, n):

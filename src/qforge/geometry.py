@@ -258,33 +258,29 @@ def hahn_banach_extend(y: Subspace, phi_values):
 
 
 def _projection_norm(y: Subspace):
-    """(|P|, Psi) for the projection P = B . Psi of l_infty^n onto y, B
-    the basis matrix.  The one certificate is Psi . B = I_h: B has
-    independent columns, so it holds exactly when P fixes every basis
-    vector, and then P^2 = B (Psi B) Psi = P.  |P| is read off B and Psi,
-    each distinct row of B once; P, a row per coordinate, is never built.
-    Its kernel is the joint kernel of the h rows of Psi."""
+    """(|P|, Psi, S) for the projection P = B . Psi of l_infty^n onto y, B
+    the basis matrix, and S the set of columns where some row of Psi is
+    nonzero.  The one certificate is Psi . B = I_h: B has independent
+    columns, so it holds exactly when P fixes every basis vector, and then
+    P^2 = B (Psi B) Psi = P.  |P| is read off B and Psi, each distinct row
+    of B once; P, a row per coordinate, is never built.  Its kernel is the
+    joint kernel of the h rows of Psi.  h >= 1: a 0-dimensional map has
+    lower bound 0, and extend_isomorphism refuses it first."""
     h = y.dim
-    if h == 0:
-        return ZERO, RMatrix(0, 0, y.lo, y.hi, {})
     # row j of psi is the l1-minimal extension of the j-th coefficient
-    psi = RMatrix.from_rows_vectors([
-        hahn_banach_extend(y, [ONE if k == j else ZERO for k in range(h)])[0]
-        for j in range(h)])
+    entries = [(j, i, c) for j in range(h)
+               for i, c in hahn_banach_extend(
+                   y, [ONE if k == j else ZERO for k in range(h)])[0].items()]
+    psi = RMatrix.from_entries(0, h, y.lo, y.hi, entries)
     b = y.basis_matrix
     if not is_right_inverse(psi, b):
         raise NormBudgetError("projection does not fix the subspace")
-    return product_norm(b, psi), psi
+    return product_norm(b, psi), psi, {i for _, i, _ in entries}
 
 
 def kernel_of_functionals(psi: RMatrix) -> Subspace:
     """Joint kernel of the functionals in psi's rows, on its column window."""
     return Subspace(psi.col_lo, psi.col_hi, tuple(row_kernel(psi)))
-
-
-def _nonzero_columns(m: RMatrix) -> set:
-    """The columns in which some row of m is nonzero."""
-    return {j for i in range(m.row_lo, m.row_hi) for j in m.columns(i)}
 
 
 def _lex_key(v: WindowVector):
@@ -470,11 +466,10 @@ def extend_isomorphism(t: LinMap,
     if up >= config.rho or ONE / low >= config.rho:
         raise NormBudgetError("T norms must stay below rho", measured=(up, ONE / low))
 
-    report["norm_P1"], psi1 = _projection_norm(y1)
-    report["norm_P2"], psi2 = _projection_norm(y2)
+    report["norm_P1"], psi1, cols1 = _projection_norm(y1)
+    report["norm_P2"], psi2, cols2 = _projection_norm(y2)
     # R is n x n and agrees on ker Psi_1 with an isomorphism onto
     # ker Psi_2, R' with its inverse; both are 0 on the other side
-    cols1, cols2 = _nonzero_columns(psi1), _nonzero_columns(psi2)
     if len(cols1) == len(cols2) == h:
         # Psi has rank h, so ker Psi is spanned by the unit vectors off its
         # h columns: R matches them in index order, as complement_iso would

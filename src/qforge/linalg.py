@@ -203,9 +203,6 @@ class WindowVector:
         return _vector(min(self.lo, other.lo), max(self.hi, other.hi),
                        dict(sorted(nz.items())))
 
-    def is_zero(self) -> bool:
-        return not self._nz
-
 
 def _int_entries(nz: dict) -> tuple:
     """The nonzero Fractions {col: value} as one canonical row
@@ -360,19 +357,6 @@ class RMatrix:
         return _matrix(lo, hi, 0, len(cols),
                        {i: _int_entries(r) for i, r in rows.items()})
 
-    @staticmethod
-    def from_rows_vectors(rws: Sequence[WindowVector]) -> "RMatrix":
-        if not rws:
-            raise ParameterError("no rows")
-        lo, hi = rws[0].lo, rws[0].hi
-        rows = {}
-        for i, r in enumerate(rws):
-            if (r.lo, r.hi) != (lo, hi):
-                raise ParameterError("row windows differ")
-            if not r.is_zero():
-                rows[i] = _int_entries(r._nz)
-        return _matrix(0, len(rws), lo, hi, rows)
-
     # -- queries ------------------------------------------------------
     @property
     def n_rows(self) -> int:
@@ -409,10 +393,6 @@ class RMatrix:
 
     def is_square(self) -> bool:
         return (self.row_lo, self.row_hi) == (self.col_lo, self.col_hi)
-
-    def columns(self, i: int) -> list:
-        """The columns of row i's nonzero entries, in increasing order."""
-        return sorted(self._rows.get(i, _NO_ROW)[0])
 
     def differences(self, other: "RMatrix", lo: int, hi: int) -> list:
         """The (i, j) in [lo, hi)^2 where self and other differ, in order."""

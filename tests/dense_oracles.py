@@ -280,8 +280,6 @@ def projection_parts(y):
     `geometry._projection_norm`, and P formed by `matmul`, as the library
     formed it before it read |P| off B and Psi."""
     psi = geometry._projection_norm(y)[1]
-    if y.dim == 0:
-        return RMatrix(y.lo, y.hi, y.lo, y.hi, {}), psi
     return y.basis_matrix.matmul(psi), psi
 
 
@@ -784,7 +782,7 @@ def check_block(m, inv, lo, hi, a, families, c2):
     block's norm, its inverse's norm)."""
     def form(mat):
         return ["(ii) entry (%d, %d) outside the block form" % (i, j)
-                for i in range(lo, hi) for j in mat.columns(i) if not lo <= j < hi]
+                for i, j, _ in mat.items() if lo <= i < hi and not lo <= j < hi]
     b, binv = m.block(lo, hi), inv.block(lo, hi)
     norm, inv_norm = op_norm_inf(b), op_norm_inf(binv)
     out = form(m)

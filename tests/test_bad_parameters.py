@@ -60,6 +60,21 @@ def test_explicit_empty_or_zero_forge_option(capsys, tmp_path, option, value):
                                     option, value])
 
 
+@pytest.mark.parametrize("options, config", [
+    (["--rho", "1"], None), (["--c2", "3"], None),  # the default rho is 4
+    ([], '{"c1": "0"}'), ([], '{"delta": "0"}')])
+def test_config_outside_its_bounds(capsys, tmp_path, options, config):
+    path = tmp_path / "pf.json"
+    write_json(path, {"f": {"kind": "branch", "count": 2},
+                      "g": {"kind": "progression", "count": 2}})
+    argv = ["forge-matrix", "--families", str(path)] + options
+    if config:
+        (tmp_path / "c.json").write_text(config)
+        argv = ["--config", str(tmp_path / "c.json")] + argv
+    assert assert_one_line_exit_2(capsys, argv).endswith(
+        "need rho > 1, c2 >= rho, c1 > 0, delta > 0\n")
+
+
 def test_horizon_above_the_bound(capsys, tmp_path):
     # the stage search may reach 8 * horizon, so an unbounded horizon
     # never finishes; the bound is checked before any family is built

@@ -112,7 +112,7 @@ def blocks(draw, mutant):
 
 def _row(m, i):
     """Row i of m as {col: value}."""
-    return {j: m.get(i, j) for j in m.columns(i)}
+    return {j: v for k, j, v in m.items() if k == i}
 
 
 def _with_row(m, i, row):

@@ -313,6 +313,34 @@ class TestForgeAndVerify:
         code2, rep = run_cli(capsys, "verify-run", str(run_path))
         assert code2 == 0 and rep["failures"] == []
 
+    def test_failed_forge_and_its_replay(self, capsys, tmp_path):
+        # 12 branch tails against 12 progression tails: at horizon 64 no
+        # stage up to search_cap commits the ninth index; the partial run
+        # is written, and its replay gives the forge's report, abort first
+        fam, run_path = tmp_path / "pf.json", tmp_path / "run.json"
+        write_json(fam, {"f": {"kind": "branch", "count": 12, "depth": 4},
+                         "g": {"kind": "progression", "count": 12}})
+        assert main(["forge-matrix", "--families", str(fam), "--horizon", "64",
+                     "--out", str(run_path)]) == 1
+        forged = json.loads(capsys.readouterr().out)
+        assert forged["failure"].startswith("hit (E, 8) failed: SearchExhaustedError: ")
+        assert main(["verify-run", str(run_path)]) == 1
+        replayed = capsys.readouterr().out
+        assert replayed == jsonio.canonical_dumps(forged["report"])
+        assert json.loads(replayed)["failures"][0] == "run aborted: " + forged["failure"]
+
+    def test_horizon_not_a_power_of_two(self, capsys, tmp_path):
+        # the D hits double up to 64, then the last one hits 100 itself
+        fam, run_path = tmp_path / "pf.json", tmp_path / "run.json"
+        write_json(fam, {"f": {"kind": "branch", "count": 4, "depth": 3},
+                         "g": {"kind": "progression", "count": 4}})
+        code, obj = run_cli(capsys, "forge-matrix", "--families", str(fam),
+                            "--horizon", "100", "--out", str(run_path))
+        assert code == 0 and obj["failures"] == []
+        assert obj["hit_log"][-1] == ["D", 100, 6] and obj["chain"][-1]["n"] == 101
+        code, rep = run_cli(capsys, "verify-run", str(run_path))
+        assert code == 0 and rep["failures"] == []
+
     def test_forge_deterministic_bytes(self, capsys, tmp_path):
         fam = tmp_path / "pf.json"
         write_json(fam, {"f": {"kind": "progression", "count": 2},

@@ -221,8 +221,9 @@ def test_row_check_catches_each_mutant_of_an_extension():
     b1, b2 = y1.basis_matrix, Subspace(0, 4, images).basis_matrix
     w = extend_isomorphism(LinMap(y1, images), CONFIG).w
     assert is_product(w, b1, b2) and w.matmul(b1).equals(b2)
-    i = next(i for i in range(4) if b2.columns(i))
-    j = next(j for j in w.columns(i) if b1.columns(j))
+    rows1 = {k for k, _, _ in b1.items()}
+    i = next(i for i, _, _ in b2.items())
+    j = next(j for k, j, _ in w.items() if k == i and j in rows1)
     short = edited(w, drop=i)
     for m, p in ((edited(w, put=(i, j, w.get(i, j) + 1)), b2), (short, b2),
                  (w, short.matmul(b1))):

@@ -122,11 +122,11 @@ def equal_kernels_off_coordinates(t):
     than h columns, so that the complement search runs on equal kernels?"""
     y1 = t.domain
     try:
-        psi1 = geometry._projection_norm(y1)[1]
+        _, psi1, cols1 = geometry._projection_norm(y1)
         psi2 = geometry._projection_norm(Subspace(y1.lo, y1.hi, t.images))[1]
     except QForgeError:
         return False
-    return (len(geometry._nonzero_columns(psi1)) > y1.dim
+    return (len(cols1) > y1.dim
             and geometry.kernel_of_functionals(psi1).basis
             == geometry.kernel_of_functionals(psi2).basis)
 

@@ -109,6 +109,15 @@ class TestValidateCondition:
         p = Condition(2, RMatrix.identity(0, 2), (), (0, 2), inv)
         assert validate_condition(p, PF2, CFG) == ["(a) inverse window is not [0, 2)^2"]
 
+    def test_empty_cuts_flagged(self):
+        # no cut at all: not even the stage 0 that every condition starts at
+        p = Condition(0, EMPTY, (), (), EMPTY)
+        assert validate_condition(p, PF2, CFG) == [
+            "(a) block cuts [] do not rise from 0 to 0"]
+        with pytest.raises(ParameterError, match=r"invalid input condition: "
+                           r"\(a\) block cuts \[\] do not rise from 0 to 0"):
+            amalgamate(p, p, 0, PF2, CFG)
+
     def test_unknown_index_flagged(self):
         p = one_block(EMPTY, (99,))
         viol = validate_condition(p, PF2, CFG)

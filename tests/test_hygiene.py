@@ -196,8 +196,6 @@ SHARED_METHOD_READERS = {
     "linalg.RMatrix.identity": "forcing.amalgamate",
     "adf.certset.CertSet.union": "adf.coherent.chain_set",
     "geometry.LinMap.lower": "geometry.extend_isomorphism",
-    "adf.ordinals.OrdinalIdx.is_zero": "adf.ordinals.OrdinalIdx.is_limit",
-    "linalg.WindowVector.is_zero": "linalg.RMatrix.from_rows_vectors",
     "linalg.WindowVector.items": "geometry._lex_key",
     "linalg.RMatrix.items": "linalg.RMatrix.__reduce__",
     "adf.injections.NInjection.preimage": "adf.injections.nice_ext",

@@ -263,6 +263,13 @@ def test_chain_stage_beyond_any_run(capsys, tmp_path):
     assert time.monotonic() - t0 < 1
 
 
+def test_chain_stage_beyond_its_own_config(capsys, tmp_path):
+    # the bound is the file's own horizon + search_cap, 72 at horizon 8:
+    # a stage of 100 lies below 9 * MAX_HORIZON but above any run's
+    err = malformed(capsys, tmp_path, identity_run([0, 100]))
+    assert "chain stage 100 exceeds horizon + search_cap = 72" in err
+
+
 def test_tails_of_long_coprime_periods(capsys, tmp_path):
     # periods 1021 and 1019: a tail difference would have period 1 040 399,
     # and building it took most of a 6 s forge; the tails are compared by

@@ -86,12 +86,12 @@ def test_operations_match_dense(a, b, window, s):
         assert v.sup_norm() == dv.sup_norm()
         assert v.support() == dv.support()
     assert v.l1_norm() == dv.l1_norm()
-    assert v.is_zero() == dv.is_zero()
+    assert (not v.support()) == dv.is_zero()
     assert dict(v.items()) == {i: dv.value(i) for i in dv.support()}
     assert list(dict(v.items())) == sorted(dv.support())
     assert same(v.restrict(*window), dv.restrict(*window))
     assert same(v.scale(s), dv.scale(s))
-    assert same(v.scale(0), dv.scale(0)) and v.scale(0).is_zero()
+    assert same(v.scale(0), dv.scale(0)) and not v.scale(0).support()
     assert same(v.add(w), dv.add(dw))
     assert dot(v, w) == dot(dv, dw) == dot(w, v)
 
@@ -116,7 +116,7 @@ def test_all_zero_vectors():
         z = WindowVector(lo, hi, (0,) * (hi - lo))
         assert z == WindowVector.zero(lo, hi)
         assert z == WindowVector.sparse(lo, hi, {lo: 0} if hi > lo else {})
-        assert z.is_zero() and z.support() == frozenset()
+        assert z.support() == frozenset()
         assert z.sup_norm() == z.l1_norm() == 0
         assert z.coords == (ZERO,) * (hi - lo)
     assert WindowVector.zero(0, 3) != WindowVector.zero(0, 4)
@@ -156,7 +156,8 @@ def test_matrix_routines_match_dense(data):
     m = RMatrix.from_columns(cols)
     assert to_dense(m) == [[c[i] for c in dense_cols] for i in range(hi - lo)]
     assert (m.col_lo, m.col_hi) == (0, n_cols)
-    r = RMatrix.from_rows_vectors(cols)
+    r = RMatrix.from_entries(0, n_cols, lo, hi,
+                             [(k, i, x) for k, c in enumerate(cols) for i, x in c.items()])
     assert to_dense(r) == [list(c) for c in dense_cols]
     assert (r.row_lo, r.row_hi) == (0, n_cols)
     x = tuple(data.draw(st.lists(entries, min_size=n_cols, max_size=n_cols)))
