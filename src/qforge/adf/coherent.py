@@ -10,8 +10,10 @@ of a lazy chain whose step n appends one fiber to step n-1 and moves no
 value.  Stages are checked, never repaired: each step proves that its
 fiber lies in the limit range set and misses the previous range, and
 that the next range point is covered, and a family that fails a check
-is rejected.  Every stage therefore agrees with every earlier stage, and
-all range sets stay in the certified-set algebra.
+is rejected.  So every stage sends omega * xi + j to the j-th point of
+fiber xi, once the chain of omega * (xi.c1 + 1) is checked through the
+step adding xi, and agrees with every earlier stage; all range sets stay
+in the certified-set algebra.
 """
 
 from __future__ import annotations
@@ -57,14 +59,6 @@ class LimitCore:
     def _xi(self, n: int) -> OrdinalIdx:
         return self.lam.fundamental(n)
 
-    def _entry_step(self, xi: OrdinalIdx) -> int:
-        """Least n with xi < xi_n (the first chain map defined on fiber xi)."""
-        if xi.c2 != 0 or xi >= self.lam:
-            raise ParameterError("fiber %s outside the limit window" % xi)
-        if xi.c1 < self.lam.c1 - 1:
-            return 0
-        return xi.c0 + 1
-
     def ensure(self, n: int):
         """Check the chain through step n."""
         while self._steps < n:
@@ -85,24 +79,6 @@ class LimitCore:
             raise ParameterError("coverage certificate failed at step %d" % n)
         self._steps, self._ran = n, ran
 
-    # -- chain access -----------------------------------------------------
-    def value(self, beta: OrdinalIdx) -> int:
-        xi, _ = beta.fiber_and_offset()
-        n = self._entry_step(xi)
-        self.ensure(n)
-        return self.coherent.stage(self._xi(n)).value(beta)
-
-    def preimage(self, v: int):
-        """No step moves a value, so v's position lies in v's own fiber."""
-        if v not in self.w:
-            return None
-        xi = self.coherent.family.index_of(v)
-        if xi is None:
-            raise ParameterError("valuation index beyond cap")
-        n = self._entry_step(xi)
-        self.ensure(n)
-        return self.coherent.stage(self._xi(n)).preimage(v)
-
 
 @dataclass(frozen=True)
 class Stage:
@@ -114,21 +90,17 @@ class Stage:
         xi, j = beta.fiber_and_offset()
         if not xi < self.alpha:
             raise ParameterError("position %s outside stage %s" % (beta, self.alpha))
-        lam = _limit_part(self.alpha)
-        if lam is not None and xi < lam:
-            return self.coherent.core(lam).value(beta)
-        return self.coherent.family.fiber_set(xi).nth(j)
+        return self.coherent.image_of_fiber(self.alpha, xi).nth(j)
 
     def preimage(self, v: int):
-        fam = self.coherent.family
-        xi = fam.index_of(v)
+        xi = self.coherent.family.index_of(v)
+        if xi is not None and xi < self.alpha:
+            fiber = self.coherent.image_of_fiber(self.alpha, xi)
+            return OrdinalIdx.from_fiber(xi, fiber.rank(v))
         lam = _limit_part(self.alpha)
-        if xi is not None and xi < self.alpha and (lam is None or xi >= lam):
-            rank = fam.fiber_set(xi).rank(v)
-            if rank is not None:
-                return OrdinalIdx.from_fiber(xi, rank)
-        if lam is not None:
-            return self.coherent.core(lam).preimage(v)
+        if xi is None and lam is not None and v in self.coherent.core(lam).w:
+            # past MAX_VALUATION no fiber holds v, though W_lambda may
+            raise ParameterError("valuation index beyond cap")
         return None
 
 
@@ -157,29 +129,25 @@ class CoherentFamily:
     def coherence_exceptions(self, gamma: OrdinalIdx, alpha: OrdinalIdx):
         """Exact positions below omega * gamma where the two stages differ.
 
-        No chain step moves a value, so the list is empty once the chain
-        of each limit between gamma and alpha is checked as far as gamma.
+        No chain step moves a value, so the list is empty once stage
+        gamma, if below alpha's limit part, is checked as a chain map.
         """
         if not gamma <= alpha or alpha > self.cap:
             raise ParameterError("need gamma <= alpha <= cap")
         lam = _limit_part(alpha)
-        if lam is None or gamma >= lam or gamma == alpha:
-            return []
-        n = 0 if gamma.c1 < lam.c1 - 1 else gamma.c0
-        self.core(lam).ensure(n)
-        return self.coherence_exceptions(gamma, lam.fundamental(n))
+        if lam is not None and gamma < lam:
+            self.core(OrdinalIdx(0, gamma.c1 + 1, 0)).ensure(gamma.c0)
+        return []
 
     def image_of_fiber(self, alpha: OrdinalIdx, xi: OrdinalIdx) -> CertSet:
-        """Exact image of the xi-th fiber of positions under stage alpha."""
+        """Exact image of the xi-th fiber under stage alpha: the fiber."""
         if not xi < alpha:
             raise ParameterError("fiber %s outside stage %s" % (xi, alpha))
         lam = _limit_part(alpha)
-        if lam is None or xi >= lam:
-            return self.family.fiber_set(xi)
-        core = self.core(lam)
-        n = core._entry_step(xi)
-        core.ensure(n)
-        return self.image_of_fiber(lam.fundamental(n), xi)
+        if lam is not None and xi < lam:
+            self.core(lam)  # a limit past the family window has no chain
+            self.core(OrdinalIdx(0, xi.c1 + 1, 0)).ensure(xi.c0 + 1)
+        return self.family.fiber_set(xi)
 
     def derived_set(self, xi: OrdinalIdx) -> CertSet:
         """Image of the xi-th fiber under the first stage containing it."""
@@ -191,13 +159,8 @@ def boolean_image(coherent: CoherentFamily, indices, complement=False) -> CertSe
     the stage image of the corresponding fibers, or its complement when
     the index set is given by its complement."""
     indices = sorted(set(indices))
-    if not indices and not complement:
-        return CertSet.empty()
-    alpha = coherent.cap if not indices else max(
-        max(indices).successor(), OrdinalIdx.nat(1))
-    out = CertSet.empty()
-    for xi in indices:
-        out = out.union(coherent.image_of_fiber(alpha, xi))
+    out = CertSet.union_all([coherent.image_of_fiber(indices[-1].successor(), xi)
+                             for xi in indices])
     return out.complement() if complement else out
 
 

@@ -38,8 +38,9 @@ MAX_COUNT = {"progression": 256, "branch": 256, "luzin": 160}
 # grows with count * depth^2: 256 branch sets of depth 16 take about 0.17 s
 MAX_DEPTH = 16
 # the largest block count of an ordinal family: build-coherent with
-# --cells, --blocks and --cap w*b all at b = 32 takes about 1 s on a
-# 2-vCPU machine, and the time grows with about the cube of b
+# --cells, --blocks and --cap w*b all at b = 32 takes 0.16-0.30 s as a
+# whole process on a 2-vCPU machine, and its 0.09 s of work grows with
+# about the square of b, the count of stage pairs (3.2 times from 16 to 32)
 MAX_BLOCKS = 32
 LUZIN_CHECK_HORIZON = 64   # stages up to which the Luzin bound is checked
 MAX_VALUATION = 16         # largest dyadic valuation of an ordinal family

@@ -22,10 +22,6 @@ class OrdinalIdx:
         if min(self.c2, self.c1, self.c0) < 0:
             raise ParameterError("coefficients must be nonnegative")
 
-    @staticmethod
-    def nat(n: int) -> "OrdinalIdx":
-        return OrdinalIdx(0, 0, n)
-
     def key(self):
         return (self.c2, self.c1, self.c0)
 

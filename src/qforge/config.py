@@ -53,9 +53,18 @@ class RunConfig:
         return RunConfig(**{k: v for k, v in obj.items() if k in names})
 
 
+def _read_fields(obj) -> dict:
+    """The fields obj names, read as rationals and the horizon as an int:
+    load_json calls a config malformed for these reads alone."""
+    given = dict(obj.items())  # a JSON array or number has no items
+    return {k: check_int(given[k], k) if k == "horizon" else frac(given[k])
+            for k in _RATIONAL + ("horizon",) if k in given}
+
+
 def load_config(path=None) -> RunConfig:
     """Config from an explicit path, the QF_CONFIG env var, or defaults."""
     path = path or os.environ.get(ENV_CONFIG)
     if not path:
         return RunConfig()
-    return load_json(path, RunConfig.from_json_obj, "config file")
+    # a missed bound is its own error line, as for family and run files
+    return RunConfig.from_json_obj(load_json(path, _read_fields, "config file"))

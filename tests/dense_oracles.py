@@ -96,6 +96,14 @@ Vertex enumeration of a symmetric polytope, the dual norm it gives, and
 the kernel of a dense idempotent matrix are independent oracles for the
 simplex-based norms and the functional kernels of `geometry`; the
 library itself never enumerates vertices.
+
+The stage maps of a coherent system are kept as they were before each
+read its fiber after one chain check: `stage_value`, `stage_preimage`,
+`image_of_fiber` and `coherence_exceptions` recurse from the limit part
+of a stage down the fundamental sequence, through each limit's chain
+maps `core_value` and `core_preimage`, checking each chain on the way,
+and `boolean_image` folds the images with one union per fiber.  They
+run on the library's `CoherentFamily` and its `LimitCore` checks.
 """
 
 from itertools import combinations, product
@@ -103,7 +111,9 @@ from math import lcm
 
 from qforge import forcing, geometry, linalg
 from qforge.adf.certset import CertSet
+from qforge.adf.coherent import _limit_part
 from qforge.adf.families import MadCensus
+from qforge.adf.ordinals import OrdinalIdx
 from qforge.errors import (
     InfeasibleError,
     NormBudgetError,
@@ -856,3 +866,91 @@ def extend_isomorphism(t, config):
         raise NormBudgetError("extension norm exceeds c2",
                               measured=(norm_w, norm_w_inv))
     return ExtensionResult(w, w_inv, norm_w, norm_w_inv, report)
+
+
+# -- coherent stage maps through the limit recursion -----------------------
+
+def _entry_step(core, xi):
+    """Least n with xi < xi_n (the first chain map defined on fiber xi)."""
+    if xi.c2 != 0 or xi >= core.lam:
+        raise ParameterError("fiber %s outside the limit window" % xi)
+    if xi.c1 < core.lam.c1 - 1:
+        return 0
+    return xi.c0 + 1
+
+
+def core_value(core, beta):
+    xi, _ = beta.fiber_and_offset()
+    n = _entry_step(core, xi)
+    core.ensure(n)
+    return stage_value(core.coherent.stage(core._xi(n)), beta)
+
+
+def core_preimage(core, v):
+    """No step moves a value, so v's position lies in v's own fiber."""
+    if v not in core.w:
+        return None
+    xi = core.coherent.family.index_of(v)
+    if xi is None:
+        raise ParameterError("valuation index beyond cap")
+    n = _entry_step(core, xi)
+    core.ensure(n)
+    return stage_preimage(core.coherent.stage(core._xi(n)), v)
+
+
+def stage_value(stage, beta):
+    xi, j = beta.fiber_and_offset()
+    if not xi < stage.alpha:
+        raise ParameterError("position %s outside stage %s" % (beta, stage.alpha))
+    lam = _limit_part(stage.alpha)
+    if lam is not None and xi < lam:
+        return core_value(stage.coherent.core(lam), beta)
+    return stage.coherent.family.fiber_set(xi).nth(j)
+
+
+def stage_preimage(stage, v):
+    fam = stage.coherent.family
+    xi = fam.index_of(v)
+    lam = _limit_part(stage.alpha)
+    if xi is not None and xi < stage.alpha and (lam is None or xi >= lam):
+        rank = fam.fiber_set(xi).rank(v)
+        if rank is not None:
+            return OrdinalIdx.from_fiber(xi, rank)
+    if lam is not None:
+        return core_preimage(stage.coherent.core(lam), v)
+    return None
+
+
+def coherence_exceptions(coherent, gamma, alpha):
+    if not gamma <= alpha or alpha > coherent.cap:
+        raise ParameterError("need gamma <= alpha <= cap")
+    lam = _limit_part(alpha)
+    if lam is None or gamma >= lam or gamma == alpha:
+        return []
+    n = 0 if gamma.c1 < lam.c1 - 1 else gamma.c0
+    coherent.core(lam).ensure(n)
+    return coherence_exceptions(coherent, gamma, lam.fundamental(n))
+
+
+def image_of_fiber(coherent, alpha, xi):
+    if not xi < alpha:
+        raise ParameterError("fiber %s outside stage %s" % (xi, alpha))
+    lam = _limit_part(alpha)
+    if lam is None or xi >= lam:
+        return coherent.family.fiber_set(xi)
+    core = coherent.core(lam)
+    n = _entry_step(core, xi)
+    core.ensure(n)
+    return image_of_fiber(coherent, lam.fundamental(n), xi)
+
+
+def boolean_image(coherent, indices, complement=False):
+    indices = sorted(set(indices))
+    if not indices and not complement:
+        return CertSet.empty()
+    alpha = coherent.cap if not indices else max(
+        max(indices).successor(), OrdinalIdx(0, 0, 1))
+    out = CertSet.empty()
+    for xi in indices:
+        out = out.union(image_of_fiber(coherent, alpha, xi))
+    return out.complement() if complement else out

@@ -71,8 +71,8 @@ def test_config_outside_its_bounds(capsys, tmp_path, options, config):
     if config:
         (tmp_path / "c.json").write_text(config)
         argv = ["--config", str(tmp_path / "c.json")] + argv
-    assert assert_one_line_exit_2(capsys, argv).endswith(
-        "need rho > 1, c2 >= rho, c1 > 0, delta > 0\n")
+    assert assert_one_line_exit_2(capsys, argv) == (
+        "error: need rho > 1, c2 >= rho, c1 > 0, delta > 0\n")
 
 
 def test_horizon_above_the_bound(capsys, tmp_path):
@@ -89,6 +89,11 @@ def test_horizon_above_the_bound(capsys, tmp_path):
     config.write_text('{"horizon": %d}' % (MAX_HORIZON + 1))
     assert_one_line_exit_2(capsys, ["--config", str(config), "forge-matrix",
                                     "--families", str(path)])
+    # a config file's bound is its own line, as the option's is
+    config.write_text('{"horizon": 5000}')
+    assert assert_one_line_exit_2(capsys, [
+        "--config", str(config), "build-adf", "--kind", "branch",
+        "--count", "2"]) == "error: horizon 5000 is not in [1, 4096]\n"
     assert RunConfig(horizon=MAX_HORIZON).horizon == MAX_HORIZON
     with pytest.raises(ParameterError):
         RunConfig(horizon=MAX_HORIZON + 1)
@@ -140,7 +145,7 @@ def test_sample_offsets_outside_the_cap(capsys, offsets):
 
 
 def test_blocks_above_the_bound(capsys):
-    # build-coherent's time grows with about the cube of --blocks
+    # build-coherent's time grows with about the square of --blocks
     t0 = time.monotonic()
     top = MAX_BLOCKS + 1
     assert_one_line_exit_2(capsys, ["build-coherent", "--cells", str(top),

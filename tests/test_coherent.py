@@ -13,7 +13,10 @@ from qforge.adf.families import OrdinalProgressionFamily
 from qforge.adf.ordinals import OrdinalIdx
 from qforge.errors import HypothesisViolationError, ParameterError
 
-N = OrdinalIdx.nat
+
+def N(n):
+    """The natural number n."""
+    return OrdinalIdx(0, 0, n)
 
 
 def W(k):
@@ -94,6 +97,18 @@ class TestLimitStage:
             v = w.nth(k)
             p = s.preimage(v)
             assert p is not None and s.value(p) == v
+
+    def test_preimage_past_the_valuation_cap(self, system):
+        # no fiber holds a point of valuation 17: it is refused where the
+        # limit range set W holds it, and has no preimage elsewhere
+        v = 8 * 2 ** 17
+        with pytest.raises(ParameterError, match="valuation index beyond cap"):
+            system.stage(W(1)).preimage(v)
+        assert system.stage(N(3)).preimage(v) is None
+        assert system.stage(W(1)).preimage(v + 1) is None
+        with pytest.raises(ParameterError, match="valuation index beyond cap"):
+            system.stage(W(2)).preimage(v + 1)
+        assert system.stage(W(1).successor()).preimage(v + 1) is None
 
     def test_coherence_certificates_replay(self, system):
         for gamma in (N(1), N(3), N(6)):

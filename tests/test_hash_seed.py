@@ -5,7 +5,7 @@ hash seed, and a `set` or `dict` order that leaked into an output would
 still pass it.  Here each command runs as a whole process under
 PYTHONHASHSEED 0 and 12345, and every byte it writes must agree: the
 criterion-7 forge (f = branch 8 depth 3, g = progression 8) at a small
-horizon, and one certify command.
+horizon, and two certify commands.
 """
 
 import json
@@ -38,7 +38,8 @@ def outputs(argv, seed, cwd):
     ["forge-matrix", "--families", "pair.json", "--rho", "4", "--c2", "64",
      "--horizon", "64", "--out", "run.json"],
     ["build-adf", "--kind", "luzin", "--count", "64"],
-], ids=["forge-criterion-7", "build-adf-luzin"])
+    ["build-coherent", "--cells", "8", "--blocks", "2", "--cap", "w*2"],
+], ids=["forge-criterion-7", "build-adf-luzin", "build-coherent"])
 def test_bytes_agree_across_hash_seeds(tmp_path, argv):
     (tmp_path / "pair.json").write_text(json.dumps({
         "f": {"kind": "branch", "count": 8, "depth": 3},

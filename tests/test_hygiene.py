@@ -169,11 +169,10 @@ UNREAD_PUBLIC_NAMES = {
     "adf.injections.verify_nice_ext",  # criterion 5
     "adf.coherent.separator_from_embedding",  # criterion 6
     "adf.coherent.CoherentFamily.derived_set",  # criterion 6
-    # criterion 6's stage maps: in the program only each other reads them
+    # criterion 6's stage accessor and stage maps
+    "adf.coherent.CoherentFamily.stage",
     "adf.coherent.Stage.value",
     "adf.coherent.Stage.preimage",
-    "adf.coherent.LimitCore.value",
-    "adf.coherent.LimitCore.preimage",
     "adf.certset.CertSet.eq_star",  # criterion 6
     "tails.eq_star",  # held by dense_oracles.tails_eq_star
     "adf.certset.CertSet.from_progressions",  # ROADMAP item 3 decides

@@ -12,7 +12,7 @@ ordinals = st.builds(OrdinalIdx, coeffs, coeffs, coeffs)
 class TestOrder:
     def test_basic_comparisons(self):
         w = OrdinalIdx(0, 1, 0)
-        assert OrdinalIdx.nat(1000) < w < w.successor() < OrdinalIdx(0, 2, 0)
+        assert OrdinalIdx(0, 0, 1000) < w < w.successor() < OrdinalIdx(0, 2, 0)
         assert OrdinalIdx(1, 0, 0) > OrdinalIdx(0, 5, 5)
 
     @given(ordinals, ordinals, ordinals)
@@ -25,12 +25,12 @@ class TestStructure:
     def test_limit_and_successor(self):
         assert OrdinalIdx(0, 1, 0).is_limit()
         assert OrdinalIdx(1, 0, 0).is_limit()
-        assert not OrdinalIdx.nat(3).is_limit()
-        assert OrdinalIdx.nat(3).is_successor()
-        assert OrdinalIdx.nat(3).predecessor() == OrdinalIdx.nat(2)
+        assert not OrdinalIdx(0, 0, 3).is_limit()
+        assert OrdinalIdx(0, 0, 3).is_successor()
+        assert OrdinalIdx(0, 0, 3).predecessor() == OrdinalIdx(0, 0, 2)
         with pytest.raises(ParameterError):
             OrdinalIdx(0, 1, 0).predecessor()
-        assert not OrdinalIdx.nat(0).is_limit()
+        assert not OrdinalIdx(0, 0, 0).is_limit()
 
     @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 9))
     def test_fiber_round_trip(self, c1, c0, j):
@@ -54,4 +54,4 @@ class TestFundamental:
 
     def test_successor_rejected(self):
         with pytest.raises(ParameterError):
-            OrdinalIdx.nat(4).fundamental(1)
+            OrdinalIdx(0, 0, 4).fundamental(1)
