@@ -193,13 +193,9 @@ def separator_from_embedding(coherent: CoherentFamily, f_indices,
 
 
 def chain_set(coherent: CoherentFamily, alpha: OrdinalIdx) -> CertSet:
-    """The alpha-th member of the increasing chain the stages embed into.
-
-    Memoized on the system; the member at a successor alpha whose
-    predecessor's is known adds the fiber alpha - 1 to that one."""
+    """The alpha-th member of the increasing chain the stages embed into:
+    the family's separator of the members below alpha, memoized."""
     memo = coherent._chain_sets
     if alpha not in memo:
-        below = memo.get(alpha.predecessor()) if alpha.is_successor() else None
-        memo[alpha] = (coherent.family.separator(alpha) if below is None else
-                       below.union(coherent.family.member(alpha.predecessor())))
+        memo[alpha] = coherent.family.separator(alpha)
     return memo[alpha]

@@ -227,20 +227,18 @@ def nice_ext(a: CertSet, b: CertSet, c: CertSet,
 
 
 def verify_nice_ext(h: NInjection, a: CertSet, b: CertSet, c: CertSet,
-                    f: NInjection, g: NInjection, big_f, horizon=500):
-    """Replay the four output clauses; returns the list of failures."""
-    failures = []
-    if h.domain != b:
-        failures.append("domain is not b")
+                    f: NInjection, g: NInjection, big_f):
+    """Replay the output clauses; returns the list of failures.
+
+    h is injective because it is an NInjection, whose constructor proves
+    it exactly.  The comparisons on a and b need b as h's domain, so a
+    wrong domain is listed with the range clause alone."""
+    wrong_domain = h.domain != b
+    failures = ["domain is not b"] if wrong_domain else []
     if not h.range_set.diff(c).is_empty():
         failures.append("range leaves c")
-    # injectivity: the constructor certifies it; spot-check to the horizon
-    seen = {}
-    for n in b.elements_below(horizon):
-        v = h.value(n)
-        if v in seen:
-            failures.append("collision at %d and %d" % (seen[v], n))
-        seen[v] = n
+    if wrong_domain:
+        return failures
     ok, exc = h.eq_star_on(f, a)
     if not ok or exc:
         failures.append("h does not extend f pointwise on a")
@@ -248,7 +246,6 @@ def verify_nice_ext(h: NInjection, a: CertSet, b: CertSet, c: CertSet,
     if not ok:
         failures.append("h differs from g on an infinite set")
     for v in big_f:
-        x = h.preimage(v)
-        if x is None or x not in b:
+        if h.preimage(v) is None:
             failures.append("target %d not covered" % v)
     return failures

@@ -4,15 +4,13 @@ fundamental sequences used by the limit-stage recursion."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 
 from ..errors import ParameterError
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class OrdinalIdx:
-    """omega^2 * c2 + omega * c1 + c0, all coefficients naturals."""
+    """omega^2 * c2 + omega * c1 + c0, naturals ordered as (c2, c1, c0)."""
 
     c2: int = 0
     c1: int = 0
@@ -22,28 +20,11 @@ class OrdinalIdx:
         if min(self.c2, self.c1, self.c0) < 0:
             raise ParameterError("coefficients must be nonnegative")
 
-    def key(self):
-        return (self.c2, self.c1, self.c0)
-
-    def __lt__(self, other):
-        return self.key() < other.key()
-
-    def is_zero(self) -> bool:
-        return self.key() == (0, 0, 0)
-
     def is_limit(self) -> bool:
-        return self.c0 == 0 and not self.is_zero()
-
-    def is_successor(self) -> bool:
-        return self.c0 > 0
+        return self.c0 == 0 and (self.c2, self.c1) != (0, 0)
 
     def successor(self) -> "OrdinalIdx":
         return OrdinalIdx(self.c2, self.c1, self.c0 + 1)
-
-    def predecessor(self) -> "OrdinalIdx":
-        if not self.is_successor():
-            raise ParameterError("limit ordinals have no predecessor")
-        return OrdinalIdx(self.c2, self.c1, self.c0 - 1)
 
     def fiber_and_offset(self):
         """Write self = omega * xi + j; returns (xi, j).

@@ -49,7 +49,7 @@ from .jsonio import (
     window_vector_to_json,
     write_json,
 )
-from .linalg import RMatrix, frac, op_norm_inf
+from .linalg import RMatrix, check_int, frac, op_norm_inf
 
 DEFAULT_CAP_Q = 2  # build-coherent runs to w * min(2, blocks) without --cap
 
@@ -208,19 +208,24 @@ def cmd_compute(args, config):
 
 def _paired_from_file(path):
     def side(data):
+        # a generator spec is read here and built by sets() below
         if isinstance(data, dict) and "kind" in data:
-            gen = FamilyGenerator(kind=data["kind"],
-                                  count=data.get("count", 0),
-                                  depth=data.get("depth", 4))
-            return list(make_family(gen).sets)
+            return (data["kind"], check_int(data.get("count", 0), "count"),
+                    check_int(data.get("depth", 4), "depth"))
         return [CertSet.from_json_obj(s) for s in data]
+
+    def sets(part):
+        if isinstance(part, tuple):
+            return list(make_family(FamilyGenerator(*part)).sets)
+        return part
 
     def parse(obj):
         if "indices" in obj:
             return PairedFamilies, PairedFamilies.json_parts(obj)
-        return paired_from_certsets, (side(obj["f"]), side(obj["g"]))
-    # only parsing counts as malformed: a well-formed file whose tails
-    # exceed a bound fails with that bound's own message
+        return (lambda f, g: paired_from_certsets(sets(f), sets(g)),
+                (side(obj["f"]), side(obj["g"])))
+    # only parsing counts as malformed: a well-formed file whose tails or
+    # generator specs exceed a bound fails with that bound's own message
     build, parts = load_json(path, parse, "family file")
     return build(*parts)
 

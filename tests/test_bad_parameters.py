@@ -75,6 +75,19 @@ def test_config_outside_its_bounds(capsys, tmp_path, options, config):
         "error: need rho > 1, c2 >= rho, c1 > 0, delta > 0\n")
 
 
+@pytest.mark.parametrize("spec, line", [
+    ({"count": 1000, "depth": 3}, "error: branch count must be in [1, 256]\n"),
+    ({"count": 2, "depth": 30}, "error: depth must be in [0, 16]\n")],
+    ids=["count", "depth"])
+def test_family_spec_outside_its_bounds(capsys, tmp_path, spec, line):
+    # the file is well formed; only a generator's bound is missed
+    path = tmp_path / "pf.json"
+    write_json(path, {"f": dict(spec, kind="branch"),
+                      "g": {"kind": "progression", "count": 2}})
+    assert assert_one_line_exit_2(
+        capsys, ["forge-matrix", "--families", str(path)]) == line
+
+
 def test_horizon_above_the_bound(capsys, tmp_path):
     # the stage search may reach 8 * horizon, so an unbounded horizon
     # never finishes; the bound is checked before any family is built

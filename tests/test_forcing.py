@@ -109,6 +109,20 @@ class TestValidateCondition:
         p = Condition(2, RMatrix.identity(0, 2), (), (0, 2), inv)
         assert validate_condition(p, PF2, CFG) == ["(a) inverse window is not [0, 2)^2"]
 
+    def test_inverse_entry_outside_its_block_flagged(self):
+        # each block's own product is I: only the inverse's entry (0, 1),
+        # outside the block [0, 1), fails M * inv = I
+        inv = RMatrix(0, 2, 0, 2, {0: {0: 1, 1: 1}, 1: {1: 1}})
+        p = Condition(2, RMatrix.identity(0, 2), (), (0, 1, 2), inv)
+        assert validate_condition(p, PF2, CFG) == [
+            "block [0, 1): (b) carried inverse fails M * inv = I"]
+
+    def test_matrix_window_flagged(self):
+        p = Condition(2, RMatrix.identity(0, 3), (), (0, 2),
+                      RMatrix.identity(0, 2))
+        assert validate_condition(p, PF2, CFG) == [
+            "(a) matrix window is not [0, 2)^2"]
+
     def test_empty_cuts_flagged(self):
         # no cut at all: not even the stage 0 that every condition starts at
         p = Condition(0, EMPTY, (), (), EMPTY)
@@ -140,6 +154,11 @@ class TestCondLeq:
         p = one_block(RMatrix.identity(0, 3), (0, 1))
         ok, _ = cond_leq(p, Condition.trivial(), PF2)
         assert ok
+
+    def test_lower_stage_fails(self):
+        p = one_block(RMatrix.identity(0, 2))
+        q = one_block(RMatrix.identity(0, 4))
+        assert cond_leq(p, q, PF2) == (False, ["(i) stage 2 below 4"])
 
     def test_changed_stem_entry_fails(self):
         q = one_block(from_dense([[1]]))

@@ -176,6 +176,7 @@ UNREAD_PUBLIC_NAMES = {
     "adf.certset.CertSet.eq_star",  # criterion 6
     "tails.eq_star",  # held by dense_oracles.tails_eq_star
     "adf.certset.CertSet.from_progressions",  # ROADMAP item 3 decides
+    "adf.certset.CertSet.elements_below",  # the tests' brute-force scan
 }
 
 
@@ -193,7 +194,7 @@ SHARED_METHOD_READERS = {
     "forcing.GenericRun.from_json_obj": "cli.cmd_verify_run",
     "tails.TailVector.from_json_obj": "forcing.PairedFamilies.json_parts",
     "linalg.RMatrix.identity": "forcing.amalgamate",
-    "adf.certset.CertSet.union": "adf.coherent.chain_set",
+    "adf.certset.CertSet.union": "adf.coherent.LimitCore._step",
     "geometry.LinMap.lower": "geometry.extend_isomorphism",
     "linalg.WindowVector.items": "geometry._lex_key",
     "linalg.RMatrix.items": "linalg.RMatrix.__reduce__",

@@ -151,6 +151,15 @@ class TestNiceExt:
         ok, exc = h.eq_star_on(g, NATS)
         assert ok and exc == []
 
+    def test_wrong_domain_is_listed_not_raised(self):
+        # h lives on the evens, not on b = NATS: only the range is compared
+        f, g = NInjection.identity(EVENS), NInjection.identity(NATS)
+        assert verify_nice_ext(f, EVENS, NATS, NATS, f, g, []) == [
+            "domain is not b"]
+        h = NInjection.affine(EVENS, 1, 1)
+        assert verify_nice_ext(h, EVENS, NATS, EVENS, f, g, []) == [
+            "domain is not b", "range leaves c"]
+
 
 class TestHypothesisChecks:
     def setup_method(self):

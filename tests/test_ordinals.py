@@ -26,10 +26,6 @@ class TestStructure:
         assert OrdinalIdx(0, 1, 0).is_limit()
         assert OrdinalIdx(1, 0, 0).is_limit()
         assert not OrdinalIdx(0, 0, 3).is_limit()
-        assert OrdinalIdx(0, 0, 3).is_successor()
-        assert OrdinalIdx(0, 0, 3).predecessor() == OrdinalIdx(0, 0, 2)
-        with pytest.raises(ParameterError):
-            OrdinalIdx(0, 1, 0).predecessor()
         assert not OrdinalIdx(0, 0, 0).is_limit()
 
     @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 9))
