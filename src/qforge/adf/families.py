@@ -347,11 +347,13 @@ class OrdinalProgressionFamily:
 
     def _prefix_union(self, alpha: OrdinalIdx, start: int) -> CertSet:
         """The residue blocks qq < q, each from start + qq on, united with
-        the first r valuation fibers of block q."""
+        the first r valuation fibers of block q.  As q <= blocks <= cells,
+        the blocks are the points from start on in q classes mod cells."""
         q, r = self._split(alpha, boundary=True)
+        blocks = CertSet(start, self.cells, frozenset(range(start, start + q)),
+                         frozenset())
         return CertSet.union_all(
-            [CertSet.ap(start + qq, self.cells) for qq in range(q)]
-            + [self.member(OrdinalIdx(0, q, i)) for i in range(r)])
+            [blocks] + [self.member(OrdinalIdx(0, q, i)) for i in range(r)])
 
     def w_set(self, alpha: OrdinalIdx) -> CertSet:
         """Exact range of the coherent injection at stage alpha:

@@ -15,15 +15,13 @@ ENV_CONFIG = "QF_CONFIG"
 # the largest horizon: a stage reaches at most horizon + search_cap =
 # 9 * horizon, and the criterion-7 forge at 4096 takes 0.4 s on 2 vCPUs
 MAX_HORIZON = 4096
-_RATIONAL = ("rho", "c1", "c2", "delta")
+_RATIONAL = ("rho", "c2")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     rho: Fraction = Fraction(4)
-    c1: Fraction = Fraction(1)
     c2: Fraction = Fraction(64)
-    delta: Fraction = Fraction(1, 100)
     horizon: int = 512
 
     def __post_init__(self):
@@ -31,8 +29,8 @@ class RunConfig:
             object.__setattr__(self, name, frac(getattr(self, name)))
         if not 1 <= check_int(self.horizon, "horizon") <= MAX_HORIZON:
             raise ParameterError("horizon %d is not in [1, %d]" % (self.horizon, MAX_HORIZON))
-        if self.rho <= 1 or self.c2 < self.rho or self.c1 <= 0 or self.delta <= 0:
-            raise ParameterError("need rho > 1, c2 >= rho, c1 > 0, delta > 0")
+        if self.rho <= 1 or self.c2 < self.rho:
+            raise ParameterError("need rho > 1, c2 >= rho")
 
     @property
     def search_cap(self) -> int:

@@ -299,15 +299,11 @@ def amalgamate(p: Condition, q: Condition, big_n: int,
                       families, config)
 
     spans = families.spans(a_r)
-    h = len(a_r)
     attempts = []
     offset = 1
     while n + offset <= config.search_cap:
         n_r = max(n, big_n) + offset
         offset *= 2
-        if h * h > config.c1 * config.c1 * (n_r - n):
-            attempts.append((n_r, "stage too small for %d indices" % h))
-            continue
         try:
             for name, span in zip("FG", spans):
                 rinv = r_operator_inverse_norm(span, n, n_r)

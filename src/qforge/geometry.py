@@ -442,21 +442,19 @@ def extend_isomorphism(t: LinMap,
     off them, and R sends the k-th index outside S_1 to the k-th outside
     S_2: the isometry that complement_iso returns on those bases, which
     balanced_rescale keeps (s = 1), so distortion_Q is 1.  Otherwise R is
-    complement_iso's map, rescaled, read through the kernel basis's
-    coefficient extractor.  The checks below run on the returned w and
-    w^-1 on either path.
+    complement_iso's map, rescaled within balanced_rescale's constant
+    delta = 1/100, read through the kernel basis's coefficient extractor.
+    No size bound ties h to n: the checks below decide, on the returned w
+    and w^-1 on either path.
     """
     config = config or RunConfig()
     y1 = t.domain
     h = y1.dim
     lo, hi = y1.lo, y1.hi
-    n = hi - lo
     if any(not (lo <= i < hi) for w in t.images for i in w.support()):
         raise ParameterError("domain and image must share the ambient window")
     t = LinMap(y1, tuple(w.restrict(lo, hi) for w in t.images))
     y2 = Subspace(lo, hi, t.images)  # raises if images are dependent
-    if h * h > config.c1 * config.c1 * n:
-        raise ParameterError("subspace dimension exceeds c1 * sqrt(n)")
     report = {}
 
     up, low = t.norm(), t.lower()
@@ -486,7 +484,7 @@ def extend_isomorphism(t: LinMap,
         z2 = kernel_of_functionals(psi2)
         q = complement_iso(z1, z2, config.rho)
         report["distortion_Q"] = q.norm() / q.lower()
-        r = balanced_rescale(q, config.delta)
+        r = balanced_rescale(q)
         r_mat = RMatrix.from_columns(list(r.images)).matmul(
             r.domain.coefficient_extractor())
         r_inv = RMatrix.from_columns(list(r.domain.basis)).matmul(

@@ -819,14 +819,10 @@ def extend_isomorphism(t, config):
     """`geometry.extend_isomorphism` through the complement search on
     every instance, with I - P_1 and I - P_2 formed."""
     y1 = t.domain
-    h = y1.dim
-    n = y1.hi - y1.lo
     if any(not (y1.lo <= i < y1.hi) for w in t.images for i in w.support()):
         raise ParameterError("domain and image must share the ambient window")
     t = LinMap(y1, tuple(w.restrict(y1.lo, y1.hi) for w in t.images))
     y2 = Subspace(y1.lo, y1.hi, t.images)
-    if h * h > config.c1 * config.c1 * n:
-        raise ParameterError("subspace dimension exceeds c1 * sqrt(n)")
     report = {}
     up, low = t.norm(), t.lower()
     if low == 0:
@@ -846,7 +842,7 @@ def extend_isomorphism(t, config):
     else:
         q = complement_iso(z1, z2, config.rho)
         report["distortion_Q"] = q.norm() / q.lower()
-        r = balanced_rescale(q, config.delta)
+        r = balanced_rescale(q)
     extz1 = r.domain.coefficient_extractor()
     w = rmatrix_add(_partial_matrix(t.images, psi1, y1.lo, y1.hi),
                     _partial_matrix(r.images, extz1.matmul(rmatrix_sub(eye, p1)),

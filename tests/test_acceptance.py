@@ -108,7 +108,7 @@ def _extension_instance(rng):
     """Near-indicator instance: h disjointly supported basis vectors on a
     window of size n <= 12, each mapped to a rescaled disjoint indicator."""
     n = rng.randint(6, 12)
-    h = rng.randint(1, 3 if n >= 9 else 2)  # pipeline needs h^2 <= n
+    h = rng.randint(1, 3 if n >= 9 else 2)  # h^2 <= n, as the pinned suite draws
     coords = list(range(n))
     rng.shuffle(coords)
     dom_blocks = [sorted(coords[2 * k: 2 * k + 2]) for k in range(h)]

@@ -62,7 +62,7 @@ def test_explicit_empty_or_zero_forge_option(capsys, tmp_path, option, value):
 
 @pytest.mark.parametrize("options, config", [
     (["--rho", "1"], None), (["--c2", "3"], None),  # the default rho is 4
-    ([], '{"c1": "0"}'), ([], '{"delta": "0"}')])
+    ([], '{"rho": "4", "c2": "2"}')])
 def test_config_outside_its_bounds(capsys, tmp_path, options, config):
     path = tmp_path / "pf.json"
     write_json(path, {"f": {"kind": "branch", "count": 2},
@@ -72,7 +72,7 @@ def test_config_outside_its_bounds(capsys, tmp_path, options, config):
         (tmp_path / "c.json").write_text(config)
         argv = ["--config", str(tmp_path / "c.json")] + argv
     assert assert_one_line_exit_2(capsys, argv) == (
-        "error: need rho > 1, c2 >= rho, c1 > 0, delta > 0\n")
+        "error: need rho > 1, c2 >= rho\n")
 
 
 @pytest.mark.parametrize("spec, line", [

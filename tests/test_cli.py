@@ -339,7 +339,20 @@ class TestForgeAndVerify:
         code, obj = run_cli(capsys, "forge-matrix", "--families", str(fam),
                             "--horizon", "100", "--out", str(run_path))
         assert code == 0 and obj["failures"] == []
-        assert obj["hit_log"][-1] == ["D", 100, 6] and obj["chain"][-1]["n"] == 101
+        assert obj["hit_log"][-1] == ["D", 100, 7] and obj["chain"][-1]["n"] == 101
+        code, rep = run_cli(capsys, "verify-run", str(run_path))
+        assert code == 0 and rep["failures"] == []
+
+    def test_luzin_32_pair_forges(self, capsys, tmp_path):
+        # each stage is decided by its block's exact checks alone, which
+        # accept blocks of norm 1 for 32 Luzin tails on each side
+        fam, run_path = tmp_path / "pf.json", tmp_path / "run.json"
+        write_json(fam, {"f": {"kind": "luzin", "count": 32},
+                         "g": {"kind": "luzin", "count": 32}})
+        code, obj = run_cli(capsys, "forge-matrix", "--families", str(fam),
+                            "--out", str(run_path))
+        assert code == 0 and obj["failures"] == []
+        assert obj["chain"][-1]["n"] >= 512
         code, rep = run_cli(capsys, "verify-run", str(run_path))
         assert code == 0 and rep["failures"] == []
 

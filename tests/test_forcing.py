@@ -236,11 +236,11 @@ class TestAmalgamate:
             assert ok, wit
 
     def test_stage_rejected_on_clause_c(self):
-        # the spiked tails' span has section norm 3 at stage 4, the first
-        # stage wide enough for three indices (c1 = 2), so the block check
-        # rejects that candidate and the search goes on to stage 8
+        # stages 1 and 2 fail the restriction check, and the spiked tails'
+        # span has section norm 3 at stage 4, so the block check rejects
+        # that candidate and the search goes on to stage 8
         families = spiked_families()
-        config = RunConfig(c1=2, horizon=8)
+        config = RunConfig(horizon=8)
         p = Condition(0, EMPTY, (0, 1), (0,), EMPTY)
         q = Condition(0, EMPTY, (2,), (0,), EMPTY)
         assert pi_section_norm(check_pi_injective(families.fs), 4) == 3

